@@ -2,8 +2,9 @@
 """Time the single-monomial attribution DP across sizes and print scaling ratios.
 
 The update count grows quadratically, so doubling the variable count should
-roughly quadruple the runtime.  Values are kept near 0.707 so that every DP
-cell stays inside normal double range even at the largest sizes.
+roughly quadruple the runtime.  DP cells are averages of products of the
+values, so values are kept near 1 to keep every cell a normal double (no
+subnormal arithmetic, no underflow to zero) at every size.
 """
 import argparse
 import random
@@ -14,8 +15,8 @@ from attrib import ValuePair, attribute_monomial
 
 def time_once(n: int, repeats: int = 3) -> float:
     rng = random.Random(n)
-    r = tuple(rng.uniform(0.7035, 0.7095) for _ in range(n))
-    s = tuple(rng.uniform(0.7035, 0.7095) for _ in range(n))
+    r = tuple(rng.uniform(0.997, 1.003) for _ in range(n))
+    s = tuple(rng.uniform(0.997, 1.003) for _ in range(n))
     vp = ValuePair(r, s)
     best = float("inf")
     for _ in range(repeats):

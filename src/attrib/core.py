@@ -353,22 +353,30 @@ def evaluate(f: CharacteristicFunction, x: Sequence[float]) -> float:
     return total
 
 
+def _monomial_partials(vals: Sequence[float], scale: float) -> list[float]:
+    """scale * prod(vals[u] for u != t) for every position t, in O(len(vals)).
+
+    Prefix products fill the list and suffix products multiply in from the
+    right, so no value is divided out and zeros among vals are harmless.
+    """
+    k = len(vals)
+    out = [scale] * k
+    for t in range(1, k):
+        out[t] = out[t - 1] * vals[t - 1]
+    suffix = 1.0
+    for t in range(k - 2, -1, -1):
+        suffix *= vals[t + 1]
+        out[t] *= suffix
+    return out
+
+
 def gradient(f: CharacteristicFunction, x: Sequence[float]) -> list[float]:
     """All partial derivatives of f at x, as a list indexed by variable - 1."""
     _check_dims(f, x)
     g = [0.0] * f.n
     for I, c in f.multilinear.terms.items():
-        k = len(I)
-        if k == 0:
-            continue
-        vals = [x[j - 1] for j in I]
-        prefix = [1.0] * (k + 1)
-        for t in range(k):
-            prefix[t + 1] = prefix[t] * vals[t]
-        suffix = 1.0
-        for t in range(k - 1, -1, -1):
-            g[I[t] - 1] += c * prefix[t] * suffix
-            suffix *= vals[t]
+        for j, p in zip(I, _monomial_partials([x[j - 1] for j in I], c)):
+            g[j - 1] += p
     for t in f.separable:
         g[t.index - 1] += t.derivative().value(x[t.index - 1])
     return g

@@ -1,36 +1,45 @@
-"""Exact Aumann-Shapley-Shubik attribution via a per-monomial dynamic program.
+"""Exact Aumann-Shapley-Shubik attribution of multilinear-plus-separable functions.
 
-For the monomial c * prod_{i in I} x_i the attribution to variable i is
+On this function class the factorial-weight split of the paper equals the
+straight-line integral of the gradient (Owen's diagonal formula), so
+`attribute_ass` computes the latter.  A monomial c * prod_{i in I} x_i of
+degree m contributes
 
-    c * (s_i - r_i) * sum_k w_k(|I|) * X_k
+    c * (s_i - r_i) * integral_0^1 prod_{j in I, j != i} (r_j + t (s_j - r_j)) dt
 
-where w_k(n) = k! (n-1-k)! / n! and X_k sums, over the k-subsets K of the
-remaining variables, the mixed endpoint products prod_K s * prod_rest r.  The
-X row is built by a two-buffer recursion in O(m^2) time and O(m) memory; the
-full function is handled monomial by monomial plus the endpoint rule
-f_i(s_i) - f_i(r_i) for separable terms.
+to each member i.  The integrand is a polynomial of degree m - 1 in t, so
+ceil(m / 2) Gauss-Legendre nodes integrate it exactly up to rounding, and at
+each node prefix and suffix products give every member's partial in O(m):
+O(m^2) per monomial.  Separable terms use the endpoint rule
+f_i(s_i) - f_i(r_i).
 
-Everything runs in plain double precision.  For large variable counts the DP
-row spans a huge dynamic range: with hundreds of variables of typical size
-above (or below) 1, intermediate cells can overflow (or underflow) doubles
-even though the final attribution is benign.  Keep per-variable magnitudes
-near 1 when attributing monomials with thousands of variables.
+`attribute_monomial` keeps the paper's dynamic program as the reference
+oracle: for member i it is c * (s_i - r_i) * sum_k w_k(m) * X_k, where
+w_k(m) = k! (m-1-k)! / m! and X_k sums, over the k-subsets K of the other
+members, the mixed endpoint products prod_K s * prod_rest r.  The DP keeps
+the subset means X_k / C(m-1, k) instead of the sums; since
+w_k(m) * C(m-1, k) = 1/m the attribution is c * (s_i - r_i) times the mean
+of that row, built by a two-buffer recursion in O(m^2) time and O(m) memory.
+
+Everything runs in plain double precision.  Both kernels multiply only
+values that lie between the endpoints of each variable (DP cells are
+averages of endpoint products, Gauss nodes are points on the segment), so
+their intermediates stay within the range of the products themselves.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Callable, Iterable, Sequence
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, evaluate, gradient
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _monomial_partials, evaluate, gradient
+from .paths import _leggauss
 
 __all__ = [
     "shapley_weight",
     "shapley_weights",
-    "ShapleyWeightTable",
-    "DpState",
-    "dp_subset_sums",
+    "dp_subset_means",
     "attribute_monomial",
     "attribute_ass",
     "attribute_naive",
@@ -44,8 +53,8 @@ def shapley_weights(n: int) -> tuple[float, ...]:
     """All order weights w_k(n) = k! (n-1-k)! / n! for k = 0..n-1.
 
     Computed by the multiplicative recurrence w_{k+1} = w_k (k+1)/(n-1-k)
-    from w_0 = 1/n; raw factorials would overflow doubles near n = 171 while
-    the weights themselves stay representable far beyond that.
+    from w_0 = 1/n; raw factorials would overflow doubles near n = 171.  The
+    middle weights themselves fall below the double range near n = 1000.
     """
     if n < 1:
         raise ValueError("need at least one variable")
@@ -63,51 +72,33 @@ def shapley_weight(k: int, n: int) -> float:
     return shapley_weights(n)[k]
 
 
-@dataclass(frozen=True)
-class ShapleyWeightTable:
-    n: int
-    w: tuple[float, ...]
+def dp_subset_means(r_vals: Sequence[float], s_vals: Sequence[float], row_hook: RowHook | None = None) -> list[float]:
+    """Row Y_k = mean over k-subsets K of prod_K s * prod_complement r, for k = 0..m.
 
-    @classmethod
-    def for_n(cls, n: int) -> "ShapleyWeightTable":
-        return cls(n, shapley_weights(n))
-
-
-def dp_subset_sums(r_vals: Sequence[float], s_vals: Sequence[float], row_hook: RowHook | None = None) -> list[float]:
-    """Row X_k = sum over k-subsets K of prod_K s * prod_complement r.
-
-    Two reusable buffers of length m+1 are the only auxiliary storage; if
-    row_hook is given it is called once per absorbed variable with both live
-    buffers, which lets callers audit that bound.
+    Y_k is the subset sum X_k divided by C(m, k).  Absorbing the j-th
+    variable (1-based) updates Y_k <- r_j Y_k + (k / j) (s_j Y_{k-1} - r_j Y_k),
+    so every cell stays an average of endpoint products where X_k would also
+    carry the binomial factor.  Two reusable buffers of length m+1 are the
+    only auxiliary storage; if row_hook is given it is called once per
+    absorbed variable with both live buffers, which lets callers audit that
+    bound.
     """
     m = len(r_vals)
     curr = [0.0] * (m + 1)
     prev = [0.0] * (m + 1)
     curr[0] = 1.0
-    size = 1
-    for j in range(m):
+    for j in range(1, m + 1):
         prev, curr = curr, prev
-        rj = r_vals[j]
-        sj = s_vals[j]
+        rj = r_vals[j - 1]
+        sj = s_vals[j - 1]
         curr[0] = rj * prev[0]
-        for k in range(1, size):
-            curr[k] = sj * prev[k - 1] + rj * prev[k]
-        curr[size] = sj * prev[size - 1]
-        size += 1
+        for k in range(1, j):
+            a = rj * prev[k]
+            curr[k] = a + k / j * (sj * prev[k - 1] - a)
+        curr[j] = sj * prev[j - 1]
         if row_hook is not None:
             row_hook(prev, curr)
-    return curr[:size]
-
-
-@dataclass
-class DpState:
-    """Final row of mixed endpoint subset sums for a list of variables."""
-
-    row: list[float]
-
-    @classmethod
-    def from_values(cls, r_vals: Sequence[float], s_vals: Sequence[float]) -> "DpState":
-        return cls(dp_subset_sums(r_vals, s_vals))
+    return curr
 
 
 def attribute_monomial(
@@ -116,9 +107,8 @@ def attribute_monomial(
     vp: ValuePair,
     i: int,
     row_hook: RowHook | None = None,
-    kahan: bool = False,
 ) -> float:
-    """Attribution to variable i of the single monomial coeff * prod_I x.
+    """Attribution to variable i of the single monomial coeff * prod_I x, by the factorial-weight DP.
 
     O(m^2) time and O(m) memory for m = |I|.  The remaining variables are
     absorbed in ascending index order; the recursion is commutative so the
@@ -130,50 +120,42 @@ def attribute_monomial(
     others = [j for j in I if j != i]
     r_vals = [vp.r[j - 1] for j in others]
     s_vals = [vp.s[j - 1] for j in others]
-    row = dp_subset_sums(r_vals, s_vals, row_hook)
-    w = shapley_weights(len(I))
-    if kahan:
-        acc = comp = 0.0
-        for k in range(len(I)):
-            y = w[k] * row[k] - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-    else:
-        acc = 0.0
-        for k in range(len(I)):
-            acc += w[k] * row[k]
-    return coeff * (vp.s[i - 1] - vp.r[i - 1]) * acc
+    row = dp_subset_means(r_vals, s_vals, row_hook)
+    return coeff * (vp.s[i - 1] - vp.r[i - 1]) * math.fsum(row) / len(I)
 
 
-def _accumulate(z: list[float], comp: list[float], slot: int, value: float, kahan: bool):
-    if kahan:
-        y = value - comp[slot]
-        t = z[slot] + y
-        comp[slot] = (t - z[slot]) - y
-        z[slot] = t
-    else:
-        z[slot] += value
+@lru_cache(maxsize=None)
+def _unit_gauss(count: int) -> tuple[tuple[float, float], ...]:
+    """The count-node Gauss-Legendre rule mapped to [0, 1], as (node, weight) pairs of floats."""
+    x, w = _leggauss(count)
+    return tuple((0.5 * (float(a) + 1.0), 0.5 * float(b)) for a, b in zip(x, w))
 
 
-def attribute_ass(f: CharacteristicFunction, vp: ValuePair, kahan: bool = False) -> AttributionResult:
-    """Exact attribution of f(s) - f(r): DP per monomial plus endpoint rule per separable term.
+def attribute_ass(f: CharacteristicFunction, vp: ValuePair) -> AttributionResult:
+    """Exact attribution of f(s) - f(r): straight-line integral per monomial plus endpoint rule per separable term.
 
-    Cost is O(m^2) per (monomial, member variable) pair.  Monomials are
-    folded in ascending key order so results are bit-stable across runs.
+    Cost is O(m^2) per monomial of degree m: ceil(m / 2) Gauss-Legendre
+    nodes, each giving all m partials by prefix and suffix products.
+    Monomials are folded in ascending key order so results are bit-stable
+    across runs.
     """
     if vp.n != f.n:
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
-    n = f.n
-    z = [0.0] * n
-    comp = [0.0] * n
+    r, s = vp.r, vp.s
+    z = [0.0] * f.n
     for I, c in f.multilinear.terms.items():
-        for i in I:
-            _accumulate(z, comp, i - 1, attribute_monomial(c, I, vp, i, kahan=kahan), kahan)
+        if not I:
+            continue  # a constant has no members and changes nothing
+        rv = [r[j - 1] for j in I]
+        dv = [s[j - 1] - r[j - 1] for j in I]
+        acc = [0.0] * len(I)
+        for t, w in _unit_gauss((len(I) + 1) // 2):
+            acc = list(map(add, acc, _monomial_partials([a + t * d for a, d in zip(rv, dv)], w)))
+        for j, d, a in zip(I, dv, acc):
+            z[j - 1] += c * d * a
     for t in f.separable:
-        change = t.value(vp.s[t.index - 1]) - t.value(vp.r[t.index - 1])
-        _accumulate(z, comp, t.index - 1, change, kahan)
-    residual = math.fsum(z) - (evaluate(f, vp.s) - evaluate(f, vp.r))
+        z[t.index - 1] += t.value(s[t.index - 1]) - t.value(r[t.index - 1])
+    residual = math.fsum(z) - (evaluate(f, s) - evaluate(f, r))
     return AttributionResult("ass", tuple(z), residual)
 
 
