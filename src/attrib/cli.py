@@ -1,6 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 malformed input, 3 numeric non-convergence.
+Exit codes: 0 success, 2 malformed input, 3 numeric non-convergence or a
+non-finite result.  A report run attributes every entity before printing
+anything: one bad entity stops the run with exit 2 and an error naming it,
+and nothing goes to stdout; exit 3 means every report was printed and at
+least one is flagged unconverged.
 """
 from __future__ import annotations
 
@@ -70,14 +74,10 @@ def _run_reports(args) -> int:
         snaps = parse_snapshots(handle.read(), args.values)
     if not snaps:
         raise ModelError(f"{args.values}: no snapshot rows")
-    all_converged = True
-    blocks = []
-    for snap in snaps:
-        report = run_report(model, snap, args.method, tol=args.tol, max_refine=args.max_refine)
-        all_converged = all_converged and report.converged
-        blocks.append(render_machine(report) if args.report == "machine" else render_text(report))
-    print(("\n" if args.report == "machine" else "\n\n").join(blocks))
-    return EXIT_OK if all_converged else EXIT_NUMERIC
+    reports = run_report(model, snaps, args.method, tol=args.tol, max_refine=args.max_refine)
+    render = render_machine if args.report == "machine" else render_text
+    print(("\n" if args.report == "machine" else "\n\n").join(render(report) for report in reports))
+    return EXIT_OK if all(report.converged for report in reports) else EXIT_NUMERIC
 
 
 def main(argv=None) -> int:

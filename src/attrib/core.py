@@ -38,7 +38,7 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """A separable term was evaluated outside its domain (e.g. log of x <= 0)."""
+    """A separable term was evaluated outside its domain (e.g. log of x <= 0) or where it overflows a double."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -163,13 +163,16 @@ class SeparableTerm:
             if arg <= 0.0:
                 raise DomainError(f"log term on variable {self.index} got nonpositive argument {arg}", self.index)
             return p[2] * math.log(arg)
-        if k == "exp":
-            return p[2] * math.exp(p[0] * x + p[1])
         arg = p[0] * x + p[1]
-        e = int(p[3])
-        if arg == 0.0 and e < 0:
-            raise DomainError(f"powlaw term on variable {self.index} got zero base with negative exponent", self.index)
-        return p[2] * arg ** e
+        try:
+            if k == "exp":
+                return p[2] * math.exp(arg)
+            e = int(p[3])
+            if arg == 0.0 and e < 0:
+                raise DomainError(f"powlaw term on variable {self.index} got zero base with negative exponent", self.index)
+            return p[2] * arg ** e
+        except OverflowError:
+            raise DomainError(f"{k} term on variable {self.index} overflows at x = {x!r}", self.index) from None
 
     def derivative(self) -> "SeparableTerm":
         k, p = self.kind, self.params
@@ -332,11 +335,19 @@ class AttributionResult:
     converged: bool = True
 
     def total(self) -> float:
-        return math.fsum(self.z)
+        return _exact_sum(self.z)
 
 
 # ---------------------------------------------------------------------------
 # operations
+
+
+def _exact_sum(values: Iterable[float]) -> float:
+    """math.fsum of values, or nan where they hold both infinities or their sum overflows."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def _check_dims(f: CharacteristicFunction, x: Sequence[float]):

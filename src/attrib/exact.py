@@ -21,6 +21,12 @@ the subset means X_k / C(m-1, k) instead of the sums; since
 w_k(m) * C(m-1, k) = 1/m the attribution is c * (s_i - r_i) times the mean
 of that row, built by a two-buffer recursion in O(m^2) time and O(m) memory.
 
+`attribute_ass_batch` runs the same arithmetic for many value pairs at once:
+monomials are grouped by degree, every group is one numpy gather over an
+entities x monomials x members array, and the per-member contributions are
+folded into z in ascending key order, so each row matches `attribute_ass` on
+that pair bit for bit.
+
 Everything runs in plain double precision.  Both kernels multiply only
 values that lie between the endpoints of each variable (DP cells are
 averages of endpoint products, Gauss nodes are points on the segment), so
@@ -33,7 +39,9 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, Sequence
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _monomial_partials, evaluate, gradient
+import numpy as np
+
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum, _monomial_partials, evaluate, gradient
 from .paths import _leggauss
 
 __all__ = [
@@ -42,10 +50,14 @@ __all__ = [
     "dp_subset_means",
     "attribute_monomial",
     "attribute_ass",
+    "attribute_ass_batch",
     "attribute_naive",
 ]
 
 RowHook = Callable[[list, list], None]
+
+# Largest entities x members temporary `attribute_ass_batch` builds at once.
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -153,10 +165,85 @@ def attribute_ass(f: CharacteristicFunction, vp: ValuePair) -> AttributionResult
             acc = list(map(add, acc, _monomial_partials([a + t * d for a, d in zip(rv, dv)], w)))
         for j, d, a in zip(I, dv, acc):
             z[j - 1] += c * d * a
+    return _finish(f, z, r, s)
+
+
+def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Sequence[float]) -> AttributionResult:
+    """Add the separable endpoint rule to the multilinear attributions z and take the residual."""
     for t in f.separable:
         z[t.index - 1] += t.value(s[t.index - 1]) - t.value(r[t.index - 1])
-    residual = math.fsum(z) - (evaluate(f, s) - evaluate(f, r))
+    residual = _exact_sum(z) - (evaluate(f, s) - evaluate(f, r))
     return AttributionResult("ass", tuple(z), residual)
+
+
+def _batch_partials(x: np.ndarray, scale: float) -> np.ndarray:
+    """`core._monomial_partials` along the last axis of x, with the same order of multiplications."""
+    out = np.empty_like(x)
+    out[..., 0] = scale
+    out[..., 1:] = x[..., :-1]
+    np.cumprod(out, axis=-1, out=out)
+    out[..., :-1] *= np.cumprod(x[..., :0:-1], axis=-1)[..., ::-1]
+    return out
+
+
+def attribute_ass_batch(f: CharacteristicFunction, R, S) -> list[AttributionResult]:
+    """`attribute_ass` of f for every pair of rows (R[e], S[e]) of two E x n arrays.
+
+    Monomials of equal degree m form one (T, m) index array; each of the
+    ceil(m / 2) Gauss-Legendre nodes is a single numpy pass over all
+    entities, with prefix and suffix products from cumprod.  Entities go in
+    chunks that keep every temporary near _CHUNK_ELEMENTS.  The separable
+    endpoint rule and the residual are computed per entity exactly as
+    `attribute_ass` computes them.  An exception raised while evaluating an
+    entity carries that entity's row number as ``exc.row``.
+    """
+    R = np.asarray(R, dtype=float)
+    S = np.asarray(S, dtype=float)
+    if len(R) == len(S) == 0:
+        return []
+    if R.ndim != 2 or R.shape != S.shape:
+        raise ValueError(f"initial and final arrays must be E x n of one shape, got {R.shape} and {S.shape}")
+    if R.shape[1] != f.n:
+        raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {R.shape[1]}")
+    if not (np.isfinite(R).all() and np.isfinite(S).all()):
+        raise ValueError("value vectors must be finite")
+    # member columns in ascending key order, with the variable each one adds to
+    members = [(I, c) for I, c in f.multilinear.terms.items() if I]
+    targets = np.array([j - 1 for I, _ in members for j in I], dtype=np.intp)
+    groups: dict[int, tuple[list, list, list]] = {}
+    col = 0
+    for I, c in members:
+        idx, coef, cols = groups.setdefault(len(I), ([], [], []))
+        idx.append([j - 1 for j in I])
+        coef.append(c)
+        cols.append(range(col, col + len(I)))
+        col += len(I)
+    plan = [(m, np.array(idx), np.array(coef)[:, None], np.array(cols)) for m, (idx, coef, cols) in groups.items()]
+
+    E = R.shape[0]
+    Z = np.zeros((E, f.n))
+    step = max(1, _CHUNK_ELEMENTS // max(col, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, E, step):
+            Rc, Sc = R[lo : lo + step], S[lo : lo + step]
+            contrib = np.empty((len(Rc), col))
+            for m, idx, coef, cols in plan:
+                rv = Rc[:, idx]
+                dv = Sc[:, idx] - rv
+                acc = np.zeros_like(rv)
+                for t, w in _unit_gauss((m + 1) // 2):
+                    acc += _batch_partials(rv + t * dv, w)
+                contrib[:, cols] = coef * dv * acc
+            # sequential in-order adds, as attribute_ass accumulates z
+            np.add.at(Z[lo : lo + step].T, targets, contrib.T)
+    results = []
+    for e, (z, r, s) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist())):
+        try:
+            results.append(_finish(f, z, r, s))
+        except (ValueError, OverflowError) as exc:
+            exc.row = e
+            raise
+    return results
 
 
 def attribute_naive(f: CharacteristicFunction, vp: ValuePair) -> AttributionResult:
@@ -169,5 +256,5 @@ def attribute_naive(f: CharacteristicFunction, vp: ValuePair) -> AttributionResu
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
     g = gradient(f, vp.s)
     z = tuple(g[k] * (vp.s[k] - vp.r[k]) for k in range(f.n))
-    residual = math.fsum(z) - (evaluate(f, vp.s) - evaluate(f, vp.r))
+    residual = _exact_sum(z) - (evaluate(f, vp.s) - evaluate(f, vp.r))
     return AttributionResult("naive", z, residual)

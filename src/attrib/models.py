@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 from .core import CharacteristicFunction, SeparableTerm, ValuePair, from_terms
@@ -47,7 +48,6 @@ __all__ = [
     "parse_dag",
     "compile_dag",
     "parse_snapshots",
-    "snapshot_pair",
     "procurement_model",
     "payperclick_model",
     "portfolio_model",
@@ -111,55 +111,62 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _sections(text: str, path: str = "<model>") -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    current: list[str] | None = None
+def _sections(text: str, path: str, known: tuple[str, ...]) -> dict[str, list[tuple[int, str]]]:
+    """Content lines, with their line numbers, under each known [section] header."""
+    out: dict[str, list[tuple[int, str]]] = {}
+    current: list[tuple[int, str]] | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip(raw)
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = out.setdefault(line[1:-1].strip().lower(), [])
+            name = line[1:-1].strip().lower()
+            if name not in known:
+                raise ModelError(f"{path}:{lineno}: unknown section [{name}]; expected one of {', '.join(known)}")
+            current = out.setdefault(name, [])
         elif current is None:
             raise ModelError(f"{path}:{lineno}: content before any [section] header")
         else:
-            current.append(line)
+            current.append((lineno, line))
     return out
 
 
 def _parse_float(token: str, context: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ModelError(f"{context}: expected a number, got {token!r}") from None
+    if not math.isfinite(value):
+        raise ModelError(f"{context}: expected a finite number, got {token!r}")
+    return value
 
 
 def parse_model(text: str, path: str = "<model>") -> ModelSpec:
-    sections = _sections(text, path)
+    sections = _sections(text, path, ("variables", "segments", "multilinear", "separable"))
     if "variables" not in sections:
         raise ModelError(f"{path}: missing [variables] section")
-    variables = tuple(name for line in sections["variables"] for name in line.split())
+    variables = tuple(name for _, line in sections["variables"] for name in line.split())
     segments = {}
-    for line in sections.get("segments", []):
+    for lineno, line in sections.get("segments", []):
         if ":" not in line:
-            raise ModelError(f"{path}: segment line needs 'name : label', got {line!r}")
+            raise ModelError(f"{path}:{lineno}: segment line needs 'name : label', got {line!r}")
         name, label = (part.strip() for part in line.split(":", 1))
         segments[name] = label
     ml_terms = []
-    for line in sections.get("multilinear", []):
+    for lineno, line in sections.get("multilinear", []):
         if ":" not in line:
-            raise ModelError(f"{path}: term line needs 'names : coefficient', got {line!r}")
+            raise ModelError(f"{path}:{lineno}: term line needs 'names : coefficient', got {line!r}")
         lhs, rhs = line.rsplit(":", 1)
-        ml_terms.append((tuple(lhs.split()), _parse_float(rhs.strip(), path)))
+        ml_terms.append((tuple(lhs.split()), _parse_float(rhs.strip(), f"{path}:{lineno}")))
     sep_terms = []
-    for line in sections.get("separable", []):
+    for lineno, line in sections.get("separable", []):
         if ":" not in line:
-            raise ModelError(f"{path}: separable line needs 'name : kind params', got {line!r}")
+            raise ModelError(f"{path}:{lineno}: separable line needs 'name : kind params', got {line!r}")
         name, rhs = line.split(":", 1)
         fields = rhs.split()
         if len(fields) < 2:
-            raise ModelError(f"{path}: separable line needs a kind and parameters, got {line!r}")
-        params = tuple(_parse_float(tok, path) for tok in fields[1:])
+            raise ModelError(f"{path}:{lineno}: separable line needs a kind and parameters, got {line!r}")
+        params = tuple(_parse_float(tok, f"{path}:{lineno}") for tok in fields[1:])
         sep_terms.append((name.strip(), fields[0], params))
     try:
         return ModelSpec(variables, tuple(ml_terms), tuple(sep_terms), segments)
@@ -227,28 +234,28 @@ class DagModel:
 
 
 def parse_dag(text: str, path: str = "<dag>") -> DagModel:
-    sections = _sections(text, path)
+    sections = _sections(text, path, ("nodes", "sink", "starts", "edges"))
     for required in ("nodes", "sink"):
         if required not in sections:
             raise ModelError(f"{path}: missing [{required}] section")
-    nodes = tuple(name for line in sections["nodes"] for name in line.split())
-    sink_tokens = [tok for line in sections["sink"] for tok in line.split()]
+    nodes = tuple(name for _, line in sections["nodes"] for name in line.split())
+    sink_tokens = [tok for _, line in sections["sink"] for tok in line.split()]
     if len(sink_tokens) != 1:
         raise ModelError(f"{path}: exactly one sink expected")
     starts = {}
-    for line in sections.get("starts", []):
+    for lineno, line in sections.get("starts", []):
         if ":" not in line:
-            raise ModelError(f"{path}: start line needs 'node : variable', got {line!r}")
+            raise ModelError(f"{path}:{lineno}: start line needs 'node : variable', got {line!r}")
         node, var = (part.strip() for part in line.split(":", 1))
         starts[node] = var
     edges = []
-    for line in sections.get("edges", []):
+    for lineno, line in sections.get("edges", []):
         if ":" not in line:
-            raise ModelError(f"{path}: edge line needs 'from to : variable', got {line!r}")
+            raise ModelError(f"{path}:{lineno}: edge line needs 'from to : variable', got {line!r}")
         lhs, var = line.split(":", 1)
         ends = lhs.split()
         if len(ends) != 2:
-            raise ModelError(f"{path}: edge line needs two node names, got {line!r}")
+            raise ModelError(f"{path}:{lineno}: edge line needs two node names, got {line!r}")
         edges.append((ends[0], ends[1], var.strip()))
     return DagModel(nodes, sink_tokens[0], starts, tuple(edges))
 
@@ -338,17 +345,14 @@ class ValueSnapshot:
         return ValuePair(r, s)
 
 
-def snapshot_pair(snap: ValueSnapshot, ms: ModelSpec) -> ValuePair:
-    return snap.pair_for(ms)
-
-
 def parse_snapshots(text: str, path: str = "<values>") -> list[ValueSnapshot]:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(cell.strip() for cell in row)]
-    if rows and [cell.strip().lower() for cell in rows[0]] == ["entity", "variable", "initial", "final"]:
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row and any(cell.strip() for cell in row)]
+    if rows and [cell.strip().lower() for cell in rows[0][1]] == ["entity", "variable", "initial", "final"]:
         rows = rows[1:]
     snaps: dict[str, ValueSnapshot] = {}
     ordered: list[ValueSnapshot] = []
-    for lineno, row in enumerate(rows, 1):
+    for lineno, row in rows:
         if len(row) != 4:
             raise ModelError(f"{path}:{lineno}: expected entity,variable,initial,final")
         entity, var = row[0].strip(), row[1].strip()

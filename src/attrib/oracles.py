@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum
 
 __all__ = [
     "ORDER_CAP",
@@ -117,16 +117,14 @@ def _vertex_table(fn: Callable, vp: ValuePair) -> np.ndarray:
     return out
 
 
-def shapley_shubik_bruteforce(f, vp: ValuePair, cap: int = ORDER_CAP) -> AttributionResult:
+def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
     """Average marginal contribution over all n! variable orders.
 
     Evaluates f only on the 2^n box corners (memoized up front), then streams
     the orders in lexicographic chunks; per-variable totals are reduced with
-    pairwise summation so the average stays accurate.  Refuses n > cap.
+    pairwise summation so the average stays accurate.  Refuses n > ORDER_CAP.
     """
     n = vp.n
-    if n > cap:
-        raise ValueError(f"order enumeration capped at {cap} variables, got {n}")
     _check_cap(n)
     fn = _as_callable(f)
     vals = _vertex_table(fn, vp)
@@ -144,7 +142,7 @@ def shapley_shubik_bruteforce(f, vp: ValuePair, cap: int = ORDER_CAP) -> Attribu
         for v in range(n):
             z[v] += diffs[perms == v].sum()
     z /= math.factorial(n)
-    residual = math.fsum(z) - (vals[-1] - vals[0])
+    residual = _exact_sum(z) - (vals[-1] - vals[0])
     return AttributionResult("ss-brute", tuple(float(v) for v in z), residual)
 
 
@@ -179,7 +177,7 @@ def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> Attrib
             continue
         _walk_order(fn, vp, order, memo, z, w)
     # at least one order has positive weight, so both box corners are memoized
-    residual = math.fsum(z) - (memo[(1 << n) - 1] - memo[0])
+    residual = _exact_sum(z) - (memo[(1 << n) - 1] - memo[0])
     return AttributionResult("random-order", tuple(z), residual)
 
 

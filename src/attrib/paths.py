@@ -11,14 +11,14 @@ raised, so verification harnesses can report it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, evaluate, gradient
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum, evaluate, gradient
 
 __all__ = [
     "QuadratureConfig",
@@ -128,6 +128,41 @@ class EdgeWalk:
         return g, dg, breaks
 
 
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, cut back so the end segment stays monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic coefficients (4, intervals), highest power first, of the monotone PCHIP through (x, y).
+
+    Interior slopes are the weighted harmonic means of Fritsch and Butland
+    (SIAM J. Sci. Stat. Comput. 5(2), 1984), zero where the neighbouring
+    secants differ in sign or vanish; end slopes use the one-sided rule
+    above; two samples give the straight line.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    if len(x) == 2:
+        d[:] = m[0]
+    else:
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 class TabulatedPath:
     """Componentwise monotone path given by samples, filled in with monotone cubics."""
 
@@ -147,19 +182,27 @@ class TabulatedPath:
                 raise ValueError("component samples must be nondecreasing from 0 to 1")
             comps.append(tuple(ys))
         self.components = tuple(comps)
-        # pchip interpolation preserves the monotonicity of the samples
-        self._interps = [PchipInterpolator(self.ts, ys) for ys in self.components]
-        self._derivs = [p.derivative() for p in self._interps]
+        # pchip interpolation preserves the monotonicity of the samples;
+        # one (4, components, intervals) table serves every component
+        grid = np.asarray(self.ts)
+        tables = [_pchip_coefficients(grid, np.asarray(ys)) for ys in self.components]
+        self._coeffs = np.stack(tables, axis=1) if tables else np.empty((4, 0, len(ts) - 1))
+
+    def _locate(self, t: float) -> tuple[np.ndarray, float]:
+        k = min(max(bisect_right(self.ts, t) - 1, 0), len(self.ts) - 2)
+        return self._coeffs[:, :, k], t - self.ts[k]
 
     def resolve(self, n: int):
         if len(self.components) != n:
             raise ValueError(f"path has {len(self.components)} components, needs {n}")
 
         def g(t: float) -> list[float]:
-            return [float(p(t)) for p in self._interps]
+            (c3, c2, c1, c0), u = self._locate(t)
+            return (((c3 * u + c2) * u + c1) * u + c0).tolist()
 
         def dg(t: float) -> list[float]:
-            return [float(p(t)) for p in self._derivs]
+            (c3, c2, c1, _), u = self._locate(t)
+            return ((3.0 * c3 * u + 2.0 * c2) * u + c1).tolist()
 
         return g, dg, self.ts
 
@@ -258,12 +301,6 @@ def _gradient_fn(f, n: int) -> Callable[[Sequence[float]], np.ndarray]:
     raise TypeError(f"cannot take gradients of {type(f)!r}")
 
 
-def _value_fn(f) -> Callable[[Sequence[float]], float]:
-    if callable(f):
-        return f
-    raise TypeError(f"cannot evaluate {type(f)!r}")
-
-
 def attribute_path(f, vp: ValuePair, base, q: QuadratureConfig | None = None) -> AttributionResult:
     """Attribution along base path: z_i = integral of d_i f(path(t)) * velocity_i(t) dt.
 
@@ -276,7 +313,6 @@ def attribute_path(f, vp: ValuePair, base, q: QuadratureConfig | None = None) ->
     q = q or QuadratureConfig()
     path = affine_path(base, vp)
     grad = _gradient_fn(f, vp.n)
-    value = _value_fn(f)
 
     def integrand(t: float) -> np.ndarray:
         g = grad(path.point(t))
@@ -284,7 +320,7 @@ def attribute_path(f, vp: ValuePair, base, q: QuadratureConfig | None = None) ->
         return g * np.asarray(v)
 
     z, converged = _refine(integrand, path.breakpoints, vp.n, q)
-    residual = math.fsum(z) - (value(list(vp.s)) - value(list(vp.r)))
+    residual = _exact_sum(z) - (f(list(vp.s)) - f(list(vp.r)))
     return AttributionResult(f"path:{base.kind}", tuple(float(v) for v in z), residual, converged)
 
 

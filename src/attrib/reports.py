@@ -6,9 +6,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import AttributionResult
-from .exact import attribute_ass, attribute_naive
-from .models import DagModel, ModelError, ModelSpec, ValueSnapshot, compile_dag, compile_model
+from .core import AttributionResult, ValuePair
+from .exact import attribute_ass, attribute_ass_batch, attribute_naive
+from .models import DagModel, ModelError, ModelSpec, ValueSnapshot, _parse_float, compile_dag, compile_model
 from .oracles import PermutationWeights, random_order_attribution, shapley_shubik_bruteforce
 from .paths import QuadratureConfig, attribute_aumann_shapley
 
@@ -56,14 +56,22 @@ def parse_order_weights(text: str, variables: Sequence[str], path: str = "<weigh
             order = tuple(list(variables).index(name) + 1 for name in lhs.split())
         except ValueError:
             raise ModelError(f"{path}:{lineno}: unknown variable in order {lhs.split()}") from None
-        try:
-            weights[order] = weights.get(order, 0.0) + float(rhs)
-        except ValueError:
-            raise ModelError(f"{path}:{lineno}: bad weight {rhs.strip()!r}") from None
+        weights[order] = weights.get(order, 0.0) + _parse_float(rhs.strip(), f"{path}:{lineno}")
     try:
         return PermutationWeights(weights)
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from None
+
+
+def _ass(f, vp: ValuePair | Sequence[ValuePair]):
+    """attribute_ass for one pair; attribute_ass_batch, one result per pair, for a list of pairs.
+
+    The ``ass`` handle takes both, so `resolve_method` stays the one place
+    that maps a method id to its kernel.
+    """
+    if isinstance(vp, ValuePair):
+        return attribute_ass(f, vp)
+    return attribute_ass_batch(f, [p.r for p in vp], [p.s for p in vp])
 
 
 def resolve_method(
@@ -74,7 +82,7 @@ def resolve_method(
     weights_text: str | None = None,
 ) -> Callable:
     if method_id == "ass":
-        return attribute_ass
+        return _ass
     if method_id == "naive":
         return attribute_naive
     if method_id == "ss-brute":
@@ -97,27 +105,55 @@ def resolve_method(
 
 def run_report(
     model: ModelSpec | DagModel,
-    snap: ValueSnapshot,
+    snaps: Sequence[ValueSnapshot],
     method: str = "ass",
     tol: float | None = None,
     max_refine: int | None = None,
     weights_text: str | None = None,
-) -> Report:
-    """Attribute one entity's change under the named method.
+) -> list[Report]:
+    """Attribute each entity's change under the named method, one report per snapshot.
 
-    Domain or dimension problems are re-raised with the entity and variable
-    names attached.  Segment totals are plain sums of member attributions.
+    The model is compiled and the method resolved once for the whole list;
+    ``ass`` attributes every entity in one batch kernel call, other methods
+    call their handle per entity.  Domain, dimension or overflow problems
+    are re-raised with the entity and variable names attached.  A report
+    whose attributions or residual are not finite is marked unconverged.
+    Segment totals are plain sums of member attributions.
     """
     ms = compile_dag(model) if isinstance(model, DagModel) else model
     f = compile_model(ms)
     handle = resolve_method(method, ms.variables, tol, max_refine, weights_text)
-    try:
-        vp = snap.pair_for(ms)
-        res: AttributionResult = handle(f, vp)
-    except ValueError as exc:
-        idx = getattr(exc, "index", None)
-        where = f" (variable {ms.variables[idx - 1]!r})" if idx else ""
-        raise ModelError(f"entity {snap.entity!r}: {exc}{where}") from exc
+    pairs = []
+    for snap in snaps:
+        try:
+            pairs.append(snap.pair_for(ms))
+        except ValueError as exc:
+            raise _located(ms, snap, exc) from exc
+    if method == "ass":
+        try:
+            results = handle(f, pairs)
+        except (ValueError, OverflowError) as exc:
+            if not hasattr(exc, "row"):
+                raise
+            raise _located(ms, snaps[exc.row], exc) from exc
+    else:
+        results = []
+        for snap, vp in zip(snaps, pairs):
+            try:
+                results.append(handle(f, vp))
+            except (ValueError, OverflowError) as exc:
+                raise _located(ms, snap, exc) from exc
+    return [_report(ms, snap, vp, res) for snap, vp, res in zip(snaps, pairs, results)]
+
+
+def _located(ms: ModelSpec, snap: ValueSnapshot, exc: Exception) -> ModelError:
+    """The error exc, raised while attributing snap, as a ModelError naming the entity and, if known, the variable."""
+    idx = getattr(exc, "index", None)
+    where = f" (variable {ms.variables[idx - 1]!r})" if idx else ""
+    return ModelError(f"entity {snap.entity!r}: {exc}{where}")
+
+
+def _report(ms: ModelSpec, snap: ValueSnapshot, vp: ValuePair, res: AttributionResult) -> Report:
     segments = None
     if ms.segments:
         segments = {}
@@ -125,6 +161,7 @@ def run_report(
             label = ms.segments.get(name)
             if label is not None:
                 segments[label] = segments.get(label, 0.0) + zv
+    total_change = res.total() - res.residual
     return Report(
         entity=snap.entity,
         method=res.method,
@@ -132,11 +169,15 @@ def run_report(
         initial=vp.r,
         final=vp.s,
         z=res.z,
-        total_change=math.fsum(res.z) - res.residual,
+        total_change=total_change,
         residual=res.residual,
-        converged=res.converged,
+        converged=res.converged and _finite(res.z, res.residual, total_change),
         segments=segments,
     )
+
+
+def _finite(z: Sequence[float], *more: float) -> bool:
+    return all(map(math.isfinite, z)) and all(map(math.isfinite, more))
 
 
 def render_text(report: Report) -> str:
@@ -146,7 +187,9 @@ def render_text(report: Report) -> str:
     for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z):
         lines.append(f"{name:<{name_w}}  {ini:>16.10g}  {fin:>16.10g}  {zv:>20.12g}")
     lines.append(f"total change: {report.total_change:.12g}    residual: {report.residual:.12g}")
-    if not report.converged:
+    if not _finite(report.z, report.residual, report.total_change):
+        lines.append("warning: non-finite result; the values overflow double precision, do not trust these attributions")
+    elif not report.converged:
         lines.append("warning: quadrature did not converge; attributions are best estimates")
     if report.segments:
         lines.append("segment totals:")
@@ -241,7 +284,7 @@ def mix_effects_demo() -> MixEffectsReport:
     aggregates can even flip the sign.
     """
     snap = ValueSnapshot("advertiser", dict(_MIX_VALUES))
-    segmented = run_report(_MIX_SEGMENTED, snap)
+    [segmented] = run_report(_MIX_SEGMENTED, [snap])
 
     def spend(cpc_s, clicks_s, cpc_c, clicks_c):
         return cpc_s * clicks_s + cpc_c * clicks_c
@@ -255,7 +298,7 @@ def mix_effects_demo() -> MixEffectsReport:
     agg_snap = ValueSnapshot(
         "advertiser", {"cpc_overall": (overall0, overall1), "clicks_total": (clicks0, clicks1)}
     )
-    aggregate = run_report(_MIX_AGGREGATE, agg_snap)
+    [aggregate] = run_report(_MIX_AGGREGATE, [agg_snap])
 
     cpc_by_segment = {
         "search": segmented.z[_MIX_SEGMENTED.variables.index("cpc_search")],

@@ -33,7 +33,7 @@ class TestRunReport:
     def test_exact_method(self):
         ms = parse_model(MODEL)
         snap = parse_snapshots(VALUES)[0]
-        report = run_report(ms, snap)
+        [report] = run_report(ms, [snap])
         assert report.z == pytest.approx((51.5 / 6, 374 / 6, 90.5 / 6), rel=1e-12)
         assert report.total_change == pytest.approx(86.0, abs=1e-12)
         assert abs(report.residual) <= 1e-12
@@ -44,16 +44,16 @@ class TestRunReport:
     def test_naive_reports_residual(self):
         ms = parse_model(MODEL)
         snap = parse_snapshots(VALUES)[0]
-        report = run_report(ms, snap, "naive")
+        [report] = run_report(ms, [snap], "naive")
         assert report.z == (18.0, 82.5, 30.0)
         assert report.residual == pytest.approx(44.5, abs=1e-12)
 
     def test_all_complete_methods_agree(self):
         ms = parse_model(MODEL)
         snap = parse_snapshots(VALUES)[0]
-        base = run_report(ms, snap, "ass")
+        [base] = run_report(ms, [snap], "ass")
         for method, tol in (("ss-brute", 1e-12), ("as-numeric", 1e-8)):
-            other = run_report(ms, snap, method)
+            [other] = run_report(ms, [snap], method)
             assert other.z == pytest.approx(base.z, rel=tol)
             assert abs(other.residual) <= 1e-9
 
@@ -61,7 +61,7 @@ class TestRunReport:
         ms = parse_model(MODEL)
         snap = parse_snapshots(VALUES)[0]
         weights = "a p c : 0.5\nc p a : 0.5\n"
-        report = run_report(ms, snap, "random-order:orders.txt", weights_text=weights)
+        [report] = run_report(ms, [snap], "random-order:orders.txt", weights_text=weights)
         assert report.total_change == pytest.approx(86.0, abs=1e-9)
         assert abs(report.residual) <= 1e-10
 
@@ -72,12 +72,40 @@ class TestRunReport:
         from attrib.models import ModelError
 
         with pytest.raises(ModelError, match="q3.*'p'"):
-            run_report(ms, snap)
+            run_report(ms, [snap])
+
+    def test_batch_matches_single_entity_calls(self):
+        ms = parse_model(MODEL)
+        snaps = parse_snapshots("e1,a,4,5\ne1,p,1,12\ne1,c,1,1.5\ne2,a,2,1\ne2,p,3,3\ne2,c,-1,2\n")
+        for method in ("ass", "naive", "ss-brute", "as-numeric"):
+            batch = run_report(ms, snaps, method)
+            assert [r.entity for r in batch] == ["e1", "e2"]
+            assert batch == [run_report(ms, [snap], method)[0] for snap in snaps]
+
+    def test_empty_batch(self):
+        assert run_report(parse_model(MODEL), []) == []
+
+    def test_compiles_once_per_batch(self, monkeypatch):
+        from attrib import reports
+
+        calls = []
+        compile_model = reports.compile_model
+        monkeypatch.setattr(reports, "compile_model", lambda ms: calls.append(ms) or compile_model(ms))
+        snaps = parse_snapshots("e1,a,4,5\ne1,p,1,12\ne1,c,1,1.5\ne2,a,2,1\ne2,p,3,3\ne2,c,-1,2\n")
+        assert len(run_report(parse_model(MODEL), snaps)) == 2
+        assert len(calls) == 1
+
+    def test_non_finite_result_is_flagged(self):
+        ms = parse_model("[variables]\na b\n[multilinear]\na b : 1e300\n")
+        [report] = run_report(ms, parse_snapshots("e,a,1e10,2e10\ne,b,1e10,3e10\n"))
+        assert not report.converged
+        assert "warning: non-finite result" in render_text(report)
+        assert "did not converge" not in render_text(report)
 
     def test_renderers(self):
         ms = parse_model(MODEL)
         snap = parse_snapshots(VALUES)[0]
-        report = run_report(ms, snap)
+        [report] = run_report(ms, [snap])
         text = render_text(report)
         assert "residual" in text and "segment totals:" in text
         records = [json.loads(line) for line in render_machine(report).splitlines()]
@@ -97,6 +125,13 @@ class TestOrderWeightsFile:
 
         with pytest.raises(ModelError):
             parse_order_weights("a q : 1.0\n", ("a", "p"))
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_weight_rejected_with_line(self, token):
+        from attrib.models import ModelError
+
+        with pytest.raises(ModelError, match=rf"w\.txt:2: expected a finite number, got '{token}'"):
+            parse_order_weights(f"a p : 0.5\np a : {token}\n", ("a", "p"), "w.txt")
 
     def test_bad_sum(self):
         from attrib.models import ModelError
@@ -170,6 +205,61 @@ class TestCli:
         code = main(["--model", model, "--values", values, "--method", "as-numeric", "--max-refine", "0"])
         assert code == 3
         assert "did not converge" in capsys.readouterr().out
+
+    def test_unknown_section_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("[variables]\na p c\n[multilinar]\na p c : 1\n")
+        values = tmp_path / "values.csv"
+        values.write_text(VALUES)
+        assert main(["--model", str(bad), "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{bad}:3: unknown section [multilinar]" in captured.err
+
+    def test_overflow_is_located_input_error(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\na\n[separable]\na : exp 1000 0 1\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e1,a,0,0.5\ne2,a,1,2\n")
+        assert main(["--model", str(model), "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entity 'e2'" in captured.err and "variable 'a'" in captured.err and "Traceback" not in captured.err
+
+    def test_non_finite_result_exits_numeric(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\na b\n[multilinear]\na b : 1e300\n")
+        values = tmp_path / "values.csv"
+        values.write_text("ok,a,1,2\nok,b,1,3\nbig,a,1e10,2e10\nbig,b,1e10,3e10\n")
+        assert main(["--model", str(model), "--values", str(values)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.count("warning: non-finite result") == 1 and "entity: ok" in captured.out
+        assert captured.err == ""  # no numpy overflow warnings
+        assert main(["--model", str(model), "--values", str(values), "--report", "machine"]) == 3
+        summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines() if '"summary"' in line]
+        assert [s["converged"] for s in summaries] == [True, False]
+
+    def test_bad_entity_in_a_batch_stops_the_run(self, tmp_path, capsys):
+        # one bad entity fails the whole run: exit 2, the entity named, nothing printed
+        model = tmp_path / "model.txt"
+        model.write_text(MODEL + "[separable]\np : log 1 0 1\n")
+        values = tmp_path / "values.csv"
+        values.write_text(VALUES + "q3,a,4,5\nq3,p,-1,12\nq3,c,1,1.5\n" + VALUES.replace("q2", "q4").split("\n", 1)[1])
+        assert main(["--model", str(model), "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entity 'q3'" in captured.err and "variable 'p'" in captured.err
+
+    def test_import_does_not_load_scipy(self):
+        import os
+        import subprocess
+        import sys
+
+        import attrib
+
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(attrib.__file__))}
+        code = "import sys, attrib.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+        assert out.strip() == "[]"
 
     def test_demo(self, capsys):
         assert main(["--demo", "mix-effects"]) == 0

@@ -301,3 +301,89 @@ class TestModuleTolerances:
             s = tuple(max(v, rng.uniform(0.0, 2.0)) for v in r)
             res = attribute_ass(f, ValuePair(r, s))
             assert all(z >= -1e-12 for z in res.z)
+
+
+class TestAttributeAssBatch:
+    @given(
+        seed=st.integers(0, 10**6),
+        entities=st.sampled_from([1, 2, 37]),
+        still=st.floats(0.0, 0.5),
+        constant=st.floats(-5.0, 5.0),
+    )
+    def test_matches_per_pair_kernel(self, seed, entities, still, constant):
+        from hypothesis import assume
+
+        from attrib import InstanceGenerator
+        from attrib.exact import attribute_ass_batch
+
+        gen = InstanceGenerator(seed=seed, n_range=(1, 9), terms_range=(0, 12))
+        f, vp, rng = gen.instance(0)
+        f = combine(f, from_terms(f.n, {(): constant}))  # constants change nothing
+        pairs = [vp] + [gen.pair(rng, f.n) for _ in range(entities - 1)]
+        # some variables keep their value in every entity
+        fixed = [i for i in range(f.n) if rng.random() < still]
+        pairs = [ValuePair(p.r, tuple(p.r[i] if i in fixed else v for i, v in enumerate(p.s))) for p in pairs]
+        try:
+            want = [attribute_ass(f, p) for p in pairs]
+        except ValueError:
+            assume(False)  # a log term saw a nonpositive argument
+        got = attribute_ass_batch(f, [p.r for p in pairs], [p.s for p in pairs])
+        assert len(got) == entities
+        for a, b in zip(got, want):
+            assert a.method == "ass" and a.converged
+            for x, y in zip(a.z + (a.residual,), b.z + (b.residual,)):
+                assert abs(x - y) <= 1e-13 * max(1.0, abs(y))
+
+    def test_chunks_give_the_same_rows(self, monkeypatch):
+        import random
+
+        from attrib import exact
+        from attrib.models import compile_model, payperclick_model
+
+        f = compile_model(payperclick_model(3))
+        rng = random.Random(7)
+        R = [[rng.uniform(0.5, 2.0) for _ in range(f.n)] for _ in range(11)]
+        S = [[rng.uniform(0.5, 2.0) for _ in range(f.n)] for _ in range(11)]
+        whole = exact.attribute_ass_batch(f, R, S)
+        monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", 40)  # 2 entities per chunk
+        assert exact.attribute_ass_batch(f, R, S) == whole
+
+    def test_functions_without_monomials(self):
+        from attrib.exact import attribute_ass_batch
+
+        f = from_terms(2, {(): 3.0}, [SeparableTerm(2, "poly", (0.0, 0.0, 1.0))])
+        got = attribute_ass_batch(f, [[1.0, 2.0], [0.0, 0.0]], [[5.0, 3.0], [1.0, -1.0]])
+        assert [res.z for res in got] == [(0.0, 5.0), (0.0, 1.0)]
+        assert attribute_ass_batch(f, [], []) == []
+
+    def test_rejects_bad_shapes_and_values(self):
+        from attrib.exact import attribute_ass_batch
+
+        f = product_function(2)
+        with pytest.raises(ValueError, match="dimension"):
+            attribute_ass_batch(f, [[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="shape"):
+            attribute_ass_batch(f, [[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="finite"):
+            attribute_ass_batch(f, [[1.0, math.nan]], [[1.0, 2.0]])
+
+    def test_failing_entity_is_named_by_row(self):
+        from attrib import DomainError
+        from attrib.exact import attribute_ass_batch
+
+        f = from_terms(1, {}, [SeparableTerm(1, "log", (1.0, 0.0, 1.0))])
+        with pytest.raises(DomainError) as info:
+            attribute_ass_batch(f, [[1.0], [-1.0], [2.0]], [[2.0], [2.0], [3.0]])
+        assert info.value.row == 1 and info.value.index == 1
+
+    def test_overflow_gives_inf_without_numpy_warnings(self):
+        import warnings
+
+        from attrib.exact import attribute_ass_batch
+
+        f = from_terms(2, {(1, 2): 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [res] = attribute_ass_batch(f, [[1e10, 1e10]], [[2e10, 3e10]])
+        assert res.z == attribute_ass(f, ValuePair((1e10, 1e10), (2e10, 3e10))).z
+        assert not all(map(math.isfinite, res.z + (res.residual,)))

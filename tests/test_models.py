@@ -84,6 +84,17 @@ class TestModelFormat:
         with pytest.raises(ModelError):
             parse_model("[variables]\na\n[multilinear]\na : one\n")
 
+    def test_unknown_section_names_file_and_line(self):
+        with pytest.raises(ModelError, match=r"m\.txt:3: unknown section \[multilinar\]"):
+            parse_model("[variables]\na b\n[multilinar]\na b : 1\n", "m.txt")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_numbers_rejected_with_line(self, token):
+        with pytest.raises(ModelError, match=rf"m\.txt:4: expected a finite number, got '{token}'"):
+            parse_model(f"[variables]\na b\n[multilinear]\na b : {token}\n", "m.txt")
+        with pytest.raises(ModelError, match=rf"m\.txt:4: expected a finite number, got '{token}'"):
+            parse_model(f"[variables]\na\n[separable]\na : exp 1 {token} 1\n", "m.txt")
+
 
 class TestDag:
     def test_parse(self):
@@ -111,6 +122,10 @@ class TestDag:
         d = DagModel(("a", "b", "t"), "t", {"b": "s_b"}, (("a", "t", "p"),))
         with pytest.raises(ModelError):
             compile_dag(d)
+
+    def test_unknown_section_names_file_and_line(self):
+        with pytest.raises(ModelError, match=r"g\.txt:5: unknown section \[edge\]"):
+            parse_dag("[nodes]\na t\n[sink]\nt\n[edge]\na t : p\n", "g.txt")
 
     def test_route_cap(self):
         d = parse_dag(DAG_TEXT)
@@ -189,6 +204,12 @@ class TestSnapshots:
     def test_short_row_rejected(self):
         with pytest.raises(ModelError):
             parse_snapshots("q2,a,4\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_with_file_line(self, token):
+        text = f"entity,variable,initial,final\n\nq2,a,4,5\nq2,p,1,{token}\n"
+        with pytest.raises(ModelError, match=rf"v\.csv:4: expected a finite number, got '{token}'"):
+            parse_snapshots(text, "v.csv")
 
 
 class TestPresets:

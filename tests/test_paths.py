@@ -66,6 +66,31 @@ class TestTabulatedPath:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(dg(t)[0] >= -1e-12 for t in ts)
 
+    def test_interpolant_matches_scipy_pchip(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            size = int(rng.integers(2, 9))
+            ts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, size - 2)), [1.0]))
+            comps = []
+            for _ in range(2):
+                steps = rng.uniform(0.0, 1.0, size - 1) * (rng.uniform(0.0, 1.0, size - 1) < 0.7)  # flat stretches
+                steps[-1] += 1e-3
+                ys = np.concatenate(([0.0], np.cumsum(steps) / steps.sum()))
+                ys[-1] = 1.0
+                comps.append(ys)
+            g, dg, _ = tabulated_path(ts, comps).resolve(2)
+            for k, ys in enumerate(comps):
+                ref = interpolate.PchipInterpolator(ts, ys)
+                dref = ref.derivative()
+                for t in np.concatenate((ts, rng.uniform(0.0, 1.0, 20))):
+                    assert abs(g(t)[k] - ref(t)) <= 1e-12
+                    assert abs(dg(t)[k] - dref(t)) <= 1e-12 * max(1.0, abs(dref(t)))
+
+    def test_two_samples_give_the_straight_line(self):
+        g, dg, _ = tabulated_path((0.0, 1.0), [(0.0, 1.0)]).resolve(1)
+        assert g(0.25) == [0.25] and dg(0.25) == [1.0]
+
     def test_attribution_along_user_path_is_complete(self):
         f = product_function(2)
         vp = ValuePair((0.5, 1.0), (2.0, 3.0))
