@@ -12,6 +12,7 @@ from .core import (
     evaluate,
     from_terms,
     gradient,
+    gradients,
     monomial,
     partial_derivative,
     permute_variables,

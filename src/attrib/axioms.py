@@ -18,7 +18,6 @@ from typing import Callable
 from .core import (
     AttributionResult,
     CharacteristicFunction,
-    MultilinearPoly,
     SeparableTerm,
     ValuePair,
     affine_reparameterize,
@@ -28,7 +27,6 @@ from .core import (
     partial_derivative,
     permute_variables,
     permute_vector,
-    variables_used,
 )
 from .oracles import shapley_shubik_bruteforce
 from .paths import QuadratureConfig, attribute_aumann_shapley

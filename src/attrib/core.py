@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 Subset = tuple[int, ...]
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "AttributionResult",
     "evaluate",
     "gradient",
+    "gradients",
     "partial_derivative",
     "combine",
     "permute_variables",
@@ -61,6 +64,9 @@ def _canonical_terms(n: int, terms) -> dict[Subset, float]:
                 raise ValueError(f"variable index {i} outside 1..{n}")
         k = tuple(sorted(idx))
         acc[k] = acc.get(k, 0.0) + float(coeff)
+    for k, c in acc.items():
+        if not math.isfinite(c):
+            raise ValueError(f"monomial {k} has non-finite coefficient {c!r}")
     # exact-zero pruning only, so that combine() stays exactly additive
     return {k: c for k, c in sorted(acc.items()) if c != 0.0}
 
@@ -114,7 +120,7 @@ class MultilinearPoly:
 #
 # Registry of univariate kinds, with params:
 #   poly    (c0, c1, ...)        c0 + c1*x + c2*x^2 + ...
-#   affine  (a, b)               a*x + b
+#   affine  (a, b)               a*x + b, stored as poly (b, a)
 #   log     (a, b, scale)        scale * ln(a*x + b), needs a*x + b > 0
 #   exp     (a, b, scale)        scale * exp(a*x + b)
 #   powlaw  (a, b, scale, p)     scale * (a*x + b)^p, integer p != 0
@@ -136,6 +142,8 @@ class SeparableTerm:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.index < 1:
             raise ValueError("separable term index must be >= 1")
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"{self.kind} term on variable {self.index} has a non-finite parameter: {self.params}")
         if self.kind == "poly":
             if not self.params:
                 raise ValueError("poly term needs at least one coefficient")
@@ -148,6 +156,9 @@ class SeparableTerm:
                     raise ValueError("powlaw exponent must be a nonzero integer")
         else:
             raise ValueError(f"unknown separable kind {self.kind!r}")
+        if self.kind == "affine":  # a*x + b is the polynomial b + a*x
+            object.__setattr__(self, "kind", "poly")
+            object.__setattr__(self, "params", self.params[::-1])
 
     def value(self, x: float) -> float:
         k, p = self.kind, self.params
@@ -156,8 +167,6 @@ class SeparableTerm:
             for c in reversed(p):
                 acc = acc * x + c
             return acc
-        if k == "affine":
-            return p[0] * x + p[1]
         if k == "log":
             arg = p[0] * x + p[1]
             if arg <= 0.0:
@@ -179,8 +188,6 @@ class SeparableTerm:
         if k == "poly":
             d = tuple(j * c for j, c in enumerate(p))[1:]
             return SeparableTerm(self.index, "poly", d or (0.0,))
-        if k == "affine":
-            return SeparableTerm(self.index, "poly", (p[0],))
         if k == "log":
             return SeparableTerm(self.index, "powlaw", (p[0], p[1], p[2] * p[0], -1.0))
         if k == "exp":
@@ -194,8 +201,6 @@ class SeparableTerm:
         k, p = self.kind, self.params
         if k == "poly":
             return SeparableTerm(self.index, "poly", tuple(a * c for c in p))
-        if k == "affine":
-            return SeparableTerm(self.index, "affine", (a * p[0], a * p[1]))
         return SeparableTerm(self.index, k, p[:2] + (a * p[2],) + p[3:])
 
     def compose_affine(self, c: float, d: float) -> "SeparableTerm":
@@ -203,15 +208,11 @@ class SeparableTerm:
         k, p = self.kind, self.params
         if k == "poly":
             return SeparableTerm(self.index, "poly", _poly_compose_affine(p, c, d))
-        if k == "affine":
-            return SeparableTerm(self.index, "affine", (p[0] / c, p[1] - p[0] * d / c))
         return SeparableTerm(self.index, k, (p[0] / c, p[1] - p[0] * d / c) + p[2:])
 
     def is_zero(self) -> bool:
         if self.kind == "poly":
             return all(c == 0.0 for c in self.params)
-        if self.kind == "affine":
-            return self.params == (0.0, 0.0)
         return self.params[2] == 0.0
 
     def reindexed(self, new_index: int) -> "SeparableTerm":
@@ -244,12 +245,11 @@ def _merge_separable(n: int, terms: Iterable[SeparableTerm]) -> tuple[SeparableT
     for t in terms:
         if t.index > n:
             raise ValueError(f"separable term index {t.index} exceeds variable count {n}")
-        if t.kind in ("poly", "affine"):
-            coeffs = t.params if t.kind == "poly" else (t.params[1], t.params[0])
+        if t.kind == "poly":
             acc = poly_acc.setdefault(t.index, [])
-            while len(acc) < len(coeffs):
+            while len(acc) < len(t.params):
                 acc.append(0.0)
-            for j, c in enumerate(coeffs):
+            for j, c in enumerate(t.params):
                 acc[j] += c
         else:
             key = (t.index, t.kind) + t.params[:2] + t.params[3:]
@@ -381,16 +381,43 @@ def _monomial_partials(vals: Sequence[float], scale: float) -> list[float]:
     return out
 
 
+def _batch_partials(x: np.ndarray, scale) -> np.ndarray:
+    """`_monomial_partials` along the last axis of x, with the same order of multiplications."""
+    out = np.empty_like(x)
+    out[..., 0] = scale
+    out[..., 1:] = x[..., :-1]
+    np.cumprod(out, axis=-1, out=out)
+    out[..., :-1] *= np.cumprod(x[..., :0:-1], axis=-1)[..., ::-1]
+    return out
+
+
+def gradients(f: CharacteristicFunction, X) -> np.ndarray:
+    """All partial derivatives of f at every row of the N x n array X, as an N x n array.
+
+    Monomials are added in ascending key order, then the separable
+    derivatives, each built once and evaluated point by point, so a point
+    outside a term's domain raises the `DomainError` a single-point call
+    would.  Products that overflow give inf, as in plain float arithmetic.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != f.n:
+        raise ValueError(f"dimension mismatch: function has {f.n} variables, got points of shape {X.shape}")
+    G = np.zeros_like(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for I, c in f.multilinear.terms.items():
+            if I:
+                cols = [j - 1 for j in I]
+                G[:, cols] += _batch_partials(X[:, cols], c)
+    derivs = [(t.index - 1, t.derivative()) for t in f.separable]
+    for x, g in zip(X.tolist(), G):
+        for i, d in derivs:
+            g[i] += d.value(x[i])
+    return G
+
+
 def gradient(f: CharacteristicFunction, x: Sequence[float]) -> list[float]:
     """All partial derivatives of f at x, as a list indexed by variable - 1."""
-    _check_dims(f, x)
-    g = [0.0] * f.n
-    for I, c in f.multilinear.terms.items():
-        for j, p in zip(I, _monomial_partials([x[j - 1] for j in I], c)):
-            g[j - 1] += p
-    for t in f.separable:
-        g[t.index - 1] += t.derivative().value(x[t.index - 1])
-    return g
+    return gradients(f, [x])[0].tolist()
 
 
 def partial_derivative(f: CharacteristicFunction, i: int) -> CharacteristicFunction:

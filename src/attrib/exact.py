@@ -41,8 +41,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum, _monomial_partials, evaluate, gradient
-from .paths import _leggauss
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _exact_sum, _monomial_partials, evaluate, gradient
+from .paths import _nodes
 
 __all__ = [
     "shapley_weight",
@@ -139,8 +139,8 @@ def attribute_monomial(
 @lru_cache(maxsize=None)
 def _unit_gauss(count: int) -> tuple[tuple[float, float], ...]:
     """The count-node Gauss-Legendre rule mapped to [0, 1], as (node, weight) pairs of floats."""
-    x, w = _leggauss(count)
-    return tuple((0.5 * (float(a) + 1.0), 0.5 * float(b)) for a, b in zip(x, w))
+    t, w = _nodes((0.0, 1.0), count, 1)
+    return tuple(zip(t.tolist(), w.tolist()))
 
 
 def attribute_ass(f: CharacteristicFunction, vp: ValuePair) -> AttributionResult:
@@ -174,16 +174,6 @@ def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Se
         z[t.index - 1] += t.value(s[t.index - 1]) - t.value(r[t.index - 1])
     residual = _exact_sum(z) - (evaluate(f, s) - evaluate(f, r))
     return AttributionResult("ass", tuple(z), residual)
-
-
-def _batch_partials(x: np.ndarray, scale: float) -> np.ndarray:
-    """`core._monomial_partials` along the last axis of x, with the same order of multiplications."""
-    out = np.empty_like(x)
-    out[..., 0] = scale
-    out[..., 1:] = x[..., :-1]
-    np.cumprod(out, axis=-1, out=out)
-    out[..., :-1] *= np.cumprod(x[..., :0:-1], axis=-1)[..., ::-1]
-    return out
 
 
 def attribute_ass_batch(f: CharacteristicFunction, R, S) -> list[AttributionResult]:

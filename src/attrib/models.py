@@ -157,7 +157,10 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
         if ":" not in line:
             raise ModelError(f"{path}:{lineno}: term line needs 'names : coefficient', got {line!r}")
         lhs, rhs = line.rsplit(":", 1)
-        ml_terms.append((tuple(lhs.split()), _parse_float(rhs.strip(), f"{path}:{lineno}")))
+        names = tuple(lhs.split())
+        if len(set(names)) != len(names):
+            raise ModelError(f"{path}:{lineno}: variable repeated within one term: {names}")
+        ml_terms.append((names, _parse_float(rhs.strip(), f"{path}:{lineno}")))
     sep_terms = []
     for lineno, line in sections.get("separable", []):
         if ":" not in line:
@@ -167,6 +170,10 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
         if len(fields) < 2:
             raise ModelError(f"{path}:{lineno}: separable line needs a kind and parameters, got {line!r}")
         params = tuple(_parse_float(tok, f"{path}:{lineno}") for tok in fields[1:])
+        try:
+            SeparableTerm(1, fields[0], params)  # checks kind, parameter count and exponent while the line is known
+        except ValueError as exc:
+            raise ModelError(f"{path}:{lineno}: {exc}") from None
         sep_terms.append((name.strip(), fields[0], params))
     try:
         return ModelSpec(variables, tuple(ml_terms), tuple(sep_terms), segments)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum
+from .core import AttributionResult, ValuePair, _exact_sum
 
 __all__ = [
     "ORDER_CAP",
@@ -33,12 +33,6 @@ __all__ = [
 ORDER_CAP = 10  # 10! = 3,628,800 orders; enumeration is for verification, not production
 
 _CHUNK = 100_000
-
-
-def _as_callable(f) -> Callable[[Sequence[float]], float]:
-    if callable(f):
-        return f
-    raise TypeError(f"expected a callable or CharacteristicFunction, got {type(f)!r}")
 
 
 def _check_cap(n: int):
@@ -126,8 +120,7 @@ def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
     """
     n = vp.n
     _check_cap(n)
-    fn = _as_callable(f)
-    vals = _vertex_table(fn, vp)
+    vals = _vertex_table(f, vp)
     z = np.zeros(n, dtype=np.float64)
     perm_iter = itertools.permutations(range(n))
     while True:
@@ -169,13 +162,12 @@ def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> Attrib
     _check_cap(n)
     if pw.n != n:
         raise ValueError(f"weights are over {pw.n} variables, values have {n}")
-    fn = _as_callable(f)
     memo: dict[int, float] = {}
     z = [0.0] * n
     for order, w in sorted(pw.weights.items()):
         if w == 0.0:
             continue
-        _walk_order(fn, vp, order, memo, z, w)
+        _walk_order(f, vp, order, memo, z, w)
     # at least one order has positive weight, so both box corners are memoized
     residual = _exact_sum(z) - (memo[(1 << n) - 1] - memo[0])
     return AttributionResult("random-order", tuple(z), residual)

@@ -1,24 +1,24 @@
 """Numerical path attribution: integrate each partial derivative along a monotone path.
 
 A base path gamma lives on the unit cube with gamma(0) = 0 and gamma(1) = 1
-componentwise; pairing it with a value pair gives the affine path
+componentwise; pairing it with a value pair gives the path
 r + (s - r) * gamma(t), and the attribution to variable i is the integral of
-d_i f along that path times the i-th velocity.  Integrals use composite
-Gauss-Legendre panels that double until two successive estimates agree to the
-requested tolerance; failure to converge is flagged on the result rather than
-raised, so verification harnesses can report it.
+d_i f along that path times the i-th velocity, taken at all the nodes of a
+pass at once.  Integrals use composite Gauss-Legendre panels that double
+until two successive estimates agree to the requested tolerance; failure to
+converge is flagged on the result rather than raised, so verification
+harnesses can report it.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum, evaluate, gradient
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum, gradients
 
 __all__ = [
     "QuadratureConfig",
@@ -26,8 +26,6 @@ __all__ = [
     "straight_line",
     "edge_walk",
     "tabulated_path",
-    "affine_path",
-    "AffinePath",
     "attribute_path",
     "attribute_aumann_shapley",
     "convex_combination",
@@ -35,15 +33,20 @@ __all__ = [
 ]
 
 
+# Gauss-Legendre nodes per panel, and panels per smooth stretch of the path in the first pass.
+_ORDER = 16
+_PANELS = 8
+
+# Largest nodes x variables block whose gradients one call takes.
+_CHUNK_ELEMENTS = 1 << 20
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    order: int = 16
-    panels: int = 8
     tol: float = 1e-10
     max_refine: int = 12
 
     def __post_init__(self):
-        if self.order < 1 or self.panels < 1 or self.tol <= 0 or self.max_refine < 0:
+        if self.tol <= 0 or self.max_refine < 0:
             raise ValueError("invalid quadrature configuration")
 
 
@@ -52,13 +55,12 @@ class BlackBoxFunction:
     """Opaque evaluator, optionally with an analytic gradient.
 
     Without a gradient handle, partials fall back to central differences with
-    per-coordinate step fd_scale * (1 + |x_i|).
+    per-coordinate step 1e-6 * (1 + |x_i|).
     """
 
     n: int
     fn: Callable[[Sequence[float]], float]
     grad: Callable[[Sequence[float]], Sequence[float]] | None = None
-    fd_scale: float = 1e-6
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.fn(x)
@@ -69,7 +71,7 @@ class BlackBoxFunction:
         out = [0.0] * self.n
         base = list(x)
         for i in range(self.n):
-            h = self.fd_scale * (1.0 + abs(base[i]))
+            h = 1e-6 * (1.0 + abs(base[i]))
             hi = list(base)
             lo = list(base)
             hi[i] += h
@@ -80,6 +82,9 @@ class BlackBoxFunction:
 
 # ---------------------------------------------------------------------------
 # base paths on the unit cube
+#
+# resolve(n) returns (g, dg, breaks): g and dg map an array of N values of t
+# to the N x n arrays of gamma(t) and gamma'(t); breaks bound the panels.
 
 
 class StraightLine:
@@ -88,13 +93,11 @@ class StraightLine:
     kind = "straight-line"
 
     def resolve(self, n: int):
-        ones = [1.0] * n
+        def g(t: np.ndarray) -> np.ndarray:
+            return np.repeat(t[:, None], n, axis=1)
 
-        def g(t: float) -> list[float]:
-            return [t] * n
-
-        def dg(t: float) -> list[float]:
-            return ones
+        def dg(t: np.ndarray) -> np.ndarray:
+            return np.ones((len(t), n))
 
         return g, dg, (0.0, 1.0)
 
@@ -112,17 +115,15 @@ class EdgeWalk:
     def resolve(self, n: int):
         if len(self.order) != n:
             raise ValueError(f"edge walk is over {len(self.order)} variables, path needs {n}")
-        rank = [0] * n  # 0-based slot in which each variable moves
-        for slot, v in enumerate(self.order):
-            rank[v - 1] = slot
+        rank = np.empty(n)  # 0-based slot in which each variable moves
+        rank[[v - 1 for v in self.order]] = range(n)
 
-        def g(t: float) -> list[float]:
-            tn = t * n
-            return [min(1.0, max(0.0, tn - rank[i])) for i in range(n)]
+        def g(t: np.ndarray) -> np.ndarray:
+            return np.clip(t[:, None] * n - rank, 0.0, 1.0)
 
-        def dg(t: float) -> list[float]:
-            tn = t * n
-            return [float(n) if rank[i] <= tn < rank[i] + 1 else 0.0 for i in range(n)]
+        def dg(t: np.ndarray) -> np.ndarray:
+            tn = t[:, None] * n
+            return np.where((rank <= tn) & (tn < rank + 1), float(n), 0.0)
 
         breaks = tuple(k / n for k in range(n + 1))
         return g, dg, breaks
@@ -188,21 +189,23 @@ class TabulatedPath:
         tables = [_pchip_coefficients(grid, np.asarray(ys)) for ys in self.components]
         self._coeffs = np.stack(tables, axis=1) if tables else np.empty((4, 0, len(ts) - 1))
 
-    def _locate(self, t: float) -> tuple[np.ndarray, float]:
-        k = min(max(bisect_right(self.ts, t) - 1, 0), len(self.ts) - 2)
-        return self._coeffs[:, :, k], t - self.ts[k]
+    def _locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients (4, N, components) of the interval holding each t, and t's offset (N, 1) into it."""
+        grid = np.asarray(self.ts)
+        k = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
+        return self._coeffs[:, :, k].transpose(0, 2, 1), (t - grid[k])[:, None]
 
     def resolve(self, n: int):
         if len(self.components) != n:
             raise ValueError(f"path has {len(self.components)} components, needs {n}")
 
-        def g(t: float) -> list[float]:
+        def g(t: np.ndarray) -> np.ndarray:
             (c3, c2, c1, c0), u = self._locate(t)
-            return (((c3 * u + c2) * u + c1) * u + c0).tolist()
+            return ((c3 * u + c2) * u + c1) * u + c0
 
-        def dg(t: float) -> list[float]:
+        def dg(t: np.ndarray) -> np.ndarray:
             (c3, c2, c1, _), u = self._locate(t)
-            return ((3.0 * c3 * u + 2.0 * c2) * u + c1).tolist()
+            return (3.0 * c3 * u + 2.0 * c2) * u + c1
 
         return g, dg, self.ts
 
@@ -219,86 +222,33 @@ def tabulated_path(ts: Sequence[float], components: Sequence[Sequence[float]]) -
     return TabulatedPath(ts, components)
 
 
-@dataclass
-class AffinePath:
-    """Concrete path t -> r + (s - r) * gamma(t) with its componentwise velocity."""
-
-    vp: ValuePair
-    gamma: Callable[[float], list[float]]
-    dgamma: Callable[[float], list[float]]
-    breakpoints: tuple[float, ...]
-
-    def point(self, t: float) -> list[float]:
-        g = self.gamma(t)
-        return [self.vp.r[i] + (self.vp.s[i] - self.vp.r[i]) * g[i] for i in range(self.vp.n)]
-
-    def velocity(self, t: float) -> list[float]:
-        dg = self.dgamma(t)
-        return [(self.vp.s[i] - self.vp.r[i]) * dg[i] for i in range(self.vp.n)]
-
-
-def affine_path(base, vp: ValuePair) -> AffinePath:
-    g, dg, breaks = base.resolve(vp.n)
-    return AffinePath(vp, g, dg, tuple(breaks))
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 
 
 @lru_cache(maxsize=None)
-def _leggauss(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)  # looked up on first use: numpy loads np.polynomial lazily
+
+
+def _nodes(breaks: Sequence[float], order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w of the `order`-point Gauss-Legendre rule on `panels` equal panels between successive breaks.
+
+    ``w @ fn(t)`` is then the composite rule for the integral of fn from
+    breaks[0] to breaks[-1]; nodes come in ascending order.
+    """
+    x, w = _leggauss(order)
+    a = np.asarray(breaks[:-1], dtype=float)[:, None]
+    h = (np.asarray(breaks[1:], dtype=float)[:, None] - a) / panels
+    mid = (a + (np.arange(panels) + 0.5) * h)[..., None]  # (segments, panels, 1)
+    half = 0.5 * h[..., None]
+    return (mid + half * x).ravel(), np.broadcast_to(w * half, mid.shape[:2] + w.shape).ravel()
 
 
 def composite_gauss_legendre(fn: Callable[[float], float], a: float, b: float, order: int = 16, panels: int = 1) -> float:
-    """Integral of fn over [a, b] with `panels` equal Gauss-Legendre panels."""
-    nodes, weights = _leggauss(order)
-    h = (b - a) / panels
-    total = 0.0
-    for p in range(panels):
-        mid = a + (p + 0.5) * h
-        half = 0.5 * h
-        for x, w in zip(nodes, weights):
-            total += w * half * fn(mid + half * x)
-    return total
-
-
-def _estimate(integrand: Callable[[float], np.ndarray], breaks: Sequence[float], n: int, order: int, panels: int) -> np.ndarray:
-    nodes, weights = _leggauss(order)
-    z = np.zeros(n)
-    for a, b in zip(breaks, breaks[1:]):
-        h = (b - a) / panels
-        for p in range(panels):
-            mid = a + (p + 0.5) * h
-            half = 0.5 * h
-            for x, w in zip(nodes, weights):
-                z += (w * half) * integrand(mid + half * x)
-    return z
-
-
-def _refine(integrand, breaks, n: int, q: QuadratureConfig) -> tuple[np.ndarray, bool]:
-    panels = q.panels
-    prev = None
-    for _ in range(q.max_refine + 1):
-        est = _estimate(integrand, breaks, n, q.order, panels)
-        if prev is not None and np.all(np.abs(est - prev) <= q.tol * (1.0 + np.abs(est))):
-            return est, True
-        prev = est
-        panels *= 2
-    return prev, False
-
-
-def _gradient_fn(f, n: int) -> Callable[[Sequence[float]], np.ndarray]:
-    if isinstance(f, CharacteristicFunction):
-        return lambda x: np.asarray(gradient(f, x))
-    if isinstance(f, BlackBoxFunction):
-        return lambda x: np.asarray(f.gradient(x))
-    if callable(f):
-        box = BlackBoxFunction(n, f)
-        return lambda x: np.asarray(box.gradient(x))
-    raise TypeError(f"cannot take gradients of {type(f)!r}")
+    """Integral of fn over [a, b] with `panels` equal Gauss-Legendre panels; fn takes one float."""
+    t, w = _nodes((a, b), order, panels)
+    return float(w @ [fn(v) for v in t.tolist()])
 
 
 def attribute_path(f, vp: ValuePair, base, q: QuadratureConfig | None = None) -> AttributionResult:
@@ -308,20 +258,30 @@ def attribute_path(f, vp: ValuePair, base, q: QuadratureConfig | None = None) ->
     each panel sees a smooth integrand.  Panels double until two successive
     passes agree componentwise within q.tol (relative, with an absolute floor
     of q.tol); if max_refine doublings are exhausted first, the best estimate
-    is returned with converged=False.
+    is returned with converged=False.  A pass takes the gradient of a
+    `CharacteristicFunction` in one `gradients` call (one per block of
+    _CHUNK_ELEMENTS values on very fine passes), of a black box node by node.
     """
     q = q or QuadratureConfig()
-    path = affine_path(base, vp)
-    grad = _gradient_fn(f, vp.n)
-
-    def integrand(t: float) -> np.ndarray:
-        g = grad(path.point(t))
-        v = path.velocity(t)
-        return g * np.asarray(v)
-
-    z, converged = _refine(integrand, path.breakpoints, vp.n, q)
+    g, dg, breaks = base.resolve(vp.n)
+    r = np.asarray(vp.r)
+    d = np.asarray(vp.s) - r
+    if isinstance(f, CharacteristicFunction):
+        grad = lambda X: gradients(f, X)
+    else:
+        box = f if isinstance(f, BlackBoxFunction) else BlackBoxFunction(vp.n, f)
+        grad = lambda X: np.array([box.gradient(x) for x in X.tolist()])
+    step = max(1, _CHUNK_ELEMENTS // max(vp.n, 1))
+    z = None
+    for k in range(q.max_refine + 1):
+        nodes, weights = _nodes(breaks, _ORDER, _PANELS * 2**k)
+        blocks = [(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)]
+        z, prev = sum(w @ (grad(r + d * g(t)) * (d * dg(t))) for t, w in blocks), z
+        converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
+        if converged:
+            break
     residual = _exact_sum(z) - (f(list(vp.s)) - f(list(vp.r)))
-    return AttributionResult(f"path:{base.kind}", tuple(float(v) for v in z), residual, converged)
+    return AttributionResult(f"path:{base.kind}", tuple(z.tolist()), residual, converged)
 
 
 def attribute_aumann_shapley(f, vp: ValuePair, q: QuadratureConfig | None = None) -> AttributionResult:
@@ -330,31 +290,26 @@ def attribute_aumann_shapley(f, vp: ValuePair, q: QuadratureConfig | None = None
     return replace(res, method="as-numeric")
 
 
-class _ConvexMethod:
-    def __init__(self, parts):
-        self.parts = parts
-
-    def __call__(self, f, vp: ValuePair) -> AttributionResult:
-        n = vp.n
-        z = [0.0] * n
-        residual = 0.0
-        converged = True
-        for method, w in self.parts:
-            res = method(f, vp)
-            for i in range(n):
-                z[i] += w * res.z[i]
-            residual += w * res.residual
-            converged = converged and res.converged
-        return AttributionResult("convex", tuple(z), residual, converged)
-
-
 def convex_combination(methods: Sequence[tuple[Callable, float]]) -> Callable:
     """Blend attribution methods with nonnegative weights summing to 1.
 
     Each entry is (method, weight) where method maps (f, vp) to an
     AttributionResult; completeness is preserved by convexity.
     """
-    total = math.fsum(w for _, w in methods)
-    if any(w < 0 for _, w in methods) or abs(total - 1.0) > 1e-12:
+    parts = list(methods)
+    total = math.fsum(w for _, w in parts)
+    if any(w < 0 for _, w in parts) or abs(total - 1.0) > 1e-12:
         raise ValueError("weights must be nonnegative and sum to 1")
-    return _ConvexMethod(list(methods))
+
+    def blend(f, vp: ValuePair) -> AttributionResult:
+        z = [0.0] * vp.n
+        residual = 0.0
+        converged = True
+        for method, w in parts:
+            res = method(f, vp)
+            z = [a + w * b for a, b in zip(z, res.z)]
+            residual += w * res.residual
+            converged = converged and res.converged
+        return AttributionResult("convex", tuple(z), residual, converged)
+
+    return blend

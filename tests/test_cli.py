@@ -215,6 +215,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and f"{bad}:3: unknown section [multilinar]" in captured.err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [("[separable]\na : foo 1 2\n", "4: unknown separable kind 'foo'"), ("[multilinear]\na a : 1\n", "4: variable repeated within one term")],
+    )
+    def test_model_term_errors_name_file_and_line(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("[variables]\na\n" + body)
+        values = tmp_path / "values.csv"
+        values.write_text("e,a,0,1\n")
+        assert main(["--model", str(bad), "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{bad}:{message}" in captured.err
+
     def test_overflow_is_located_input_error(self, tmp_path, capsys):
         model = tmp_path / "model.txt"
         model.write_text("[variables]\na\n[separable]\na : exp 1000 0 1\n")

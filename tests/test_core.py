@@ -15,6 +15,7 @@ from attrib import (
     evaluate,
     from_terms,
     gradient,
+    gradients,
     monomial,
     partial_derivative,
     permute_variables,
@@ -22,6 +23,7 @@ from attrib import (
     product_function,
 )
 
+from attrib.core import _monomial_partials
 from conftest import charfn_pairs, charfns
 
 
@@ -172,6 +174,33 @@ def test_value_pair_validation():
         ValuePair((float("nan"),), (1.0,))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_multilinear_rejects_non_finite_coefficient(bad):
+    with pytest.raises(ValueError, match=r"monomial \(1,\) has non-finite coefficient"):
+        from_terms(1, {(1,): bad})
+    with pytest.raises(ValueError, match=r"monomial \(1, 2\) has non-finite coefficient"):
+        MultilinearPoly(2, {(1, 2): 1.0, (2, 1): bad})
+
+
+def test_multilinear_rejects_coefficients_that_sum_past_the_double_range():
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        MultilinearPoly(1, [((1,), 1e308), ((1,), 1e308)])
+
+
+@pytest.mark.parametrize("kind, params", [("poly", (math.inf,)), ("affine", (1.0, math.nan)), ("exp", (1.0, 0.0, -math.inf)), ("powlaw", (1.0, 0.0, 1.0, math.inf))])
+def test_separable_rejects_non_finite_parameter(kind, params):
+    with pytest.raises(ValueError, match=rf"{kind} term on variable 2 has a non-finite parameter"):
+        SeparableTerm(2, kind, params)
+
+
+def test_affine_is_stored_as_poly():
+    term = SeparableTerm(1, "affine", (4.0, 1.0))
+    assert (term.kind, term.params) == ("poly", (1.0, 4.0))
+    assert term.value(2.5) == 4.0 * 2.5 + 1.0
+    f = from_terms(1, {}, [term, SeparableTerm(1, "poly", (-1.0, 0.0, 2.0))])
+    assert f.separable == (SeparableTerm(1, "poly", (0.0, 4.0, 2.0)),)
+
+
 def test_separable_derivatives_are_exact():
     cases = [
         (SeparableTerm(1, "poly", (1.0, 2.0, 3.0)), lambda x: 2.0 + 6.0 * x),
@@ -208,6 +237,48 @@ def test_gradient_matches_partial_derivatives():
     g = gradient(f, x)
     for i in range(1, 4):
         assert g[i - 1] == pytest.approx(evaluate(partial_derivative(f, i), x), rel=1e-12)
+
+
+def _loop_gradient(f, x):
+    """Reference: one point at a time, monomials in key order, then the separable terms."""
+    g = [0.0] * f.n
+    for I, c in f.multilinear.terms.items():
+        for j, p in zip(I, _monomial_partials([x[j - 1] for j in I], c)):
+            g[j - 1] += p
+    for t in f.separable:
+        g[t.index - 1] += t.derivative().value(x[t.index - 1])
+    return g
+
+
+@given(charfn_pairs(max_n=5))
+def test_gradients_rows_equal_the_point_loop_bit_for_bit(pair):
+    f, vp = pair
+    G = gradients(f, [vp.r, vp.s, vp.r])
+    assert G.shape == (3, f.n)
+    assert G.tolist() == [_loop_gradient(f, vp.r), _loop_gradient(f, vp.s), _loop_gradient(f, vp.r)]
+    assert gradient(f, vp.s) == _loop_gradient(f, vp.s)
+
+
+def test_gradients_with_shared_separable_variable():
+    f = from_terms(
+        3,
+        {(): 4.0, (1, 2): 2.0, (1, 2, 3): -1.5, (3,): 0.5},
+        [SeparableTerm(2, "exp", (0.4, 0.0, 1.0)), SeparableTerm(2, "log", (1.0, 3.0, 2.0)), SeparableTerm(3, "poly", (0.0, 1.0, 2.0))],
+    )
+    X = [(0.7, -1.2, 0.9), (0.0, 0.0, 0.0), (-2.0, 1.5, 3.0)]
+    for x, row in zip(X, gradients(f, X).tolist()):
+        assert row == _loop_gradient(f, x)
+        for i in range(1, 4):
+            assert row[i - 1] == pytest.approx(evaluate(partial_derivative(f, i), x), rel=1e-12)
+
+
+def test_gradients_raise_the_first_points_domain_error():
+    f = from_terms(2, {(1, 2): 1.0}, [SeparableTerm(2, "exp", (1000.0, 0.0, 1.0))])
+    with pytest.raises(DomainError, match=r"exp term on variable 2 overflows at x = 2\.0") as info:
+        gradients(f, [(1.0, 0.5), (1.0, 2.0), (1.0, 3.0)])
+    assert info.value.index == 2
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gradients(f, [(1.0, 2.0, 3.0)])
 
 
 @given(charfn_pairs(max_n=4))

@@ -95,6 +95,22 @@ class TestModelFormat:
         with pytest.raises(ModelError, match=rf"m\.txt:4: expected a finite number, got '{token}'"):
             parse_model(f"[variables]\na\n[separable]\na : exp 1 {token} 1\n", "m.txt")
 
+    def test_unknown_separable_kind_names_file_and_line(self):
+        with pytest.raises(ModelError, match=r"m\.txt:4: unknown separable kind 'foo'"):
+            parse_model("[variables]\na\n[separable]\na : foo 1 2\n", "m.txt")
+
+    def test_wrong_parameter_count_names_file_and_line(self):
+        with pytest.raises(ModelError, match=r"m\.txt:5: exp term takes 3 parameters"):
+            parse_model("[variables]\na\n[separable]\na : poly 1\na : exp 1 2\n", "m.txt")
+
+    def test_repeated_variable_in_term_names_file_and_line(self):
+        with pytest.raises(ModelError, match=r"m\.txt:4: variable repeated within one term: \('a', 'a'\)"):
+            parse_model("[variables]\na\n[multilinear]\na a : 1\n", "m.txt")
+
+    def test_compile_rejects_repeated_variable_in_spec_built_in_code(self):
+        with pytest.raises(ModelError, match="variable repeated within one term"):
+            compile_model(ModelSpec(("a",), ((("a", "a"), 1.0),)))
+
 
 class TestDag:
     def test_parse(self):

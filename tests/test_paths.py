@@ -16,6 +16,7 @@ from attrib import (
     edge_walk,
     evaluate,
     from_terms,
+    gradients,
     monomial,
     product_function,
     shapley_shubik_bruteforce,
@@ -23,28 +24,36 @@ from attrib import (
     straight_line,
     tabulated_path,
 )
-from attrib.paths import affine_path
+from attrib.paths import _nodes
 from attrib.axioms import InstanceGenerator
+
+
+def _affine(base, vp: ValuePair, ts):
+    """Points r + (s - r) * gamma(t) and velocities (s - r) * gamma'(t), one row per t."""
+    g, dg, _ = base.resolve(vp.n)
+    r, d = np.asarray(vp.r), np.asarray(vp.s) - np.asarray(vp.r)
+    t = np.asarray(ts, dtype=float)
+    return r + d * g(t), d * dg(t)
 
 
 class TestAffinePath:
     def test_straight_line_midpoint(self):
-        p = affine_path(straight_line(), ValuePair((0.0, 0.0), (2.0, 4.0)))
-        assert p.point(0.5) == [1.0, 2.0]
-        assert p.velocity(0.5) == [2.0, 4.0]
+        point, velocity = _affine(straight_line(), ValuePair((0.0, 0.0), (2.0, 4.0)), [0.5])
+        assert point.tolist() == [[1.0, 2.0]]
+        assert velocity.tolist() == [[2.0, 4.0]]
 
     def test_edge_walk_quarter(self):
         vp = ValuePair((1.0, 10.0), (3.0, 20.0))
-        p = affine_path(edge_walk((1, 2)), vp)
+        point, _ = _affine(edge_walk((1, 2)), vp, [0.25])
         # at t=0.25 the first variable is halfway, the second has not moved
-        assert p.point(0.25) == [2.0, 10.0]
+        assert point.tolist() == [[2.0, 10.0]]
 
     def test_any_path_ends_at_final(self):
         vp = ValuePair((1.0, -1.0, 2.0), (4.0, 5.0, -3.0))
         for base in (straight_line(), edge_walk((2, 3, 1)), tabulated_path((0.0, 0.5, 1.0), [(0.0, 0.2, 1.0)] * 3)):
-            p = affine_path(base, vp)
-            assert p.point(0.0) == pytest.approx(list(vp.r), abs=1e-12)
-            assert p.point(1.0) == pytest.approx(list(vp.s), abs=1e-12)
+            (start, end), _ = _affine(base, vp, [0.0, 1.0])
+            assert start.tolist() == pytest.approx(list(vp.r), abs=1e-12)
+            assert end.tolist() == pytest.approx(list(vp.s), abs=1e-12)
 
 
 class TestTabulatedPath:
@@ -62,9 +71,9 @@ class TestTabulatedPath:
         path = tabulated_path((0.0, 0.25, 0.5, 1.0), [(0.0, 0.1, 0.8, 1.0)])
         g, dg, _ = path.resolve(1)
         ts = np.linspace(0.0, 1.0, 201)
-        vals = [g(t)[0] for t in ts]
+        vals = g(ts)[:, 0].tolist()
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert all(dg(t)[0] >= -1e-12 for t in ts)
+        assert all(v >= -1e-12 for v in dg(ts)[:, 0])
 
     def test_interpolant_matches_scipy_pchip(self):
         interpolate = pytest.importorskip("scipy.interpolate")
@@ -80,16 +89,18 @@ class TestTabulatedPath:
                 ys[-1] = 1.0
                 comps.append(ys)
             g, dg, _ = tabulated_path(ts, comps).resolve(2)
+            at = np.concatenate((ts, rng.uniform(0.0, 1.0, 20)))
+            got, dgot = g(at), dg(at)
             for k, ys in enumerate(comps):
                 ref = interpolate.PchipInterpolator(ts, ys)
                 dref = ref.derivative()
-                for t in np.concatenate((ts, rng.uniform(0.0, 1.0, 20))):
-                    assert abs(g(t)[k] - ref(t)) <= 1e-12
-                    assert abs(dg(t)[k] - dref(t)) <= 1e-12 * max(1.0, abs(dref(t)))
+                for j, t in enumerate(at):
+                    assert abs(got[j, k] - ref(t)) <= 1e-12
+                    assert abs(dgot[j, k] - dref(t)) <= 1e-12 * max(1.0, abs(dref(t)))
 
     def test_two_samples_give_the_straight_line(self):
         g, dg, _ = tabulated_path((0.0, 1.0), [(0.0, 1.0)]).resolve(1)
-        assert g(0.25) == [0.25] and dg(0.25) == [1.0]
+        assert g(np.array([0.25])).tolist() == [[0.25]] and dg(np.array([0.25])).tolist() == [[1.0]]
 
     def test_attribution_along_user_path_is_complete(self):
         f = product_function(2)
@@ -138,6 +149,38 @@ class TestAttributePath:
         assert calls["grad"] > 0
         assert res.z == pytest.approx((0.5, 0.5), abs=1e-10)
 
+    def test_characteristic_function_takes_one_gradient_call_per_pass(self, monkeypatch):
+        import attrib.paths
+
+        shapes = []
+
+        def counted(f, X):
+            shapes.append(X.shape)
+            return gradients(f, X)
+
+        monkeypatch.setattr(attrib.paths, "gradients", counted)
+        res = attribute_path(product_function(2), ValuePair((0.0, 0.0), (1.0, 1.0)), straight_line())
+        # polynomial integrand: the 8-panel pass and the 16-panel pass agree
+        assert res.converged
+        assert shapes == [(8 * 16, 2), (16 * 16, 2)]
+
+    def test_fine_passes_take_gradients_in_blocks(self, monkeypatch):
+        import attrib.paths
+
+        f, vp = product_function(2), ValuePair((0.5, -1.0), (2.0, 3.0))
+        whole = attribute_path(f, vp, straight_line())
+        rows = []
+
+        def counted(f, X):
+            rows.append(len(X))
+            return gradients(f, X)
+
+        monkeypatch.setattr(attrib.paths, "gradients", counted)
+        monkeypatch.setattr(attrib.paths, "_CHUNK_ELEMENTS", 64)
+        blocked = attribute_path(f, vp, straight_line())
+        assert rows == [32] * (4 + 8)
+        assert blocked.converged and blocked.z == pytest.approx(whole.z, rel=1e-14)
+
     def test_no_change_converges_to_zero(self):
         res = attribute_path(product_function(2), ValuePair((1.0, 2.0), (1.0, 2.0)), straight_line())
         assert res.converged
@@ -145,7 +188,7 @@ class TestAttributePath:
 
     def test_nonconvergence_is_flagged_not_raised(self):
         rough = BlackBoxFunction(1, lambda x: abs(x[0] - 0.3333) ** 1.5)
-        q = QuadratureConfig(order=2, panels=1, tol=1e-14, max_refine=2)
+        q = QuadratureConfig(tol=1e-14, max_refine=2)
         res = attribute_path(rough, ValuePair((0.0,), (1.0,)), straight_line(), q)
         assert not res.converged
         assert res.z[0] == pytest.approx(rough((1.0,)) - rough((0.0,)), rel=0.1)
@@ -236,21 +279,29 @@ class TestQuadrature:
     def test_exact_for_low_degree_without_refinement(self):
         # single unrefined pass at order 16 is exact for polynomial integrands
         gen = InstanceGenerator(seed=41, n_range=(1, 6), separable=False)
-        from attrib.paths import _estimate, _gradient_fn
-
+        t, w = _nodes((0.0, 1.0), 16, 1)
         for trial in range(10):
             f, vp, _ = gen.instance(trial)
-            grad = _gradient_fn(f, f.n)
-            path = affine_path(straight_line(), vp)
-
-            def integrand(t):
-                g = grad(path.point(t))
-                return g * np.asarray(path.velocity(t))
-
-            est = _estimate(integrand, path.breakpoints, f.n, order=16, panels=1)
+            point, velocity = _affine(straight_line(), vp, t)
+            est = w @ (gradients(f, point) * velocity)
             exact = attribute_ass(f, vp)
             for a, b in zip(est, exact.z):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+    @pytest.mark.parametrize("breaks, order, panels", [((0.0, 1.0), 1, 1), ((0.0, 1.0), 16, 1), ((0.0, 1.0), 7, 3), ((0.0, 0.25, 0.5, 1.0), 16, 8)])
+    def test_nodes_match_the_panel_loop_bit_for_bit(self, breaks, order, panels):
+        x, w = np.polynomial.legendre.leggauss(order)
+        want_t, want_w = [], []
+        for a, b in zip(breaks, breaks[1:]):
+            h = (b - a) / panels
+            for p in range(panels):
+                mid, half = a + (p + 0.5) * h, 0.5 * h
+                want_t += [mid + half * v for v in x]
+                want_w += [u * half for u in w]
+        t, wt = _nodes(breaks, order, panels)
+        assert t.tolist() == want_t and wt.tolist() == want_w
+        if breaks == (0.0, 1.0) and panels == 1:
+            assert t.tolist() == [0.5 * (v + 1.0) for v in x]  # the rule on [0, 1] the exact kernel has always used
 
     def test_weight_bridge(self):
         for n in range(1, 13):
@@ -264,7 +315,7 @@ class TestQuadrature:
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            QuadratureConfig(order=0)
+            QuadratureConfig(max_refine=-1)
         with pytest.raises(ValueError):
             QuadratureConfig(tol=0.0)
 
