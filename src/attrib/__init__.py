@@ -22,13 +22,11 @@ from .core import (
 from .exact import attribute_ass, attribute_monomial, attribute_naive, shapley_weight, shapley_weights
 from .oracles import (
     PermutationWeights,
-    VertexSelector,
     hash_order_weights,
     random_order_attribution,
     shapley_shubik_bruteforce,
     value_variant_attribution,
     value_variant_example,
-    vertex_value,
 )
 from .paths import (
     BlackBoxFunction,

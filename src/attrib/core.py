@@ -36,7 +36,6 @@ __all__ = [
     "monomial",
     "from_terms",
     "product_function",
-    "variables_used",
 ]
 
 
@@ -85,10 +84,6 @@ class MultilinearPoly:
         if self.n < 0:
             raise ValueError("variable count must be nonnegative")
         self.terms = _canonical_terms(self.n, self.terms)
-
-    @classmethod
-    def zero(cls, n: int) -> "MultilinearPoly":
-        return cls(n, {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -210,11 +205,6 @@ class SeparableTerm:
             return SeparableTerm(self.index, "poly", _poly_compose_affine(p, c, d))
         return SeparableTerm(self.index, k, (p[0] / c, p[1] - p[0] * d / c) + p[2:])
 
-    def is_zero(self) -> bool:
-        if self.kind == "poly":
-            return all(c == 0.0 for c in self.params)
-        return self.params[2] == 0.0
-
     def reindexed(self, new_index: int) -> "SeparableTerm":
         return SeparableTerm(new_index, self.kind, self.params)
 
@@ -321,18 +311,23 @@ class ValuePair:
     def n(self) -> int:
         return len(self.r)
 
-    def delta(self, i: int) -> float:
-        return self.s[i - 1] - self.r[i - 1]
-
 
 @dataclass(frozen=True)
 class AttributionResult:
-    """Per-variable attributions plus the completeness residual sum(z) - (f(s) - f(r))."""
+    """Per-variable attributions plus the completeness residual sum(z) - (f(s) - f(r)).
+
+    ``converged`` is the one trust flag: false when the method stopped short
+    (quadrature out of refinements) or when z or the residual is not finite.
+    """
 
     method: str
     z: tuple[float, ...]
     residual: float
     converged: bool = True
+
+    def __post_init__(self):
+        if self.converged and not (math.isfinite(self.residual) and all(map(math.isfinite, self.z))):
+            object.__setattr__(self, "converged", False)
 
     def total(self) -> float:
         return _exact_sum(self.z)
@@ -513,9 +508,3 @@ def from_terms(n: int, terms, separable: Iterable[SeparableTerm] = ()) -> Charac
 def product_function(n: int) -> CharacteristicFunction:
     """x_1 * x_2 * ... * x_n."""
     return monomial(n, range(1, n + 1))
-
-
-def variables_used(f: CharacteristicFunction) -> set[int]:
-    used = {i for I in f.multilinear.terms for i in I}
-    used.update(t.index for t in f.separable if not t.is_zero())
-    return used

@@ -73,33 +73,29 @@ class ModelSpec:
         if len(set(self.variables)) != len(self.variables):
             raise ModelError("variable names must be unique")
         declared = set(self.variables)
-        for names, _ in self.ml_terms:
-            for name in names:
-                if name not in declared:
-                    raise ModelError(f"term references undeclared variable {name!r}")
-        for name, _, _ in self.sep_terms:
-            if name not in declared:
-                raise ModelError(f"separable term references undeclared variable {name!r}")
-        for name in self.segments:
-            if name not in declared:
-                raise ModelError(f"segment entry references undeclared variable {name!r}")
+        _check_declared((name for names, _ in self.ml_terms for name in names), declared, "term")
+        _check_declared((name for name, _, _ in self.sep_terms), declared, "separable term")
+        _check_declared(self.segments, declared, "segment entry")
 
     @property
     def n(self) -> int:
         return len(self.variables)
 
-    def index_of(self, name: str) -> int:
-        return self.variables.index(name) + 1
+
+def _check_declared(names, declared: set[str], what: str, where: str = ""):
+    for name in names:
+        if name not in declared:
+            raise ModelError(f"{where}{what} references undeclared variable {name!r}")
 
 
 def compile_model(ms: ModelSpec) -> CharacteristicFunction:
-    terms: dict[tuple[int, ...], float] = {}
+    index = {name: i for i, name in enumerate(ms.variables, 1)}
+    terms = []
     for names, coeff in ms.ml_terms:
-        key = tuple(sorted(ms.index_of(v) for v in names))
-        if len(set(key)) != len(key):
+        if len(set(names)) != len(names):
             raise ModelError(f"variable repeated within one term: {names}")
-        terms[key] = terms.get(key, 0.0) + coeff
-    sep = tuple(SeparableTerm(ms.index_of(name), kind, params) for name, kind, params in ms.sep_terms)
+        terms.append((tuple(index[name] for name in names), coeff))
+    sep = tuple(SeparableTerm(index[name], kind, params) for name, kind, params in ms.sep_terms)
     return from_terms(ms.n, terms, sep)
 
 
@@ -146,11 +142,13 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
     if "variables" not in sections:
         raise ModelError(f"{path}: missing [variables] section")
     variables = tuple(name for _, line in sections["variables"] for name in line.split())
+    declared = set(variables)
     segments = {}
     for lineno, line in sections.get("segments", []):
         if ":" not in line:
             raise ModelError(f"{path}:{lineno}: segment line needs 'name : label', got {line!r}")
         name, label = (part.strip() for part in line.split(":", 1))
+        _check_declared((name,), declared, "segment entry", f"{path}:{lineno}: ")
         segments[name] = label
     ml_terms = []
     for lineno, line in sections.get("multilinear", []):
@@ -160,12 +158,14 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
         names = tuple(lhs.split())
         if len(set(names)) != len(names):
             raise ModelError(f"{path}:{lineno}: variable repeated within one term: {names}")
+        _check_declared(names, declared, "term", f"{path}:{lineno}: ")
         ml_terms.append((names, _parse_float(rhs.strip(), f"{path}:{lineno}")))
     sep_terms = []
     for lineno, line in sections.get("separable", []):
         if ":" not in line:
             raise ModelError(f"{path}:{lineno}: separable line needs 'name : kind params', got {line!r}")
-        name, rhs = line.split(":", 1)
+        name, rhs = (part.strip() for part in line.split(":", 1))
+        _check_declared((name,), declared, "separable term", f"{path}:{lineno}: ")
         fields = rhs.split()
         if len(fields) < 2:
             raise ModelError(f"{path}:{lineno}: separable line needs a kind and parameters, got {line!r}")
@@ -174,7 +174,7 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
             SeparableTerm(1, fields[0], params)  # checks kind, parameter count and exponent while the line is known
         except ValueError as exc:
             raise ModelError(f"{path}:{lineno}: {exc}") from None
-        sep_terms.append((name.strip(), fields[0], params))
+        sep_terms.append((name, fields[0], params))
     try:
         return ModelSpec(variables, tuple(ml_terms), tuple(sep_terms), segments)
     except ValueError as exc:
@@ -264,7 +264,10 @@ def parse_dag(text: str, path: str = "<dag>") -> DagModel:
         if len(ends) != 2:
             raise ModelError(f"{path}:{lineno}: edge line needs two node names, got {line!r}")
         edges.append((ends[0], ends[1], var.strip()))
-    return DagModel(nodes, sink_tokens[0], starts, tuple(edges))
+    try:
+        return DagModel(nodes, sink_tokens[0], starts, tuple(edges))
+    except ValueError as exc:
+        raise ModelError(f"{path}: {exc}") from None
 
 
 def _toposort(d: DagModel) -> list[str]:

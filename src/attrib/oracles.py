@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .core import AttributionResult, ValuePair, _exact_sum
 __all__ = [
     "ORDER_CAP",
     "PermutationWeights",
-    "VertexSelector",
-    "vertex_value",
     "shapley_shubik_bruteforce",
     "random_order_attribution",
     "value_variant_attribution",
@@ -44,7 +42,7 @@ def _check_cap(n: int):
 
 @dataclass(frozen=True)
 class PermutationWeights:
-    """Nonnegative weights over variable orders, summing to 1 within 1e-12."""
+    """Finite nonnegative weights over variable orders, summing to 1 within 1e-12."""
 
     weights: dict[tuple[int, ...], float]
 
@@ -56,8 +54,8 @@ class PermutationWeights:
         for order, w in self.weights.items():
             if sorted(order) != list(range(1, n + 1)):
                 raise ValueError(f"not an order over 1..{n}: {order}")
-            if w < 0.0:
-                raise ValueError(f"negative weight {w} for order {order}")
+            if not (w >= 0.0 and math.isfinite(w)):
+                raise ValueError(f"weight {w} for order {order} is not a finite nonnegative number")
             total += w
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1")
@@ -75,31 +73,6 @@ class PermutationWeights:
         _check_cap(n)
         w = 1.0 / math.factorial(n)
         return cls({p: w for p in itertools.permutations(range(1, n + 1))})
-
-
-def vertex_value(vp: ValuePair, I: Iterable[int]) -> tuple[float, ...]:
-    """Corner of the box [r, s]: s on coordinates in I, r elsewhere."""
-    Iset = set(int(i) for i in I)
-    for i in Iset:
-        if not 1 <= i <= vp.n:
-            raise ValueError(f"variable index {i} outside 1..{vp.n}")
-    return tuple(vp.s[j] if (j + 1) in Iset else vp.r[j] for j in range(vp.n))
-
-
-@dataclass(frozen=True)
-class VertexSelector:
-    """Index subset picking a corner of [r, s] and its opposite corner."""
-
-    I: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "I", frozenset(int(i) for i in self.I))
-
-    def upper(self, vp: ValuePair) -> tuple[float, ...]:
-        return vertex_value(vp, self.I)
-
-    def lower(self, vp: ValuePair) -> tuple[float, ...]:
-        return vertex_value(vp, set(range(1, vp.n + 1)) - self.I)
 
 
 def _vertex_table(fn: Callable, vp: ValuePair) -> np.ndarray:

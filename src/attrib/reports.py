@@ -171,13 +171,9 @@ def _report(ms: ModelSpec, snap: ValueSnapshot, vp: ValuePair, res: AttributionR
         z=res.z,
         total_change=total_change,
         residual=res.residual,
-        converged=res.converged and _finite(res.z, res.residual, total_change),
+        converged=res.converged and math.isfinite(total_change),
         segments=segments,
     )
-
-
-def _finite(z: Sequence[float], *more: float) -> bool:
-    return all(map(math.isfinite, z)) and all(map(math.isfinite, more))
 
 
 def render_text(report: Report) -> str:
@@ -187,7 +183,7 @@ def render_text(report: Report) -> str:
     for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z):
         lines.append(f"{name:<{name_w}}  {ini:>16.10g}  {fin:>16.10g}  {zv:>20.12g}")
     lines.append(f"total change: {report.total_change:.12g}    residual: {report.residual:.12g}")
-    if not _finite(report.z, report.residual, report.total_change):
+    if not all(map(math.isfinite, (*report.z, report.residual, report.total_change))):
         lines.append("warning: non-finite result; the values overflow double precision, do not trust these attributions")
     elif not report.converged:
         lines.append("warning: quadrature did not converge; attributions are best estimates")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -43,6 +44,16 @@ class TestGenerator:
             _, vp, _ = g.instance(trial)
             assert all(r != s for r, s in zip(vp.r, vp.s))
 
+    def test_draws_are_pinned(self):
+        # the benchmark's small-calls workload draws its instances here, so a
+        # change to the generator must not change what it draws
+        h = hashlib.sha256()
+        for g in (InstanceGenerator(seed=101), InstanceGenerator(seed=101, nonneg_coeffs=True, nonneg_values=True)):
+            for trial in range(20):
+                f, vp, _ = g.instance(trial)
+                h.update(repr((f.as_dict(), vp.r, vp.s)).encode())
+        assert h.hexdigest() == "b9c6d793803e6531b053542ebcd605bb7c0658be46f44d20725c935dfe135b9c"
+
     def test_fixed_function(self):
         g = InstanceGenerator(seed=1, fixed_f=product_function(2))
         f, vp, _ = g.instance(0)
@@ -61,6 +72,13 @@ class TestCheckAxiom:
     def test_unknown_axiom(self):
         with pytest.raises(ValueError):
             check_axiom(attribute_ass, "heroism", InstanceGenerator(), 5)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_an_error(self, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            check_axiom(attribute_ass, "completeness", InstanceGenerator(), trials)
+        with pytest.raises(ValueError, match="at least one trial"):
+            run_axiom_suite(attribute_ass, trials=trials)
 
     def test_exact_method_passes_completeness(self):
         v = check_axiom(attribute_ass, "completeness", InstanceGenerator(seed=2), trials=50)

@@ -217,7 +217,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "body, message",
-        [("[separable]\na : foo 1 2\n", "4: unknown separable kind 'foo'"), ("[multilinear]\na a : 1\n", "4: variable repeated within one term")],
+        [
+            ("[separable]\na : foo 1 2\n", "4: unknown separable kind 'foo'"),
+            ("[multilinear]\na a : 1\n", "4: variable repeated within one term"),
+            ("[multilinear]\na z : 1\n", "4: term references undeclared variable 'z'"),
+        ],
     )
     def test_model_term_errors_name_file_and_line(self, tmp_path, capsys, body, message):
         bad = tmp_path / "bad.txt"
@@ -227,6 +231,15 @@ class TestCli:
         assert main(["--model", str(bad), "--values", str(values)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"{bad}:{message}" in captured.err
+
+    def test_unknown_graph_node_names_file(self, tmp_path, capsys):
+        dag = tmp_path / "graph.txt"
+        dag.write_text("[nodes]\na t\n[sink]\nt\n[starts]\na : s_a\n[edges]\na q : p\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,s_a,1,2\ne,p,0,1\n")
+        assert main(["--dag", str(dag), "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{dag}: edge 'a' -> 'q' uses an unknown node" in captured.err
 
     def test_overflow_is_located_input_error(self, tmp_path, capsys):
         model = tmp_path / "model.txt"
@@ -283,6 +296,12 @@ class TestCli:
         assert main(["--axiom-suite", "--trials", "5", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 9
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_axiom_suite_without_trials_is_input_error(self, trials, capsys):
+        assert main(["--axiom-suite", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least one trial" in captured.err
 
     def test_axiom_suite_machine(self, capsys):
         assert main(["--axiom-suite", "--trials", "3", "--report", "machine"]) == 0

@@ -165,6 +165,12 @@ class TestAttributeAss:
         with pytest.raises(ValueError):
             attribute_ass(product_function(2), ValuePair((0.0,), (1.0,)))
 
+    def test_non_finite_result_is_not_converged(self):
+        f = from_terms(2, {(1, 2): 1e300})
+        assert attribute_ass(f, ValuePair((1.0, 1.0), (2.0, 3.0))).converged
+        res = attribute_ass(f, ValuePair((1e10, 1e10), (2e10, 3e10)))
+        assert not all(map(math.isfinite, res.z)) and not res.converged
+
 
 class TestAttributeNaive:
     def test_procurement(self, procurement):
@@ -387,3 +393,4 @@ class TestAttributeAssBatch:
             [res] = attribute_ass_batch(f, [[1e10, 1e10]], [[2e10, 3e10]])
         assert res.z == attribute_ass(f, ValuePair((1e10, 1e10), (2e10, 3e10))).z
         assert not all(map(math.isfinite, res.z + (res.residual,)))
+        assert not res.converged

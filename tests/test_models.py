@@ -107,6 +107,18 @@ class TestModelFormat:
         with pytest.raises(ModelError, match=r"m\.txt:4: variable repeated within one term: \('a', 'a'\)"):
             parse_model("[variables]\na\n[multilinear]\na a : 1\n", "m.txt")
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("[multilinear]\na z : 1\n", "term references undeclared variable 'z'"),
+            ("[separable]\nz : poly 0 1\n", "separable term references undeclared variable 'z'"),
+            ("[segments]\nz : misc\n", "segment entry references undeclared variable 'z'"),
+        ],
+    )
+    def test_undeclared_variable_names_file_and_line(self, body, message):
+        with pytest.raises(ModelError, match=rf"m\.txt:4: {message}"):
+            parse_model("[variables]\na b\n" + body, "m.txt")
+
     def test_compile_rejects_repeated_variable_in_spec_built_in_code(self):
         with pytest.raises(ModelError, match="variable repeated within one term"):
             compile_model(ModelSpec(("a",), ((("a", "a"), 1.0),)))
@@ -142,6 +154,12 @@ class TestDag:
     def test_unknown_section_names_file_and_line(self):
         with pytest.raises(ModelError, match=r"g\.txt:5: unknown section \[edge\]"):
             parse_dag("[nodes]\na t\n[sink]\nt\n[edge]\na t : p\n", "g.txt")
+
+    def test_graph_errors_name_the_file(self):
+        with pytest.raises(ModelError, match=r"g\.txt: edge 'a' -> 'q' uses an unknown node"):
+            parse_dag("[nodes]\na t\n[sink]\nt\n[starts]\na : s_a\n[edges]\na q : p\n", "g.txt")
+        with pytest.raises(ModelError, match=r"g\.txt: sink 'x' is not a node"):
+            parse_dag("[nodes]\na t\n[sink]\nx\n", "g.txt")
 
     def test_route_cap(self):
         d = parse_dag(DAG_TEXT)

@@ -18,37 +18,10 @@ from attrib import (
     shapley_shubik_bruteforce,
     value_variant_attribution,
     value_variant_example,
-    vertex_value,
 )
 from attrib.axioms import InstanceGenerator
 
 from conftest import charfn_pairs
-
-
-class TestVertexValue:
-    def test_empty_gives_initial(self):
-        vp = ValuePair((1.0, 2.0), (3.0, 4.0))
-        assert vertex_value(vp, ()) == (1.0, 2.0)
-
-    def test_selector_upper_and_opposite(self):
-        from attrib import VertexSelector
-
-        vp = ValuePair((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
-        sel = VertexSelector(frozenset({1, 3}))
-        assert sel.upper(vp) == (4.0, 2.0, 6.0)
-        assert sel.lower(vp) == (1.0, 5.0, 3.0)
-
-    def test_full_gives_final(self):
-        vp = ValuePair((1.0, 2.0), (3.0, 4.0))
-        assert vertex_value(vp, (1, 2)) == (3.0, 4.0)
-
-    def test_componentwise(self):
-        vp = ValuePair((4.0, 1.0, 1.0), (5.0, 12.0, 1.5))
-        assert vertex_value(vp, (2,)) == (4.0, 12.0, 1.0)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            vertex_value(ValuePair((0.0,), (1.0,)), (2,))
 
 
 class TestBruteforce:
@@ -123,6 +96,9 @@ class TestRandomOrder:
             PermutationWeights({(1, 2): -0.5, (2, 1): 1.5})
         with pytest.raises(ValueError):
             PermutationWeights({(1, 3): 1.0})
+        # a nan weight makes the sum nan, which the sum-to-one check lets through
+        with pytest.raises(ValueError, match="not a finite nonnegative number"):
+            PermutationWeights({(1, 2): math.nan})
 
     def test_monotonicity_under_uniform_weights(self):
         rng = random.Random(2)
