@@ -71,7 +71,8 @@ class InstanceGenerator:
     Each trial index gets its own RNG derived from the seed, so trials are
     reproducible individually and could run in parallel.  ``preload`` holds
     fixed instances tried before any random ones; ``fixed_f`` pins the
-    function while values stay random.
+    function while values stay random.  A final value equal to its initial
+    value is redrawn, so every variable moves.
     """
 
     seed: int = 0
@@ -80,7 +81,6 @@ class InstanceGenerator:
     nonneg_coeffs: bool = False
     nonneg_values: bool = False
     separable: bool = True
-    distinct: bool = True
     fixed_f: CharacteristicFunction | None = None
     preload: tuple[tuple[CharacteristicFunction, ValuePair], ...] = ()
 
@@ -95,10 +95,9 @@ class InstanceGenerator:
         lo, hi = (0.0 if self.nonneg_values else -2.0), 2.0
         r = [rng.uniform(lo, hi) for _ in range(n)]
         s = [rng.uniform(lo, hi) for _ in range(n)]
-        if self.distinct:
-            for i in range(n):
-                while s[i] == r[i]:
-                    s[i] = rng.uniform(lo, hi)
+        for i in range(n):
+            while s[i] == r[i]:
+                s[i] = rng.uniform(lo, hi)
         return ValuePair(tuple(r), tuple(s))
 
     def function(self, rng: random.Random, n: int, vp: ValuePair) -> CharacteristicFunction:
@@ -166,7 +165,7 @@ def _certified_monotone(f: CharacteristicFunction, vp: ValuePair, i: int, floor:
 # per-axiom checkers: return (violation, counterexample dict)
 
 
-def _check_completeness(method: Method, gen: InstanceGenerator, trial: int, tol: float):
+def _check_completeness(method: Method, gen: InstanceGenerator, trial: int):
     f, vp, _ = gen.instance(trial)
     res = method(f, vp)
     total = evaluate(f, vp.s) - evaluate(f, vp.r)
@@ -180,7 +179,7 @@ def _strip_variable(f: CharacteristicFunction, i: int) -> CharacteristicFunction
     return from_terms(f.n, terms, sep)
 
 
-def _check_dummy(method: Method, gen: InstanceGenerator, trial: int, tol: float):
+def _check_dummy(method: Method, gen: InstanceGenerator, trial: int):
     f, vp, rng = gen.instance(trial)
     i = rng.randint(1, f.n)
     f2 = _strip_variable(f, i)
@@ -189,7 +188,7 @@ def _check_dummy(method: Method, gen: InstanceGenerator, trial: int, tol: float)
     return viol, _describe(f2, vp, variable=i, z_i=res.z[i - 1])
 
 
-def _check_dummy_on_box(method: Method, gen: InstanceGenerator, trial: int, tol: float):
+def _check_dummy_on_box(method: Method, gen: InstanceGenerator, trial: int):
     # Variable i appears in f, but every monomial holding i also holds a pin
     # variable j whose box edge is degenerate at 0, so f ignores i on [r, s].
     gen = replace(gen, n_range=(max(2, gen.n_range[0]), max(2, gen.n_range[1])))
@@ -219,7 +218,7 @@ def _check_dummy_on_box(method: Method, gen: InstanceGenerator, trial: int, tol:
     return viol, _describe(f2, vp2, variable=i, pin=j, z_i=res.z[i - 1])
 
 
-def _check_additivity(method: Method, gen: InstanceGenerator, trial: int, tol: float):
+def _check_additivity(method: Method, gen: InstanceGenerator, trial: int):
     f1, vp, rng = gen.instance(trial)
     f2 = gen.function(rng, f1.n, vp)
     res12 = method(combine(f1, f2), vp)
@@ -229,7 +228,7 @@ def _check_additivity(method: Method, gen: InstanceGenerator, trial: int, tol: f
     return viol, _describe(f1, vp, f2=f2.as_dict(), z_sum=list(res12.z))
 
 
-def _check_anonymity(method: Method, gen: InstanceGenerator, trial: int, tol: float):
+def _check_anonymity(method: Method, gen: InstanceGenerator, trial: int):
     f, vp, rng = gen.instance(trial)
     n = f.n
     sigma = list(range(1, n + 1))
@@ -249,7 +248,7 @@ def _positive_gen(gen: InstanceGenerator) -> InstanceGenerator:
     return replace(gen, nonneg_coeffs=True, nonneg_values=True, separable=False, fixed_f=None, preload=())
 
 
-def _check_conditional_nonnegativity(method: Method, gen: InstanceGenerator, trial: int, tol: float):
+def _check_conditional_nonnegativity(method: Method, gen: InstanceGenerator, trial: int):
     f, vp, _ = _positive_gen(gen).instance(trial)
     res = method(f, vp)
     viol = 0.0
@@ -261,7 +260,7 @@ def _check_conditional_nonnegativity(method: Method, gen: InstanceGenerator, tri
     return viol, _describe(f, vp, z=list(res.z))
 
 
-def _check_monotonicity(method: Method, gen: InstanceGenerator, trial: int, tol: float):
+def _check_monotonicity(method: Method, gen: InstanceGenerator, trial: int):
     f, vp, rng = _positive_gen(gen).instance(trial)
     j = rng.randint(1, f.n)
     s2 = list(vp.s)
@@ -292,11 +291,11 @@ def _reparam_check(method: Method, gen: InstanceGenerator, trial: int, d_range: 
     return viol, _describe(f, vp, variable=j, c=c, d=d, z=list(res.z), z_reparam=list(res2.z))
 
 
-def _check_scale_invariance(method: Method, gen: InstanceGenerator, trial: int, tol: float):
+def _check_scale_invariance(method: Method, gen: InstanceGenerator, trial: int):
     return _reparam_check(method, gen, trial, (0.0, 0.0))
 
 
-def _check_affine_scale_invariance(method: Method, gen: InstanceGenerator, trial: int, tol: float):
+def _check_affine_scale_invariance(method: Method, gen: InstanceGenerator, trial: int):
     return _reparam_check(method, gen, trial, (-3.0, 3.0))
 
 
@@ -331,7 +330,7 @@ def check_axiom(method: Method, axiom: str, gen: InstanceGenerator, trials: int 
     first_failure = None
     for trial in range(trials):
         try:
-            viol, detail = checker(method, gen, trial, tol)
+            viol, detail = checker(method, gen, trial)
         except Exception as exc:  # method failure counts as an axiom failure
             return AxiomVerdict(axiom, False, math.inf, trial + 1, None, note=f"method raised: {exc!r}")
         if viol > worst:

@@ -141,14 +141,22 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
     sections = _sections(text, path, ("variables", "segments", "multilinear", "separable"))
     if "variables" not in sections:
         raise ModelError(f"{path}: missing [variables] section")
-    variables = tuple(name for _, line in sections["variables"] for name in line.split())
-    declared = set(variables)
+    variables: list[str] = []
+    declared: set[str] = set()
+    for lineno, line in sections["variables"]:
+        for name in line.split():
+            if name in declared:
+                raise ModelError(f"{path}:{lineno}: variable {name!r} declared twice")
+            variables.append(name)
+            declared.add(name)
     segments = {}
     for lineno, line in sections.get("segments", []):
         if ":" not in line:
             raise ModelError(f"{path}:{lineno}: segment line needs 'name : label', got {line!r}")
         name, label = (part.strip() for part in line.split(":", 1))
         _check_declared((name,), declared, "segment entry", f"{path}:{lineno}: ")
+        if name in segments:
+            raise ModelError(f"{path}:{lineno}: variable {name!r} already has segment {segments[name]!r}")
         segments[name] = label
     ml_terms = []
     for lineno, line in sections.get("multilinear", []):
@@ -176,7 +184,7 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
             raise ModelError(f"{path}:{lineno}: {exc}") from None
         sep_terms.append((name, fields[0], params))
     try:
-        return ModelSpec(variables, tuple(ml_terms), tuple(sep_terms), segments)
+        return ModelSpec(tuple(variables), tuple(ml_terms), tuple(sep_terms), segments)
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from None
 
@@ -204,6 +212,9 @@ def format_model(ms: ModelSpec) -> str:
 
 # ---------------------------------------------------------------------------
 # directed acyclic graph models
+
+
+ROUTE_CAP = 10**6  # start/route pairs, so terms, that one graph may expand into
 
 
 @dataclass
@@ -254,6 +265,8 @@ def parse_dag(text: str, path: str = "<dag>") -> DagModel:
         if ":" not in line:
             raise ModelError(f"{path}:{lineno}: start line needs 'node : variable', got {line!r}")
         node, var = (part.strip() for part in line.split(":", 1))
+        if node in starts:
+            raise ModelError(f"{path}:{lineno}: node {node!r} already has start variable {starts[node]!r}")
         starts[node] = var
     edges = []
     for lineno, line in sections.get("edges", []):
@@ -290,11 +303,11 @@ def _toposort(d: DagModel) -> list[str]:
     return order
 
 
-def compile_dag(d: DagModel, path_cap: int = 10**6) -> ModelSpec:
+def compile_dag(d: DagModel) -> ModelSpec:
     """Expand a graph into one term per (start node, route to sink).
 
     Raises on cycles, on unreachable starts, and when the route count exceeds
-    path_cap (counted up front by dynamic programming, before enumeration).
+    ROUTE_CAP (counted up front by dynamic programming, before enumeration).
     """
     order = _toposort(d)
     out_edges: dict[str, list[tuple[str, str]]] = {n: [] for n in d.nodes}
@@ -307,8 +320,8 @@ def compile_dag(d: DagModel, path_cap: int = 10**6) -> ModelSpec:
         if n != d.sink:
             count[n] = sum(count[v] for v, _ in out_edges[n])
     total = sum(count[node] for node in d.starts)
-    if total > path_cap:
-        raise ModelError(f"{total} start/route pairs exceed the cap of {path_cap}")
+    if total > ROUTE_CAP:
+        raise ModelError(f"{total} start/route pairs exceed the cap of {ROUTE_CAP}")
     for node in d.starts:
         if count[node] == 0:
             raise ModelError(f"sink is unreachable from start node {node!r}")

@@ -1,10 +1,11 @@
 """Combinatorial reference methods: full n!-order enumeration and friends.
 
-These exist to cross-check the fast DP, so they stay deliberately literal:
-the Shapley-Shubik oracle walks every one of the n! variable orders and
-averages marginal contributions, memoizing the at most 2^n corner values of
-the box [r, s].  Orders are represented as tuples listing variables (1-based)
-in the sequence they move, e.g. (2, 1) moves variable 2 first.
+These exist to cross-check the fast kernels, so they stay deliberately
+literal: every method walks variable orders through one block engine,
+`_walk_orders`, which reads f at the box corners each order visits and sums
+each variable's marginal contributions.  Orders are represented as tuples
+listing variables (1-based) in the sequence they move, e.g. (2, 1) moves
+variable 2 first.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -75,75 +76,72 @@ class PermutationWeights:
         return cls({p: w for p in itertools.permutations(range(1, n + 1))})
 
 
-def _vertex_table(fn: Callable, vp: ValuePair) -> np.ndarray:
-    n = vp.n
-    out = np.empty(1 << n, dtype=np.float64)
-    for mask in range(1 << n):
-        x = [vp.s[j] if (mask >> j) & 1 else vp.r[j] for j in range(n)]
-        out[mask] = fn(x)
-    return out
+def _corner(vp: ValuePair, mask: int) -> list[float]:
+    """The box corner holding s_j where bit j of mask is set, r_j elsewhere."""
+    return [vp.s[j] if (mask >> j) & 1 else vp.r[j] for j in range(vp.n)]
+
+
+def _walk_orders(n: int, orders: Iterable[tuple[int, ...]], corner_values: Callable, weights: dict | None = None) -> np.ndarray:
+    """Per-variable totals of the marginal contributions along the given orders.
+
+    Orders go in blocks of _CHUNK.  The prefix masks of a block name the
+    corners each order visits, and corner_values maps a mask array to f
+    there.  Differences of successive corners, times the order's weight when
+    weights are given, are summed per variable by numpy's pairwise sum.
+    """
+    z = np.zeros(n, dtype=np.float64)
+    orders = iter(orders)
+    while block := list(itertools.islice(orders, _CHUNK)):
+        perms = np.asarray(block, dtype=np.int64) - 1
+        masks = np.zeros((len(block), n + 1), dtype=np.int64)
+        for k in range(n):
+            masks[:, k + 1] = masks[:, k] | np.left_shift(1, perms[:, k])
+        vals = corner_values(masks)
+        diffs = vals[:, 1:] - vals[:, :-1]
+        if weights is not None:
+            diffs *= np.array([weights[order] for order in block])[:, None]
+        z += np.array([diffs[perms == v].sum() for v in range(n)])
+    return z
 
 
 def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
     """Average marginal contribution over all n! variable orders.
 
-    Evaluates f only on the 2^n box corners (memoized up front), then streams
-    the orders in lexicographic chunks; per-variable totals are reduced with
-    pairwise summation so the average stays accurate.  Refuses n > ORDER_CAP.
+    Evaluates f on all 2^n box corners up front, then walks the orders in
+    lexicographic order.  Refuses n > ORDER_CAP.
     """
     n = vp.n
     _check_cap(n)
-    vals = _vertex_table(f, vp)
-    z = np.zeros(n, dtype=np.float64)
-    perm_iter = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(perm_iter, _CHUNK))
-        if not block:
-            break
-        perms = np.asarray(block, dtype=np.int64)
-        masks = np.zeros((len(block), n + 1), dtype=np.int64)
-        for k in range(n):
-            masks[:, k + 1] = masks[:, k] | np.left_shift(1, perms[:, k])
-        diffs = vals[masks[:, 1:]] - vals[masks[:, :-1]]
-        for v in range(n):
-            z[v] += diffs[perms == v].sum()
-    z /= math.factorial(n)
+    vals = np.array([f(_corner(vp, mask)) for mask in range(1 << n)], dtype=np.float64)
+    z = _walk_orders(n, itertools.permutations(range(1, n + 1)), vals.__getitem__) / math.factorial(n)
     residual = _exact_sum(z) - (vals[-1] - vals[0])
     return AttributionResult("ss-brute", tuple(float(v) for v in z), residual)
 
 
-def _walk_order(fn: Callable, vp: ValuePair, order: tuple[int, ...], memo: dict, z: list[float], weight: float):
-    n = vp.n
-
-    def corner(mask: int) -> float:
-        if mask not in memo:
-            memo[mask] = fn([vp.s[j] if (mask >> j) & 1 else vp.r[j] for j in range(n)])
-        return memo[mask]
-
-    mask = 0
-    prev = corner(0)
-    for v in order:
-        mask |= 1 << (v - 1)
-        cur = corner(mask)
-        z[v - 1] += weight * (cur - prev)
-        prev = cur
-
-
 def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> AttributionResult:
-    """Convex combination of the order walks given by pw; uniform weights recover Shapley-Shubik."""
+    """Convex combination of the order walks given by pw; uniform weights recover Shapley-Shubik.
+
+    f is evaluated once at each corner that an order of positive weight
+    visits, and nowhere else.
+    """
     n = vp.n
     _check_cap(n)
     if pw.n != n:
         raise ValueError(f"weights are over {pw.n} variables, values have {n}")
-    memo: dict[int, float] = {}
-    z = [0.0] * n
-    for order, w in sorted(pw.weights.items()):
-        if w == 0.0:
-            continue
-        _walk_order(f, vp, order, memo, z, w)
-    # at least one order has positive weight, so both box corners are memoized
-    residual = _exact_sum(z) - (memo[(1 << n) - 1] - memo[0])
-    return AttributionResult("random-order", tuple(z), residual)
+    vals = np.empty(1 << n, dtype=np.float64)
+    known = np.zeros(1 << n, dtype=bool)
+
+    def corner_values(masks: np.ndarray) -> np.ndarray:
+        new = np.unique(masks[~known[masks]])
+        vals[new] = [f(_corner(vp, mask)) for mask in new.tolist()]
+        known[new] = True
+        return vals[masks]
+
+    orders = sorted(order for order, w in pw.weights.items() if w > 0.0)
+    z = _walk_orders(n, orders, corner_values, pw.weights)
+    # at least one order has positive weight, so both box corners are known
+    residual = _exact_sum(z) - (vals[-1] - vals[0])
+    return AttributionResult("random-order", tuple(z.tolist()), residual)
 
 
 def value_variant_attribution(f, vp: ValuePair, weight_fn: Callable[[ValuePair], PermutationWeights]) -> AttributionResult:

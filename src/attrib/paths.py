@@ -23,6 +23,7 @@ from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_s
 __all__ = [
     "QuadratureConfig",
     "BlackBoxFunction",
+    "BasePath",
     "straight_line",
     "edge_walk",
     "tabulated_path",
@@ -82,51 +83,47 @@ class BlackBoxFunction:
 
 # ---------------------------------------------------------------------------
 # base paths on the unit cube
-#
-# resolve(n) returns (g, dg, breaks): g and dg map an array of N values of t
-# to the N x n arrays of gamma(t) and gamma'(t); breaks bound the panels.
 
 
-class StraightLine:
+@dataclass(frozen=True)
+class BasePath:
+    """A base path gamma and what quadrature needs of it.
+
+    g and dg map an array of N values of t to the arrays of gamma(t) and
+    gamma'(t): N x n for a path over n variables, N x 1 for the straight
+    line, which broadcasts over any n and so records n as None.  breaks
+    bound the panels, so each panel sees a smooth stretch of the path.
+    """
+
+    kind: str
+    g: Callable[[np.ndarray], np.ndarray]
+    dg: Callable[[np.ndarray], np.ndarray]
+    breaks: tuple[float, ...]
+    n: int | None
+
+
+def straight_line() -> BasePath:
     """gamma_i(t) = t for every component."""
-
-    kind = "straight-line"
-
-    def resolve(self, n: int):
-        def g(t: np.ndarray) -> np.ndarray:
-            return np.repeat(t[:, None], n, axis=1)
-
-        def dg(t: np.ndarray) -> np.ndarray:
-            return np.ones((len(t), n))
-
-        return g, dg, (0.0, 1.0)
+    return BasePath("straight-line", lambda t: t[:, None], lambda t: np.ones((len(t), 1)), (0.0, 1.0), None)
 
 
-class EdgeWalk:
-    """Walk the cube edges, moving one variable at a time in the given order."""
+def edge_walk(order: Sequence[int]) -> BasePath:
+    """Walk the cube edges, moving one variable at a time in the given order (1-based)."""
+    moves = tuple(int(v) for v in order)
+    n = len(moves)
+    if sorted(moves) != list(range(1, n + 1)):
+        raise ValueError(f"not an order over 1..{n}: {order}")
+    rank = np.empty(n)  # 0-based slot in which each variable moves
+    rank[[v - 1 for v in moves]] = range(n)
 
-    kind = "edge-walk"
+    def g(t: np.ndarray) -> np.ndarray:
+        return np.clip(t[:, None] * n - rank, 0.0, 1.0)
 
-    def __init__(self, order: Sequence[int]):
-        self.order = tuple(int(v) for v in order)
-        if sorted(self.order) != list(range(1, len(self.order) + 1)):
-            raise ValueError(f"not an order over 1..{len(self.order)}: {order}")
+    def dg(t: np.ndarray) -> np.ndarray:
+        tn = t[:, None] * n
+        return np.where((rank <= tn) & (tn < rank + 1), float(n), 0.0)
 
-    def resolve(self, n: int):
-        if len(self.order) != n:
-            raise ValueError(f"edge walk is over {len(self.order)} variables, path needs {n}")
-        rank = np.empty(n)  # 0-based slot in which each variable moves
-        rank[[v - 1 for v in self.order]] = range(n)
-
-        def g(t: np.ndarray) -> np.ndarray:
-            return np.clip(t[:, None] * n - rank, 0.0, 1.0)
-
-        def dg(t: np.ndarray) -> np.ndarray:
-            tn = t[:, None] * n
-            return np.where((rank <= tn) & (tn < rank + 1), float(n), 0.0)
-
-        breaks = tuple(k / n for k in range(n + 1))
-        return g, dg, breaks
+    return BasePath("edge-walk", g, dg, tuple(k / n for k in range(n + 1)), n)
 
 
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -164,62 +161,39 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
-class TabulatedPath:
+def tabulated_path(ts: Sequence[float], components: Sequence[Sequence[float]]) -> BasePath:
     """Componentwise monotone path given by samples, filled in with monotone cubics."""
+    ts = tuple(float(t) for t in ts)
+    if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("sample grid must increase strictly from 0 to 1")
+    comps = []
+    for ys in components:
+        ys = [float(y) for y in ys]
+        if len(ys) != len(ts):
+            raise ValueError("each component needs one sample per grid point")
+        if ys[0] != 0.0 or ys[-1] != 1.0 or any(b < a for a, b in zip(ys, ys[1:])):
+            raise ValueError("component samples must be nondecreasing from 0 to 1")
+        comps.append(ys)
+    # pchip interpolation preserves the monotonicity of the samples;
+    # one (4, components, intervals) table serves every component
+    grid = np.asarray(ts)
+    tables = [_pchip_coefficients(grid, np.asarray(ys)) for ys in comps]
+    coeffs = np.stack(tables, axis=1) if tables else np.empty((4, 0, len(ts) - 1))
 
-    kind = "user"
-
-    def __init__(self, ts: Sequence[float], components: Sequence[Sequence[float]]):
-        ts = [float(t) for t in ts]
-        if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("sample grid must increase strictly from 0 to 1")
-        self.ts = tuple(ts)
-        comps = []
-        for ys in components:
-            ys = [float(y) for y in ys]
-            if len(ys) != len(ts):
-                raise ValueError("each component needs one sample per grid point")
-            if ys[0] != 0.0 or ys[-1] != 1.0 or any(b < a for a, b in zip(ys, ys[1:])):
-                raise ValueError("component samples must be nondecreasing from 0 to 1")
-            comps.append(tuple(ys))
-        self.components = tuple(comps)
-        # pchip interpolation preserves the monotonicity of the samples;
-        # one (4, components, intervals) table serves every component
-        grid = np.asarray(self.ts)
-        tables = [_pchip_coefficients(grid, np.asarray(ys)) for ys in self.components]
-        self._coeffs = np.stack(tables, axis=1) if tables else np.empty((4, 0, len(ts) - 1))
-
-    def _locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def locate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients (4, N, components) of the interval holding each t, and t's offset (N, 1) into it."""
-        grid = np.asarray(self.ts)
         k = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
-        return self._coeffs[:, :, k].transpose(0, 2, 1), (t - grid[k])[:, None]
+        return coeffs[:, :, k].transpose(0, 2, 1), (t - grid[k])[:, None]
 
-    def resolve(self, n: int):
-        if len(self.components) != n:
-            raise ValueError(f"path has {len(self.components)} components, needs {n}")
+    def g(t: np.ndarray) -> np.ndarray:
+        (c3, c2, c1, c0), u = locate(t)
+        return ((c3 * u + c2) * u + c1) * u + c0
 
-        def g(t: np.ndarray) -> np.ndarray:
-            (c3, c2, c1, c0), u = self._locate(t)
-            return ((c3 * u + c2) * u + c1) * u + c0
+    def dg(t: np.ndarray) -> np.ndarray:
+        (c3, c2, c1, _), u = locate(t)
+        return (3.0 * c3 * u + 2.0 * c2) * u + c1
 
-        def dg(t: np.ndarray) -> np.ndarray:
-            (c3, c2, c1, _), u = self._locate(t)
-            return (3.0 * c3 * u + 2.0 * c2) * u + c1
-
-        return g, dg, self.ts
-
-
-def straight_line() -> StraightLine:
-    return StraightLine()
-
-
-def edge_walk(order: Sequence[int]) -> EdgeWalk:
-    return EdgeWalk(order)
-
-
-def tabulated_path(ts: Sequence[float], components: Sequence[Sequence[float]]) -> TabulatedPath:
-    return TabulatedPath(ts, components)
+    return BasePath("user", g, dg, ts, len(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +225,7 @@ def composite_gauss_legendre(fn: Callable[[float], float], a: float, b: float, o
     return float(w @ [fn(v) for v in t.tolist()])
 
 
-def attribute_path(f, vp: ValuePair, base, q: QuadratureConfig | None = None) -> AttributionResult:
+def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None = None) -> AttributionResult:
     """Attribution along base path: z_i = integral of d_i f(path(t)) * velocity_i(t) dt.
 
     Path breakpoints (edge-walk corners, tabulation nodes) bound the panels so
@@ -263,7 +237,8 @@ def attribute_path(f, vp: ValuePair, base, q: QuadratureConfig | None = None) ->
     _CHUNK_ELEMENTS values on very fine passes), of a black box node by node.
     """
     q = q or QuadratureConfig()
-    g, dg, breaks = base.resolve(vp.n)
+    if base.n is not None and base.n != vp.n:
+        raise ValueError(f"{base.kind} path is over {base.n} variables, values have {vp.n}")
     r = np.asarray(vp.r)
     d = np.asarray(vp.s) - r
     if isinstance(f, CharacteristicFunction):
@@ -274,9 +249,9 @@ def attribute_path(f, vp: ValuePair, base, q: QuadratureConfig | None = None) ->
     step = max(1, _CHUNK_ELEMENTS // max(vp.n, 1))
     z = None
     for k in range(q.max_refine + 1):
-        nodes, weights = _nodes(breaks, _ORDER, _PANELS * 2**k)
+        nodes, weights = _nodes(base.breaks, _ORDER, _PANELS * 2**k)
         blocks = [(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)]
-        z, prev = sum(w @ (grad(r + d * g(t)) * (d * dg(t))) for t, w in blocks), z
+        z, prev = sum(w @ (grad(r + d * base.g(t)) * (d * base.dg(t))) for t, w in blocks), z
         converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
         if converged:
             break

@@ -52,10 +52,13 @@ def parse_order_weights(text: str, variables: Sequence[str], path: str = "<weigh
         if ":" not in line:
             raise ModelError(f"{path}:{lineno}: expected 'names : weight'")
         lhs, rhs = line.rsplit(":", 1)
+        names = lhs.split()
         try:
-            order = tuple(list(variables).index(name) + 1 for name in lhs.split())
+            order = tuple(list(variables).index(name) + 1 for name in names)
         except ValueError:
-            raise ModelError(f"{path}:{lineno}: unknown variable in order {lhs.split()}") from None
+            raise ModelError(f"{path}:{lineno}: unknown variable in order {names}") from None
+        if sorted(order) != list(range(1, len(variables) + 1)):
+            raise ModelError(f"{path}:{lineno}: order {' '.join(names)!r} does not list each of {' '.join(variables)!r} exactly once")
         weights[order] = weights.get(order, 0.0) + _parse_float(rhs.strip(), f"{path}:{lineno}")
     try:
         return PermutationWeights(weights)
@@ -79,7 +82,6 @@ def resolve_method(
     variables: Sequence[str] = (),
     tol: float | None = None,
     max_refine: int | None = None,
-    weights_text: str | None = None,
 ) -> Callable:
     if method_id == "ass":
         return _ass
@@ -95,10 +97,8 @@ def resolve_method(
         return lambda f, vp: attribute_aumann_shapley(f, vp, q)
     if method_id.startswith("random-order:"):
         source = method_id.split(":", 1)[1]
-        if weights_text is None:
-            with open(source, encoding="utf-8") as handle:
-                weights_text = handle.read()
-        pw = parse_order_weights(weights_text, variables, source or "<weights>")
+        with open(source, encoding="utf-8") as handle:
+            pw = parse_order_weights(handle.read(), variables, source)
         return lambda f, vp: random_order_attribution(f, vp, pw)
     raise ModelError(f"unknown method {method_id!r}; known: {', '.join(METHOD_IDS)}")
 
@@ -109,7 +109,6 @@ def run_report(
     method: str = "ass",
     tol: float | None = None,
     max_refine: int | None = None,
-    weights_text: str | None = None,
 ) -> list[Report]:
     """Attribute each entity's change under the named method, one report per snapshot.
 
@@ -122,7 +121,7 @@ def run_report(
     """
     ms = compile_dag(model) if isinstance(model, DagModel) else model
     f = compile_model(ms)
-    handle = resolve_method(method, ms.variables, tol, max_refine, weights_text)
+    handle = resolve_method(method, ms.variables, tol, max_refine)
     pairs = []
     for snap in snaps:
         try:

@@ -57,11 +57,12 @@ class TestRunReport:
             assert other.z == pytest.approx(base.z, rel=tol)
             assert abs(other.residual) <= 1e-9
 
-    def test_random_order_method(self):
+    def test_random_order_method(self, tmp_path):
         ms = parse_model(MODEL)
         snap = parse_snapshots(VALUES)[0]
-        weights = "a p c : 0.5\nc p a : 0.5\n"
-        [report] = run_report(ms, [snap], "random-order:orders.txt", weights_text=weights)
+        orders = tmp_path / "orders.txt"
+        orders.write_text("a p c : 0.5\nc p a : 0.5\n")
+        [report] = run_report(ms, [snap], f"random-order:{orders}")
         assert report.total_change == pytest.approx(86.0, abs=1e-9)
         assert abs(report.residual) <= 1e-10
 
@@ -132,6 +133,13 @@ class TestOrderWeightsFile:
 
         with pytest.raises(ModelError, match=rf"w\.txt:2: expected a finite number, got '{token}'"):
             parse_order_weights(f"a p : 0.5\np a : {token}\n", ("a", "p"), "w.txt")
+
+    @pytest.mark.parametrize("order", ["a a c", "a c", "a p c p"])
+    def test_bad_order_names_line_and_variables(self, order):
+        from attrib.models import ModelError
+
+        with pytest.raises(ModelError, match=rf"w\.txt:2: order '{order}' does not list each of 'a p c' exactly once"):
+            parse_order_weights(f"a p c : 0.5\n{order} : 0.5\n", ("a", "p", "c"), "w.txt")
 
     def test_bad_sum(self):
         from attrib.models import ModelError
@@ -221,6 +229,8 @@ class TestCli:
             ("[separable]\na : foo 1 2\n", "4: unknown separable kind 'foo'"),
             ("[multilinear]\na a : 1\n", "4: variable repeated within one term"),
             ("[multilinear]\na z : 1\n", "4: term references undeclared variable 'z'"),
+            ("[variables]\nb a\n", "4: variable 'a' declared twice"),
+            ("[segments]\na : x\na : y\n", "5: variable 'a' already has segment 'x'"),
         ],
     )
     def test_model_term_errors_name_file_and_line(self, tmp_path, capsys, body, message):

@@ -119,6 +119,14 @@ class TestModelFormat:
         with pytest.raises(ModelError, match=rf"m\.txt:4: {message}"):
             parse_model("[variables]\na b\n" + body, "m.txt")
 
+    def test_repeated_variable_name_names_file_line_and_name(self):
+        with pytest.raises(ModelError, match=r"m\.txt:3: variable 'a' declared twice"):
+            parse_model("[variables]\na b\nc a\n", "m.txt")
+
+    def test_second_segment_line_for_a_variable_names_file_and_line(self):
+        with pytest.raises(ModelError, match=r"m\.txt:5: variable 'a' already has segment 'x'"):
+            parse_model("[variables]\na\n[segments]\na : x\na : y\n", "m.txt")
+
     def test_compile_rejects_repeated_variable_in_spec_built_in_code(self):
         with pytest.raises(ModelError, match="variable repeated within one term"):
             compile_model(ModelSpec(("a",), ((("a", "a"), 1.0),)))
@@ -161,10 +169,15 @@ class TestDag:
         with pytest.raises(ModelError, match=r"g\.txt: sink 'x' is not a node"):
             parse_dag("[nodes]\na t\n[sink]\nx\n", "g.txt")
 
-    def test_route_cap(self):
+    def test_route_cap(self, monkeypatch):
+        monkeypatch.setattr("attrib.models.ROUTE_CAP", 2)
         d = parse_dag(DAG_TEXT)
         with pytest.raises(ModelError):
-            compile_dag(d, path_cap=2)
+            compile_dag(d)
+
+    def test_second_start_line_for_a_node_names_file_and_line(self):
+        with pytest.raises(ModelError, match=r"g\.txt:7: node 'a' already has start variable 's_a'"):
+            parse_dag("[nodes]\na t\n[sink]\nt\n[starts]\na : s_a\na : s_b\n[edges]\na t : p\n", "g.txt")
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ModelError):

@@ -100,6 +100,21 @@ class TestRandomOrder:
         with pytest.raises(ValueError, match="not a finite nonnegative number"):
             PermutationWeights({(1, 2): math.nan})
 
+    def test_evaluates_only_the_corners_its_orders_visit(self):
+        # two walks over 6 variables visit 7 corners each and share the start and end corners
+        calls = []
+
+        def f(x):
+            calls.append(tuple(x))
+            return math.prod(x)
+
+        vp = ValuePair((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (2.0, 3.0, 4.0, 5.0, 6.0, 7.0))
+        pw = PermutationWeights({(1, 2, 3, 4, 5, 6): 0.5, (6, 4, 2, 5, 3, 1): 0.5})
+        res = random_order_attribution(f, vp, pw)
+        assert len(set(calls)) <= 12
+        assert len(calls) == len(set(calls))
+        assert abs(res.residual) <= 1e-9
+
     def test_monotonicity_under_uniform_weights(self):
         rng = random.Random(2)
         for _ in range(25):

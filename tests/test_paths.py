@@ -30,10 +30,9 @@ from attrib.axioms import InstanceGenerator
 
 def _affine(base, vp: ValuePair, ts):
     """Points r + (s - r) * gamma(t) and velocities (s - r) * gamma'(t), one row per t."""
-    g, dg, _ = base.resolve(vp.n)
     r, d = np.asarray(vp.r), np.asarray(vp.s) - np.asarray(vp.r)
     t = np.asarray(ts, dtype=float)
-    return r + d * g(t), d * dg(t)
+    return r + d * base.g(t), d * base.dg(t)
 
 
 class TestAffinePath:
@@ -69,7 +68,7 @@ class TestTabulatedPath:
 
     def test_interpolant_stays_monotone(self):
         path = tabulated_path((0.0, 0.25, 0.5, 1.0), [(0.0, 0.1, 0.8, 1.0)])
-        g, dg, _ = path.resolve(1)
+        g, dg = path.g, path.dg
         ts = np.linspace(0.0, 1.0, 201)
         vals = g(ts)[:, 0].tolist()
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -88,7 +87,8 @@ class TestTabulatedPath:
                 ys = np.concatenate(([0.0], np.cumsum(steps) / steps.sum()))
                 ys[-1] = 1.0
                 comps.append(ys)
-            g, dg, _ = tabulated_path(ts, comps).resolve(2)
+            path = tabulated_path(ts, comps)
+            g, dg = path.g, path.dg
             at = np.concatenate((ts, rng.uniform(0.0, 1.0, 20)))
             got, dgot = g(at), dg(at)
             for k, ys in enumerate(comps):
@@ -99,7 +99,8 @@ class TestTabulatedPath:
                     assert abs(dgot[j, k] - dref(t)) <= 1e-12 * max(1.0, abs(dref(t)))
 
     def test_two_samples_give_the_straight_line(self):
-        g, dg, _ = tabulated_path((0.0, 1.0), [(0.0, 1.0)]).resolve(1)
+        path = tabulated_path((0.0, 1.0), [(0.0, 1.0)])
+        g, dg = path.g, path.dg
         assert g(np.array([0.25])).tolist() == [[0.25]] and dg(np.array([0.25])).tolist() == [[1.0]]
 
     def test_attribution_along_user_path_is_complete(self):
@@ -117,6 +118,12 @@ class TestAttributePath:
         res = attribute_path(product_function(2), ValuePair((0.0, 0.0), (1.0, 1.0)), straight_line())
         assert res.converged
         assert res.z == pytest.approx((0.5, 0.5), abs=1e-10)
+
+    def test_path_over_another_variable_count_is_refused(self):
+        vp = ValuePair((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        for base in (edge_walk((1, 2)), tabulated_path((0.0, 1.0), [(0.0, 1.0)] * 2)):
+            with pytest.raises(ValueError, match="over 2 variables, values have 3"):
+                attribute_path(product_function(3), vp, base)
 
     def test_black_box_square_straight_line(self):
         res = attribute_path(lambda x: x[0] * x[0] * x[1], ValuePair((0.0, 0.0), (1.0, 1.0)), straight_line())
