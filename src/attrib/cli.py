@@ -44,6 +44,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _axiom_suite(args) -> int:
+    if args.method.startswith("random-order:"):
+        raise ModelError(
+            f"--axiom-suite cannot check {args.method}: the suite's instances have unnamed variables,"
+            " so no weights file can list their orders"
+        )
     method = resolve_method(args.method, tol=args.tol, max_refine=args.max_refine)
     gen = InstanceGenerator(seed=args.seed)
     tol = args.tol if args.tol is not None else 1e-8
@@ -65,12 +70,12 @@ def _run_reports(args) -> int:
     if not args.values:
         raise ModelError("--values is required")
     if args.model:
-        with open(args.model, encoding="utf-8") as handle:
+        with open(args.model, encoding="utf-8-sig") as handle:
             model = parse_model(handle.read(), args.model)
     else:
-        with open(args.dag, encoding="utf-8") as handle:
+        with open(args.dag, encoding="utf-8-sig") as handle:
             model = parse_dag(handle.read(), args.dag)
-    with open(args.values, encoding="utf-8") as handle:
+    with open(args.values, encoding="utf-8-sig") as handle:
         snaps = parse_snapshots(handle.read(), args.values)
     if not snaps:
         raise ModelError(f"{args.values}: no snapshot rows")

@@ -24,7 +24,10 @@ Graph file grammar::
     [edges]                # from to ':' traversal-probability variable name
     a b : p_ab
 
-Snapshots are CSV rows ``entity,variable,initial,final`` (header optional).
+Snapshots are CSV rows ``entity,variable,initial,final`` (header optional),
+parsed into one columnar `SnapshotTable`: entity and variable names, per-row
+indices into them and per-row initial and final float arrays, which
+`SnapshotTable.columns` maps onto a model's variables as E x n arrays.
 Numbers are parsed as decimal doubles; ``format_model`` writes coefficients
 with repr so a round trip is bit exact.
 """
@@ -34,14 +37,17 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .core import CharacteristicFunction, SeparableTerm, ValuePair, from_terms
+import numpy as np
+
+from .core import CharacteristicFunction, SeparableTerm, from_terms
 
 __all__ = [
     "ModelError",
     "ModelSpec",
     "DagModel",
-    "ValueSnapshot",
+    "SnapshotTable",
     "parse_model",
     "format_model",
     "compile_model",
@@ -348,46 +354,138 @@ def compile_dag(d: DagModel) -> ModelSpec:
 # snapshots
 
 
-@dataclass
-class ValueSnapshot:
-    entity: str
-    values: dict[str, tuple[float, float]]
-
-    def pair_for(self, ms: ModelSpec) -> ValuePair:
-        missing = [v for v in ms.variables if v not in self.values]
-        extra = [v for v in self.values if v not in ms.variables]
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append(f"missing {', '.join(missing)}")
-            if extra:
-                parts.append(f"unknown {', '.join(extra)}")
-            raise ModelError(f"snapshot {self.entity!r} does not match the model: {'; '.join(parts)}")
-        r = tuple(self.values[v][0] for v in ms.variables)
-        s = tuple(self.values[v][1] for v in ms.variables)
-        return ValuePair(r, s)
+_HEADER = ["entity", "variable", "initial", "final"]
 
 
-def parse_snapshots(text: str, path: str = "<values>") -> list[ValueSnapshot]:
+@dataclass(frozen=True, eq=False)
+class SnapshotTable:
+    """Snapshot rows in columns, one row per (entity, variable) cell in file order.
+
+    ``entities`` and ``variables`` hold the distinct names in order of first
+    appearance; the int arrays ``entity`` and ``variable`` index them per
+    row, and the float arrays ``initial`` and ``final`` hold the row's
+    values.  `parse_snapshots` guarantees finite values and no entity
+    listing a variable twice.
+    """
+
+    entities: tuple[str, ...]
+    variables: tuple[str, ...]
+    entity: np.ndarray
+    variable: np.ndarray
+    initial: np.ndarray
+    final: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.entities)
+
+    def columns(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """E x n initial and final arrays: row e for entities[e], column j for names[j].
+
+        Raises ModelError for the first entity, in entity order, that misses
+        one of the names or lists a variable not among them; the error
+        carries that entity's row number as ``exc.row``.
+        """
+        col = {name: j for j, name in enumerate(names)}
+        cols = np.array([col.get(v, -1) for v in self.variables], dtype=np.intp)[self.variable]
+        shape = (len(self.entities), len(names))
+        known = cols >= 0
+        # no entity lists a variable twice, so one lists every name iff it has n known rows and no other
+        bad = np.bincount(self.entity[known], minlength=shape[0]) != shape[1]
+        bad |= np.bincount(self.entity[~known], minlength=shape[0]) > 0
+        if bad.any():
+            raise self._mismatch(int(bad.argmax()), names)
+        R = np.empty(shape)
+        S = np.empty(shape)
+        R[self.entity, cols] = self.initial
+        S[self.entity, cols] = self.final
+        return R, S
+
+    def _mismatch(self, row: int, names: Sequence[str]) -> ModelError:
+        """The error for entities[row]: model names it misses, in model order, and names it lists that the model lacks, in file order."""
+        listed = [self.variables[v] for v in self.variable[self.entity == row].tolist()]
+        present, known = set(listed), set(names)
+        parts = []
+        missing = [v for v in names if v not in present]
+        if missing:
+            parts.append(f"missing {', '.join(missing)}")
+        extra = [v for v in listed if v not in known]
+        if extra:
+            parts.append(f"unknown {', '.join(extra)}")
+        exc = ModelError(f"snapshot {self.entities[row]!r} does not match the model: {'; '.join(parts)}")
+        exc.row = row
+        return exc
+
+
+def parse_snapshots(text: str, path: str = "<values>") -> SnapshotTable:
+    """CSV rows ``entity,variable,initial,final`` as a SnapshotTable.
+
+    Blank rows are skipped and a first row that reads
+    ``entity,variable,initial,final`` (any case or spacing) is a header.
+    Each row must have 4 cells and finite numbers, and no entity may list a
+    variable twice; names are stripped of surrounding spaces.  The checks
+    run in bulk; when one fails, a sequential pass names the file and the
+    physical line (the last line of a quoted multi-line row) of the first
+    offending row.
+    """
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if rows and _is_header(rows[0]):
+        del rows[0]
+    table = _snapshot_table(rows)
+    if table is None:
+        # raises at the first offending line, unless the only misfits were blank rows of spaces, which it drops
+        table = _snapshot_table(_checked_rows(text, path))
+    return table
+
+
+def _is_header(row: list[str]) -> bool:
+    return [cell.strip().lower() for cell in row] == _HEADER
+
+
+def _snapshot_table(rows: list[list[str]]) -> SnapshotTable | None:
+    """The rows as a SnapshotTable, or None if one is not 4 cells of finite numbers or repeats a cell."""
+    if any(len(row) != 4 for row in rows):
+        return None
+    entity, variable, initial, final = zip(*rows) if rows else ((), (), (), ())
+    try:
+        initial = np.array(list(map(float, initial)), dtype=float)
+        final = np.array(list(map(float, final)), dtype=float)
+    except ValueError:
+        return None
+    if not (np.isfinite(initial).all() and np.isfinite(final).all()):
+        return None
+    entities, entity = _codes(map(str.strip, entity))
+    variables, variable = _codes(map(str.strip, variable))
+    cells = np.sort(entity * len(variables) + variable)
+    if (cells[1:] == cells[:-1]).any():
+        return None
+    return SnapshotTable(entities, variables, entity, variable, initial, final)
+
+
+def _codes(names) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct names in order of first appearance, and each name's index into them."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(name, len(index)) for name in names]
+    return tuple(index), np.array(codes, dtype=np.intp)
+
+
+def _checked_rows(text: str, path: str) -> list[list[str]]:
+    """The data rows, checked one by one in file order; raises ModelError naming the first bad line."""
     reader = csv.reader(io.StringIO(text))
     rows = [(reader.line_num, row) for row in reader if row and any(cell.strip() for cell in row)]
-    if rows and [cell.strip().lower() for cell in rows[0][1]] == ["entity", "variable", "initial", "final"]:
+    if rows and _is_header(rows[0][1]):
         rows = rows[1:]
-    snaps: dict[str, ValueSnapshot] = {}
-    ordered: list[ValueSnapshot] = []
+    seen: dict[str, set[str]] = {}
     for lineno, row in rows:
         if len(row) != 4:
             raise ModelError(f"{path}:{lineno}: expected entity,variable,initial,final")
         entity, var = row[0].strip(), row[1].strip()
-        initial = _parse_float(row[2].strip(), f"{path}:{lineno}")
-        final = _parse_float(row[3].strip(), f"{path}:{lineno}")
-        if entity not in snaps:
-            snaps[entity] = ValueSnapshot(entity, {})
-            ordered.append(snaps[entity])
-        if var in snaps[entity].values:
+        _parse_float(row[2].strip(), f"{path}:{lineno}")
+        _parse_float(row[3].strip(), f"{path}:{lineno}")
+        listed = seen.setdefault(entity, set())
+        if var in listed:
             raise ModelError(f"{path}:{lineno}: variable {var!r} listed twice for entity {entity!r}")
-        snaps[entity].values[var] = (initial, final)
-    return ordered
+        listed.add(var)
+    return [row for _, row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,8 @@ def edge_walk(order: Sequence[int]) -> BasePath:
     """Walk the cube edges, moving one variable at a time in the given order (1-based)."""
     moves = tuple(int(v) for v in order)
     n = len(moves)
+    if not n:
+        raise ValueError("empty order: an edge walk moves at least one variable")
     if sorted(moves) != list(range(1, n + 1)):
         raise ValueError(f"not an order over 1..{n}: {order}")
     rank = np.empty(n)  # 0-based slot in which each variable moves

@@ -1,14 +1,25 @@
-"""Attribution reports over named models, plus the built-in segment-aggregation demo."""
+"""Attribution reports over named models, plus the built-in segment-aggregation demo.
+
+`run_report` takes a model and a `SnapshotTable`, compiles the model once,
+maps the table onto the model's columns as E x n initial and final arrays,
+and attributes every entity: ``ass`` in one batch kernel call, other
+methods one row at a time.  `render_machine` writes a report's JSON Lines
+records by filling one template per (variables, method, segment labels),
+byte for byte what ``json.dumps`` writes for each record.
+"""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import AttributionResult, ValuePair
 from .exact import attribute_ass, attribute_ass_batch, attribute_naive
-from .models import DagModel, ModelError, ModelSpec, ValueSnapshot, _parse_float, compile_dag, compile_model
+from .models import DagModel, ModelError, ModelSpec, SnapshotTable, _parse_float, compile_dag, compile_model
 from .oracles import PermutationWeights, random_order_attribution, shapley_shubik_bruteforce
 from .paths import QuadratureConfig, attribute_aumann_shapley
 
@@ -66,15 +77,15 @@ def parse_order_weights(text: str, variables: Sequence[str], path: str = "<weigh
         raise ModelError(f"{path}: {exc}") from None
 
 
-def _ass(f, vp: ValuePair | Sequence[ValuePair]):
-    """attribute_ass for one pair; attribute_ass_batch, one result per pair, for a list of pairs.
+def _ass(f, vp: ValuePair | tuple[np.ndarray, np.ndarray]):
+    """attribute_ass for one pair; attribute_ass_batch, one result per row, for a pair (R, S) of E x n arrays.
 
     The ``ass`` handle takes both, so `resolve_method` stays the one place
     that maps a method id to its kernel.
     """
     if isinstance(vp, ValuePair):
         return attribute_ass(f, vp)
-    return attribute_ass_batch(f, [p.r for p in vp], [p.s for p in vp])
+    return attribute_ass_batch(f, *vp)
 
 
 def resolve_method(
@@ -97,7 +108,7 @@ def resolve_method(
         return lambda f, vp: attribute_aumann_shapley(f, vp, q)
     if method_id.startswith("random-order:"):
         source = method_id.split(":", 1)[1]
-        with open(source, encoding="utf-8") as handle:
+        with open(source, encoding="utf-8-sig") as handle:
             pw = parse_order_weights(handle.read(), variables, source)
         return lambda f, vp: random_order_attribution(f, vp, pw)
     raise ModelError(f"unknown method {method_id!r}; known: {', '.join(METHOD_IDS)}")
@@ -105,54 +116,56 @@ def resolve_method(
 
 def run_report(
     model: ModelSpec | DagModel,
-    snaps: Sequence[ValueSnapshot],
+    snaps: SnapshotTable,
     method: str = "ass",
     tol: float | None = None,
     max_refine: int | None = None,
 ) -> list[Report]:
-    """Attribute each entity's change under the named method, one report per snapshot.
+    """Attribute each entity's change under the named method, one report per entity of snaps.
 
-    The model is compiled and the method resolved once for the whole list;
-    ``ass`` attributes every entity in one batch kernel call, other methods
-    call their handle per entity.  Domain, dimension or overflow problems
-    are re-raised with the entity and variable names attached.  A report
-    whose attributions or residual are not finite is marked unconverged.
-    Segment totals are plain sums of member attributions.
+    The model is compiled and the method resolved once for the whole table,
+    and the table mapped onto the model's variables as E x n arrays; an
+    entity missing a model variable or listing one the model lacks is an
+    error naming it.  ``ass`` attributes every entity in one batch kernel
+    call, other methods call their handle per entity.  Domain, dimension or
+    overflow problems are re-raised with the entity and variable names
+    attached.  A report whose attributions or residual are not finite is
+    marked unconverged.  Segment totals are plain sums of member
+    attributions.
     """
     ms = compile_dag(model) if isinstance(model, DagModel) else model
     f = compile_model(ms)
     handle = resolve_method(method, ms.variables, tol, max_refine)
-    pairs = []
-    for snap in snaps:
-        try:
-            pairs.append(snap.pair_for(ms))
-        except ValueError as exc:
-            raise _located(ms, snap, exc) from exc
+    try:
+        R, S = snaps.columns(ms.variables)
+    except ModelError as exc:
+        raise _located(ms, snaps.entities[exc.row], exc) from exc
+    rows = list(zip(snaps.entities, R.tolist(), S.tolist()))
     if method == "ass":
         try:
-            results = handle(f, pairs)
+            results = handle(f, (R, S))
         except (ValueError, OverflowError) as exc:
             if not hasattr(exc, "row"):
                 raise
-            raise _located(ms, snaps[exc.row], exc) from exc
+            raise _located(ms, snaps.entities[exc.row], exc) from exc
     else:
         results = []
-        for snap, vp in zip(snaps, pairs):
+        for entity, r, s in rows:
             try:
-                results.append(handle(f, vp))
+                results.append(handle(f, ValuePair(r, s)))
             except (ValueError, OverflowError) as exc:
-                raise _located(ms, snap, exc) from exc
-    return [_report(ms, snap, vp, res) for snap, vp, res in zip(snaps, pairs, results)]
+                raise _located(ms, entity, exc) from exc
+    return [_report(ms, *row, res) for row, res in zip(rows, results)]
 
 
-def _located(ms: ModelSpec, snap: ValueSnapshot, exc: Exception) -> ModelError:
-    """The error exc, raised while attributing snap, as a ModelError naming the entity and, if known, the variable."""
+def _located(ms: ModelSpec, entity: str, exc: Exception) -> ModelError:
+    """The error exc, raised while attributing entity, as a ModelError naming the entity and, if known, the variable."""
     idx = getattr(exc, "index", None)
     where = f" (variable {ms.variables[idx - 1]!r})" if idx else ""
-    return ModelError(f"entity {snap.entity!r}: {exc}{where}")
+    return ModelError(f"entity {entity!r}: {exc}{where}")
 
 
-def _report(ms: ModelSpec, snap: ValueSnapshot, vp: ValuePair, res: AttributionResult) -> Report:
+def _report(ms: ModelSpec, entity: str, r: list[float], s: list[float], res: AttributionResult) -> Report:
     segments = None
     if ms.segments:
         segments = {}
@@ -162,11 +175,11 @@ def _report(ms: ModelSpec, snap: ValueSnapshot, vp: ValuePair, res: AttributionR
                 segments[label] = segments.get(label, 0.0) + zv
     total_change = res.total() - res.residual
     return Report(
-        entity=snap.entity,
+        entity=entity,
         method=res.method,
         variables=ms.variables,
-        initial=vp.r,
-        final=vp.s,
+        initial=tuple(r),
+        final=tuple(s),
         z=res.z,
         total_change=total_change,
         residual=res.residual,
@@ -194,35 +207,63 @@ def render_text(report: Report) -> str:
 
 
 def render_machine(report: Report) -> str:
-    records = []
-    for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z):
-        records.append(
-            {
-                "record": "attribution",
-                "entity": report.entity,
-                "method": report.method,
-                "variable": name,
-                "initial": ini,
-                "final": fin,
-                "attribution": zv,
-            }
-        )
-    if report.segments:
-        for label in sorted(report.segments):
-            records.append(
-                {"record": "segment", "entity": report.entity, "segment": label, "attribution": report.segments[label]}
-            )
-    records.append(
-        {
-            "record": "summary",
-            "entity": report.entity,
-            "method": report.method,
-            "total_change": report.total_change,
-            "residual": report.residual,
-            "converged": report.converged,
-        }
+    """The report as JSON Lines: one attribution record per variable, one segment record per label, a summary.
+
+    Each line is what ``json.dumps`` writes for the record, non-finite
+    numbers as NaN, Infinity or -Infinity included.
+    """
+    labels = tuple(sorted(report.segments)) if report.segments else ()
+    numbers = (
+        *report.initial,
+        *report.final,
+        *report.z,
+        *(report.segments[label] for label in labels),
+        report.total_change,
+        report.residual,
     )
-    return "\n".join(json.dumps(rec) for rec in records)
+    if not math.isfinite(sum(numbers)):  # some number is nan or infinite, or the sum overflows
+        numbers = tuple(map(_json_number, numbers))
+    template = _machine_template(report.variables, report.method, labels)
+    return template.format(encode_basestring_ascii(report.entity), *numbers, "true" if report.converged else "false")
+
+
+def _json_number(x: float) -> str:
+    """x as json.dumps writes it."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return repr(x)
+
+
+@lru_cache(maxsize=16)
+def _machine_template(variables: tuple[str, ...], method: str, labels: tuple[str, ...]) -> str:
+    """A str.format template of render_machine's records.
+
+    Field 0 is the encoded entity; then come every initial value, every
+    final value, every attribution, each segment total, the total change,
+    the residual and the converged flag.  Floats fill their fields as
+    float.__repr__ writes them, which is how json.dumps writes finite floats.
+    """
+
+    def literal(name: str) -> str:
+        return encode_basestring_ascii(name).replace("{", "{{").replace("}", "}}")
+
+    n = len(variables)
+    m = literal(method)
+    lines = [
+        '{{"record": "attribution", "entity": {0}, "method": ' + m + ', "variable": ' + literal(name)
+        + ', "initial": {%d}, "final": {%d}, "attribution": {%d}}}' % (i, i + n, i + 2 * n)
+        for i, name in enumerate(variables, 1)
+    ]
+    for j, label in enumerate(labels, 3 * n + 1):
+        lines.append('{{"record": "segment", "entity": {0}, "segment": ' + literal(label) + ', "attribution": {%d}}}' % j)
+    k = 3 * n + len(labels)
+    lines.append(
+        '{{"record": "summary", "entity": {0}, "method": ' + m
+        + ', "total_change": {%d}, "residual": {%d}, "converged": {%d}}}' % (k + 1, k + 2, k + 3)
+    )
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +319,7 @@ def mix_effects_demo() -> MixEffectsReport:
     segments is the meaningful way to aggregate; attributing blended
     aggregates can even flip the sign.
     """
-    snap = ValueSnapshot("advertiser", dict(_MIX_VALUES))
-    [segmented] = run_report(_MIX_SEGMENTED, [snap])
+    [segmented] = run_report(_MIX_SEGMENTED, _one_entity("advertiser", _MIX_VALUES))
 
     def spend(cpc_s, clicks_s, cpc_c, clicks_c):
         return cpc_s * clicks_s + cpc_c * clicks_c
@@ -290,10 +330,8 @@ def mix_effects_demo() -> MixEffectsReport:
     clicks1 = fin["clicks_search"] + fin["clicks_content"]
     overall0 = spend(*(ini[k] for k in _MIX_SEGMENTED.variables)) / clicks0
     overall1 = spend(*(fin[k] for k in _MIX_SEGMENTED.variables)) / clicks1
-    agg_snap = ValueSnapshot(
-        "advertiser", {"cpc_overall": (overall0, overall1), "clicks_total": (clicks0, clicks1)}
-    )
-    [aggregate] = run_report(_MIX_AGGREGATE, [agg_snap])
+    agg_values = {"cpc_overall": (overall0, overall1), "clicks_total": (clicks0, clicks1)}
+    [aggregate] = run_report(_MIX_AGGREGATE, _one_entity("advertiser", agg_values))
 
     cpc_by_segment = {
         "search": segmented.z[_MIX_SEGMENTED.variables.index("cpc_search")],
@@ -309,6 +347,13 @@ def mix_effects_demo() -> MixEffectsReport:
         cpc_aggregate=cpc_aggregate,
         signs_differ=(cpc_segmented_total > 0) != (cpc_aggregate > 0),
     )
+
+
+def _one_entity(entity: str, values: dict[str, tuple[float, float]]) -> SnapshotTable:
+    """A snapshot table of one entity with values {variable: (initial, final)}."""
+    n = len(values)
+    initial, final = zip(*values.values())
+    return SnapshotTable((entity,), tuple(values), np.zeros(n, np.intp), np.arange(n), np.array(initial), np.array(final))
 
 
 def render_mix_effects(demo: MixEffectsReport) -> str:

@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from attrib.cli import main
 from attrib.models import parse_model, parse_snapshots
-from attrib.reports import mix_effects_demo, parse_order_weights, render_machine, render_text, run_report
+from attrib.reports import Report, mix_effects_demo, parse_order_weights, render_machine, render_text, run_report
 
 MODEL = """
 [variables]
@@ -32,8 +35,7 @@ def model_files(tmp_path):
 class TestRunReport:
     def test_exact_method(self):
         ms = parse_model(MODEL)
-        snap = parse_snapshots(VALUES)[0]
-        [report] = run_report(ms, [snap])
+        [report] = run_report(ms, parse_snapshots(VALUES))
         assert report.z == pytest.approx((51.5 / 6, 374 / 6, 90.5 / 6), rel=1e-12)
         assert report.total_change == pytest.approx(86.0, abs=1e-12)
         assert abs(report.residual) <= 1e-12
@@ -43,48 +45,47 @@ class TestRunReport:
 
     def test_naive_reports_residual(self):
         ms = parse_model(MODEL)
-        snap = parse_snapshots(VALUES)[0]
-        [report] = run_report(ms, [snap], "naive")
+        [report] = run_report(ms, parse_snapshots(VALUES), "naive")
         assert report.z == (18.0, 82.5, 30.0)
         assert report.residual == pytest.approx(44.5, abs=1e-12)
 
     def test_all_complete_methods_agree(self):
         ms = parse_model(MODEL)
-        snap = parse_snapshots(VALUES)[0]
-        [base] = run_report(ms, [snap], "ass")
+        snaps = parse_snapshots(VALUES)
+        [base] = run_report(ms, snaps, "ass")
         for method, tol in (("ss-brute", 1e-12), ("as-numeric", 1e-8)):
-            [other] = run_report(ms, [snap], method)
+            [other] = run_report(ms, snaps, method)
             assert other.z == pytest.approx(base.z, rel=tol)
             assert abs(other.residual) <= 1e-9
 
     def test_random_order_method(self, tmp_path):
         ms = parse_model(MODEL)
-        snap = parse_snapshots(VALUES)[0]
         orders = tmp_path / "orders.txt"
         orders.write_text("a p c : 0.5\nc p a : 0.5\n")
-        [report] = run_report(ms, [snap], f"random-order:{orders}")
+        [report] = run_report(ms, parse_snapshots(VALUES), f"random-order:{orders}")
         assert report.total_change == pytest.approx(86.0, abs=1e-9)
         assert abs(report.residual) <= 1e-10
 
     def test_domain_error_carries_entity_and_variable(self):
         text = MODEL + "[separable]\np : log 1 0 1\n"
         ms = parse_model(text)
-        snap = parse_snapshots("q3,a,4,5\nq3,p,-1,12\nq3,c,1,1.5\n")[0]
+        snaps = parse_snapshots("q3,a,4,5\nq3,p,-1,12\nq3,c,1,1.5\n")
         from attrib.models import ModelError
 
         with pytest.raises(ModelError, match="q3.*'p'"):
-            run_report(ms, [snap])
+            run_report(ms, snaps)
 
     def test_batch_matches_single_entity_calls(self):
         ms = parse_model(MODEL)
-        snaps = parse_snapshots("e1,a,4,5\ne1,p,1,12\ne1,c,1,1.5\ne2,a,2,1\ne2,p,3,3\ne2,c,-1,2\n")
+        rows = ["e1,a,4,5\ne1,p,1,12\ne1,c,1,1.5\n", "e2,a,2,1\ne2,p,3,3\ne2,c,-1,2\n"]
+        snaps = parse_snapshots("".join(rows))
         for method in ("ass", "naive", "ss-brute", "as-numeric"):
             batch = run_report(ms, snaps, method)
             assert [r.entity for r in batch] == ["e1", "e2"]
-            assert batch == [run_report(ms, [snap], method)[0] for snap in snaps]
+            assert batch == [run_report(ms, parse_snapshots(text), method)[0] for text in rows]
 
     def test_empty_batch(self):
-        assert run_report(parse_model(MODEL), []) == []
+        assert run_report(parse_model(MODEL), parse_snapshots("")) == []
 
     def test_compiles_once_per_batch(self, monkeypatch):
         from attrib import reports
@@ -105,8 +106,7 @@ class TestRunReport:
 
     def test_renderers(self):
         ms = parse_model(MODEL)
-        snap = parse_snapshots(VALUES)[0]
-        [report] = run_report(ms, [snap])
+        [report] = run_report(ms, parse_snapshots(VALUES))
         text = render_text(report)
         assert "residual" in text and "segment totals:" in text
         records = [json.loads(line) for line in render_machine(report).splitlines()]
@@ -114,6 +114,72 @@ class TestRunReport:
         assert kinds == {"attribution", "segment", "summary"}
         summary = [r for r in records if r["record"] == "summary"][0]
         assert summary["total_change"] == pytest.approx(86.0)
+
+
+def _machine_records(report: Report) -> list[dict]:
+    """render_machine's records built as dicts, the reference its template must match byte for byte."""
+    records = []
+    for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z):
+        records.append(
+            {
+                "record": "attribution",
+                "entity": report.entity,
+                "method": report.method,
+                "variable": name,
+                "initial": ini,
+                "final": fin,
+                "attribution": zv,
+            }
+        )
+    if report.segments:
+        for label in sorted(report.segments):
+            records.append(
+                {"record": "segment", "entity": report.entity, "segment": label, "attribution": report.segments[label]}
+            )
+    records.append(
+        {
+            "record": "summary",
+            "entity": report.entity,
+            "method": report.method,
+            "total_change": report.total_change,
+            "residual": report.residual,
+            "converged": report.converged,
+        }
+    )
+    return records
+
+
+_names = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f%{}é€\U0001d11e'), st.characters()), max_size=6)
+_numbers = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e16, 1e-5]))
+
+
+@st.composite
+def _reports(draw):
+    variables = tuple(draw(st.lists(_names, min_size=1, max_size=4, unique=True)))
+    n = len(variables)
+    return Report(
+        entity=draw(_names),
+        method=draw(st.one_of(st.sampled_from(["ass", "naive", "random-order"]), _names)),
+        variables=variables,
+        initial=tuple(draw(st.lists(_numbers, min_size=n, max_size=n))),
+        final=tuple(draw(st.lists(_numbers, min_size=n, max_size=n))),
+        z=tuple(draw(st.lists(_numbers, min_size=n, max_size=n))),
+        total_change=draw(_numbers),
+        residual=draw(_numbers),
+        converged=draw(st.booleans()),
+        segments=draw(st.one_of(st.none(), st.dictionaries(_names, _numbers, max_size=3))),
+    )
+
+
+class TestRenderMachine:
+    @given(_reports())
+    def test_equals_json_dumps_of_each_record(self, report):
+        assert render_machine(report) == "\n".join(json.dumps(rec) for rec in _machine_records(report))
+
+    def test_names_with_format_characters_render_verbatim(self):
+        report = Report("e{0}%s", "ass", ("a{1}", "%d", "}{"), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (0.5, -0.0, math.nan),
+                        math.nan, 0.0, False, {"{}": 0.5, "%%": 1e300})
+        assert render_machine(report) == "\n".join(json.dumps(rec) for rec in _machine_records(report))
 
 
 class TestOrderWeightsFile:
@@ -285,6 +351,32 @@ class TestCli:
         assert captured.out == ""
         assert "entity 'q3'" in captured.err and "variable 'p'" in captured.err
 
+    def test_snapshot_mismatch_names_the_entity(self, model_files, tmp_path, capsys):
+        model, _ = model_files
+        values = tmp_path / "values.csv"
+        values.write_text(VALUES + "q3,a,1,2\nq3,z,1,2\n")
+        assert main(["--model", model, "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: entity 'q3': snapshot 'q3' does not match the model: missing p, c; unknown z\n"
+
+    def test_files_with_a_byte_order_mark(self, tmp_path, capsys):
+        # Excel and Windows editors start UTF-8 files with U+FEFF
+        model = tmp_path / "model.txt"
+        model.write_text(MODEL, encoding="utf-8-sig")
+        values = tmp_path / "values.csv"
+        values.write_text(VALUES, encoding="utf-8-sig")
+        orders = tmp_path / "orders.txt"
+        orders.write_text("a p c : 0.5\nc p a : 0.5\n", encoding="utf-8-sig")
+        assert main(["--model", str(model), "--values", str(values), "--method", f"random-order:{orders}"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "entity: q2" in captured.out and "total change: 86" in captured.out
+        dag = tmp_path / "graph.txt"
+        dag.write_text("[nodes]\na t\n[sink]\nt\n[starts]\na : s_a\n[edges]\na t : p\n", encoding="utf-8-sig")
+        values.write_text("e,s_a,10,20\ne,p,0.5,0.25\n", encoding="utf-8-sig")
+        assert main(["--dag", str(dag), "--values", str(values)]) == 0
+        assert "entity: e" in capsys.readouterr().out
+
     def test_import_does_not_load_scipy(self):
         import os
         import subprocess
@@ -312,6 +404,17 @@ class TestCli:
         assert main(["--axiom-suite", "--trials", trials]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "at least one trial" in captured.err
+
+    def test_axiom_suite_refuses_random_order(self, tmp_path, capsys):
+        orders = tmp_path / "w.txt"
+        orders.write_text("a p c : 1\n")
+        assert main(["--axiom-suite", "--method", f"random-order:{orders}", "--trials", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --axiom-suite cannot check random-order:{orders}: the suite's instances have unnamed"
+            " variables, so no weights file can list their orders\n"
+        )
 
     def test_axiom_suite_machine(self, capsys):
         assert main(["--axiom-suite", "--trials", "3", "--report", "machine"]) == 0

@@ -231,18 +231,18 @@ class TestSnapshots:
         text = "entity,variable,initial,final\nq2,a,4,5\nq2,p,1,12\nq2,c,1,1.5\n"
         snaps = parse_snapshots(text)
         assert len(snaps) == 1
-        vp = snaps[0].pair_for(procurement_model())
-        assert vp == ValuePair((4.0, 1.0, 1.0), (5.0, 12.0, 1.5))
+        R, S = snaps.columns(procurement_model().variables)
+        assert ValuePair(*R.tolist(), *S.tolist()) == ValuePair((4.0, 1.0, 1.0), (5.0, 12.0, 1.5))
 
     def test_multiple_entities_preserve_order(self):
         text = "e2,a,1,2\ne1,a,3,4\ne2,p,0,0\ne2,c,0,0\ne1,p,0,0\ne1,c,0,0\n"
         snaps = parse_snapshots(text)
-        assert [s.entity for s in snaps] == ["e2", "e1"]
+        assert snaps.entities == ("e2", "e1")
 
     def test_missing_variable_rejected(self):
         snaps = parse_snapshots("q2,a,4,5\n")
         with pytest.raises(ModelError):
-            snaps[0].pair_for(procurement_model())
+            snaps.columns(procurement_model().variables)
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ModelError):
@@ -257,6 +257,61 @@ class TestSnapshots:
         text = f"entity,variable,initial,final\n\nq2,a,4,5\nq2,p,1,{token}\n"
         with pytest.raises(ModelError, match=rf"v\.csv:4: expected a finite number, got '{token}'"):
             parse_snapshots(text, "v.csv")
+
+    def test_columns_follow_the_model_order(self):
+        text = "e1,c,3,30\ne2,p,5,50\ne1,a,1,10\n e2 ,c,6,60\ne1, p ,2,20\ne2,a,4,40\n"
+        R, S = parse_snapshots(text).columns(("a", "p", "c"))
+        assert R.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert S.tolist() == [[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]]
+
+    def test_header_any_case_and_blank_rows_are_skipped(self):
+        text = "\n  \n,,,\n Entity , VARIABLE ,Initial,FINAL\nq,a,1,2\n\n , , , \nq,p,3,4\n"
+        snaps = parse_snapshots(text)
+        assert snaps.variables == ("a", "p")
+        assert snaps.initial.tolist() == [1.0, 3.0] and snaps.final.tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a header is only the first non-blank row
+            ("q,a,1,2\nentity,variable,initial,final\n", "v.csv:2: expected a number, got 'initial'"),
+            ("q,a,1,2\nq,p,1\n", "v.csv:2: expected entity,variable,initial,final"),
+            ("q,a,1,2,3\n", "v.csv:1: expected entity,variable,initial,final"),
+            ("\n  \n,,,\nq,a,1,x\n", "v.csv:4: expected a number, got 'x'"),
+            ("q,a,,2\n", "v.csv:1: expected a number, got ''"),
+            ("q,a,a,b\n", "v.csv:1: expected a number, got 'a'"),
+            ("q,a,1, 1e999 \n", "v.csv:1: expected a finite number, got '1e999'"),
+            ("q,a,1,2\nq,p,1,2\n q ,a ,3,4\n", "v.csv:3: variable 'a' listed twice for entity 'q'"),
+            # the first offending line in file order, whatever its kind
+            ("q,a,1,2\nq,a,1,2\nq,p,x,2\n", "v.csv:2: variable 'a' listed twice for entity 'q'"),
+            ("q,a,1,2\nq,p,x,2\nq,a,1,2\n", "v.csv:2: expected a number, got 'x'"),
+            # a quoted cell spanning lines: the line is the row's last physical line
+            ('"q\nx",a,1,2\n"q\nx",p,1,oops\n', "v.csv:4: expected a number, got 'oops'"),
+        ],
+    )
+    def test_row_errors_name_file_and_line(self, text, message):
+        with pytest.raises(ModelError) as info:
+            parse_snapshots(text, "v.csv")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("q,a,1,2\nq,p,1,2\n", "snapshot 'q' does not match the model: missing c"),
+            ("q,a,1,2\nq,p,1,2\nq,c,1,2\nq,z,1,2\nq,y,1,2\n", "snapshot 'q' does not match the model: unknown z, y"),
+            # the first bad entity in entity order; unknown names in its file order
+            (
+                "r,a,1,2\nq,x,1,2\nq,y,1,2\nr,y,1,2\nr,x,1,2\n",
+                "snapshot 'r' does not match the model: missing p, c; unknown y, x",
+            ),
+        ],
+    )
+    def test_entity_mismatch_names_the_entity(self, text, message):
+        snaps = parse_snapshots(text)
+        with pytest.raises(ModelError) as info:
+            snaps.columns(procurement_model().variables)
+        assert str(info.value) == message
+        assert snaps.entities[info.value.row] == message.split("'")[1]
 
 
 class TestPresets:

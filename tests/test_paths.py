@@ -47,6 +47,11 @@ class TestAffinePath:
         # at t=0.25 the first variable is halfway, the second has not moved
         assert point.tolist() == [[2.0, 10.0]]
 
+    @pytest.mark.parametrize("order", [(), (1, 3), (1, 1)])
+    def test_edge_walk_rejects_non_order(self, order):
+        with pytest.raises(ValueError, match="empty order" if not order else "not an order over"):
+            edge_walk(order)
+
     def test_any_path_ends_at_final(self):
         vp = ValuePair((1.0, -1.0, 2.0), (4.0, 5.0, -3.0))
         for base in (straight_line(), edge_walk((2, 3, 1)), tabulated_path((0.0, 0.5, 1.0), [(0.0, 0.2, 1.0)] * 3)):
