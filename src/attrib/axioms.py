@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from .core import (
@@ -54,14 +54,7 @@ class AxiomVerdict:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "passed": self.passed,
-            "worst": self.worst,
-            "trials": self.trials,
-            "counterexample": self.counterexample,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .axioms import InstanceGenerator, run_axiom_suite
-from .models import ModelError, parse_dag, parse_model, parse_snapshots
+from .models import ModelError, parse_dag, parse_model, parse_snapshots, read_text
 from .reports import mix_effects_demo, render_machine, render_mix_effects, render_text, resolve_method, run_report
 
 EXIT_OK = 0
@@ -70,13 +70,10 @@ def _run_reports(args) -> int:
     if not args.values:
         raise ModelError("--values is required")
     if args.model:
-        with open(args.model, encoding="utf-8-sig") as handle:
-            model = parse_model(handle.read(), args.model)
+        model = parse_model(read_text(args.model), args.model)
     else:
-        with open(args.dag, encoding="utf-8-sig") as handle:
-            model = parse_dag(handle.read(), args.dag)
-    with open(args.values, encoding="utf-8-sig") as handle:
-        snaps = parse_snapshots(handle.read(), args.values)
+        model = parse_dag(read_text(args.dag), args.dag)
+    snaps = parse_snapshots(read_text(args.values), args.values)
     if not snaps:
         raise ModelError(f"{args.values}: no snapshot rows")
     reports = run_report(model, snaps, args.method, tol=args.tol, max_refine=args.max_refine)
@@ -102,7 +99,7 @@ def main(argv=None) -> int:
         if not (args.model or args.dag):
             parser.error("one of --model, --dag, --axiom-suite, --demo is required")
         return _run_reports(args)
-    except (ModelError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ModelError, the input errors, is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -439,11 +439,11 @@ def combine(f1: CharacteristicFunction, f2: CharacteristicFunction, a: float = 1
     return CharacteristicFunction(MultilinearPoly(f1.n, terms), sep)
 
 
-def _check_permutation(sigma: Sequence[int], n: int) -> tuple[int, ...]:
-    sig = tuple(int(v) for v in sigma)
-    if len(sig) != n or sorted(sig) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {sigma}")
-    return sig
+def _check_permutation(order: Sequence[int], n: int) -> Sequence[int]:
+    """order itself, if it lists each of 1..n exactly once; ValueError otherwise."""
+    if len(order) != n or sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"not an order over 1..{n}: {order}")
+    return order
 
 
 def permute_variables(f: CharacteristicFunction, sigma: Sequence[int]) -> CharacteristicFunction:
@@ -452,7 +452,7 @@ def permute_variables(f: CharacteristicFunction, sigma: Sequence[int]) -> Charac
     A monomial over the index set I becomes a monomial over sigma(I), so the
     result g satisfies g(y) = f(x) whenever y[sigma(i)-1] = x[i-1].
     """
-    sig = _check_permutation(sigma, f.n)
+    sig = tuple(map(int, _check_permutation(sigma, f.n)))
     terms = {tuple(sorted(sig[j - 1] for j in I)): c for I, c in f.multilinear.terms.items()}
     sep = tuple(t.reindexed(sig[t.index - 1]) for t in f.separable)
     return CharacteristicFunction(MultilinearPoly(f.n, terms), sep)
@@ -460,7 +460,7 @@ def permute_variables(f: CharacteristicFunction, sigma: Sequence[int]) -> Charac
 
 def permute_vector(sigma: Sequence[int], x: Sequence[float]) -> tuple[float, ...]:
     """Move x's entry for variable i into slot sigma[i-1] (companion to permute_variables)."""
-    sig = _check_permutation(sigma, len(x))
+    sig = tuple(map(int, _check_permutation(sigma, len(x))))
     out = [0.0] * len(x)
     for i, v in enumerate(x):
         out[sig[i] - 1] = v

@@ -28,12 +28,21 @@ Snapshots are CSV rows ``entity,variable,initial,final`` (header optional),
 parsed into one columnar `SnapshotTable`: entity and variable names, per-row
 indices into them and per-row initial and final float arrays, which
 `SnapshotTable.columns` maps onto a model's variables as E x n arrays.
-Numbers are parsed as decimal doubles; ``format_model`` writes coefficients
-with repr so a round trip is bit exact.
+
+Order-weight files, for ``random-order:``, hold one line per variable order::
+
+    a p c : 0.5            # names in the order they move ':' weight
+
+All four grammars live here, and `read_text` is the one reader of their
+files: UTF-8, with an optional byte order mark.  A parse error is a
+`ModelError` naming the file and, where there is one, the line.  Numbers
+are parsed as decimal doubles; ``format_model`` writes coefficients with
+repr so a round trip is bit exact.
 """
 from __future__ import annotations
 
 import csv
+import graphlib
 import io
 import math
 from dataclasses import dataclass, field
@@ -41,7 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CharacteristicFunction, SeparableTerm, from_terms
+from .core import CharacteristicFunction, SeparableTerm, _check_permutation, from_terms
+from .oracles import PermutationWeights
 
 __all__ = [
     "ModelError",
@@ -54,6 +64,8 @@ __all__ = [
     "parse_dag",
     "compile_dag",
     "parse_snapshots",
+    "parse_order_weights",
+    "read_text",
     "procurement_model",
     "payperclick_model",
     "portfolio_model",
@@ -107,6 +119,15 @@ def compile_model(ms: ModelSpec) -> CharacteristicFunction:
 
 # ---------------------------------------------------------------------------
 # text format
+
+
+def read_text(path: str) -> str:
+    """The text of an input file: UTF-8, a leading byte order mark dropped, newlines read as \\n."""
+    with open(path, encoding="utf-8-sig") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ModelError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
 
 
 def _strip(line: str) -> str:
@@ -189,10 +210,7 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
         except ValueError as exc:
             raise ModelError(f"{path}:{lineno}: {exc}") from None
         sep_terms.append((name, fields[0], params))
-    try:
-        return ModelSpec(tuple(variables), tuple(ml_terms), tuple(sep_terms), segments)
-    except ValueError as exc:
-        raise ModelError(f"{path}: {exc}") from None
+    return ModelSpec(tuple(variables), tuple(ml_terms), tuple(sep_terms), segments)
 
 
 def format_model(ms: ModelSpec) -> str:
@@ -284,29 +302,22 @@ def parse_dag(text: str, path: str = "<dag>") -> DagModel:
             raise ModelError(f"{path}:{lineno}: edge line needs two node names, got {line!r}")
         edges.append((ends[0], ends[1], var.strip()))
     try:
-        return DagModel(nodes, sink_tokens[0], starts, tuple(edges))
+        d = DagModel(nodes, sink_tokens[0], starts, tuple(edges))
+        _toposort(d)
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from None
+    return d
 
 
 def _toposort(d: DagModel) -> list[str]:
-    out: dict[str, list[str]] = {n: [] for n in d.nodes}
-    indeg = {n: 0 for n in d.nodes}
+    """The nodes in an order that puts the tail of every edge before its head."""
+    sorter = graphlib.TopologicalSorter({node: () for node in d.nodes})
     for u, v, _ in d.edges:
-        out[u].append(v)
-        indeg[v] += 1
-    ready = [n for n in d.nodes if indeg[n] == 0]
-    order = []
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        for v in out[n]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if len(order) != len(d.nodes):
-        raise ModelError("graph has a cycle")
-    return order
+        sorter.add(v, u)
+    try:
+        return list(sorter.static_order())
+    except graphlib.CycleError as exc:
+        raise ModelError(f"graph has a cycle: {' -> '.join(exc.args[1])}") from None
 
 
 def compile_dag(d: DagModel) -> ModelSpec:
@@ -335,18 +346,17 @@ def compile_dag(d: DagModel) -> ModelSpec:
     variables = [d.starts[node] for node in d.nodes if node in d.starts]
     variables += [name for _, _, name in d.edges]
     terms: list[tuple[tuple[str, ...], float]] = []
-
-    def walk(node: str, used: list[str], start_var: str):
-        if node == d.sink:
-            terms.append(((start_var, *used), 1.0))
-            return
-        for v, name in out_edges[node]:
-            if count[v] > 0 or v == d.sink:
-                walk(v, used + [name], start_var)
-
     for node in d.nodes:
-        if node in d.starts:
-            walk(node, [], d.starts[node])
+        if node not in d.starts:
+            continue
+        # depth first, each node's edges in file order, on an explicit stack so long chains cannot overflow
+        stack = [(node, (d.starts[node],))]
+        while stack:
+            at, route = stack.pop()
+            if at == d.sink:
+                terms.append((route, 1.0))
+            else:
+                stack.extend((v, (*route, name)) for v, name in reversed(out_edges[at]) if count[v] > 0)
     return ModelSpec(tuple(variables), tuple(terms))
 
 
@@ -381,9 +391,8 @@ class SnapshotTable:
     def columns(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """E x n initial and final arrays: row e for entities[e], column j for names[j].
 
-        Raises ModelError for the first entity, in entity order, that misses
-        one of the names or lists a variable not among them; the error
-        carries that entity's row number as ``exc.row``.
+        Raises ModelError naming the first entity, in entity order, that
+        misses one of the names or lists a variable not among them.
         """
         col = {name: j for j, name in enumerate(names)}
         cols = np.array([col.get(v, -1) for v in self.variables], dtype=np.intp)[self.variable]
@@ -393,27 +402,25 @@ class SnapshotTable:
         bad = np.bincount(self.entity[known], minlength=shape[0]) != shape[1]
         bad |= np.bincount(self.entity[~known], minlength=shape[0]) > 0
         if bad.any():
-            raise self._mismatch(int(bad.argmax()), names)
+            raise ModelError(self._mismatch(int(bad.argmax()), names))
         R = np.empty(shape)
         S = np.empty(shape)
         R[self.entity, cols] = self.initial
         S[self.entity, cols] = self.final
         return R, S
 
-    def _mismatch(self, row: int, names: Sequence[str]) -> ModelError:
+    def _mismatch(self, row: int, names: Sequence[str]) -> str:
         """The error for entities[row]: model names it misses, in model order, and names it lists that the model lacks, in file order."""
         listed = [self.variables[v] for v in self.variable[self.entity == row].tolist()]
         present, known = set(listed), set(names)
         parts = []
         missing = [v for v in names if v not in present]
         if missing:
-            parts.append(f"missing {', '.join(missing)}")
+            parts.append(f"missing {', '.join(map(repr, missing))}")
         extra = [v for v in listed if v not in known]
         if extra:
-            parts.append(f"unknown {', '.join(extra)}")
-        exc = ModelError(f"snapshot {self.entities[row]!r} does not match the model: {'; '.join(parts)}")
-        exc.row = row
-        return exc
+            parts.append(f"unknown {', '.join(map(repr, extra))}")
+        return f"entity {self.entities[row]!r} does not match the model: {'; '.join(parts)}"
 
 
 def parse_snapshots(text: str, path: str = "<values>") -> SnapshotTable:
@@ -427,7 +434,10 @@ def parse_snapshots(text: str, path: str = "<values>") -> SnapshotTable:
     physical line (the last line of a quoted multi-line row) of the first
     offending row.
     """
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error:  # a cell over the csv module's field size limit, or a NUL before Python 3.11
+        rows = [[]]  # not 4 cells, so the sequential pass runs and names the line
     if rows and _is_header(rows[0]):
         del rows[0]
     table = _snapshot_table(rows)
@@ -471,21 +481,56 @@ def _codes(names) -> tuple[tuple[str, ...], np.ndarray]:
 def _checked_rows(text: str, path: str) -> list[list[str]]:
     """The data rows, checked one by one in file order; raises ModelError naming the first bad line."""
     reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, row) for row in reader if row and any(cell.strip() for cell in row)]
-    if rows and _is_header(rows[0][1]):
-        rows = rows[1:]
+    rows: list[list[str]] = []
     seen: dict[str, set[str]] = {}
-    for lineno, row in rows:
-        if len(row) != 4:
-            raise ModelError(f"{path}:{lineno}: expected entity,variable,initial,final")
-        entity, var = row[0].strip(), row[1].strip()
-        _parse_float(row[2].strip(), f"{path}:{lineno}")
-        _parse_float(row[3].strip(), f"{path}:{lineno}")
-        listed = seen.setdefault(entity, set())
-        if var in listed:
-            raise ModelError(f"{path}:{lineno}: variable {var!r} listed twice for entity {entity!r}")
-        listed.add(var)
-    return [row for _, row in rows]
+    try:
+        for k, row in enumerate(row for row in reader if any(cell.strip() for cell in row)):
+            if k == 0 and _is_header(row):
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 4:
+                raise ModelError(f"{where}: expected entity,variable,initial,final")
+            entity, var = row[0].strip(), row[1].strip()
+            _parse_float(row[2].strip(), where)
+            _parse_float(row[3].strip(), where)
+            listed = seen.setdefault(entity, set())
+            if var in listed:
+                raise ModelError(f"{where}: variable {var!r} listed twice for entity {entity!r}")
+            listed.add(var)
+            rows.append(row)
+    except csv.Error as exc:
+        raise ModelError(f"{path}:{reader.line_num}: {exc}") from None
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# order weights
+
+
+def parse_order_weights(text: str, variables: Sequence[str], path: str = "<weights>") -> PermutationWeights:
+    """Weights file: one ``name name ... : weight`` line per variable order; a repeated order adds up."""
+    index = {name: i for i, name in enumerate(variables, 1)}
+    weights: dict[tuple[int, ...], float] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = _strip(raw)
+        if not line:
+            continue
+        if ":" not in line:
+            raise ModelError(f"{path}:{lineno}: expected 'names : weight'")
+        lhs, rhs = line.rsplit(":", 1)
+        names = lhs.split()
+        try:
+            order = tuple(index[name] for name in names)
+            _check_permutation(order, len(variables))
+        except KeyError:
+            raise ModelError(f"{path}:{lineno}: unknown variable in order {names}") from None
+        except ValueError:
+            raise ModelError(f"{path}:{lineno}: order {' '.join(names)!r} does not list each of {' '.join(variables)!r} exactly once") from None
+        weights[order] = weights.get(order, 0.0) + _parse_float(rhs.strip(), f"{path}:{lineno}")
+    try:
+        return PermutationWeights(weights)
+    except ValueError as exc:
+        raise ModelError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

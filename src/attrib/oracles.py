@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, ValuePair, _exact_sum
+from .core import AttributionResult, ValuePair, _check_permutation, _exact_sum
 
 __all__ = [
     "ORDER_CAP",
@@ -53,8 +53,7 @@ class PermutationWeights:
         n = len(next(iter(self.weights)))
         total = 0.0
         for order, w in self.weights.items():
-            if sorted(order) != list(range(1, n + 1)):
-                raise ValueError(f"not an order over 1..{n}: {order}")
+            _check_permutation(order, n)
             if not (w >= 0.0 and math.isfinite(w)):
                 raise ValueError(f"weight {w} for order {order} is not a finite nonnegative number")
             total += w

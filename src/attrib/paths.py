@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum, gradients
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _check_permutation, _exact_sum, gradients
 
 __all__ = [
     "QuadratureConfig",
@@ -109,14 +109,12 @@ def straight_line() -> BasePath:
 
 def edge_walk(order: Sequence[int]) -> BasePath:
     """Walk the cube edges, moving one variable at a time in the given order (1-based)."""
-    moves = tuple(int(v) for v in order)
-    n = len(moves)
+    n = len(order)
     if not n:
         raise ValueError("empty order: an edge walk moves at least one variable")
-    if sorted(moves) != list(range(1, n + 1)):
-        raise ValueError(f"not an order over 1..{n}: {order}")
+    _check_permutation(order, n)
     rank = np.empty(n)  # 0-based slot in which each variable moves
-    rank[[v - 1 for v in moves]] = range(n)
+    rank[[int(v) - 1 for v in order]] = range(n)
 
     def g(t: np.ndarray) -> np.ndarray:
         return np.clip(t[:, None] * n - rank, 0.0, 1.0)

@@ -3,12 +3,15 @@
 `run_report` takes a model and a `SnapshotTable`, compiles the model once,
 maps the table onto the model's columns as E x n initial and final arrays,
 and attributes every entity: ``ass`` in one batch kernel call, other
-methods one row at a time.  `render_machine` writes a report's JSON Lines
-records by filling one template per (variables, method, segment labels),
-byte for byte what ``json.dumps`` writes for each record.
+methods one row at a time.  `resolve_method` is the one map from a method
+id to its kernel; a ``random-order:`` id reads its weights file through
+`attrib.models`, which holds every file grammar.  `render_machine` writes a
+report's JSON Lines records by filling one template per (variables, method,
+segment labels), byte for byte what ``json.dumps`` writes for each record.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,15 +22,14 @@ import numpy as np
 
 from .core import AttributionResult, ValuePair
 from .exact import attribute_ass, attribute_ass_batch, attribute_naive
-from .models import DagModel, ModelError, ModelSpec, SnapshotTable, _parse_float, compile_dag, compile_model
-from .oracles import PermutationWeights, random_order_attribution, shapley_shubik_bruteforce
+from .models import DagModel, ModelError, ModelSpec, SnapshotTable, compile_dag, compile_model, parse_order_weights, read_text
+from .oracles import random_order_attribution, shapley_shubik_bruteforce
 from .paths import QuadratureConfig, attribute_aumann_shapley
 
 __all__ = [
     "METHOD_IDS",
     "Report",
     "resolve_method",
-    "parse_order_weights",
     "run_report",
     "render_text",
     "render_machine",
@@ -51,30 +53,6 @@ class Report:
     residual: float
     converged: bool
     segments: dict[str, float] | None = None
-
-
-def parse_order_weights(text: str, variables: Sequence[str], path: str = "<weights>") -> PermutationWeights:
-    """Weights file: one ``name name ... : weight`` line per variable order."""
-    weights: dict[tuple[int, ...], float] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ModelError(f"{path}:{lineno}: expected 'names : weight'")
-        lhs, rhs = line.rsplit(":", 1)
-        names = lhs.split()
-        try:
-            order = tuple(list(variables).index(name) + 1 for name in names)
-        except ValueError:
-            raise ModelError(f"{path}:{lineno}: unknown variable in order {names}") from None
-        if sorted(order) != list(range(1, len(variables) + 1)):
-            raise ModelError(f"{path}:{lineno}: order {' '.join(names)!r} does not list each of {' '.join(variables)!r} exactly once")
-        weights[order] = weights.get(order, 0.0) + _parse_float(rhs.strip(), f"{path}:{lineno}")
-    try:
-        return PermutationWeights(weights)
-    except ValueError as exc:
-        raise ModelError(f"{path}: {exc}") from None
 
 
 def _ass(f, vp: ValuePair | tuple[np.ndarray, np.ndarray]):
@@ -108,8 +86,7 @@ def resolve_method(
         return lambda f, vp: attribute_aumann_shapley(f, vp, q)
     if method_id.startswith("random-order:"):
         source = method_id.split(":", 1)[1]
-        with open(source, encoding="utf-8-sig") as handle:
-            pw = parse_order_weights(handle.read(), variables, source)
+        pw = parse_order_weights(read_text(source), variables, source)
         return lambda f, vp: random_order_attribution(f, vp, pw)
     raise ModelError(f"unknown method {method_id!r}; known: {', '.join(METHOD_IDS)}")
 
@@ -136,17 +113,12 @@ def run_report(
     ms = compile_dag(model) if isinstance(model, DagModel) else model
     f = compile_model(ms)
     handle = resolve_method(method, ms.variables, tol, max_refine)
-    try:
-        R, S = snaps.columns(ms.variables)
-    except ModelError as exc:
-        raise _located(ms, snaps.entities[exc.row], exc) from exc
+    R, S = snaps.columns(ms.variables)
     rows = list(zip(snaps.entities, R.tolist(), S.tolist()))
     if method == "ass":
         try:
             results = handle(f, (R, S))
-        except (ValueError, OverflowError) as exc:
-            if not hasattr(exc, "row"):
-                raise
+        except (ValueError, OverflowError) as exc:  # the batch kernel numbers the entity's row
             raise _located(ms, snaps.entities[exc.row], exc) from exc
     else:
         results = []
@@ -222,18 +194,9 @@ def render_machine(report: Report) -> str:
         report.residual,
     )
     if not math.isfinite(sum(numbers)):  # some number is nan or infinite, or the sum overflows
-        numbers = tuple(map(_json_number, numbers))
+        numbers = tuple(map(json.dumps, numbers))
     template = _machine_template(report.variables, report.method, labels)
     return template.format(encode_basestring_ascii(report.entity), *numbers, "true" if report.converged else "false")
-
-
-def _json_number(x: float) -> str:
-    """x as json.dumps writes it."""
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return repr(x)
 
 
 @lru_cache(maxsize=16)

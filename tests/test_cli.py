@@ -75,6 +75,16 @@ class TestRunReport:
         with pytest.raises(ModelError, match="q3.*'p'"):
             run_report(ms, snaps)
 
+    @pytest.mark.parametrize("method", ["naive", "ss-brute", "as-numeric"])
+    def test_per_entity_methods_name_the_failing_entity(self, method):
+        ms = parse_model(MODEL + "[separable]\np : log 1 0 1\n")
+        snaps = parse_snapshots(VALUES + "q3,a,4,5\nq3,p,-1,12\nq3,c,1,1.5\n")
+        from attrib.models import ModelError
+
+        with pytest.raises(ModelError) as info:
+            run_report(ms, snaps, method)
+        assert str(info.value) == "entity 'q3': log term on variable 2 got nonpositive argument -1.0 (variable 'p')"
+
     def test_batch_matches_single_entity_calls(self):
         ms = parse_model(MODEL)
         rows = ["e1,a,4,5\ne1,p,1,12\ne1,c,1,1.5\n", "e2,a,2,1\ne2,p,3,3\ne2,c,-1,2\n"]
@@ -358,7 +368,49 @@ class TestCli:
         assert main(["--model", model, "--values", str(values)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: entity 'q3': snapshot 'q3' does not match the model: missing p, c; unknown z\n"
+        assert captured.err == "error: entity 'q3' does not match the model: missing 'p', 'c'; unknown 'z'\n"
+
+    def test_graph_cycle_names_the_file_and_the_cycle(self, tmp_path, capsys):
+        dag = tmp_path / "g.txt"
+        dag.write_text("[nodes]\na b t\n[sink]\nt\n[starts]\na : s\n[edges]\na b : x\nb a : y\na t : z\n")
+        values = tmp_path / "v.csv"
+        values.write_text("e,s,1,2\ne,x,1,2\ne,y,1,2\ne,z,1,2\n")
+        assert main(["--dag", str(dag), "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {dag}: graph has a cycle: a -> b -> a\n"
+
+    def test_model_and_dag_together(self, model_files, capsys):
+        model, values = model_files
+        assert main(["--model", model, "--dag", model, "--values", values]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: give either --model or --dag, not both\n"
+
+    def test_values_with_only_a_header(self, model_files, tmp_path, capsys):
+        model, _ = model_files
+        values = tmp_path / "v.csv"
+        values.write_text("entity,variable,initial,final\n")
+        assert main(["--model", model, "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {values}: no snapshot rows\n"
+
+    def test_undecodable_values_file_is_named(self, model_files, tmp_path, capsys):
+        model, _ = model_files
+        values = tmp_path / "v.csv"
+        values.write_bytes("q2,a,4,5\nq2,pé,1,12\n".encode("cp1252"))
+        assert main(["--model", model, "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {values}: not UTF-8 text: byte 0xe9 (invalid continuation byte)\n"
+
+    def test_random_order_weights_over_another_variable_count(self, model_files, tmp_path, capsys):
+        model, values = model_files
+        orders = tmp_path / "w.txt"
+        orders.write_text("a p : 0.5\np a : 0.5\n")
+        assert main(["--model", model, "--values", values, "--method", f"random-order:{orders}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {orders}:1: order 'a p' does not list each of 'a p c' exactly once\n"
 
     def test_files_with_a_byte_order_mark(self, tmp_path, capsys):
         # Excel and Windows editors start UTF-8 files with U+FEFF
@@ -393,6 +445,13 @@ class TestCli:
         assert main(["--demo", "mix-effects"]) == 0
         out = capsys.readouterr().out
         assert "150.5" in out and "-2396.78960396" in out
+
+    def test_demo_machine(self, capsys):
+        assert main(["--demo", "mix-effects", "--report", "machine"]) == 0
+        demo = mix_effects_demo()
+        records = _machine_records(demo.segmented) + _machine_records(demo.aggregate)
+        assert capsys.readouterr().out == "".join(json.dumps(rec) + "\n" for rec in records)
+        assert [rec["record"] for rec in records].count("summary") == 2
 
     def test_axiom_suite_quick(self, capsys):
         assert main(["--axiom-suite", "--trials", "5", "--seed", "1"]) == 0

@@ -1,5 +1,7 @@
+import csv
 import math
 import random
+import sys
 
 import pytest
 
@@ -19,6 +21,7 @@ from attrib.models import (
     payperclick_model,
     portfolio_model,
     procurement_model,
+    read_text,
 )
 
 MODEL_TEXT = """
@@ -127,6 +130,21 @@ class TestModelFormat:
         with pytest.raises(ModelError, match=r"m\.txt:5: variable 'a' already has segment 'x'"):
             parse_model("[variables]\na\n[segments]\na : x\na : y\n", "m.txt")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a b\n[variables]\na b\n", "m.txt:1: content before any [section] header"),
+            ("[variables]\na b\n[segments]\na x\n", "m.txt:4: segment line needs 'name : label', got 'a x'"),
+            ("[variables]\na b\n[multilinear]\na b 1\n", "m.txt:4: term line needs 'names : coefficient', got 'a b 1'"),
+            ("[variables]\na b\n[separable]\na poly 0 1\n", "m.txt:4: separable line needs 'name : kind params', got 'a poly 0 1'"),
+            ("[variables]\na b\n[separable]\na : poly\n", "m.txt:4: separable line needs a kind and parameters, got 'a : poly'"),
+        ],
+    )
+    def test_malformed_lines_name_file_and_line(self, text, message):
+        with pytest.raises(ModelError) as info:
+            parse_model(text, "m.txt")
+        assert str(info.value) == message
+
     def test_compile_rejects_repeated_variable_in_spec_built_in_code(self):
         with pytest.raises(ModelError, match="variable repeated within one term"):
             compile_model(ModelSpec(("a",), ((("a", "a"), 1.0),)))
@@ -168,6 +186,48 @@ class TestDag:
             parse_dag("[nodes]\na t\n[sink]\nt\n[starts]\na : s_a\n[edges]\na q : p\n", "g.txt")
         with pytest.raises(ModelError, match=r"g\.txt: sink 'x' is not a node"):
             parse_dag("[nodes]\na t\n[sink]\nx\n", "g.txt")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[sink]\nt\n", "g.txt: missing [nodes] section"),
+            ("[nodes]\na t\n", "g.txt: missing [sink] section"),
+            ("[nodes]\na t\n[sink]\na t\n", "g.txt: exactly one sink expected"),
+            ("[nodes]\na t\n[sink]\nt\n[starts]\na s_a\n", "g.txt:6: start line needs 'node : variable', got 'a s_a'"),
+            ("[nodes]\na t\n[sink]\nt\n[edges]\na t p\n", "g.txt:6: edge line needs 'from to : variable', got 'a t p'"),
+            ("[nodes]\na b t\n[sink]\nt\n[edges]\na b t : p\n", "g.txt:6: edge line needs two node names, got 'a b t : p'"),
+            ("[nodes]\na t\n[sink]\nt\n[edges]\na : p\n", "g.txt:6: edge line needs two node names, got 'a : p'"),
+            ("[nodes]\na a t\n[sink]\nt\n", "g.txt: node names must be unique"),
+            ("[nodes]\na b t\n[sink]\nt\n[starts]\na : s\nb : s\n", "g.txt: start variables must be distinct"),
+        ],
+    )
+    def test_malformed_graphs_name_the_file(self, text, message):
+        with pytest.raises(ModelError) as info:
+            parse_dag(text, "g.txt")
+        assert str(info.value) == message
+
+    def test_cycle_names_the_file_and_the_cycle(self):
+        text = "[nodes]\na b c t\n[sink]\nt\n[starts]\na : s\n[edges]\na b : x\nb c : y\nc a : w\na t : z\n"
+        with pytest.raises(ModelError) as info:
+            parse_dag(text, "g.txt")
+        assert str(info.value) == "g.txt: graph has a cycle: a -> b -> c -> a"
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 100
+        nodes = tuple(f"v{k}" for k in range(n))
+        edges = tuple((nodes[k], nodes[k + 1], f"e{k}") for k in range(n - 1))
+        ms = compile_dag(DagModel(nodes, nodes[-1], {nodes[0]: "s"}, edges))
+        assert ms.ml_terms == ((("s", *(f"e{k}" for k in range(n - 1))), 1.0),)
+
+    def test_routes_in_depth_first_file_order(self):
+        ms = compile_dag(ecommerce_dag_example())
+        assert [names for names, _ in ms.ml_terms] == [
+            ("s_home", "p_home_catalog", "p_catalog_item", "p_item_checkout"),
+            ("s_home", "p_home_catalog", "p_catalog_checkout"),
+            ("s_home", "p_home_item", "p_item_checkout"),
+            ("s_catalog", "p_catalog_item", "p_item_checkout"),
+            ("s_catalog", "p_catalog_checkout"),
+        ]
 
     def test_route_cap(self, monkeypatch):
         monkeypatch.setattr("attrib.models.ROUTE_CAP", 2)
@@ -270,6 +330,16 @@ class TestSnapshots:
         assert snaps.variables == ("a", "p")
         assert snaps.initial.tolist() == [1.0, 3.0] and snaps.final.tolist() == [2.0, 4.0]
 
+    def test_cell_over_the_csv_field_limit_names_file_and_line(self):
+        big = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(ModelError) as info:
+            parse_snapshots(f"entity,variable,initial,final\nq,a,1,2\nq,{big},1,2\n", "v.csv")
+        assert str(info.value) == f"v.csv:3: field larger than field limit ({csv.field_size_limit()})"
+        # an earlier bad line is still the one reported
+        with pytest.raises(ModelError) as info:
+            parse_snapshots(f"q,a,x,2\nq,{big},1,2\n", "v.csv")
+        assert str(info.value) == "v.csv:1: expected a number, got 'x'"
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -297,12 +367,18 @@ class TestSnapshots:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("q,a,1,2\nq,p,1,2\n", "snapshot 'q' does not match the model: missing c"),
-            ("q,a,1,2\nq,p,1,2\nq,c,1,2\nq,z,1,2\nq,y,1,2\n", "snapshot 'q' does not match the model: unknown z, y"),
+            ("q,a,1,2\nq,p,1,2\n", "entity 'q' does not match the model: missing 'c'"),
+            ("q,a,1,2\nq,p,1,2\nq,c,1,2\nq,z,1,2\nq,y,1,2\n", "entity 'q' does not match the model: unknown 'z', 'y'"),
             # the first bad entity in entity order; unknown names in its file order
             (
                 "r,a,1,2\nq,x,1,2\nq,y,1,2\nr,y,1,2\nr,x,1,2\n",
-                "snapshot 'r' does not match the model: missing p, c; unknown y, x",
+                "entity 'r' does not match the model: missing 'p', 'c'; unknown 'y', 'x'",
+            ),
+            # quoted names show an invisible character
+            pytest.param(
+                "q,a,1,2\nq,p\0,1,2\nq,c,1,2\n",
+                "entity 'q' does not match the model: missing 'p'; unknown 'p\\x00'",
+                marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="the csv module reads NUL only from Python 3.11"),
             ),
         ],
     )
@@ -311,7 +387,20 @@ class TestSnapshots:
         with pytest.raises(ModelError) as info:
             snaps.columns(procurement_model().variables)
         assert str(info.value) == message
-        assert snaps.entities[info.value.row] == message.split("'")[1]
+
+
+class TestReadText:
+    def test_byte_order_mark_and_newlines(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"\xef\xbb\xbf[variables]\r\na\rb\n")
+        assert read_text(str(path)) == "[variables]\na\nb\n"
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_bytes("q,pé,1,2\n".encode("cp1252"))
+        with pytest.raises(ModelError) as info:
+            read_text(str(path))
+        assert str(info.value) == f"{path}: not UTF-8 text: byte 0xe9 (invalid continuation byte)"
 
 
 class TestPresets:

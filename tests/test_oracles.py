@@ -72,6 +72,19 @@ class TestRandomOrder:
         )
         assert res.z == pytest.approx((0.5, 0.5), rel=1e-15)
 
+    def test_weights_over_another_variable_count(self):
+        vp = ValuePair((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError) as info:
+            random_order_attribution(product_function(3), vp, PermutationWeights.single((2, 1)))
+        assert str(info.value) == "weights are over 2 variables, values have 3"
+
+    @pytest.mark.parametrize("orders", [{(1, 2): 0.5, (1, 2, 3): 0.5}, {(1, 2): 0.5, (2, 2): 0.5}, {(0, 1): 1.0}])
+    def test_weights_reject_a_non_order(self, orders):
+        bad = list(orders)[-1]
+        with pytest.raises(ValueError) as info:
+            PermutationWeights(orders)
+        assert str(info.value) == f"not an order over 1..{len(next(iter(orders)))}: {bad}"
+
     def test_separable_ignores_order(self):
         from attrib import from_terms
 
