@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Attribute the change of a model's value to its variables.",
     )
     parser.add_argument("--model", metavar="PATH", help="model file (variables, terms, segments)")
-    parser.add_argument("--dag", metavar="PATH", help="graph file compiled into a model")
+    parser.add_argument("--dag", metavar="PATH", help="flow graph file; ass attributes it as it is, other methods expand its routes")
     parser.add_argument("--values", metavar="PATH", help="CSV snapshot rows entity,variable,initial,final")
     parser.add_argument("--method", metavar="ID", default="ass",
                         help="ass | ss-brute | as-numeric | naive | random-order:<weights-file> (default: ass)")

@@ -1,4 +1,4 @@
-"""Named models, value snapshots, and the graph-to-function compiler.
+"""Named models, flow graphs, value snapshots, and the file grammars.
 
 Model file grammar (line oriented; ``#`` starts a comment; sections in any
 order, ``[variables]`` required)::
@@ -23,6 +23,11 @@ Graph file grammar::
     a : s_a
     [edges]                # from to ':' traversal-probability variable name
     a b : p_ab
+
+A graph's model is the expected arrivals at its sink.  `DagModel.flow` gives
+its values and gradients from two passes over the graph; `compile_dag`
+expands it into one term per (start, route) pair, for the methods that need
+terms and for writing the model out.
 
 Snapshots are CSV rows ``entity,variable,initial,final`` (header optional),
 parsed into one columnar `SnapshotTable`: entity and variable names, per-row
@@ -238,16 +243,20 @@ def format_model(ms: ModelSpec) -> str:
 # directed acyclic graph models
 
 
-ROUTE_CAP = 10**6  # start/route pairs, so terms, that one graph may expand into
+ROUTE_CAP = 10**6  # start/route pairs, so terms, that `compile_dag` may expand one graph into
 
 
 @dataclass
 class DagModel:
     """Flow graph whose expected arrivals at the sink form the model.
 
-    Every (node with a start count, route to the sink) pair becomes one term:
+    Every (node with a start count, route to the sink) pair is one term:
     coefficient 1 over the start variable and the traversal variables of the
-    route.  Routes repeat no edge, so the result is multilinear.
+    route.  Routes stop at the sink and repeat no edge, so the function is
+    multilinear, of degree 1 plus the edge count of the longest route from a
+    start.  `flow` gives its values and gradients from one forward and one
+    backward pass over the graph, with no routes; `compile_dag` expands the
+    routes into a `ModelSpec`.  Both use the variable order of `variables`.
     """
 
     nodes: tuple[str, ...]
@@ -273,6 +282,93 @@ class DagModel:
             if name in seen_vars:
                 raise ModelError(f"variable {name!r} assigned twice")
             seen_vars.add(name)
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        """Start variables in node order, then edge variables in file order."""
+        return tuple(self.starts[node] for node in self.nodes if node in self.starts) + tuple(name for _, _, name in self.edges)
+
+    @property
+    def n(self) -> int:
+        return len(self.starts) + len(self.edges)
+
+    @property
+    def degree(self) -> int:
+        """1 plus the edge count of the longest route from a start to the sink (1 with no starts)."""
+        return self._routes()[1]
+
+    def _routes(self) -> tuple[dict[str, int], int]:
+        """Each node's count of routes to the sink, and the degree, from one pass in reverse topological order.
+
+        Raises on a cycle and on a start node from which the sink cannot be
+        reached.
+        """
+        out_edges: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for u, v, _ in self.edges:
+            out_edges[u].append(v)
+        count = {n: 0 for n in self.nodes}
+        count[self.sink] = 1
+        longest = {n: 0 for n in self.nodes}
+        for n in reversed(_toposort(self)):
+            if n != self.sink:
+                heads = [v for v in out_edges[n] if count[v] > 0]
+                count[n] = sum(count[v] for v in heads)
+                longest[n] = 1 + max((longest[v] for v in heads), default=-1)
+        for node in self.starts:
+            if count[node] == 0:
+                raise ModelError(f"sink is unreachable from start node {node!r}")
+        return count, 1 + max((longest[node] for node in self.starts), default=0)
+
+    def flow(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Expected sink arrivals and their gradients at every row of the N x n array X, as N and N x n arrays.
+
+        Columns of X follow `variables`.  The forward pass, in topological
+        order, gives each node's inflow: its start count plus the inflow of
+        every edge's tail times the edge's probability.  The value is the
+        sink's inflow.  The backward pass gives each node's reach of the
+        sink: 1 at the sink, elsewhere the sum over its edges of probability
+        times the reach of the head.  The partial of a start variable is the
+        reach of its node, that of an edge variable the inflow of its tail
+        times the reach of its head.  No node after the sink reaches it, so
+        an edge out of the sink has partial 0, as routes stop at the sink.
+        Each node is one numpy operation over the N points, so a call costs
+        O(N (V + E)).  Products that overflow give inf or nan.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"dimension mismatch: graph has {self.n} variables, got points of shape {X.shape}")
+        node = {name: k for k, name in enumerate(self.nodes)}
+        start_nodes = [node[name] for name in self.nodes if name in self.starts]
+        start_col = {k: j for j, k in enumerate(start_nodes)}
+        tail = np.array([node[u] for u, _, _ in self.edges], dtype=np.intp)
+        head = np.array([node[v] for _, v, _ in self.edges], dtype=np.intp)
+        edge_col = np.arange(len(start_nodes), self.n)
+        into: list[list[int]] = [[] for _ in self.nodes]
+        out_of: list[list[int]] = [[] for _ in self.nodes]
+        for e, (u, v, _) in enumerate(self.edges):
+            into[node[v]].append(e)
+            out_of[node[u]].append(e)
+        order = [node[name] for name in _toposort(self)]
+        sink = node[self.sink]
+
+        XT = np.ascontiguousarray(X.T)  # one row per variable, so each gather below takes whole rows
+        inflow = np.zeros((len(self.nodes), len(X)))
+        reach = np.zeros_like(inflow)
+        reach[sink] = 1.0
+        grad = np.empty_like(XT)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in order:
+                e = into[k]
+                inflow[k] = (inflow[tail[e]] * XT[edge_col[e]]).sum(axis=0)
+                if k in start_col:
+                    inflow[k] += XT[start_col[k]]
+            for k in reversed(order):
+                if k != sink:
+                    e = out_of[k]
+                    reach[k] = (XT[edge_col[e]] * reach[head[e]]).sum(axis=0)
+            grad[: len(start_nodes)] = reach[start_nodes]
+            grad[len(start_nodes) :] = inflow[tail] * reach[head]
+        return inflow[sink], grad.T
 
 
 def parse_dag(text: str, path: str = "<dag>") -> DagModel:
@@ -323,28 +419,21 @@ def _toposort(d: DagModel) -> list[str]:
 def compile_dag(d: DagModel) -> ModelSpec:
     """Expand a graph into one term per (start node, route to sink).
 
-    Raises on cycles, on unreachable starts, and when the route count exceeds
-    ROUTE_CAP (counted up front by dynamic programming, before enumeration).
+    Raises on cycles, on unreachable starts, and when the route count
+    exceeds ROUTE_CAP (counted by `DagModel` before enumeration).
+    `DagModel.flow` needs no routes, so ``ass`` attributes graphs of any
+    size without this expansion.
     """
-    order = _toposort(d)
+    count, _ = d._routes()
+    total = sum(count[node] for node in d.starts)
+    if total > ROUTE_CAP:
+        raise ModelError(
+            f"{total} start/route pairs exceed the cap of {ROUTE_CAP} for expanding the graph into terms;"
+            " --method ass attributes graphs of any size"
+        )
     out_edges: dict[str, list[tuple[str, str]]] = {n: [] for n in d.nodes}
     for u, v, name in d.edges:
         out_edges[u].append((v, name))
-    # route counts to the sink, in reverse topological order
-    count = {n: 0 for n in d.nodes}
-    count[d.sink] = 1
-    for n in reversed(order):
-        if n != d.sink:
-            count[n] = sum(count[v] for v, _ in out_edges[n])
-    total = sum(count[node] for node in d.starts)
-    if total > ROUTE_CAP:
-        raise ModelError(f"{total} start/route pairs exceed the cap of {ROUTE_CAP}")
-    for node in d.starts:
-        if count[node] == 0:
-            raise ModelError(f"sink is unreachable from start node {node!r}")
-
-    variables = [d.starts[node] for node in d.nodes if node in d.starts]
-    variables += [name for _, _, name in d.edges]
     terms: list[tuple[tuple[str, ...], float]] = []
     for node in d.nodes:
         if node not in d.starts:
@@ -357,7 +446,7 @@ def compile_dag(d: DagModel) -> ModelSpec:
                 terms.append((route, 1.0))
             else:
                 stack.extend((v, (*route, name)) for v, name in reversed(out_edges[at]) if count[v] > 0)
-    return ModelSpec(tuple(variables), tuple(terms))
+    return ModelSpec(d.variables, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

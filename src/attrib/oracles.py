@@ -96,10 +96,11 @@ def _walk_orders(n: int, orders: Iterable[tuple[int, ...]], corner_values: Calla
         for k in range(n):
             masks[:, k + 1] = masks[:, k] | np.left_shift(1, perms[:, k])
         vals = corner_values(masks)
-        diffs = vals[:, 1:] - vals[:, :-1]
-        if weights is not None:
-            diffs *= np.array([weights[order] for order in block])[:, None]
-        z += np.array([diffs[perms == v].sum() for v in range(n)])
+        with np.errstate(over="ignore", invalid="ignore"):  # corners that overflow give inf or nan, flagged by the result
+            diffs = vals[:, 1:] - vals[:, :-1]
+            if weights is not None:
+                diffs *= np.array([weights[order] for order in block])[:, None]
+            z += np.array([diffs[perms == v].sum() for v in range(n)])
     return z
 
 
@@ -113,7 +114,8 @@ def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
     _check_cap(n)
     vals = np.array([f(_corner(vp, mask)) for mask in range(1 << n)], dtype=np.float64)
     z = _walk_orders(n, itertools.permutations(range(1, n + 1)), vals.__getitem__) / math.factorial(n)
-    residual = _exact_sum(z) - (vals[-1] - vals[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _exact_sum(z) - (vals[-1] - vals[0])
     return AttributionResult("ss-brute", tuple(float(v) for v in z), residual)
 
 
@@ -139,7 +141,8 @@ def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> Attrib
     orders = sorted(order for order, w in pw.weights.items() if w > 0.0)
     z = _walk_orders(n, orders, corner_values, pw.weights)
     # at least one order has positive weight, so both box corners are known
-    residual = _exact_sum(z) - (vals[-1] - vals[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _exact_sum(z) - (vals[-1] - vals[0])
     return AttributionResult("random-order", tuple(z.tolist()), residual)
 
 

@@ -248,13 +248,14 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
         grad = lambda X: np.array([box.gradient(x) for x in X.tolist()])
     step = max(1, _CHUNK_ELEMENTS // max(vp.n, 1))
     z = None
-    for k in range(q.max_refine + 1):
-        nodes, weights = _nodes(base.breaks, _ORDER, _PANELS * 2**k)
-        blocks = [(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)]
-        z, prev = sum(w @ (grad(r + d * base.g(t)) * (d * base.dg(t))) for t, w in blocks), z
-        converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
-        if converged:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan, and a result flagged unconverged
+        for k in range(q.max_refine + 1):
+            nodes, weights = _nodes(base.breaks, _ORDER, _PANELS * 2**k)
+            blocks = [(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)]
+            z, prev = sum(w @ (grad(r + d * base.g(t)) * (d * base.dg(t))) for t, w in blocks), z
+            converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
+            if converged:
+                break
     residual = _exact_sum(z) - (f(list(vp.s)) - f(list(vp.r)))
     return AttributionResult(f"path:{base.kind}", tuple(z.tolist()), residual, converged)
 

@@ -1,13 +1,16 @@
 """Attribution reports over named models, plus the built-in segment-aggregation demo.
 
-`run_report` takes a model and a `SnapshotTable`, compiles the model once,
-maps the table onto the model's columns as E x n initial and final arrays,
-and attributes every entity: ``ass`` in one batch kernel call, other
-methods one row at a time.  `resolve_method` is the one map from a method
-id to its kernel; a ``random-order:`` id reads its weights file through
-`attrib.models`, which holds every file grammar.  `render_machine` writes a
-report's JSON Lines records by filling one template per (variables, method,
-segment labels), byte for byte what ``json.dumps`` writes for each record.
+`run_report` takes a model and a `SnapshotTable`, maps the table onto the
+model's columns as E x n initial and final arrays, and attributes every
+entity: ``ass`` in one batch kernel call, other methods one row at a time.
+A model is compiled once.  A flow graph goes to the ``ass`` kernel as it is,
+which attributes it from forward and backward passes over the graph; only
+the other methods expand it into one term per route.  `resolve_method` is
+the one map from a method id to its kernel; a ``random-order:`` id reads its
+weights file through `attrib.models`, which holds every file grammar.
+`render_machine` writes a report's JSON Lines records by filling one
+template per (variables, method, segment labels), byte for byte what
+``json.dumps`` writes for each record.
 """
 from __future__ import annotations
 
@@ -104,59 +107,68 @@ def run_report(
     and the table mapped onto the model's variables as E x n arrays; an
     entity missing a model variable or listing one the model lacks is an
     error naming it.  ``ass`` attributes every entity in one batch kernel
-    call, other methods call their handle per entity.  Domain, dimension or
-    overflow problems are re-raised with the entity and variable names
-    attached.  A report whose attributions or residual are not finite is
-    marked unconverged.  Segment totals are plain sums of member
-    attributions.
+    call, other methods call their handle per entity.  A `DagModel` is
+    compiled only for the other methods: ``ass`` takes the graph itself, with
+    the columns of ``DagModel.variables``, and expands no routes.  Domain,
+    dimension or overflow problems are re-raised with the entity and
+    variable names attached.  A report whose attributions or residual are
+    not finite is marked unconverged.  Segment totals are plain sums of
+    member attributions.
     """
-    ms = compile_dag(model) if isinstance(model, DagModel) else model
-    f = compile_model(ms)
-    handle = resolve_method(method, ms.variables, tol, max_refine)
-    R, S = snaps.columns(ms.variables)
+    if isinstance(model, DagModel) and method == "ass":
+        f, variables, segments = model, model.variables, {}
+    else:
+        ms = compile_dag(model) if isinstance(model, DagModel) else model
+        f, variables, segments = compile_model(ms), ms.variables, ms.segments
+    handle = resolve_method(method, variables, tol, max_refine)
+    R, S = snaps.columns(variables)
     rows = list(zip(snaps.entities, R.tolist(), S.tolist()))
     if method == "ass":
         try:
             results = handle(f, (R, S))
         except (ValueError, OverflowError) as exc:  # the batch kernel numbers the entity's row
-            raise _located(ms, snaps.entities[exc.row], exc) from exc
+            if not hasattr(exc, "row"):  # not about one entity, such as a graph's unreachable start
+                raise
+            raise _located(variables, snaps.entities[exc.row], exc) from exc
     else:
         results = []
         for entity, r, s in rows:
             try:
                 results.append(handle(f, ValuePair(r, s)))
             except (ValueError, OverflowError) as exc:
-                raise _located(ms, entity, exc) from exc
-    return [_report(ms, *row, res) for row, res in zip(rows, results)]
+                raise _located(variables, entity, exc) from exc
+    return [_report(variables, segments, *row, res) for row, res in zip(rows, results)]
 
 
-def _located(ms: ModelSpec, entity: str, exc: Exception) -> ModelError:
+def _located(variables: tuple[str, ...], entity: str, exc: Exception) -> ModelError:
     """The error exc, raised while attributing entity, as a ModelError naming the entity and, if known, the variable."""
     idx = getattr(exc, "index", None)
-    where = f" (variable {ms.variables[idx - 1]!r})" if idx else ""
+    where = f" (variable {variables[idx - 1]!r})" if idx else ""
     return ModelError(f"entity {entity!r}: {exc}{where}")
 
 
-def _report(ms: ModelSpec, entity: str, r: list[float], s: list[float], res: AttributionResult) -> Report:
-    segments = None
-    if ms.segments:
-        segments = {}
-        for name, zv in zip(ms.variables, res.z):
-            label = ms.segments.get(name)
+def _report(
+    variables: tuple[str, ...], segments: dict[str, str], entity: str, r: list[float], s: list[float], res: AttributionResult
+) -> Report:
+    totals = None
+    if segments:
+        totals = {}
+        for name, zv in zip(variables, res.z):
+            label = segments.get(name)
             if label is not None:
-                segments[label] = segments.get(label, 0.0) + zv
+                totals[label] = totals.get(label, 0.0) + zv
     total_change = res.total() - res.residual
     return Report(
         entity=entity,
         method=res.method,
-        variables=ms.variables,
+        variables=variables,
         initial=tuple(r),
         final=tuple(s),
         z=res.z,
         total_change=total_change,
         residual=res.residual,
         converged=res.converged and math.isfinite(total_change),
-        segments=segments,
+        segments=totals,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -106,6 +107,27 @@ class TestRunReport:
         snaps = parse_snapshots("e1,a,4,5\ne1,p,1,12\ne1,c,1,1.5\ne2,a,2,1\ne2,p,3,3\ne2,c,-1,2\n")
         assert len(run_report(parse_model(MODEL), snaps)) == 2
         assert len(calls) == 1
+
+    def test_graph_with_ass_expands_no_routes(self, monkeypatch):
+        from attrib import reports
+        from attrib.models import compile_dag, compile_model, ecommerce_dag_example
+
+        d = ecommerce_dag_example()
+        rows = [f"e,{name},{1.0 + k},{0.5 * k}\n" for k, name in enumerate(d.variables)]
+        snaps = parse_snapshots("".join(rows))
+        expected = run_report(compile_dag(d), snaps)
+
+        def refuse(model):
+            raise AssertionError("the ass path compiled the graph")
+
+        monkeypatch.setattr(reports, "compile_dag", refuse)
+        monkeypatch.setattr(reports, "compile_model", refuse)
+        [report] = run_report(d, snaps, "ass")
+        assert report.variables == d.variables and report.segments is None
+        assert report.z == pytest.approx(expected[0].z, rel=1e-12, abs=1e-12)
+        assert abs(report.residual) <= 1e-12 * (1.0 + abs(report.total_change))
+        with pytest.raises(AssertionError, match="compiled the graph"):
+            run_report(d, snaps, "naive")
 
     def test_non_finite_result_is_flagged(self):
         ms = parse_model("[variables]\na b\n[multilinear]\na b : 1e300\n")
@@ -349,6 +371,70 @@ class TestCli:
         assert main(["--model", str(model), "--values", str(values), "--report", "machine"]) == 3
         summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines() if '"summary"' in line]
         assert [s["converged"] for s in summaries] == [True, False]
+
+    @pytest.mark.parametrize("method", ["as-numeric", "ss-brute", "random-order"])
+    def test_overflow_under_other_methods_prints_no_numpy_warnings(self, tmp_path, capsys, method):
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\na b\n[segments]\na : x\nb : y\n[multilinear]\na b : 1\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,a,1e200,1e201\ne,b,1e200,1e200\n")
+        if method == "random-order":
+            orders = tmp_path / "orders.txt"
+            orders.write_text("a b : 0.5\nb a : 0.5\n")
+            method = f"random-order:{orders}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--model", str(model), "--values", str(values), "--method", method]) == 3
+        captured = capsys.readouterr()
+        assert "warning: non-finite result" in captured.out and captured.err == ""
+
+    def test_overflowing_graph_entity_prints_no_numpy_warnings(self, tmp_path, capsys):
+        dag = tmp_path / "graph.txt"
+        dag.write_text("[nodes]\na b t\n[sink]\nt\n[starts]\na : s\n[edges]\na b : p\nb t : q\na t : r\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,s,1e200,1e201\ne,p,1e200,1e200\ne,q,1e100,1e100\ne,r,1,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--dag", str(dag), "--values", str(values)]) == 3
+        captured = capsys.readouterr()
+        assert "warning: non-finite result" in captured.out and captured.err == ""
+
+    def test_graph_beyond_the_route_cap(self, tmp_path, capsys):
+        # 8 layers of 8 nodes: 8^8 = 16,777,216 start/route pairs, over the cap of 10^6
+        grid = [[f"n{k}_{j}" for j in range(8)] for k in range(8)]
+        edges = [(u, v) for k in range(7) for u in grid[k] for v in grid[k + 1]] + [(u, "t") for u in grid[-1]]
+        starts = [f"{u} : s_{u}" for u in grid[0]]
+        dag = tmp_path / "graph.txt"
+        dag.write_text(
+            "[nodes]\n" + " ".join(sum(grid, [])) + " t\n[sink]\nt\n[starts]\n" + "\n".join(starts)
+            + "\n[edges]\n" + "\n".join(f"{u} {v} : p_{u}_{v}" for u, v in edges) + "\n"
+        )
+        names = [f"s_{u}" for u in grid[0]] + [f"p_{u}_{v}" for u, v in edges]
+        values = tmp_path / "values.csv"
+        values.write_text("".join(f"e,{name},{0.5 if name[0] == 'p' else 10},{0.25 if name[0] == 'p' else 20}\n" for name in names))
+        assert main(["--dag", str(dag), "--values", str(values), "--report", "machine"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        [summary] = [r for r in records if r["record"] == "summary"]
+        # every route multiplies its start by eight probabilities: 8 * 8^7 routes, 20 * 0.25^8 - 10 * 0.5^8 each
+        assert summary["total_change"] == pytest.approx(8**8 * (20 * 0.25**8 - 10 * 0.5**8), rel=1e-12)
+        assert abs(summary["residual"]) <= 1e-12 * (1 + abs(summary["total_change"]))
+        assert len(records) == len(names) + 1
+        assert main(["--dag", str(dag), "--values", str(values), "--method", "naive"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: 16777216 start/route pairs exceed the cap of 1000000 for expanding the graph into terms;"
+            " --method ass attributes graphs of any size\n"
+        )
+
+    def test_unreachable_start_is_input_error(self, tmp_path, capsys):
+        dag = tmp_path / "graph.txt"
+        dag.write_text("[nodes]\na b t\n[sink]\nt\n[starts]\nb : s_b\n[edges]\na t : p\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,s_b,1,2\ne,p,0.5,0.5\n")
+        for method in ("ass", "naive"):
+            assert main(["--dag", str(dag), "--values", str(values), "--method", method]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == "error: sink is unreachable from start node 'b'\n"
 
     def test_bad_entity_in_a_batch_stops_the_run(self, tmp_path, capsys):
         # one bad entity fails the whole run: exit 2, the entity named, nothing printed

@@ -394,3 +394,104 @@ class TestAttributeAssBatch:
         assert res.z == attribute_ass(f, ValuePair((1e10, 1e10), (2e10, 3e10))).z
         assert not all(map(math.isfinite, res.z + (res.residual,)))
         assert not res.converged
+
+
+@st.composite
+def flow_graphs(draw, max_nodes=6):
+    """A small random DAG with its sink anywhere in node order, so graphs hold edges out of the sink.
+
+    Edges run from lower to higher node index, so the graph is acyclic; a
+    pair may repeat (parallel edges), skip layers, or end at a node that
+    cannot reach the sink (a dead end).  Starts are drawn from the nodes
+    that reach the sink, the sink included, and may be none.
+    """
+    from attrib.models import DagModel
+
+    k = draw(st.integers(1, max_nodes))
+    nodes = tuple(f"v{i}" for i in range(k))
+    sink = draw(st.integers(0, k - 1))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    edges = tuple((nodes[a], nodes[b], f"p{j}_{a}_{b}") for j, (a, b) in enumerate(chosen))
+    reaches = {sink}
+    for a in range(k - 1, -1, -1):
+        if a != sink and any(u == a and b in reaches for u, b in chosen):
+            reaches.add(a)
+    starts = draw(st.sets(st.sampled_from(sorted(reaches))))
+    return DagModel(nodes, nodes[sink], {nodes[a]: f"s{a}" for a in sorted(starts)}, edges)
+
+
+class TestFlowGraphs:
+    @given(d=flow_graphs(), data=st.data())
+    def test_flow_matches_route_expansion(self, d, data):
+        import numpy as np
+
+        from attrib.core import gradients
+        from attrib.exact import attribute_ass_batch
+        from attrib.models import compile_dag, compile_model
+
+        ms = compile_dag(d)
+        f = compile_model(ms)
+        assert ms.variables == d.variables
+        assert d.degree == max((len(names) for names, _ in ms.ml_terms), default=1)
+        E = data.draw(st.integers(1, 3))
+        cells = st.lists(st.floats(0.0, 2.0), min_size=d.n, max_size=d.n)
+        R = np.array([data.draw(cells) for _ in range(E)]).reshape(E, d.n)
+        S = np.array([data.draw(cells) for _ in range(E)]).reshape(E, d.n)
+
+        values, grads = d.flow(np.concatenate([R, S]))
+        assert values.tolist() == pytest.approx([evaluate(f, x) for x in np.concatenate([R, S]).tolist()], rel=1e-12, abs=1e-12)
+        assert grads == pytest.approx(gradients(f, np.concatenate([R, S])), rel=1e-12, abs=1e-12)
+
+        flow = attribute_ass_batch(d, R, S)
+        routes = attribute_ass_batch(f, R, S)
+        for a, b, r, s in zip(flow, routes, R.tolist(), S.tolist()):
+            assert a.method == "ass" and a.converged
+            for x, y in zip(a.z, b.z):
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
+            delta = evaluate(f, s) - evaluate(f, r)
+            assert abs(a.residual) <= 1e-12 * (1.0 + abs(delta))
+
+    def test_variables_in_no_route_get_zero(self):
+        from attrib.exact import attribute_ass_batch
+        from attrib.models import DagModel, compile_dag
+
+        # b -> d is a dead end, t -> c leaves the sink, and no start feeds e -> t
+        edges = (("a", "b", "p_ab"), ("b", "t", "p_bt"), ("b", "d", "p_bd"), ("t", "c", "p_tc"), ("e", "t", "p_et"))
+        d = DagModel(("a", "b", "c", "d", "e", "t"), "t", {"a": "s_a"}, edges)
+        assert {name for names, _ in compile_dag(d).ml_terms for name in names} == {"s_a", "p_ab", "p_bt"}
+        [res] = attribute_ass_batch(d, [[10.0, 0.5, 0.5, 0.5, 0.5, 0.5]], [[20.0, 0.25, 0.25, 0.25, 0.25, 0.25]])
+        z = dict(zip(d.variables, res.z))
+        assert [(z[name], math.copysign(1.0, z[name])) for name in ("p_bd", "p_tc", "p_et")] == [(0.0, 1.0)] * 3
+        assert sum(res.z) == pytest.approx(20 * 0.25**2 - 10 * 0.5**2, abs=1e-13)
+
+    def test_unreachable_start_is_refused(self):
+        from attrib.exact import attribute_ass_batch
+        from attrib.models import DagModel, ModelError
+
+        d = DagModel(("a", "b", "t"), "t", {"b": "s_b"}, (("a", "t", "p"),))
+        with pytest.raises(ModelError, match="sink is unreachable from start node 'b'"):
+            attribute_ass_batch(d, [[1.0, 1.0]], [[2.0, 2.0]])
+
+    def test_shape_checks(self):
+        from attrib.exact import attribute_ass_batch
+        from attrib.models import ecommerce_dag_example
+
+        d = ecommerce_dag_example()
+        with pytest.raises(ValueError, match="dimension mismatch: function has 7 variables, values have 2"):
+            attribute_ass_batch(d, [[1.0, 1.0]], [[2.0, 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            attribute_ass_batch(d, [[math.inf] * 7], [[1.0] * 7])
+        assert attribute_ass_batch(d, [], []) == []
+
+    def test_overflow_gives_non_finite_results_without_numpy_warnings(self):
+        import warnings
+
+        from attrib.exact import attribute_ass_batch
+        from attrib.models import ecommerce_dag_example
+
+        d = ecommerce_dag_example()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [res] = attribute_ass_batch(d, [[1e200] * 7], [[1e201] * 7])
+        assert not res.converged
