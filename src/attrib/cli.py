@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .axioms import InstanceGenerator, run_axiom_suite
@@ -32,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--method", metavar="ID", default="ass",
                         help="ass | ss-brute | as-numeric | naive | random-order:<weights-file> (default: ass)")
     parser.add_argument("--tol", metavar="X", type=float, default=None,
-                        help="quadrature tolerance for as-numeric, axiom tolerance for --axiom-suite")
+                        help="quadrature tolerance for as-numeric, axiom tolerance for --axiom-suite;"
+                             " finite and greater than 0 (ass, ss-brute, naive and random-order ignore it)")
     parser.add_argument("--max-refine", metavar="N", type=int, default=None,
                         help="panel doublings allowed before as-numeric gives up")
     parser.add_argument("--seed", metavar="N", type=int, default=0, help="seed for --axiom-suite instances")
@@ -86,6 +88,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+            raise ModelError(f"--tol must be finite and greater than 0, got {args.tol}")
         if args.demo == "mix-effects":
             demo = mix_effects_demo()
             if args.report == "machine":

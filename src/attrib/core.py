@@ -404,7 +404,7 @@ def gradients(f: CharacteristicFunction, X) -> np.ndarray:
                 cols = [j - 1 for j in I]
                 G[:, cols] += _batch_partials(X[:, cols], c)
     derivs = [(t.index - 1, t.derivative()) for t in f.separable]
-    for x, g in zip(X.tolist(), G):
+    for x, g in zip(X.tolist() if derivs else (), G):
         for i, d in derivs:
             g[i] += d.value(x[i])
     return G

@@ -21,16 +21,16 @@ the subset means X_k / C(m-1, k) instead of the sums; since
 w_k(m) * C(m-1, k) = 1/m the attribution is c * (s_i - r_i) times the mean
 of that row, built by a two-buffer recursion in O(m^2) time and O(m) memory.
 
-`attribute_ass_batch` runs the same arithmetic for many value pairs at once:
-monomials are grouped by degree, every group is one numpy gather over an
-entities x monomials x members array, and the per-member contributions are
-folded into z in ascending key order, so each row matches `attribute_ass` on
-that pair bit for bit.  Given a flow graph (`attrib.models.DagModel`) it
-needs no monomials: the graph's degree D bounds that of every route's term,
-so ceil(D / 2) Gauss-Legendre nodes integrate every partial exactly, and
-`DagModel.flow` gives the value and the whole gradient at each node by one
-forward and one backward pass over the graph, O(ceil(D / 2) (V + E)) per pair
-however many routes there are.
+`attribute_ass_batch` applies the same rule to many value pairs at once, as
+one loop over gradient parts: z = (s - r) * sum_g w_g grad(r + t_g (s - r))
+over the ceil(m / 2) Gauss-Legendre nodes of each part's degree m.  A model
+gives one part per monomial degree, with gradients from `core.gradients`.
+A flow graph (`attrib.models.DagModel`) gives one part of its degree D, which
+bounds that of every route's term, with gradients from `DagModel.flow`: one
+forward and one backward pass over the graph, O(ceil(D / 2) (V + E)) per
+pair however many routes there are.  A part sums its monomials at each node
+before the node sum, so rows agree with `attribute_ass` to rounding, not bit
+for bit.
 
 Everything runs in plain double precision.  Both kernels multiply only
 values that lie between the endpoints of each variable (DP cells are
@@ -40,13 +40,13 @@ their intermediates stay within the range of the products themselves.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _exact_sum, _monomial_partials, evaluate, gradient
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum, _monomial_partials, evaluate, from_terms, gradient, gradients
 from .models import DagModel
 from .paths import _nodes
 
@@ -62,7 +62,7 @@ __all__ = [
 
 RowHook = Callable[[list, list], None]
 
-# Largest entities x members temporary `attribute_ass_batch` builds at once.
+# Largest points x columns temporary `attribute_ass_batch` builds at once.
 _CHUNK_ELEMENTS = 1 << 20
 
 
@@ -185,16 +185,19 @@ def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Se
 def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[AttributionResult]:
     """`attribute_ass` of f for every pair of rows (R[e], S[e]) of two E x n arrays.
 
-    Monomials of equal degree m form one (T, m) index array; each of the
-    ceil(m / 2) Gauss-Legendre nodes is a single numpy pass over all
-    entities, with prefix and suffix products from cumprod.  Entities go in
-    chunks that keep every temporary near _CHUNK_ELEMENTS.  The separable
-    endpoint rule and the residual are computed per entity exactly as
-    `attribute_ass` computes them.  An exception raised while evaluating an
+    f splits into gradient parts: a model gives one per monomial degree m,
+    its monomials of that degree with gradients from `core.gradients`; a
+    `DagModel`, with columns in the order of ``f.variables``, gives one of
+    its degree D with gradients from `DagModel.flow`, and expands no routes.
+    Each part adds (S - R) * sum_g w_g grad(R + t_g (S - R)) over its
+    ceil(m / 2) Gauss-Legendre nodes to z, from one gradient call over all
+    nodes of a chunk of entities; chunks keep every temporary near
+    _CHUNK_ELEMENTS.  A part sums its monomials at each node before the node
+    sum, so rows agree with `attribute_ass` to rounding, not bit for bit.
+    The separable endpoint rule and the residual are computed per entity
+    exactly as `attribute_ass` computes them; a graph's residual takes f at
+    both ends from `DagModel.flow`.  An exception raised while evaluating an
     entity carries that entity's row number as ``exc.row``.
-
-    A `DagModel` f, with columns in the order of ``f.variables``, goes to
-    `_attribute_flow` and expands no routes.
     """
     R = np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -207,36 +210,32 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
     if not (np.isfinite(R).all() and np.isfinite(S).all()):
         raise ValueError("value vectors must be finite")
     if isinstance(f, DagModel):
-        return _attribute_flow(f, R, S)
-    # member columns in ascending key order, with the variable each one adds to
-    members = [(I, c) for I, c in f.multilinear.terms.items() if I]
-    targets = np.array([j - 1 for I, _ in members for j in I], dtype=np.intp)
-    groups: dict[int, tuple[list, list, list]] = {}
-    col = 0
-    for I, c in members:
-        idx, coef, cols = groups.setdefault(len(I), ([], [], []))
-        idx.append([j - 1 for j in I])
-        coef.append(c)
-        cols.append(range(col, col + len(I)))
-        col += len(I)
-    plan = [(m, np.array(idx), np.array(coef)[:, None], np.array(cols)) for m, (idx, coef, cols) in groups.items()]
-
+        parts = [(f.degree, lambda X: f.flow(X)[1])]
+        width = max(f.n, len(f.nodes))  # flow keeps V x N arrays
+    else:
+        by_degree: dict[int, dict] = {}
+        for I, c in f.multilinear.terms.items():
+            if I:
+                by_degree.setdefault(len(I), {})[I] = c
+        parts = [(m, partial(gradients, from_terms(f.n, terms))) for m, terms in by_degree.items()]
+        width = max(f.n, 1)
     E = R.shape[0]
-    Z = np.zeros((E, f.n))
-    step = max(1, _CHUNK_ELEMENTS // max(col, 1))
+    Z = np.zeros_like(R)
+    step = max(1, _CHUNK_ELEMENTS // (width * max(((m + 1) // 2 for m, _ in parts), default=1)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, E, step):
-            Rc, Sc = R[lo : lo + step], S[lo : lo + step]
-            contrib = np.empty((len(Rc), col))
-            for m, idx, coef, cols in plan:
-                rv = Rc[:, idx]
-                dv = Sc[:, idx] - rv
-                acc = np.zeros_like(rv)
-                for t, w in _unit_gauss((m + 1) // 2):
-                    acc += _batch_partials(rv + t * dv, w)
-                contrib[:, cols] = coef * dv * acc
-            # sequential in-order adds, as attribute_ass accumulates z
-            np.add.at(Z[lo : lo + step].T, targets, contrib.T)
+            Rc, Dc = R[lo : lo + step], S[lo : lo + step] - R[lo : lo + step]
+            for m, grad in parts:
+                nodes = _unit_gauss((m + 1) // 2)
+                t = np.array([tg for tg, _ in nodes])[:, None, None]
+                G = grad((Rc + t * Dc).reshape(len(nodes) * len(Rc), f.n))  # node-major: rows g * len(Rc) + e
+                acc = np.zeros_like(Dc)
+                for g, (_, w) in enumerate(nodes):
+                    acc += w * G[g * len(Rc) : (g + 1) * len(Rc)]
+                Z[lo : lo + step] += Dc * acc
+    if isinstance(f, DagModel):
+        f_r, f_s = (np.concatenate([f.flow(X[lo : lo + step])[0] for lo in range(0, E, step)]).tolist() for X in (R, S))
+        return [AttributionResult("ass", tuple(z), _exact_sum(z) - (b - a)) for z, a, b in zip(Z.tolist(), f_r, f_s)]
     results = []
     for e, (z, r, s) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist())):
         try:
@@ -244,33 +243,6 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
         except (ValueError, OverflowError) as exc:
             exc.row = e
             raise
-    return results
-
-
-def _attribute_flow(d: DagModel, R: np.ndarray, S: np.ndarray) -> list[AttributionResult]:
-    """z = (S - R) * sum_g w_g grad f(R + t_g (S - R)) over ceil(D / 2) Gauss-Legendre nodes, from `DagModel.flow`.
-
-    One flow call per chunk of entities takes the G Gauss points of each
-    entity and both ends, which give the residual fsum(z) - (f(S) - f(R)).
-    """
-    E, n = R.shape
-    nodes = _unit_gauss((d.degree + 1) // 2)
-    t = np.array([tg for tg, _ in nodes])[:, None, None]
-    step = max(1, _CHUNK_ELEMENTS // ((len(nodes) + 2) * max(n, len(d.nodes))))
-    results = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, E, step):
-            Rc, Sc = R[lo : lo + step], S[lo : lo + step]
-            Dc = Sc - Rc
-            points = (Rc + t * Dc).reshape(len(nodes) * len(Rc), n)  # node-major: rows g * len(Rc) + e
-            values, grads = d.flow(np.concatenate([points, Rc, Sc]))
-            acc = np.zeros_like(Dc)
-            for g, (_, w) in enumerate(nodes):
-                acc += w * grads[g * len(Rc) : (g + 1) * len(Rc)]
-            f_r, f_s = values[-2 * len(Rc) :].reshape(2, -1).tolist()
-            # + 0.0 turns -0.0 into 0.0, so a falling variable in no route gets 0.0, as under route expansion
-            for z, a, b in zip((Dc * acc + 0.0).tolist(), f_r, f_s):
-                results.append(AttributionResult("ass", tuple(z), _exact_sum(z) - (b - a)))
     return results
 
 

@@ -47,7 +47,7 @@ class QuadratureConfig:
     max_refine: int = 12
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_refine < 0:
+        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_refine < 0:
             raise ValueError("invalid quadrature configuration")
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .core import AttributionResult, ValuePair
 from .exact import attribute_ass, attribute_ass_batch, attribute_naive
 from .models import DagModel, ModelError, ModelSpec, SnapshotTable, compile_dag, compile_model, parse_order_weights, read_text
-from .oracles import random_order_attribution, shapley_shubik_bruteforce
+from .oracles import ORDER_CAP, random_order_attribution, shapley_shubik_bruteforce
 from .paths import QuadratureConfig, attribute_aumann_shapley
 
 __all__ = [
@@ -79,6 +79,10 @@ def resolve_method(
         return _ass
     if method_id == "naive":
         return attribute_naive
+    if (method_id == "ss-brute" or method_id.startswith("random-order:")) and len(variables) > ORDER_CAP:
+        raise ModelError(
+            f"method {method_id} enumerates variable orders, capped at {ORDER_CAP} variables; the model has {len(variables)}"
+        )
     if method_id == "ss-brute":
         return shapley_shubik_bruteforce
     if method_id == "as-numeric":

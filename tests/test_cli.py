@@ -550,6 +550,39 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "at least one trial" in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("run", ["as-numeric", "ass", "axiom-suite"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol, run):
+        # a log term steep near 0: an infinite tolerance would accept an as-numeric attribution 18 short of the change
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\na\n[separable]\na : log 1 1e-12 1\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,a,0,1\n")
+        if run == "axiom-suite":
+            argv = ["--axiom-suite", "--trials", "2"]
+        else:
+            argv = ["--model", str(model), "--values", str(values), "--method", run]
+        assert main(argv + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --tol must be finite and greater than 0, got {float(tol)}\n"
+
+    @pytest.mark.parametrize("method", ["ss-brute", "random-order"])
+    def test_order_enumeration_cap_names_the_method(self, tmp_path, capsys, method):
+        names = [f"x{i}" for i in range(11)]
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\n" + " ".join(names) + "\n[multilinear]\n" + " ".join(names) + " : 1\n")
+        values = tmp_path / "values.csv"
+        values.write_text("".join(f"e1,{name},1,2\n" for name in names))
+        if method == "random-order":
+            orders = tmp_path / "orders.txt"
+            orders.write_text(" ".join(names) + " : 1\n")
+            method = f"random-order:{orders}"
+        assert main(["--model", str(model), "--values", str(values), "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: method {method} enumerates variable orders, capped at 10 variables; the model has 11\n"
+        )
+
     def test_axiom_suite_refuses_random_order(self, tmp_path, capsys):
         orders = tmp_path / "w.txt"
         orders.write_text("a p c : 1\n")

@@ -234,6 +234,8 @@ def test_monomial_attribution_matches_exact_rationals():
     # full-precision oracle: the subset-weighted formula in Fraction arithmetic
     from fractions import Fraction
 
+    from attrib.exact import attribute_ass_batch
+
     def exact_attr(r, s, i):
         n = len(r)
         rF = [Fraction(x) for x in r]
@@ -259,7 +261,11 @@ def test_monomial_attribution_matches_exact_rationals():
         i = rng.randint(1, n)
         vp = ValuePair(r, s)
         want = exact_attr(r, s, i)
-        for got in (attribute_monomial(1.0, range(1, n + 1), vp, i), attribute_ass(product_function(n), vp).z[i - 1]):
+        for got in (
+            attribute_monomial(1.0, range(1, n + 1), vp, i),
+            attribute_ass(product_function(n), vp).z[i - 1],
+            attribute_ass_batch(product_function(n), [r], [s])[0].z[i - 1],
+        ):
             assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * max(Fraction(1), abs(want))
 
 
@@ -337,21 +343,30 @@ class TestAttributeAssBatch:
         assert len(got) == entities
         for a, b in zip(got, want):
             assert a.method == "ass" and a.converged
-            for x, y in zip(a.z + (a.residual,), b.z + (b.residual,)):
+            for x, y in zip(a.z, b.z):
                 assert abs(x - y) <= 1e-13 * max(1.0, abs(y))
+            # the kernels sum monomials in different orders, so residuals agree to rounding of the z's scale
+            assert abs(a.residual - b.residual) <= 1e-13 * max(1.0, math.fsum(map(abs, b.z)))
 
-    def test_chunks_give_the_same_rows(self, monkeypatch):
+    @pytest.mark.parametrize("model, chunk", [("payperclick", 66), ("layered-dag", 48)], ids=["payperclick", "layered-dag"])
+    def test_chunks_give_the_same_rows(self, monkeypatch, model, chunk):
         import random
 
         from attrib import exact
-        from attrib.models import compile_model, payperclick_model
+        from attrib.models import DagModel, compile_model, payperclick_model
 
-        f = compile_model(payperclick_model(3))
+        if model == "payperclick":
+            f = compile_model(payperclick_model(3))  # 11 variables, degree 5: 3 Gauss nodes
+        else:
+            # 3 layers of 2 nodes into a sink: 12 variables on 7 nodes, degree 4: 2 Gauss nodes
+            grid = [[f"n{k}_{j}" for j in range(2)] for k in range(3)]
+            edges = [(u, v) for k in range(2) for u in grid[k] for v in grid[k + 1]] + [(u, "t") for u in grid[-1]]
+            f = DagModel(tuple(sum(grid, [])) + ("t",), "t", {u: f"s_{u}" for u in grid[0]}, tuple((u, v, f"p_{u}_{v}") for u, v in edges))
         rng = random.Random(7)
         R = [[rng.uniform(0.5, 2.0) for _ in range(f.n)] for _ in range(11)]
         S = [[rng.uniform(0.5, 2.0) for _ in range(f.n)] for _ in range(11)]
         whole = exact.attribute_ass_batch(f, R, S)
-        monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", 40)  # 2 entities per chunk
+        monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", chunk)  # 2 entities x Gauss nodes x variables per chunk
         assert exact.attribute_ass_batch(f, R, S) == whole
 
     def test_functions_without_monomials(self):

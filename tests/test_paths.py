@@ -328,8 +328,9 @@ class TestQuadrature:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             QuadratureConfig(max_refine=-1)
-        with pytest.raises(ValueError):
-            QuadratureConfig(tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                QuadratureConfig(tol=tol)
 
 
 def test_path_completeness_property():
