@@ -26,7 +26,6 @@ from .oracles import (
     random_order_attribution,
     shapley_shubik_bruteforce,
     value_variant_attribution,
-    value_variant_example,
 )
 from .paths import (
     BlackBoxFunction,

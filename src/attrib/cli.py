@@ -1,10 +1,11 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 malformed input, 3 numeric non-convergence or a
-non-finite result.  A report run attributes every entity before printing
-anything: one bad entity stops the run with exit 2 and an error naming it,
-and nothing goes to stdout; exit 3 means every report was printed and at
-least one is flagged unconverged.
+Exit codes: 0 success, 2 malformed input, 3 numeric non-convergence, a
+non-finite result, or a completeness residual above 1e-9 of the change's
+scale under as-numeric, ss-brute or random-order.  A report run attributes
+every entity before printing anything: one bad entity stops the run with
+exit 2 and an error naming it, and nothing goes to stdout; exit 3 means
+every report was printed and at least one is flagged unconverged.
 """
 from __future__ import annotations
 
@@ -34,9 +35,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ass | ss-brute | as-numeric | naive | random-order:<weights-file> (default: ass)")
     parser.add_argument("--tol", metavar="X", type=float, default=None,
                         help="quadrature tolerance for as-numeric, axiom tolerance for --axiom-suite;"
-                             " finite and greater than 0 (ass, ss-brute, naive and random-order ignore it)")
+                             " finite and greater than 0 (ass, ss-brute, naive and random-order ignore it;"
+                             " the 1e-9 relative completeness check of reports does not change with it)")
     parser.add_argument("--max-refine", metavar="N", type=int, default=None,
-                        help="panel doublings allowed before as-numeric gives up")
+                        help="panel doublings allowed before as-numeric gives up; 0 or more")
     parser.add_argument("--seed", metavar="N", type=int, default=0, help="seed for --axiom-suite instances")
     parser.add_argument("--trials", metavar="N", type=int, default=200, help="trials per axiom for --axiom-suite")
     parser.add_argument("--report", choices=("text", "machine"), default="text")
@@ -90,6 +92,8 @@ def main(argv=None) -> int:
     try:
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise ModelError(f"--tol must be finite and greater than 0, got {args.tol}")
+        if args.max_refine is not None and args.max_refine < 0:
+            raise ModelError(f"--max-refine must be a nonnegative integer, got {args.max_refine}")
         if args.demo == "mix-effects":
             demo = mix_effects_demo()
             if args.report == "machine":

@@ -1,19 +1,28 @@
 """Combinatorial reference methods: full n!-order enumeration and friends.
 
 These exist to cross-check the fast kernels, so they stay deliberately
-literal: every method walks variable orders through one block engine,
-`_walk_orders`, which reads f at the box corners each order visits and sums
-each variable's marginal contributions.  Orders are represented as tuples
-listing variables (1-based) in the sequence they move, e.g. (2, 1) moves
-variable 2 first.
+literal: every order contributes each of its n marginal differences.  The
+one engine, `_walk`, takes a *before-mask table*: row v holds, for every
+order walked, the bitmask of the variables that move before v.  Variable
+v's total is then the sum of f(before_v | v) - f(before_v) over the orders,
+read from the values of f at the box corners.
+
+Shapley-Shubik enumeration walks all n! orders in lexicographic order.
+Their table depends only on n, so it is built once per n (`_before_masks`,
+n <= 8, 8 * 8! bytes at most, about 0.36 MB for every n together) and
+shared read-only by every call; for n = 9 and 10 the walk goes prefix by
+prefix over the n = 8 table, so no larger table is ever built.  A
+`PermutationWeights` builds its own table, weight vector and corner list
+once, on first use.  Orders are represented as tuples listing variables
+(1-based) in the sequence they move, e.g. (2, 1) moves variable 2 first.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,12 +35,11 @@ __all__ = [
     "random_order_attribution",
     "value_variant_attribution",
     "hash_order_weights",
-    "value_variant_example",
 ]
 
 ORDER_CAP = 10  # 10! = 3,628,800 orders; enumeration is for verification, not production
 
-_CHUNK = 100_000
+_TABLE_N = 8  # largest cached before-mask table; its masks fit uint8
 
 
 def _check_cap(n: int):
@@ -74,47 +82,111 @@ class PermutationWeights:
         w = 1.0 / math.factorial(n)
         return cls({p: w for p in itertools.permutations(range(1, n + 1))})
 
+    @cached_property
+    def _walk_plan(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The before-mask table and weight vector of the orders of positive weight, and the corners they visit.
+
+        Orders go in lexicographic order, so uniform weights walk them as
+        `shapley_shubik_bruteforce` does.
+        """
+        n = self.n
+        orders = sorted(order for order, w in self.weights.items() if w > 0.0)
+        steps = np.array(orders, dtype=np.int8).T - 1
+        bits = np.left_shift(1, np.arange(n)).astype(np.uint8 if n <= 8 else np.uint16)
+        befores = np.empty(steps.shape, bits.dtype)
+        mask = np.zeros(len(orders), bits.dtype)
+        cols = np.arange(len(orders))
+        for step in steps:
+            befores[step, cols] = mask
+            mask |= bits[step]
+        befores.flags.writeable = False
+        # an order's before-masks are the corners it visits, bar the last: all variables moved
+        corners = np.unique(befores).tolist() + [(1 << n) - 1]
+        return befores, np.array([self.weights[order] for order in orders]), corners
+
 
 def _corner(vp: ValuePair, mask: int) -> list[float]:
     """The box corner holding s_j where bit j of mask is set, r_j elsewhere."""
     return [vp.s[j] if (mask >> j) & 1 else vp.r[j] for j in range(vp.n)]
 
 
-def _walk_orders(n: int, orders: Iterable[tuple[int, ...]], corner_values: Callable, weights: dict | None = None) -> np.ndarray:
-    """Per-variable totals of the marginal contributions along the given orders.
+def _spread(others: Sequence[int]) -> np.ndarray:
+    """Map a mask over positions 0..k-1 of others to the mask of those variables: bit j goes to bit others[j]."""
+    lut = np.zeros(1 << len(others), np.uint16)
+    for j, v in enumerate(others):
+        lut[1 << j : 2 << j] = lut[: 1 << j] | (1 << v)
+    return lut
 
-    Orders go in blocks of _CHUNK.  The prefix masks of a block name the
-    corners each order visits, and corner_values maps a mask array to f
-    there.  Differences of successive corners, times the order's weight when
-    weights are given, are summed per variable by numpy's pairwise sum.
+
+@lru_cache(maxsize=None)
+def _before_masks(n: int) -> np.ndarray:
+    """The read-only (n, n!) uint8 before-mask table of all orders over 0..n-1, n <= 8, in lexicographic order.
+
+    The orders that start with v are v followed by the lexicographic orders
+    of the others, so the table is n blocks: row v of block v is 0, and the
+    other rows are the (n - 1) table mapped onto the others, plus v.
     """
-    z = np.zeros(n, dtype=np.float64)
-    orders = iter(orders)
-    while block := list(itertools.islice(orders, _CHUNK)):
-        perms = np.asarray(block, dtype=np.int64) - 1
-        masks = np.zeros((len(block), n + 1), dtype=np.int64)
-        for k in range(n):
-            masks[:, k + 1] = masks[:, k] | np.left_shift(1, perms[:, k])
-        vals = corner_values(masks)
-        with np.errstate(over="ignore", invalid="ignore"):  # corners that overflow give inf or nan, flagged by the result
-            diffs = vals[:, 1:] - vals[:, :-1]
+    if n == 1:
+        table = np.zeros((1, 1), np.uint8)
+    else:
+        sub = _before_masks(n - 1)
+        blocks = []
+        for v in range(n):
+            others = [u for u in range(n) if u != v]
+            block = np.zeros((n, sub.shape[1]), np.uint8)
+            block[others] = _spread(others)[sub] | (1 << v)
+            blocks.append(block)
+        table = np.concatenate(blocks, axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _walk(befores: np.ndarray, vals: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-variable sums of the marginal contributions f(before_v | v) - f(before_v) over the orders of befores.
+
+    vals holds f at each box corner an order visits, indexed by mask.  Each
+    difference is multiplied by its order's weight when weights are given;
+    numpy's pairwise sum then adds them over the orders, in table order.
+    """
+    totals = np.zeros(len(befores))
+    with np.errstate(over="ignore", invalid="ignore"):  # corners that overflow give inf or nan, flagged by the result
+        for v, before in enumerate(befores):
+            diffs = vals[before | (1 << v)] - vals[before]
             if weights is not None:
-                diffs *= np.array([weights[order] for order in block])[:, None]
-            z += np.array([diffs[perms == v].sum() for v in range(n)])
-    return z
+                diffs *= weights
+            totals[v] += diffs.sum()
+    return totals
 
 
 def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
     """Average marginal contribution over all n! variable orders.
 
     Evaluates f on all 2^n box corners up front, then walks the orders in
-    lexicographic order.  Refuses n > ORDER_CAP.
+    lexicographic order: n * n! differences of corner values, gathered
+    through the cached before-mask table.  Refuses n > ORDER_CAP.
+
+    For n > _TABLE_N the walk goes one prefix of n - _TABLE_N variables at a
+    time (for smaller n the one prefix is empty).  The orders that start
+    with a prefix are the prefix followed by the lexicographic orders of the
+    other _TABLE_N variables: a prefix variable's difference is the same in
+    each of them, and the others walk the cached table over f's values
+    re-indexed onto their own masks.
     """
     n = vp.n
     _check_cap(n)
     vals = np.array([f(_corner(vp, mask)) for mask in range(1 << n)], dtype=np.float64)
-    z = _walk_orders(n, itertools.permutations(range(1, n + 1)), vals.__getitem__) / math.factorial(n)
+    table = _before_masks(min(n, _TABLE_N))
+    suffixes = table.shape[1]
+    z = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
+        for prefix in itertools.permutations(range(n), n - len(table)):
+            mask = 0
+            for v in prefix:
+                z[v] += suffixes * (vals[mask | 1 << v] - vals[mask])
+                mask |= 1 << v
+            others = [v for v in range(n) if v not in prefix]
+            z[others] += _walk(table, vals[_spread(others) | mask])
+        z /= math.factorial(n)
         residual = _exact_sum(z) - (vals[-1] - vals[0])
     return AttributionResult("ss-brute", tuple(float(v) for v in z), residual)
 
@@ -129,25 +201,23 @@ def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> Attrib
     _check_cap(n)
     if pw.n != n:
         raise ValueError(f"weights are over {pw.n} variables, values have {n}")
+    befores, weights, corners = pw._walk_plan
     vals = np.empty(1 << n, dtype=np.float64)
-    known = np.zeros(1 << n, dtype=bool)
-
-    def corner_values(masks: np.ndarray) -> np.ndarray:
-        new = np.unique(masks[~known[masks]])
-        vals[new] = [f(_corner(vp, mask)) for mask in new.tolist()]
-        known[new] = True
-        return vals[masks]
-
-    orders = sorted(order for order, w in pw.weights.items() if w > 0.0)
-    z = _walk_orders(n, orders, corner_values, pw.weights)
-    # at least one order has positive weight, so both box corners are known
+    vals[corners] = [f(_corner(vp, mask)) for mask in corners]
+    z = _walk(befores, vals, weights)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = _exact_sum(z) - (vals[-1] - vals[0])
     return AttributionResult("random-order", tuple(z.tolist()), residual)
 
 
 def value_variant_attribution(f, vp: ValuePair, weight_fn: Callable[[ValuePair], PermutationWeights]) -> AttributionResult:
-    """Random-order attribution whose weights may depend on the value pair."""
+    """Random-order attribution whose weights may depend on the value pair.
+
+    With `hash_order_weights` as weight_fn it is complete, dummy, additive
+    and conditionally nonnegative, but neither anonymous nor (affine) scale
+    invariant, because renaming or rescaling variables changes its weights:
+    a witness that those axioms are needed to single out Aumann-Shapley-Shubik.
+    """
     res = random_order_attribution(f, vp, weight_fn(vp))
     return AttributionResult("value-variant", res.z, res.residual)
 
@@ -158,6 +228,8 @@ def hash_order_weights(vp: ValuePair) -> PermutationWeights:
     The hash is of ``repr((r, s, order))`` so the instance is reproducible
     across runs and platforms while still varying with the value pair.
     """
+    import hashlib  # OpenSSL costs a few MB of memory; only this rule needs it
+
     n = vp.n
     _check_cap(n)
     raw = {}
@@ -171,8 +243,3 @@ def hash_order_weights(vp: ValuePair) -> PermutationWeights:
     heaviest = max(weights, key=weights.get)
     weights[heaviest] += 1.0 - math.fsum(weights.values())
     return PermutationWeights(weights)
-
-
-def value_variant_example(f, vp: ValuePair) -> AttributionResult:
-    """The shipped value-variant instance, using the SHA-256 weight rule."""
-    return value_variant_attribution(f, vp, hash_order_weights)

@@ -43,6 +43,12 @@ __all__ = [
 
 METHOD_IDS = ("ass", "ss-brute", "as-numeric", "naive", "random-order:<weights-file>")
 
+# Methods whose reports are unconverged when completeness misses by more than
+# _RESIDUAL_TOL of the change's scale.  naive's residual is its point; ass waits
+# for a forward error bound.
+_RESIDUAL_GATED = ("as-numeric", "ss-brute", "random-order")
+_RESIDUAL_TOL = 1e-9
+
 
 @dataclass
 class Report:
@@ -116,8 +122,10 @@ def run_report(
     the columns of ``DagModel.variables``, and expands no routes.  Domain,
     dimension or overflow problems are re-raised with the entity and
     variable names attached.  A report whose attributions or residual are
-    not finite is marked unconverged.  Segment totals are plain sums of
-    member attributions.
+    not finite is marked unconverged, and so is an ``as-numeric``,
+    ``ss-brute`` or ``random-order:`` report whose |residual| exceeds 1e-9
+    of |total change| + sum |z_i| (``--tol`` does not set that tolerance).
+    Segment totals are plain sums of member attributions.
     """
     if isinstance(model, DagModel) and method == "ass":
         f, variables, segments = model, model.variables, {}
@@ -171,9 +179,18 @@ def _report(
         z=res.z,
         total_change=total_change,
         residual=res.residual,
-        converged=res.converged and math.isfinite(total_change),
+        converged=(
+            res.converged
+            and math.isfinite(total_change)
+            and not _residual_too_large(res.method, res.z, total_change, res.residual)
+        ),
         segments=totals,
     )
+
+
+def _residual_too_large(method: str, z: Sequence[float], total_change: float, residual: float) -> bool:
+    """|residual| > _RESIDUAL_TOL * (|total change| + sum |z_i|), for the methods in _RESIDUAL_GATED."""
+    return method in _RESIDUAL_GATED and abs(residual) > _RESIDUAL_TOL * (abs(total_change) + math.fsum(map(abs, z)))
 
 
 def render_text(report: Report) -> str:
@@ -185,6 +202,11 @@ def render_text(report: Report) -> str:
     lines.append(f"total change: {report.total_change:.12g}    residual: {report.residual:.12g}")
     if not all(map(math.isfinite, (*report.z, report.residual, report.total_change))):
         lines.append("warning: non-finite result; the values overflow double precision, do not trust these attributions")
+    elif not report.converged and _residual_too_large(report.method, report.z, report.total_change, report.residual):
+        lines.append(
+            f"warning: the residual exceeds {_RESIDUAL_TOL:g} of |total change| + sum |attribution|;"
+            " attributions are best estimates"
+        )
     elif not report.converged:
         lines.append("warning: quadrature did not converge; attributions are best estimates")
     if report.segments:

@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import hypothesis
 import pytest
 from hypothesis import strategies as st
@@ -49,6 +53,28 @@ def charfn_pairs(draw, max_n=5, with_separable=True):
     r = tuple(draw(values) for _ in range(f.n))
     s = tuple(draw(values) for _ in range(f.n))
     return f, ValuePair(r, s)
+
+
+def exact_product_attribution(r, s, i) -> Fraction:
+    """z_i of x_1 * ... * x_n from r to s, by the subset-weighted formula in exact rationals.
+
+    z_i = (s_i - r_i) * sum over subsets K of the others of |K|! (n-1-|K|)! / n!
+    times the product of s_j over K and r_j over the rest: the full-precision
+    oracle that the float kernels and the order walk are checked against.
+    """
+    n = len(r)
+    rF = [Fraction(x) for x in r]
+    sF = [Fraction(x) for x in s]
+    total = Fraction(0)
+    others = [j for j in range(n) if j != i - 1]
+    for k in range(n):
+        wk = Fraction(math.factorial(k) * math.factorial(n - 1 - k), math.factorial(n))
+        for K in itertools.combinations(others, k):
+            p = Fraction(1)
+            for j in others:
+                p *= sF[j] if j in K else rF[j]
+            total += wk * p
+    return (sF[i - 1] - rF[i - 1]) * total
 
 
 @pytest.fixture

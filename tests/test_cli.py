@@ -523,7 +523,11 @@ class TestCli:
         import attrib
 
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(attrib.__file__))}
-        code = "import sys, attrib.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        # scipy serves one optional test; hashlib (OpenSSL, a few MB) only the value-variant weight rule
+        code = (
+            "import sys, attrib.cli;"
+            " print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')))"
+        )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
         assert out.strip() == "[]"
 
@@ -565,6 +569,30 @@ class TestCli:
         assert main(argv + ["--tol", tol]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: --tol must be finite and greater than 0, got {float(tol)}\n"
+
+    @pytest.mark.parametrize("run", ["as-numeric", "ass", "axiom-suite"])
+    def test_max_refine_must_be_nonnegative(self, model_files, capsys, run):
+        model, values = model_files
+        if run == "axiom-suite":
+            argv = ["--axiom-suite", "--trials", "2"]
+        else:
+            argv = ["--model", model, "--values", values, "--method", run]
+        assert main(argv + ["--max-refine", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --max-refine must be a nonnegative integer, got -1\n"
+
+    def test_residual_gate_flags_a_loose_quadrature(self, tmp_path, capsys):
+        # with a huge --tol the first quadrature pass is accepted, 18.1 short of the change on this steep log term
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\na\n[separable]\na : log 1 1e-12 1\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,a,0,1\n")
+        argv = ["--model", str(model), "--values", str(values), "--method", "as-numeric", "--tol", "1e300"]
+        assert main(argv + ["--report", "machine"]) == 3
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["converged"] is False and summary["residual"] < -18
+        assert main(argv) == 3
+        assert "warning: the residual exceeds 1e-09 of |total change| + sum |attribution|" in capsys.readouterr().out
 
     @pytest.mark.parametrize("method", ["ss-brute", "random-order"])
     def test_order_enumeration_cap_names_the_method(self, tmp_path, capsys, method):

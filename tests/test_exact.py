@@ -21,7 +21,7 @@ from attrib import (
 )
 from attrib.exact import dp_subset_means
 
-from conftest import charfn_pairs
+from conftest import charfn_pairs, exact_product_attribution
 
 
 def subset_mean_oracle(r_vals, s_vals, k):
@@ -231,27 +231,10 @@ def test_product_from_zero_to_one_splits_equally(n):
 
 
 def test_monomial_attribution_matches_exact_rationals():
-    # full-precision oracle: the subset-weighted formula in Fraction arithmetic
+    import random
     from fractions import Fraction
 
     from attrib.exact import attribute_ass_batch
-
-    def exact_attr(r, s, i):
-        n = len(r)
-        rF = [Fraction(x) for x in r]
-        sF = [Fraction(x) for x in s]
-        total = Fraction(0)
-        others = [j for j in range(n) if j != i - 1]
-        for k in range(n):
-            wk = Fraction(math.factorial(k) * math.factorial(n - 1 - k), math.factorial(n))
-            for K in itertools.combinations(others, k):
-                p = Fraction(1)
-                for j in others:
-                    p *= sF[j] if j in K else rF[j]
-                total += wk * p
-        return (sF[i - 1] - rF[i - 1]) * total
-
-    import random
 
     rng = random.Random(59)
     for _ in range(10):
@@ -260,7 +243,7 @@ def test_monomial_attribution_matches_exact_rationals():
         s = tuple(rng.uniform(-3, 3) for _ in range(n))
         i = rng.randint(1, n)
         vp = ValuePair(r, s)
-        want = exact_attr(r, s, i)
+        want = exact_product_attribution(r, s, i)
         for got in (
             attribute_monomial(1.0, range(1, n + 1), vp, i),
             attribute_ass(product_function(n), vp).z[i - 1],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -17,11 +18,26 @@ from attrib import (
     random_order_attribution,
     shapley_shubik_bruteforce,
     value_variant_attribution,
-    value_variant_example,
 )
 from attrib.axioms import InstanceGenerator
+from attrib.oracles import _before_masks
 
-from conftest import charfn_pairs
+from conftest import charfn_pairs, exact_product_attribution
+
+
+def literal_walk(f, vp: ValuePair) -> list[float]:
+    """Shapley-Shubik by the book: walk every order corner to corner, add each variable's n! differences with fsum."""
+    n = vp.n
+    contributions = [[] for _ in range(n)]
+    for order in itertools.permutations(range(n)):
+        x = list(vp.r)
+        before = f(x)
+        for v in order:
+            x[v] = vp.s[v]
+            after = f(x)
+            contributions[v].append(after - before)
+            before = after
+    return [math.fsum(c) / math.factorial(n) for c in contributions]
 
 
 class TestBruteforce:
@@ -57,6 +73,39 @@ class TestBruteforce:
             vp = ValuePair(tuple(rng.uniform(-2, 2) for _ in range(n)), tuple(rng.uniform(-2, 2) for _ in range(n)))
             res = shapley_shubik_bruteforce(f, vp)
             assert abs(res.residual) <= 1e-10
+
+
+class TestOrderWalk:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_a_literal_walk(self, n):
+        gen = InstanceGenerator(seed=31, n_range=(n, n))
+        cases = [gen.instance(trial)[:2] for trial in range(3)]
+        # a black box outside the multilinear class, squared in x_1
+        black_box = lambda x: x[0] ** 2 * math.prod(x[1:]) + math.exp(x[-1] / 3)
+        cases.append((black_box, ValuePair(tuple(0.5 + k / 7 for k in range(n)), tuple(1.5 - k / 5 for k in range(n)))))
+        for f, vp in cases:
+            want = literal_walk(f, vp)
+            got = shapley_shubik_bruteforce(f, vp).z
+            scale = max(map(abs, want))
+            assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_prefix_walk_matches_exact_rationals(self, n):
+        # n > 8 walks the lexicographic prefixes over the cached n = 8 table
+        rng = random.Random(n)
+        r = tuple(rng.uniform(-3, 3) for _ in range(n))
+        s = tuple(rng.uniform(-3, 3) for _ in range(n))
+        res = shapley_shubik_bruteforce(product_function(n), ValuePair(r, s))
+        for i, got in enumerate(res.z, 1):
+            want = exact_product_attribution(r, s, i)
+            assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * abs(want)
+
+    def test_cached_table_is_read_only(self):
+        table = _before_masks(4)
+        assert table.shape == (4, 24) and table.dtype == "uint8"
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert _before_masks(4) is table
 
 
 class TestRandomOrder:
@@ -95,7 +144,7 @@ class TestRandomOrder:
 
     def test_uniform_reduction_matches_bruteforce(self):
         rng = random.Random(1)
-        for n in (2, 3, 4):
+        for n in range(1, 8):
             f = product_function(n)
             vp = ValuePair(tuple(rng.uniform(-2, 2) for _ in range(n)), tuple(rng.uniform(-2, 2) for _ in range(n)))
             a = random_order_attribution(f, vp, PermutationWeights.uniform(n))
@@ -179,11 +228,11 @@ class TestOrdinalInvariance:
 
 class TestValueVariant:
     def test_no_change_gives_zeros(self):
-        res = value_variant_example(product_function(2), ValuePair((1.0, 2.0), (1.0, 2.0)))
+        res = value_variant_attribution(product_function(2), ValuePair((1.0, 2.0), (1.0, 2.0)), hash_order_weights)
         assert res.z == (0.0, 0.0)
 
     def test_single_variable_gets_everything(self):
-        res = value_variant_example(lambda x: x[0] ** 2, ValuePair((1.0,), (3.0,)))
+        res = value_variant_attribution(lambda x: x[0] ** 2, ValuePair((1.0,), (3.0,)), hash_order_weights)
         assert res.z == (8.0,)
 
     def test_explicit_weights_through_general_signature(self):
@@ -210,7 +259,7 @@ class TestValueVariant:
         gen = InstanceGenerator(seed=11, n_range=(1, 5))
         for trial in range(20):
             f, vp, _ = gen.instance(trial)
-            res = value_variant_example(f, vp)
+            res = value_variant_attribution(f, vp, hash_order_weights)
             total = evaluate(f, vp.s) - evaluate(f, vp.r)
             assert abs(math.fsum(res.z) - total) <= 1e-10 * (1.0 + abs(total))
 
