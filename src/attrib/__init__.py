@@ -11,8 +11,6 @@ from .core import (
     combine,
     evaluate,
     from_terms,
-    gradient,
-    gradients,
     monomial,
     partial_derivative,
     permute_variables,
@@ -33,7 +31,6 @@ from .paths import (
     attribute_aumann_shapley,
     attribute_path,
     composite_gauss_legendre,
-    convex_combination,
     edge_walk,
     straight_line,
     tabulated_path,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 malformed input, 3 numeric non-convergence, a
 non-finite result, or a completeness residual above 1e-9 of the change's
-scale under as-numeric, ss-brute or random-order.  A report run attributes
+scale under any method but naive.  A report run attributes
 every entity before printing anything: one bad entity stops the run with
 exit 2 and an error naming it, and nothing goes to stdout; exit 3 means
 every report was printed and at least one is flagged unconverged.
@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Attribute the change of a model's value to its variables.",
     )
     parser.add_argument("--model", metavar="PATH", help="model file (variables, terms, segments)")
-    parser.add_argument("--dag", metavar="PATH", help="flow graph file; ass attributes it as it is, other methods expand its routes")
+    parser.add_argument("--dag", metavar="PATH", help="flow graph file; every method attributes it as it is, without expanding its routes")
     parser.add_argument("--values", metavar="PATH", help="CSV snapshot rows entity,variable,initial,final")
     parser.add_argument("--method", metavar="ID", default="ass",
                         help="ass | ss-brute | as-numeric | naive | random-order:<weights-file> (default: ass)")

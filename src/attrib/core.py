@@ -26,8 +26,6 @@ __all__ = [
     "ValuePair",
     "AttributionResult",
     "evaluate",
-    "gradient",
-    "gradients",
     "partial_derivative",
     "combine",
     "permute_variables",
@@ -268,7 +266,12 @@ def _merge_separable(n: int, terms: Iterable[SeparableTerm]) -> tuple[SeparableT
 
 @dataclass
 class CharacteristicFunction:
-    """f(x) = multilinear part + sum of separable terms."""
+    """f(x) = multilinear part + sum of separable terms.
+
+    Every method reads f through two calls: ``f(x)``, the value at one
+    point, and ``f.gradients(X)``, the gradients at the N rows of an N x n
+    array.  A flow graph (`attrib.models.DagModel`) answers the same two.
+    """
 
     multilinear: MultilinearPoly
     separable: tuple[SeparableTerm, ...] = ()
@@ -282,6 +285,29 @@ class CharacteristicFunction:
 
     def __call__(self, x: Sequence[float]) -> float:
         return evaluate(self, x)
+
+    def gradients(self, X) -> np.ndarray:
+        """All partial derivatives of f at every row of the N x n array X, as an N x n array.
+
+        Monomials are added in ascending key order, then the separable
+        derivatives, each built once and evaluated point by point, so a point
+        outside a term's domain raises the `DomainError` a single-point call
+        would.  Products that overflow give inf, as in plain float arithmetic.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"dimension mismatch: function has {self.n} variables, got points of shape {X.shape}")
+        G = np.zeros_like(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for I, c in self.multilinear.terms.items():
+                if I:
+                    cols = [j - 1 for j in I]
+                    G[:, cols] += _batch_partials(X[:, cols], c)
+        derivs = [(t.index - 1, t.derivative()) for t in self.separable]
+        for x, g in zip(X.tolist() if derivs else (), G):
+            for i, d in derivs:
+                g[i] += d.value(x[i])
+        return G
 
     def as_dict(self) -> dict:
         return {
@@ -384,35 +410,6 @@ def _batch_partials(x: np.ndarray, scale) -> np.ndarray:
     np.cumprod(out, axis=-1, out=out)
     out[..., :-1] *= np.cumprod(x[..., :0:-1], axis=-1)[..., ::-1]
     return out
-
-
-def gradients(f: CharacteristicFunction, X) -> np.ndarray:
-    """All partial derivatives of f at every row of the N x n array X, as an N x n array.
-
-    Monomials are added in ascending key order, then the separable
-    derivatives, each built once and evaluated point by point, so a point
-    outside a term's domain raises the `DomainError` a single-point call
-    would.  Products that overflow give inf, as in plain float arithmetic.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != f.n:
-        raise ValueError(f"dimension mismatch: function has {f.n} variables, got points of shape {X.shape}")
-    G = np.zeros_like(X)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for I, c in f.multilinear.terms.items():
-            if I:
-                cols = [j - 1 for j in I]
-                G[:, cols] += _batch_partials(X[:, cols], c)
-    derivs = [(t.index - 1, t.derivative()) for t in f.separable]
-    for x, g in zip(X.tolist() if derivs else (), G):
-        for i, d in derivs:
-            g[i] += d.value(x[i])
-    return G
-
-
-def gradient(f: CharacteristicFunction, x: Sequence[float]) -> list[float]:
-    """All partial derivatives of f at x, as a list indexed by variable - 1."""
-    return gradients(f, [x])[0].tolist()
 
 
 def partial_derivative(f: CharacteristicFunction, i: int) -> CharacteristicFunction:

@@ -23,10 +23,10 @@ of that row, built by a two-buffer recursion in O(m^2) time and O(m) memory.
 
 `attribute_ass_batch` applies the same rule to many value pairs at once, as
 one loop over gradient parts: z = (s - r) * sum_g w_g grad(r + t_g (s - r))
-over the ceil(m / 2) Gauss-Legendre nodes of each part's degree m.  A model
-gives one part per monomial degree, with gradients from `core.gradients`.
-A flow graph (`attrib.models.DagModel`) gives one part of its degree D, which
-bounds that of every route's term, with gradients from `DagModel.flow`: one
+over the ceil(m / 2) Gauss-Legendre nodes of each part's degree m.  A part
+is a bound ``gradients`` method.  A model gives one part per monomial
+degree.  A flow graph (`attrib.models.DagModel`) is one part of its degree
+D, which bounds that of every route's term; its gradients come from one
 forward and one backward pass over the graph, O(ceil(D / 2) (V + E)) per
 pair however many routes there are.  A part sums its monomials at each node
 before the node sum, so rows agree with `attribute_ass` to rounding, not bit
@@ -40,13 +40,13 @@ their intermediates stay within the range of the products themselves.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum, _monomial_partials, evaluate, from_terms, gradient, gradients
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum, _monomial_partials, evaluate, from_terms
 from .models import DagModel
 from .paths import _nodes
 
@@ -185,10 +185,10 @@ def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Se
 def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[AttributionResult]:
     """`attribute_ass` of f for every pair of rows (R[e], S[e]) of two E x n arrays.
 
-    f splits into gradient parts: a model gives one per monomial degree m,
-    its monomials of that degree with gradients from `core.gradients`; a
-    `DagModel`, with columns in the order of ``f.variables``, gives one of
-    its degree D with gradients from `DagModel.flow`, and expands no routes.
+    f splits into gradient parts, each a bound ``gradients`` method: a model
+    gives one per monomial degree m, the model of its monomials of that
+    degree; a `DagModel`, with columns in the order of ``f.variables``, is
+    one part of its degree D, and expands no routes.
     Each part adds (S - R) * sum_g w_g grad(R + t_g (S - R)) over its
     ceil(m / 2) Gauss-Legendre nodes to z, from one gradient call over all
     nodes of a chunk of entities; chunks keep every temporary near
@@ -210,14 +210,14 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
     if not (np.isfinite(R).all() and np.isfinite(S).all()):
         raise ValueError("value vectors must be finite")
     if isinstance(f, DagModel):
-        parts = [(f.degree, lambda X: f.flow(X)[1])]
+        parts = [(f.degree, f.gradients)]
         width = max(f.n, len(f.nodes))  # flow keeps V x N arrays
     else:
         by_degree: dict[int, dict] = {}
         for I, c in f.multilinear.terms.items():
             if I:
                 by_degree.setdefault(len(I), {})[I] = c
-        parts = [(m, partial(gradients, from_terms(f.n, terms))) for m, terms in by_degree.items()]
+        parts = [(m, from_terms(f.n, terms).gradients) for m, terms in by_degree.items()]
         width = max(f.n, 1)
     E = R.shape[0]
     Z = np.zeros_like(R)
@@ -246,15 +246,15 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
     return results
 
 
-def attribute_naive(f: CharacteristicFunction, vp: ValuePair) -> AttributionResult:
-    """Endpoint-gradient baseline z_i = d_i f(s) * (s_i - r_i).
+def attribute_naive(f, vp: ValuePair) -> AttributionResult:
+    """Endpoint-gradient baseline z_i = d_i f(s) * (s_i - r_i), for a model or a flow graph.
 
     Complete only for functions linear in each changing variable; the
     generally nonzero residual is the point of keeping it around.
     """
     if vp.n != f.n:
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
-    g = gradient(f, vp.s)
+    g = f.gradients([vp.s])[0].tolist()
     z = tuple(g[k] * (vp.s[k] - vp.r[k]) for k in range(f.n))
-    residual = _exact_sum(z) - (evaluate(f, vp.s) - evaluate(f, vp.r))
+    residual = _exact_sum(z) - (f(vp.s) - f(vp.r))
     return AttributionResult("naive", z, residual)

@@ -24,10 +24,12 @@ Graph file grammar::
     [edges]                # from to ':' traversal-probability variable name
     a b : p_ab
 
-A graph's model is the expected arrivals at its sink.  `DagModel.flow` gives
-its values and gradients from two passes over the graph; `compile_dag`
-expands it into one term per (start, route) pair, for the methods that need
-terms and for writing the model out.
+A graph's model is the expected arrivals at its sink.  A `DagModel` answers
+the two calls every method makes of a compiled model, ``d(x)`` and
+``d.gradients(X)``, from `DagModel.flow`: a forward and a backward pass
+over the graph, with no routes.  `compile_dag` expands a graph into one
+term per (start, route) pair; no method needs it, and it stays as the route
+expansion that tests check the flow passes against.
 
 Snapshots are CSV rows ``entity,variable,initial,final`` (header optional),
 parsed into one columnar `SnapshotTable`: entity and variable names, per-row
@@ -74,7 +76,6 @@ __all__ = [
     "procurement_model",
     "payperclick_model",
     "portfolio_model",
-    "basketball_model",
     "ecommerce_dag_example",
 ]
 
@@ -243,7 +244,7 @@ def format_model(ms: ModelSpec) -> str:
 # directed acyclic graph models
 
 
-ROUTE_CAP = 10**6  # start/route pairs, so terms, that `compile_dag` may expand one graph into
+ROUTE_CAP = 10**6  # start/route pairs, so terms, that the reference `compile_dag` may expand one graph into
 
 
 @dataclass
@@ -254,9 +255,11 @@ class DagModel:
     coefficient 1 over the start variable and the traversal variables of the
     route.  Routes stop at the sink and repeat no edge, so the function is
     multilinear, of degree 1 plus the edge count of the longest route from a
-    start.  `flow` gives its values and gradients from one forward and one
-    backward pass over the graph, with no routes; `compile_dag` expands the
-    routes into a `ModelSpec`.  Both use the variable order of `variables`.
+    start.  Like a `CharacteristicFunction`, ``d(x)`` gives its value at one
+    point and ``d.gradients(X)`` its gradients at N points, both from `flow`,
+    so no method expands a graph's routes; the reference
+    `compile_dag` expands them into a `ModelSpec`.  All use the variable
+    order of `variables`.
     """
 
     nodes: tuple[str, ...]
@@ -318,6 +321,14 @@ class DagModel:
             if count[node] == 0:
                 raise ModelError(f"sink is unreachable from start node {node!r}")
         return count, 1 + max((longest[node] for node in self.starts), default=0)
+
+    def __call__(self, x: Sequence[float]) -> float:
+        """Expected sink arrivals at the point x, from `flow`."""
+        return float(self.flow([x])[0][0])
+
+    def gradients(self, X) -> np.ndarray:
+        """Gradients at every row of the N x n array X, as an N x n array, from `flow`."""
+        return self.flow(X)[1]
 
     def flow(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Expected sink arrivals and their gradients at every row of the N x n array X, as N and N x n arrays.
@@ -417,20 +428,17 @@ def _toposort(d: DagModel) -> list[str]:
 
 
 def compile_dag(d: DagModel) -> ModelSpec:
-    """Expand a graph into one term per (start node, route to sink).
+    """Expand a graph into one term per (start node, route to sink): the route-expansion reference.
 
     Raises on cycles, on unreachable starts, and when the route count
-    exceeds ROUTE_CAP (counted by `DagModel` before enumeration).
-    `DagModel.flow` needs no routes, so ``ass`` attributes graphs of any
-    size without this expansion.
+    exceeds ROUTE_CAP (counted by `DagModel` before enumeration).  No
+    method calls it: they read the graph through `DagModel.flow`, which
+    needs no routes.
     """
     count, _ = d._routes()
     total = sum(count[node] for node in d.starts)
     if total > ROUTE_CAP:
-        raise ModelError(
-            f"{total} start/route pairs exceed the cap of {ROUTE_CAP} for expanding the graph into terms;"
-            " --method ass attributes graphs of any size"
-        )
+        raise ModelError(f"{total} start/route pairs exceed the cap of {ROUTE_CAP} for expanding the graph into terms")
     out_edges: dict[str, list[tuple[str, str]]] = {n: [] for n in d.nodes}
     for u, v, name in d.edges:
         out_edges[u].append((v, name))
@@ -656,22 +664,6 @@ def portfolio_model(assets) -> ModelSpec:
         segments[w] = "allocation"
         segments[r] = "selection"
     return ModelSpec(tuple(names), tuple(terms), (), segments)
-
-
-def basketball_model(players) -> ModelSpec:
-    """Points = sum over players of games * minutes * attempts * accuracy, accuracy in 0..100.
-
-    The 1/100 rescaling sits in the coefficient so the accuracy variable
-    keeps its conventional percent units.
-    """
-    players = tuple(players)
-    names = []
-    terms = []
-    for p in players:
-        g, m, a, pct = f"games_{p}", f"minutes_{p}", f"attempts_{p}", f"accuracy_{p}"
-        names += [g, m, a, pct]
-        terms.append(((g, m, a, pct), 0.01))
-    return ModelSpec(tuple(names), tuple(terms))
 
 
 def ecommerce_dag_example() -> DagModel:

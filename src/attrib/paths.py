@@ -4,7 +4,9 @@ A base path gamma lives on the unit cube with gamma(0) = 0 and gamma(1) = 1
 componentwise; pairing it with a value pair gives the path
 r + (s - r) * gamma(t), and the attribution to variable i is the integral of
 d_i f along that path times the i-th velocity, taken at all the nodes of a
-pass at once.  Integrals use composite Gauss-Legendre panels that double
+pass at once by one ``f.gradients`` call.  A model, a flow graph and a
+`BlackBoxFunction` all answer that call; a plain callable is wrapped in a
+black box.  Integrals use composite Gauss-Legendre panels that double
 until two successive estimates agree to the requested tolerance; failure to
 converge is flagged on the result rather than raised, so verification
 harnesses can report it.
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _check_permutation, _exact_sum, gradients
+from .core import AttributionResult, ValuePair, _check_permutation, _exact_sum
 
 __all__ = [
     "QuadratureConfig",
@@ -29,7 +31,6 @@ __all__ = [
     "tabulated_path",
     "attribute_path",
     "attribute_aumann_shapley",
-    "convex_combination",
     "composite_gauss_legendre",
 ]
 
@@ -56,7 +57,8 @@ class BlackBoxFunction:
     """Opaque evaluator, optionally with an analytic gradient.
 
     Without a gradient handle, partials fall back to central differences with
-    per-coordinate step 1e-6 * (1 + |x_i|).
+    per-coordinate step 1e-6 * (1 + |x_i|).  `gradients` takes them point by
+    point.
     """
 
     n: int
@@ -79,6 +81,10 @@ class BlackBoxFunction:
             lo[i] -= h
             out[i] = (self.fn(hi) - self.fn(lo)) / (2.0 * h)
         return out
+
+    def gradients(self, X) -> np.ndarray:
+        """The gradient at every row of the N x n array X, as an N x n array."""
+        return np.array([self.gradient(x) for x in np.asarray(X, dtype=float).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -232,27 +238,25 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
     each panel sees a smooth integrand.  Panels double until two successive
     passes agree componentwise within q.tol (relative, with an absolute floor
     of q.tol); if max_refine doublings are exhausted first, the best estimate
-    is returned with converged=False.  A pass takes the gradient of a
-    `CharacteristicFunction` in one `gradients` call (one per block of
-    _CHUNK_ELEMENTS values on very fine passes), of a black box node by node.
+    is returned with converged=False.  A pass takes its gradients in one
+    ``f.gradients`` call (one per block of _CHUNK_ELEMENTS values on very
+    fine passes); f is a model, a flow graph or a `BlackBoxFunction`, and a
+    plain callable is wrapped in a black box.
     """
     q = q or QuadratureConfig()
     if base.n is not None and base.n != vp.n:
         raise ValueError(f"{base.kind} path is over {base.n} variables, values have {vp.n}")
     r = np.asarray(vp.r)
     d = np.asarray(vp.s) - r
-    if isinstance(f, CharacteristicFunction):
-        grad = lambda X: gradients(f, X)
-    else:
-        box = f if isinstance(f, BlackBoxFunction) else BlackBoxFunction(vp.n, f)
-        grad = lambda X: np.array([box.gradient(x) for x in X.tolist()])
+    if not hasattr(f, "gradients"):
+        f = BlackBoxFunction(vp.n, f)
     step = max(1, _CHUNK_ELEMENTS // max(vp.n, 1))
     z = None
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan, and a result flagged unconverged
         for k in range(q.max_refine + 1):
             nodes, weights = _nodes(base.breaks, _ORDER, _PANELS * 2**k)
             blocks = [(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)]
-            z, prev = sum(w @ (grad(r + d * base.g(t)) * (d * base.dg(t))) for t, w in blocks), z
+            z, prev = sum(w @ (f.gradients(r + d * base.g(t)) * (d * base.dg(t))) for t, w in blocks), z
             converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
             if converged:
                 break
@@ -264,28 +268,3 @@ def attribute_aumann_shapley(f, vp: ValuePair, q: QuadratureConfig | None = None
     """Path attribution along the straight line from r to s."""
     res = attribute_path(f, vp, straight_line(), q)
     return replace(res, method="as-numeric")
-
-
-def convex_combination(methods: Sequence[tuple[Callable, float]]) -> Callable:
-    """Blend attribution methods with nonnegative weights summing to 1.
-
-    Each entry is (method, weight) where method maps (f, vp) to an
-    AttributionResult; completeness is preserved by convexity.
-    """
-    parts = list(methods)
-    total = math.fsum(w for _, w in parts)
-    if any(w < 0 for _, w in parts) or abs(total - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to 1")
-
-    def blend(f, vp: ValuePair) -> AttributionResult:
-        z = [0.0] * vp.n
-        residual = 0.0
-        converged = True
-        for method, w in parts:
-            res = method(f, vp)
-            z = [a + w * b for a, b in zip(z, res.z)]
-            residual += w * res.residual
-            converged = converged and res.converged
-        return AttributionResult("convex", tuple(z), residual, converged)
-
-    return blend

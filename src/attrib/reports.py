@@ -3,9 +3,10 @@
 `run_report` takes a model and a `SnapshotTable`, maps the table onto the
 model's columns as E x n initial and final arrays, and attributes every
 entity: ``ass`` in one batch kernel call, other methods one row at a time.
-A model is compiled once.  A flow graph goes to the ``ass`` kernel as it is,
-which attributes it from forward and backward passes over the graph; only
-the other methods expand it into one term per route.  `resolve_method` is
+A model is compiled once.  A flow graph goes to every method as it is: it
+answers the same two calls as a compiled model, values and gradients at
+points, from forward and backward passes, so no method expands its routes.
+`resolve_method` is
 the one map from a method id to its kernel; a ``random-order:`` id reads its
 weights file through `attrib.models`, which holds every file grammar.
 `render_machine` writes a report's JSON Lines records by filling one
@@ -25,7 +26,8 @@ import numpy as np
 
 from .core import AttributionResult, ValuePair
 from .exact import attribute_ass, attribute_ass_batch, attribute_naive
-from .models import DagModel, ModelError, ModelSpec, SnapshotTable, compile_dag, compile_model, parse_order_weights, read_text
+from .models import DagModel, ModelError, ModelSpec, SnapshotTable, compile_model, parse_order_weights, read_text
+from .models import compile_dag  # noqa: F401  no report expands routes; only the bench's span map reads this name
 from .oracles import ORDER_CAP, random_order_attribution, shapley_shubik_bruteforce
 from .paths import QuadratureConfig, attribute_aumann_shapley
 
@@ -44,9 +46,8 @@ __all__ = [
 METHOD_IDS = ("ass", "ss-brute", "as-numeric", "naive", "random-order:<weights-file>")
 
 # Methods whose reports are unconverged when completeness misses by more than
-# _RESIDUAL_TOL of the change's scale.  naive's residual is its point; ass waits
-# for a forward error bound.
-_RESIDUAL_GATED = ("as-numeric", "ss-brute", "random-order")
+# _RESIDUAL_TOL of the change's scale.  naive's residual is its point.
+_RESIDUAL_GATED = ("ass", "as-numeric", "ss-brute", "random-order")
 _RESIDUAL_TOL = 1e-9
 
 
@@ -117,21 +118,21 @@ def run_report(
     and the table mapped onto the model's variables as E x n arrays; an
     entity missing a model variable or listing one the model lacks is an
     error naming it.  ``ass`` attributes every entity in one batch kernel
-    call, other methods call their handle per entity.  A `DagModel` is
-    compiled only for the other methods: ``ass`` takes the graph itself, with
-    the columns of ``DagModel.variables``, and expands no routes.  Domain,
-    dimension or overflow problems are re-raised with the entity and
-    variable names attached.  A report whose attributions or residual are
-    not finite is marked unconverged, and so is an ``as-numeric``,
-    ``ss-brute`` or ``random-order:`` report whose |residual| exceeds 1e-9
+    call, other methods call their handle per entity.  A `DagModel` goes to
+    every method as it is, with the columns of ``DagModel.variables``, after
+    one check that the sink is reachable from every start node; no method
+    expands its routes.  Domain, dimension or overflow problems are
+    re-raised with the entity and variable names attached.  A report whose
+    attributions or residual are not finite is marked unconverged, and so
+    is a report of any method but ``naive`` whose |residual| exceeds 1e-9
     of |total change| + sum |z_i| (``--tol`` does not set that tolerance).
     Segment totals are plain sums of member attributions.
     """
-    if isinstance(model, DagModel) and method == "ass":
+    if isinstance(model, DagModel):
+        model.degree  # raises ModelError on a start node that cannot reach the sink
         f, variables, segments = model, model.variables, {}
     else:
-        ms = compile_dag(model) if isinstance(model, DagModel) else model
-        f, variables, segments = compile_model(ms), ms.variables, ms.segments
+        f, variables, segments = compile_model(model), model.variables, model.segments
     handle = resolve_method(method, variables, tol, max_refine)
     R, S = snaps.columns(variables)
     rows = list(zip(snaps.entities, R.tolist(), S.tolist()))
@@ -139,7 +140,7 @@ def run_report(
         try:
             results = handle(f, (R, S))
         except (ValueError, OverflowError) as exc:  # the batch kernel numbers the entity's row
-            if not hasattr(exc, "row"):  # not about one entity, such as a graph's unreachable start
+            if not hasattr(exc, "row"):  # not about one entity
                 raise
             raise _located(variables, snaps.entities[exc.row], exc) from exc
     else:

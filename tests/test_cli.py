@@ -126,8 +126,32 @@ class TestRunReport:
         assert report.variables == d.variables and report.segments is None
         assert report.z == pytest.approx(expected[0].z, rel=1e-12, abs=1e-12)
         assert abs(report.residual) <= 1e-12 * (1.0 + abs(report.total_change))
-        with pytest.raises(AssertionError, match="compiled the graph"):
-            run_report(d, snaps, "naive")
+
+    @pytest.mark.parametrize("method", ["naive", "as-numeric", "ss-brute", "random-order"])
+    def test_other_methods_attribute_a_graph_without_expanding_it(self, monkeypatch, tmp_path, method):
+        from attrib import reports
+        from attrib.models import compile_dag, ecommerce_dag_example
+
+        d = ecommerce_dag_example()
+        if method == "random-order":
+            orders = tmp_path / "orders.txt"
+            orders.write_text(" ".join(d.variables) + " : 0.5\n" + " ".join(reversed(d.variables)) + " : 0.5\n")
+            method = f"random-order:{orders}"
+        rows = [f"e{e},{name},{1.0 + k + e},{0.5 * k}\n" for e in range(2) for k, name in enumerate(d.variables)]
+        snaps = parse_snapshots("".join(rows))
+        expected = run_report(compile_dag(d), snaps, method)
+
+        def refuse(model):
+            raise AssertionError("the report compiled the graph")
+
+        monkeypatch.setattr(reports, "compile_dag", refuse)
+        monkeypatch.setattr(reports, "compile_model", refuse)
+        got = run_report(d, snaps, method)
+        assert [r.entity for r in got] == ["e0", "e1"]
+        for a, b in zip(got, expected):
+            assert a.variables == b.variables and a.segments is None and a.converged == b.converged
+            for x, y in zip(a.z + (a.total_change, a.residual), b.z + (b.total_change, b.residual)):
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
 
     def test_non_finite_result_is_flagged(self):
         ms = parse_model("[variables]\na b\n[multilinear]\na b : 1e300\n")
@@ -400,7 +424,7 @@ class TestCli:
         assert "warning: non-finite result" in captured.out and captured.err == ""
 
     def test_graph_beyond_the_route_cap(self, tmp_path, capsys):
-        # 8 layers of 8 nodes: 8^8 = 16,777,216 start/route pairs, over the cap of 10^6
+        # 8 layers of 8 nodes: 8^8 = 16,777,216 start/route pairs, over the reference expansion's cap of 10^6
         grid = [[f"n{k}_{j}" for j in range(8)] for k in range(8)]
         edges = [(u, v) for k in range(7) for u in grid[k] for v in grid[k + 1]] + [(u, "t") for u in grid[-1]]
         starts = [f"{u} : s_{u}" for u in grid[0]]
@@ -412,26 +436,24 @@ class TestCli:
         names = [f"s_{u}" for u in grid[0]] + [f"p_{u}_{v}" for u, v in edges]
         values = tmp_path / "values.csv"
         values.write_text("".join(f"e,{name},{0.5 if name[0] == 'p' else 10},{0.25 if name[0] == 'p' else 20}\n" for name in names))
-        assert main(["--dag", str(dag), "--values", str(values), "--report", "machine"]) == 0
-        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        [summary] = [r for r in records if r["record"] == "summary"]
-        # every route multiplies its start by eight probabilities: 8 * 8^7 routes, 20 * 0.25^8 - 10 * 0.5^8 each
-        assert summary["total_change"] == pytest.approx(8**8 * (20 * 0.25**8 - 10 * 0.5**8), rel=1e-12)
-        assert abs(summary["residual"]) <= 1e-12 * (1 + abs(summary["total_change"]))
-        assert len(records) == len(names) + 1
-        assert main(["--dag", str(dag), "--values", str(values), "--method", "naive"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == (
-            "error: 16777216 start/route pairs exceed the cap of 1000000 for expanding the graph into terms;"
-            " --method ass attributes graphs of any size\n"
-        )
+        for method in ("ass", "naive", "as-numeric"):
+            assert main(["--dag", str(dag), "--values", str(values), "--report", "machine", "--method", method]) == 0
+            records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            [summary] = [r for r in records if r["record"] == "summary"]
+            # every route multiplies its start by eight probabilities: 8 * 8^7 routes, 20 * 0.25^8 - 10 * 0.5^8 each
+            assert summary["total_change"] == pytest.approx(8**8 * (20 * 0.25**8 - 10 * 0.5**8), rel=1e-12)
+            if method != "naive":
+                assert abs(summary["residual"]) <= 1e-12 * (1 + abs(summary["total_change"]))
+            assert len(records) == len(names) + 1
 
     def test_unreachable_start_is_input_error(self, tmp_path, capsys):
         dag = tmp_path / "graph.txt"
         dag.write_text("[nodes]\na b t\n[sink]\nt\n[starts]\nb : s_b\n[edges]\na t : p\n")
         values = tmp_path / "values.csv"
         values.write_text("e,s_b,1,2\ne,p,0.5,0.5\n")
-        for method in ("ass", "naive"):
+        orders = tmp_path / "orders.txt"
+        orders.write_text("s_b p : 1\n")
+        for method in ("ass", "naive", "as-numeric", "ss-brute", f"random-order:{orders}"):
             assert main(["--dag", str(dag), "--values", str(values), "--method", method]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == "error: sink is unreachable from start node 'b'\n"
@@ -591,6 +613,20 @@ class TestCli:
         assert main(argv + ["--report", "machine"]) == 3
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["converged"] is False and summary["residual"] < -18
+        assert main(argv) == 3
+        assert "warning: the residual exceeds 1e-09 of |total change| + sum |attribution|" in capsys.readouterr().out
+
+    def test_residual_gate_flags_a_cancelling_ass_row(self, tmp_path, capsys):
+        # a b - a c cancels in floating point: ass prints z_a = 0 (true 0.8) and a residual of 0.8
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\na b c d\n[multilinear]\na b : 1\na c : -1\nd : 1\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,a,1,1.1\ne,b,1e17,100000000000000016\ne,c,1e17,1e17\ne,d,0,1\n")
+        argv = ["--model", str(model), "--values", str(values)]
+        assert main(argv + ["--report", "machine"]) == 3
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert records[0]["variable"] == "a" and records[0]["attribution"] == 0.0
+        assert records[-1]["converged"] is False and records[-1]["residual"] == pytest.approx(0.8, rel=1e-3)
         assert main(argv) == 3
         assert "warning: the residual exceeds 1e-09 of |total change| + sum |attribution|" in capsys.readouterr().out
 

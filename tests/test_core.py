@@ -14,8 +14,6 @@ from attrib import (
     combine,
     evaluate,
     from_terms,
-    gradient,
-    gradients,
     monomial,
     partial_derivative,
     permute_variables,
@@ -234,7 +232,7 @@ def test_gradient_matches_partial_derivatives():
         [SeparableTerm(2, "exp", (0.4, 0.0, 1.0)), SeparableTerm(3, "poly", (0.0, 1.0, 2.0))],
     )
     x = (0.7, -1.2, 0.9)
-    g = gradient(f, x)
+    [g] = f.gradients([x])
     for i in range(1, 4):
         assert g[i - 1] == pytest.approx(evaluate(partial_derivative(f, i), x), rel=1e-12)
 
@@ -253,10 +251,10 @@ def _loop_gradient(f, x):
 @given(charfn_pairs(max_n=5))
 def test_gradients_rows_equal_the_point_loop_bit_for_bit(pair):
     f, vp = pair
-    G = gradients(f, [vp.r, vp.s, vp.r])
+    G = f.gradients([vp.r, vp.s, vp.r])
     assert G.shape == (3, f.n)
     assert G.tolist() == [_loop_gradient(f, vp.r), _loop_gradient(f, vp.s), _loop_gradient(f, vp.r)]
-    assert gradient(f, vp.s) == _loop_gradient(f, vp.s)
+    assert f.gradients([vp.s])[0].tolist() == _loop_gradient(f, vp.s)
 
 
 def test_gradients_with_shared_separable_variable():
@@ -266,7 +264,7 @@ def test_gradients_with_shared_separable_variable():
         [SeparableTerm(2, "exp", (0.4, 0.0, 1.0)), SeparableTerm(2, "log", (1.0, 3.0, 2.0)), SeparableTerm(3, "poly", (0.0, 1.0, 2.0))],
     )
     X = [(0.7, -1.2, 0.9), (0.0, 0.0, 0.0), (-2.0, 1.5, 3.0)]
-    for x, row in zip(X, gradients(f, X).tolist()):
+    for x, row in zip(X, f.gradients(X).tolist()):
         assert row == _loop_gradient(f, x)
         for i in range(1, 4):
             assert row[i - 1] == pytest.approx(evaluate(partial_derivative(f, i), x), rel=1e-12)
@@ -275,10 +273,10 @@ def test_gradients_with_shared_separable_variable():
 def test_gradients_raise_the_first_points_domain_error():
     f = from_terms(2, {(1, 2): 1.0}, [SeparableTerm(2, "exp", (1000.0, 0.0, 1.0))])
     with pytest.raises(DomainError, match=r"exp term on variable 2 overflows at x = 2\.0") as info:
-        gradients(f, [(1.0, 0.5), (1.0, 2.0), (1.0, 3.0)])
+        f.gradients([(1.0, 0.5), (1.0, 2.0), (1.0, 3.0)])
     assert info.value.index == 2
     with pytest.raises(ValueError, match="dimension mismatch"):
-        gradients(f, [(1.0, 2.0, 3.0)])
+        f.gradients([(1.0, 2.0, 3.0)])
 
 
 @given(charfn_pairs(max_n=4))

@@ -424,7 +424,6 @@ class TestFlowGraphs:
     def test_flow_matches_route_expansion(self, d, data):
         import numpy as np
 
-        from attrib.core import gradients
         from attrib.exact import attribute_ass_batch
         from attrib.models import compile_dag, compile_model
 
@@ -439,7 +438,10 @@ class TestFlowGraphs:
 
         values, grads = d.flow(np.concatenate([R, S]))
         assert values.tolist() == pytest.approx([evaluate(f, x) for x in np.concatenate([R, S]).tolist()], rel=1e-12, abs=1e-12)
-        assert grads == pytest.approx(gradients(f, np.concatenate([R, S])), rel=1e-12, abs=1e-12)
+        assert grads == pytest.approx(f.gradients(np.concatenate([R, S])), rel=1e-12, abs=1e-12)
+        # to rounding only: numpy sums a node's 8 or more edges pairwise for one point, in order for several
+        assert [d(x) for x in R.tolist()] == pytest.approx(values[:E].tolist(), rel=1e-14, abs=1e-14)
+        assert d.gradients(S) == pytest.approx(grads[E:], rel=1e-14, abs=1e-14)
 
         flow = attribute_ass_batch(d, R, S)
         routes = attribute_ass_batch(f, R, S)
@@ -449,6 +451,27 @@ class TestFlowGraphs:
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
             delta = evaluate(f, s) - evaluate(f, r)
             assert abs(a.residual) <= 1e-12 * (1.0 + abs(delta))
+
+    @given(d=flow_graphs(), data=st.data())
+    def test_every_method_matches_route_expansion(self, d, data):
+        from attrib.exact import attribute_naive
+        from attrib.models import compile_dag, compile_model
+        from attrib.oracles import PermutationWeights, random_order_attribution, shapley_shubik_bruteforce
+        from attrib.paths import attribute_aumann_shapley
+
+        f = compile_model(compile_dag(d))
+        cells = st.lists(st.floats(0.0, 2.0), min_size=d.n, max_size=d.n).map(tuple)
+        vp = ValuePair(data.draw(cells), data.draw(cells))
+        methods = [attribute_naive, attribute_aumann_shapley]
+        if 1 <= d.n <= 10:
+            orders = data.draw(st.lists(st.permutations(range(1, d.n + 1)).map(tuple), min_size=1, max_size=3, unique=True))
+            pw = PermutationWeights({order: 1.0 / len(orders) for order in orders})
+            methods += [shapley_shubik_bruteforce, lambda g, v: random_order_attribution(g, v, pw)]
+        for method in methods:
+            a, b = method(d, vp), method(f, vp)
+            assert a.method == b.method and a.converged == b.converged
+            for x, y in zip(a.z + (a.residual,), b.z + (b.residual,)):
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
 
     def test_variables_in_no_route_get_zero(self):
         from attrib.exact import attribute_ass_batch

@@ -10,7 +10,6 @@ from attrib.models import (
     DagModel,
     ModelError,
     ModelSpec,
-    basketball_model,
     compile_dag,
     compile_model,
     ecommerce_dag_example,
@@ -51,6 +50,19 @@ a b : p_ab
 b t : p_bt
 a t : p_at
 """
+
+
+def _basketball(players) -> ModelSpec:
+    """Points = sum over players of games * minutes * attempts * accuracy, accuracy in percent.
+
+    The 1/100 rescaling sits in the 0.01 coefficient of each degree-four term.
+    """
+    names, terms = [], []
+    for p in players:
+        player = (f"games_{p}", f"minutes_{p}", f"attempts_{p}", f"accuracy_{p}")
+        names += player
+        terms.append((player, 0.01))
+    return ModelSpec(tuple(names), tuple(terms))
 
 
 class TestModelFormat:
@@ -450,7 +462,7 @@ class TestPresets:
             assert res.z[2 * k + 1] == pytest.approx(selection + 0.5 * interaction, abs=1e-12)
 
     def test_basketball_degree_four_and_round_trip(self):
-        ms = basketball_model(["pg", "sg"])
+        ms = _basketball(["pg", "sg"])
         assert all(len(names) == 4 for names, _ in ms.ml_terms)
         assert all(coeff == 0.01 for _, coeff in ms.ml_terms)
         again = parse_model(format_model(ms))
@@ -464,7 +476,7 @@ class TestPresets:
         # percent units with the 1/100 coefficient attribute the same as rates
         from attrib import affine_reparameterize
 
-        ms = basketball_model(["c"])
+        ms = _basketball(["c"])
         f = compile_model(ms)
         vp = ValuePair((60.0, 30.0, 1.0, 40.0), (70.0, 32.0, 1.1, 45.0))
         g = affine_reparameterize(f, 4, 1.0 / 100.0, 0.0)  # accuracy now a 0..1 rate

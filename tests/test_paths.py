@@ -12,11 +12,9 @@ from attrib import (
     attribute_aumann_shapley,
     attribute_path,
     composite_gauss_legendre,
-    convex_combination,
     edge_walk,
     evaluate,
     from_terms,
-    gradients,
     monomial,
     product_function,
     shapley_shubik_bruteforce,
@@ -26,6 +24,27 @@ from attrib import (
 )
 from attrib.paths import _nodes
 from attrib.axioms import InstanceGenerator
+
+
+def _edge_walk_mix(f, vp: ValuePair, weight: float) -> tuple[float, ...]:
+    """weight times the edge walk moving variable 1 first, plus 1 - weight times the walk moving 2 first."""
+    first = attribute_path(f, vp, edge_walk((1, 2))).z
+    second = attribute_path(f, vp, edge_walk((2, 1))).z
+    return tuple(weight * a + (1.0 - weight) * b for a, b in zip(first, second))
+
+
+class _CountedGradients:
+    """f, recording the shape of every point array its `gradients` is called on."""
+
+    def __init__(self, f):
+        self.f, self.shapes = f, []
+
+    def __call__(self, x):
+        return self.f(x)
+
+    def gradients(self, X):
+        self.shapes.append(X.shape)
+        return self.f.gradients(X)
 
 
 def _affine(base, vp: ValuePair, ts):
@@ -138,16 +157,10 @@ class TestAttributePath:
     def test_black_box_square_edge_walk_average(self):
         f = lambda x: x[0] * x[0] * x[1]
         vp = ValuePair((0.0, 0.0), (1.0, 1.0))
-        walk = convex_combination(
-            [
-                (lambda g, v: attribute_path(g, v, edge_walk((1, 2))), 0.5),
-                (lambda g, v: attribute_path(g, v, edge_walk((2, 1))), 0.5),
-            ]
-        )
-        res = walk(f, vp)
-        assert res.z[1] == pytest.approx(0.5, abs=1e-8)
+        z = _edge_walk_mix(f, vp, 0.5)
+        assert z[1] == pytest.approx(0.5, abs=1e-8)
         brute = shapley_shubik_bruteforce(f, vp)
-        assert res.z == pytest.approx(brute.z, abs=1e-8)
+        assert z == pytest.approx(brute.z, abs=1e-8)
 
     def test_analytic_gradient_is_used(self):
         calls = {"grad": 0}
@@ -161,36 +174,22 @@ class TestAttributePath:
         assert calls["grad"] > 0
         assert res.z == pytest.approx((0.5, 0.5), abs=1e-10)
 
-    def test_characteristic_function_takes_one_gradient_call_per_pass(self, monkeypatch):
-        import attrib.paths
-
-        shapes = []
-
-        def counted(f, X):
-            shapes.append(X.shape)
-            return gradients(f, X)
-
-        monkeypatch.setattr(attrib.paths, "gradients", counted)
-        res = attribute_path(product_function(2), ValuePair((0.0, 0.0), (1.0, 1.0)), straight_line())
+    def test_characteristic_function_takes_one_gradient_call_per_pass(self):
+        f = _CountedGradients(product_function(2))
+        res = attribute_path(f, ValuePair((0.0, 0.0), (1.0, 1.0)), straight_line())
         # polynomial integrand: the 8-panel pass and the 16-panel pass agree
         assert res.converged
-        assert shapes == [(8 * 16, 2), (16 * 16, 2)]
+        assert f.shapes == [(8 * 16, 2), (16 * 16, 2)]
 
     def test_fine_passes_take_gradients_in_blocks(self, monkeypatch):
         import attrib.paths
 
-        f, vp = product_function(2), ValuePair((0.5, -1.0), (2.0, 3.0))
+        f, vp = _CountedGradients(product_function(2)), ValuePair((0.5, -1.0), (2.0, 3.0))
         whole = attribute_path(f, vp, straight_line())
-        rows = []
-
-        def counted(f, X):
-            rows.append(len(X))
-            return gradients(f, X)
-
-        monkeypatch.setattr(attrib.paths, "gradients", counted)
+        f.shapes.clear()
         monkeypatch.setattr(attrib.paths, "_CHUNK_ELEMENTS", 64)
         blocked = attribute_path(f, vp, straight_line())
-        assert rows == [32] * (4 + 8)
+        assert [rows for rows, _ in f.shapes] == [32] * (4 + 8)
         assert blocked.converged and blocked.z == pytest.approx(whole.z, rel=1e-14)
 
     def test_no_change_converges_to_zero(self):
@@ -255,36 +254,13 @@ class TestAumannShapley:
 
 
 class TestConvexCombination:
-    def test_single_method_identity(self, procurement):
-        f, vp = procurement
-        c = convex_combination([(attribute_ass, 1.0)])
-        assert c(f, vp).z == attribute_ass(f, vp).z
-
     def test_even_edge_walk_mix_is_equal_split(self):
-        mix = convex_combination(
-            [
-                (lambda f, v: attribute_path(f, v, edge_walk((1, 2))), 0.5),
-                (lambda f, v: attribute_path(f, v, edge_walk((2, 1))), 0.5),
-            ]
-        )
-        res = mix(product_function(2), ValuePair((0.0, 0.0), (1.0, 1.0)))
-        assert res.z == pytest.approx((0.5, 0.5), abs=1e-10)
+        z = _edge_walk_mix(product_function(2), ValuePair((0.0, 0.0), (1.0, 1.0)), 0.5)
+        assert z == pytest.approx((0.5, 0.5), abs=1e-10)
 
     def test_uneven_mix_matches_order_weights(self):
-        mix = convex_combination(
-            [
-                (lambda f, v: attribute_path(f, v, edge_walk((1, 2))), 0.25),
-                (lambda f, v: attribute_path(f, v, edge_walk((2, 1))), 0.75),
-            ]
-        )
-        res = mix(product_function(2), ValuePair((0.0, 0.0), (1.0, 1.0)))
-        assert res.z == pytest.approx((0.75, 0.25), abs=1e-10)
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            convex_combination([(attribute_ass, 0.5), (attribute_ass, 0.6)])
-        with pytest.raises(ValueError):
-            convex_combination([(attribute_ass, -0.5), (attribute_ass, 1.5)])
+        z = _edge_walk_mix(product_function(2), ValuePair((0.0, 0.0), (1.0, 1.0)), 0.25)
+        assert z == pytest.approx((0.75, 0.25), abs=1e-10)
 
 
 class TestQuadrature:
@@ -295,7 +271,7 @@ class TestQuadrature:
         for trial in range(10):
             f, vp, _ = gen.instance(trial)
             point, velocity = _affine(straight_line(), vp, t)
-            est = w @ (gradients(f, point) * velocity)
+            est = w @ (f.gradients(point) * velocity)
             exact = attribute_ass(f, vp)
             for a, b in zip(est, exact.z):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
