@@ -10,8 +10,10 @@ degree m contributes
 to each member i.  The integrand is a polynomial of degree m - 1 in t, so
 ceil(m / 2) Gauss-Legendre nodes integrate it exactly up to rounding, and at
 each node prefix and suffix products give every member's partial in O(m):
-O(m^2) per monomial.  Separable terms use the endpoint rule
-f_i(s_i) - f_i(r_i).
+O(m^2) per monomial.  A monomial of degree _ARRAY_DEGREE or more gets all
+its nodes' partials from one numpy pass, which multiplies and adds in the
+order of the pure-Python loop that smaller ones take, so the two give the
+same bits.  Separable terms use the endpoint rule f_i(s_i) - f_i(r_i).
 
 `attribute_monomial` keeps the paper's dynamic program as the reference
 oracle: for member i it is c * (s_i - r_i) * sum_k w_k(m) * X_k, where
@@ -46,7 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _exact_sum, _monomial_partials, evaluate, from_terms
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _exact_sum, _monomial_partials, evaluate, from_terms
 from .models import DagModel
 from .paths import _nodes
 
@@ -64,6 +66,18 @@ RowHook = Callable[[list, list], None]
 
 # Largest points x columns temporary `attribute_ass_batch` builds at once.
 _CHUNK_ELEMENTS = 1 << 20
+
+# Lowest monomial degree `attribute_ass` takes through one array pass over its
+# Gauss nodes.  Measured on repeated calls, the two cost the same near degree
+# 13; the loop is faster below it, the array pass 1.3x faster at 16 and 1.9x
+# at 24.  Set a little above the crossover, since a call that finds numpy
+# cold pays more.  Every degree gives the same bits.
+_ARRAY_DEGREE = 16
+
+# Largest nodes x members block of points that pass builds at once.  Each
+# temporary stays within 128 KiB; with blocks twice that size a bench pass
+# took about 85 fresh-page faults per degree-200 call and ran slower.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @lru_cache(maxsize=None)
@@ -153,9 +167,10 @@ def attribute_ass(f: CharacteristicFunction, vp: ValuePair) -> AttributionResult
     """Exact attribution of f(s) - f(r): straight-line integral per monomial plus endpoint rule per separable term.
 
     Cost is O(m^2) per monomial of degree m: ceil(m / 2) Gauss-Legendre
-    nodes, each giving all m partials by prefix and suffix products.
-    Monomials are folded in ascending key order so results are bit-stable
-    across runs.
+    nodes, each giving all m partials by prefix and suffix products.  From
+    degree _ARRAY_DEGREE up that is one numpy pass over all the nodes, below
+    it a pure-Python loop; both give the same bits.  Monomials are folded in
+    ascending key order so results are bit-stable across runs.
     """
     if vp.n != f.n:
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
@@ -166,12 +181,49 @@ def attribute_ass(f: CharacteristicFunction, vp: ValuePair) -> AttributionResult
             continue  # a constant has no members and changes nothing
         rv = [r[j - 1] for j in I]
         dv = [s[j - 1] - r[j - 1] for j in I]
-        acc = [0.0] * len(I)
-        for t, w in _unit_gauss((len(I) + 1) // 2):
-            acc = list(map(add, acc, _monomial_partials([a + t * d for a, d in zip(rv, dv)], w)))
+        if len(I) >= _ARRAY_DEGREE:
+            acc = _node_partials_sum(rv, dv, (len(I) + 1) // 2)
+        else:
+            acc = [0.0] * len(I)
+            for t, w in _unit_gauss((len(I) + 1) // 2):
+                acc = list(map(add, acc, _monomial_partials([a + t * d for a, d in zip(rv, dv)], w)))
         for j, d, a in zip(I, dv, acc):
             z[j - 1] += c * d * a
     return _finish(f, z, r, s)
+
+
+@lru_cache(maxsize=None)
+def _unit_gauss_arrays(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_unit_gauss(count)` as a read-only column of nodes and a read-only row of weights."""
+    nodes = _unit_gauss(count)
+    t = np.array([tg for tg, _ in nodes])[:, None]
+    w = np.array([wg for _, wg in nodes])
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _node_partials_sum(rv: list[float], dv: list[float], count: int) -> list[float]:
+    """sum_g w_g * partials of prod(rv + t_g dv) over `count` Gauss nodes, with the bits of the pure-Python loop.
+
+    The points of a block of nodes form one array whose partials come from
+    `_batch_partials`, which multiplies in the order `_monomial_partials`
+    does.  The rows are added in node order: the accumulator goes into a
+    block's first row, and numpy reduces over the slow axis of an array
+    one row at a time, where it would sum a contiguous axis pairwise.
+    Blocks hold at most _BLOCK_ELEMENTS points x members.
+    """
+    t, w = _unit_gauss_arrays(count)
+    r, d = np.array(rv), np.array(dv)
+    acc = np.zeros(len(rv))
+    step = max(1, _BLOCK_ELEMENTS // len(rv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, count, step):
+            x = t[lo : lo + step] * d
+            x += r  # the loop's a + t * d, without a second temporary
+            rows = _batch_partials(x, w[lo : lo + step])
+            rows[0] += acc
+            acc = np.add.reduce(rows, axis=0)
+    return acc.tolist()
 
 
 def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Sequence[float]) -> AttributionResult:

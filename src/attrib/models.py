@@ -53,7 +53,8 @@ import graphlib
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -312,7 +313,7 @@ class DagModel:
         count = {n: 0 for n in self.nodes}
         count[self.sink] = 1
         longest = {n: 0 for n in self.nodes}
-        for n in reversed(_toposort(self)):
+        for n in reversed([self.nodes[k] for k in self._plan.order]):
             if n != self.sink:
                 heads = [v for v in out_edges[n] if count[v] > 0]
                 count[n] = sum(count[v] for v in heads)
@@ -330,6 +331,30 @@ class DagModel:
         """Gradients at every row of the N x n array X, as an N x n array, from `flow`."""
         return self.flow(X)[1]
 
+    @cached_property
+    def _plan(self) -> _FlowPlan:
+        """The node order and index arrays `flow` walks, built on first use; raises on a cycle.
+
+        The plan is kept for the life of the graph, so its fields must not
+        change after its first evaluation.
+        """
+        node = {name: k for k, name in enumerate(self.nodes)}
+        order = [node[name] for name in _toposort(self)]
+        sink = node[self.sink]
+        start_nodes = [node[name] for name in self.nodes if name in self.starts]
+        start_col = {k: j for j, k in enumerate(start_nodes)}
+        tail = np.array([node[u] for u, _, _ in self.edges], dtype=np.intp)
+        head = np.array([node[v] for _, v, _ in self.edges], dtype=np.intp)
+        col = np.arange(len(start_nodes), self.n)  # edge e's column of X
+        into: list[list[int]] = [[] for _ in self.nodes]
+        out_of: list[list[int]] = [[] for _ in self.nodes]
+        for e, (u, v, _) in enumerate(self.edges):
+            into[node[v]].append(e)
+            out_of[node[u]].append(e)
+        forward = [(k, tail[into[k]], col[into[k]], start_col.get(k)) for k in order if into[k] or k in start_col]
+        backward = [(k, head[out_of[k]], col[out_of[k]]) for k in reversed(order) if k != sink and out_of[k]]
+        return _FlowPlan(order, sink, start_nodes, tail, head, forward, backward)
+
     def flow(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Expected sink arrivals and their gradients at every row of the N x n array X, as N and N x n arrays.
 
@@ -343,43 +368,45 @@ class DagModel:
         times the reach of its head.  No node after the sink reaches it, so
         an edge out of the sink has partial 0, as routes stop at the sink.
         Each node is one numpy operation over the N points, so a call costs
-        O(N (V + E)).  Products that overflow give inf or nan.
+        O(N (V + E)).  A node's edge terms are added in edge order, so a
+        point gets the same bits whatever N is.  Products that overflow give
+        inf or nan.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"dimension mismatch: graph has {self.n} variables, got points of shape {X.shape}")
-        node = {name: k for k, name in enumerate(self.nodes)}
-        start_nodes = [node[name] for name in self.nodes if name in self.starts]
-        start_col = {k: j for j, k in enumerate(start_nodes)}
-        tail = np.array([node[u] for u, _, _ in self.edges], dtype=np.intp)
-        head = np.array([node[v] for _, v, _ in self.edges], dtype=np.intp)
-        edge_col = np.arange(len(start_nodes), self.n)
-        into: list[list[int]] = [[] for _ in self.nodes]
-        out_of: list[list[int]] = [[] for _ in self.nodes]
-        for e, (u, v, _) in enumerate(self.edges):
-            into[node[v]].append(e)
-            out_of[node[u]].append(e)
-        order = [node[name] for name in _toposort(self)]
-        sink = node[self.sink]
-
+        plan = self._plan
         XT = np.ascontiguousarray(X.T)  # one row per variable, so each gather below takes whole rows
         inflow = np.zeros((len(self.nodes), len(X)))
         reach = np.zeros_like(inflow)
-        reach[sink] = 1.0
+        reach[plan.sink] = 1.0
         grad = np.empty_like(XT)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in order:
-                e = into[k]
-                inflow[k] = (inflow[tail[e]] * XT[edge_col[e]]).sum(axis=0)
-                if k in start_col:
-                    inflow[k] += XT[start_col[k]]
-            for k in reversed(order):
-                if k != sink:
-                    e = out_of[k]
-                    reach[k] = (XT[edge_col[e]] * reach[head[e]]).sum(axis=0)
-            grad[: len(start_nodes)] = reach[start_nodes]
-            grad[len(start_nodes) :] = inflow[tail] * reach[head]
-        return inflow[sink], grad.T
+            # add.accumulate adds rows in order for every N; a sum over one point's column would go pairwise
+            for k, tails, cols, start in plan.forward:
+                if len(tails):
+                    terms = inflow[tails] * XT[cols]
+                    inflow[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+                if start is not None:
+                    inflow[k] += XT[start]
+            for k, heads, cols in plan.backward:
+                terms = XT[cols] * reach[heads]
+                reach[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+            grad[: len(plan.start_nodes)] = reach[plan.start_nodes]
+            grad[len(plan.start_nodes) :] = inflow[plan.tail] * reach[plan.head]
+        return inflow[plan.sink], grad.T
+
+
+class _FlowPlan(NamedTuple):
+    """What `DagModel.flow` walks; nodes and edges are indices into the graph's tuples."""
+
+    order: list[int]  # every node, each edge's tail before its head
+    sink: int
+    start_nodes: list[int]  # the nodes with a start count, in node order: X's first columns
+    tail: np.ndarray  # per edge
+    head: np.ndarray  # per edge
+    forward: list[tuple[int, np.ndarray, np.ndarray, int | None]]  # (node, in-edge tails, in-edge columns, start column), in order
+    backward: list[tuple[int, np.ndarray, np.ndarray]]  # (node, out-edge heads, out-edge columns), reverse order, sink left out
 
 
 def parse_dag(text: str, path: str = "<dag>") -> DagModel:

@@ -270,10 +270,36 @@ def test_gradients_with_shared_separable_variable():
             assert row[i - 1] == pytest.approx(evaluate(partial_derivative(f, i), x), rel=1e-12)
 
 
+def test_gradients_of_every_separable_kind_equal_the_point_loop():
+    import random
+
+    # derivatives: poly, powlaw with exponents -1, -3 and 2, exp, and exp scaled to overflow
+    f = from_terms(
+        5,
+        {(1, 5): 0.5},
+        [
+            SeparableTerm(1, "poly", (1.0, -2.0, 0.5, 3.0)),
+            SeparableTerm(2, "log", (1.5, 4.0, -0.7)),
+            SeparableTerm(3, "powlaw", (0.5, 2.0, 1.3, -2.0)),
+            SeparableTerm(3, "powlaw", (-1.0, 0.5, 2.0, 3.0)),
+            SeparableTerm(4, "exp", (0.3, -0.2, 1.1)),
+            SeparableTerm(5, "exp", (1.0, 700.0, 1e300)),
+        ],
+    )
+    rng = random.Random(3)
+    X = [[rng.uniform(-2.0, 2.0) for _ in range(5)] for _ in range(40)]
+    assert f.gradients(X).tolist() == [_loop_gradient(f, x) for x in X]
+
+
 def test_gradients_raise_the_first_points_domain_error():
     f = from_terms(2, {(1, 2): 1.0}, [SeparableTerm(2, "exp", (1000.0, 0.0, 1.0))])
     with pytest.raises(DomainError, match=r"exp term on variable 2 overflows at x = 2\.0") as info:
         f.gradients([(1.0, 0.5), (1.0, 2.0), (1.0, 3.0)])
+    assert info.value.index == 2
+    # the first failing point wins over the first failing term: x1's term fails only at the third point
+    f = from_terms(2, {}, [SeparableTerm(1, "exp", (1000.0, 0.0, 1.0)), SeparableTerm(2, "log", (1.0, 0.0, 1.0))])
+    with pytest.raises(DomainError, match="powlaw term on variable 2 got zero base with negative exponent") as info:
+        f.gradients([(0.5, 1.0), (0.5, 0.0), (3.0, 1.0)])
     assert info.value.index == 2
     with pytest.raises(ValueError, match="dimension mismatch"):
         f.gradients([(1.0, 2.0, 3.0)])

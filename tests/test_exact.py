@@ -1,5 +1,7 @@
 import itertools
 import math
+import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -19,9 +21,10 @@ from attrib import (
     shapley_weight,
     shapley_weights,
 )
+from attrib.core import _batch_partials
 from attrib.exact import dp_subset_means
 
-from conftest import charfn_pairs, exact_product_attribution
+from conftest import charfn_pairs, coeffs, exact_product_attribution
 
 
 def subset_mean_oracle(r_vals, s_vals, k):
@@ -265,6 +268,113 @@ def test_wide_product_near_one_matches_closed_form(m):
         assert attribute_monomial(1.0, range(1, m + 1), vp, i) == pytest.approx(want, rel=1e-12)
 
 
+def _bits(res):
+    return [struct.pack("<d", v) for v in res.z + (res.residual,)]
+
+
+def _ass_by_loop(f, vp):
+    """attribute_ass with every monomial on the pure-Python node loop."""
+    from attrib import exact
+
+    with mock.patch.object(exact, "_ARRAY_DEGREE", math.inf):
+        return exact.attribute_ass(f, vp)
+
+
+class TestArrayPass:
+    """Monomials at or above exact._ARRAY_DEGREE take one array pass over their Gauss nodes, with the loop's bits."""
+
+    @given(data=st.data(), m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_loop_bit_for_bit(self, data, m, seed):
+        import random
+        import warnings
+
+        from attrib import exact
+
+        rng = random.Random(seed)
+        r = [rng.uniform(-3.0, 3.0) for _ in range(m)]
+        s = [rng.uniform(-3.0, 3.0) for _ in range(m)]
+        # members that keep their value, zeros of both signs, and magnitudes
+        # whose products overflow to inf, or to nan against a zero
+        specials = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e160, -1e160])
+        for j in data.draw(st.sets(st.integers(0, m - 1), max_size=m)):
+            kind = data.draw(st.sampled_from(["keep", "r", "s"]))
+            if kind == "keep":
+                s[j] = r[j]
+            elif kind == "r":
+                r[j] = data.draw(specials)
+            else:
+                s[j] = data.draw(specials)
+        sub = data.draw(st.sets(st.integers(1, m), min_size=1, max_size=m))
+        f = from_terms(m, {tuple(range(1, m + 1)): data.draw(coeffs.filter(bool)), tuple(sorted(sub)): data.draw(coeffs.filter(bool))})
+        vp = ValuePair(r, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(exact, "_ARRAY_DEGREE", 1):
+                array = exact.attribute_ass(f, vp)
+            loop = _ass_by_loop(f, vp)
+        assert _bits(array) == _bits(loop)
+
+    def test_wide_overflow_gives_the_loops_inf_and_nan_without_warnings(self):
+        import warnings
+
+        from attrib import exact
+
+        m = 3 * exact._ARRAY_DEGREE
+        r = [1e30 * (-1) ** j for j in range(m)]
+        s = [0.0] + [3e30] * (m - 1)
+        vp = ValuePair(r, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = attribute_ass(product_function(m), vp)
+            assert _bits(res) == _bits(_ass_by_loop(product_function(m), vp))
+        assert any(math.isinf(z) for z in res.z) and any(math.isnan(z) for z in res.z)
+        assert not res.converged
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_degrees_around_the_threshold(self, monkeypatch, step):
+        import random
+
+        from attrib import exact
+
+        m = exact._ARRAY_DEGREE + step
+        rng = random.Random(m)
+        vp = ValuePair([rng.uniform(-1.5, 1.5) for _ in range(m)], [rng.uniform(-1.5, 1.5) for _ in range(m)])
+        f = from_terms(m, {tuple(range(1, m + 1)): 2.5, (1, m): -1.0})
+        array_calls = []
+        monkeypatch.setattr(exact, "_batch_partials", lambda x, scale: array_calls.append(x.shape) or _batch_partials(x, scale))
+        res = attribute_ass(f, vp)
+        assert array_calls == ([] if step < 0 else [((m + 1) // 2, m)])
+        assert _bits(res) == _bits(_ass_by_loop(f, vp))
+        assert res.z[1] == pytest.approx(2.5 * attribute_monomial(1.0, range(1, m + 1), vp, 2), rel=1e-12)
+
+    def test_blocks_give_the_same_bits(self, monkeypatch):
+        from attrib import exact
+
+        m = 50
+        vp = ValuePair([0.7 + j / 100 for j in range(m)], [1.4 - j / 80 for j in range(m)])
+        whole = attribute_ass(product_function(m), vp)
+        monkeypatch.setattr(exact, "_BLOCK_ELEMENTS", 3 * m)  # 3 of the 25 nodes per block
+        assert _bits(attribute_ass(product_function(m), vp)) == _bits(whole)
+
+    def test_small_degrees_never_take_the_array_pass(self, monkeypatch):
+        from attrib import InstanceGenerator, exact
+
+        assert exact._ARRAY_DEGREE > 8
+
+        def refuse(x, scale):
+            raise AssertionError(f"array pass on a monomial of degree {x.shape[-1]}")
+
+        monkeypatch.setattr(exact, "_batch_partials", refuse)
+        gen = InstanceGenerator(seed=13, n_range=(1, 8), terms_range=(1, 20))
+        for trial in range(200):
+            f, vp, _ = gen.instance(trial)
+            try:
+                attribute_ass(f, vp)
+            except ValueError:
+                pass  # a log term outside its domain
+        attribute_ass(product_function(8), ValuePair((0.5,) * 8, (2.0,) * 8))
+
+
 class TestModuleTolerances:
     """The exact kernel must meet tolerances well below the harness default."""
 
@@ -439,9 +549,10 @@ class TestFlowGraphs:
         values, grads = d.flow(np.concatenate([R, S]))
         assert values.tolist() == pytest.approx([evaluate(f, x) for x in np.concatenate([R, S]).tolist()], rel=1e-12, abs=1e-12)
         assert grads == pytest.approx(f.gradients(np.concatenate([R, S])), rel=1e-12, abs=1e-12)
-        # to rounding only: numpy sums a node's 8 or more edges pairwise for one point, in order for several
-        assert [d(x) for x in R.tolist()] == pytest.approx(values[:E].tolist(), rel=1e-14, abs=1e-14)
-        assert d.gradients(S) == pytest.approx(grads[E:], rel=1e-14, abs=1e-14)
+        # a point's bits do not depend on how many points share the call
+        assert [d(x) for x in R.tolist()] == values[:E].tolist()
+        assert d.gradients(S).tolist() == grads[E:].tolist()
+        assert [d.flow([x])[1][0].tolist() for x in R.tolist()] == grads[:E].tolist()
 
         flow = attribute_ass_batch(d, R, S)
         routes = attribute_ass_batch(f, R, S)
@@ -472,6 +583,21 @@ class TestFlowGraphs:
             assert a.method == b.method and a.converged == b.converged
             for x, y in zip(a.z + (a.residual,), b.z + (b.residual,)):
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 16])
+    def test_one_point_gets_the_bits_of_many_across_parallel_edges(self, k):
+        import random
+
+        from attrib.models import DagModel
+
+        # k parallel edges a -> b and k more b -> t: both passes add k terms at one node
+        edges = tuple(("a", "b", f"p{j}") for j in range(k)) + tuple(("b", "t", f"q{j}") for j in range(k))
+        d = DagModel(("a", "b", "t"), "t", {"a": "s_a", "b": "s_b"}, edges)
+        rng = random.Random(k)
+        X = [[rng.uniform(0.0, 2.0) for _ in range(d.n)] for _ in range(100)]
+        values, grads = d.flow(X)
+        assert [d(x) for x in X] == values.tolist()
+        assert [d.gradients([x])[0].tolist() for x in X] == grads.tolist()
 
     def test_variables_in_no_route_get_zero(self):
         from attrib.exact import attribute_ass_batch

@@ -184,6 +184,27 @@ class TestDag:
         with pytest.raises(ModelError):
             compile_dag(d)
 
+    def test_cycle_is_reported_on_every_call(self):
+        d = DagModel(("a", "b", "t"), "t", {"a": "s_a"}, (("a", "b", "x"), ("b", "a", "y"), ("a", "t", "z")))
+        for _ in range(2):
+            with pytest.raises(ModelError, match="graph has a cycle: "):
+                d([1.0, 1.0, 1.0, 1.0])
+
+    def test_flow_plan_is_built_once(self, monkeypatch):
+        from attrib import models
+
+        sorts, real = [], models._toposort
+        monkeypatch.setattr(models, "_toposort", lambda d: sorts.append(d) or real(d))
+        d = parse_dag(DAG_TEXT)
+        sorts.clear()  # parsing checks the graph for cycles on its own
+        x = [1.0, 2.0, 0.5, 0.25, 0.75]
+        for _ in range(3):
+            d(x)
+            d.gradients([x, x])
+            d.flow([x])
+            d.degree
+        assert len(sorts) == 1
+
     def test_unreachable_start_rejected(self):
         d = DagModel(("a", "b", "t"), "t", {"b": "s_b"}, (("a", "t", "p"),))
         with pytest.raises(ModelError):
