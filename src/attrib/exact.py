@@ -23,16 +23,15 @@ the subset means X_k / C(m-1, k) instead of the sums; since
 w_k(m) * C(m-1, k) = 1/m the attribution is c * (s_i - r_i) times the mean
 of that row, built by a two-buffer recursion in O(m^2) time and O(m) memory.
 
-`attribute_ass_batch` applies the same rule to many value pairs at once, as
-one loop over gradient parts: z = (s - r) * sum_g w_g grad(r + t_g (s - r))
-over the ceil(m / 2) Gauss-Legendre nodes of each part's degree m.  A part
-is a bound ``gradients`` method.  A model gives one part per monomial
-degree.  A flow graph (`attrib.models.DagModel`) is one part of its degree
-D, which bounds that of every route's term; its gradients come from one
-forward and one backward pass over the graph, O(ceil(D / 2) (V + E)) per
-pair however many routes there are.  A part sums its monomials at each node
-before the node sum, so rows agree with `attribute_ass` to rounding, not bit
-for bit.
+`attribute_ass_batch` applies the same rule to many value pairs at once:
+z = (s - r) * sum_g w_g grad(r + t_g (s - r)) over the ceil(D / 2)
+Gauss-Legendre nodes of the function's degree D, from its ``gradients``
+method.  For a model that is the gradient of its multilinear part; for a
+flow graph (`attrib.models.DagModel`), whose degree bounds that of every
+route's term, it comes from one forward and one backward pass over the
+graph, O(ceil(D / 2) (V + E)) per pair however many routes there are.  The
+function's monomials are summed at each node before the node sum, so rows
+agree with `attribute_ass` to rounding, not bit for bit.
 
 Everything runs in plain double precision.  Both kernels multiply only
 values that lie between the endpoints of each variable (DP cells are
@@ -48,7 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _exact_sum, _monomial_partials, evaluate, from_terms
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _exact_sum, _monomial_partials, evaluate
 from .models import DagModel
 from .paths import _nodes
 
@@ -163,17 +162,20 @@ def _unit_gauss(count: int) -> tuple[tuple[float, float], ...]:
     return tuple(zip(t.tolist(), w.tolist()))
 
 
-def attribute_ass(f: CharacteristicFunction, vp: ValuePair) -> AttributionResult:
+def attribute_ass(f: CharacteristicFunction | DagModel, vp: ValuePair) -> AttributionResult:
     """Exact attribution of f(s) - f(r): straight-line integral per monomial plus endpoint rule per separable term.
 
     Cost is O(m^2) per monomial of degree m: ceil(m / 2) Gauss-Legendre
     nodes, each giving all m partials by prefix and suffix products.  From
     degree _ARRAY_DEGREE up that is one numpy pass over all the nodes, below
     it a pure-Python loop; both give the same bits.  Monomials are folded in
-    ascending key order so results are bit-stable across runs.
+    ascending key order so results are bit-stable across runs.  A flow graph
+    is the one-row `attribute_ass_batch`.
     """
     if vp.n != f.n:
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
+    if isinstance(f, DagModel):
+        return attribute_ass_batch(f, [vp.r], [vp.s])[0]
     r, s = vp.r, vp.s
     z = [0.0] * f.n
     for I, c in f.multilinear.terms.items():
@@ -237,19 +239,18 @@ def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Se
 def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[AttributionResult]:
     """`attribute_ass` of f for every pair of rows (R[e], S[e]) of two E x n arrays.
 
-    f splits into gradient parts, each a bound ``gradients`` method: a model
-    gives one per monomial degree m, the model of its monomials of that
-    degree; a `DagModel`, with columns in the order of ``f.variables``, is
-    one part of its degree D, and expands no routes.
-    Each part adds (S - R) * sum_g w_g grad(R + t_g (S - R)) over its
-    ceil(m / 2) Gauss-Legendre nodes to z, from one gradient call over all
+    z is (S - R) * sum_g w_g grad(R + t_g (S - R)) over the ceil(D / 2)
+    Gauss-Legendre nodes of f's degree D, from one gradient call over all
     nodes of a chunk of entities; chunks keep every temporary near
-    _CHUNK_ELEMENTS.  A part sums its monomials at each node before the node
-    sum, so rows agree with `attribute_ass` to rounding, not bit for bit.
-    The separable endpoint rule and the residual are computed per entity
-    exactly as `attribute_ass` computes them; a graph's residual takes f at
-    both ends from `DagModel.flow`.  An exception raised while evaluating an
-    entity carries that entity's row number as ``exc.row``.
+    _CHUNK_ELEMENTS.  The gradients are those of a model's multilinear part,
+    or those of a `DagModel`, with columns in the order of ``f.variables``,
+    which expands no routes.  Monomials are summed at each node before the
+    node sum, so rows agree with `attribute_ass` to rounding, not bit for
+    bit.  A model's separable endpoint rule and residual are computed per
+    entity exactly as `attribute_ass` computes them; a graph's residual
+    takes f at both ends from chunked forward passes of `DagModel.flow`.  An
+    exception raised while evaluating an entity carries that entity's row
+    number as ``exc.row``.
     """
     R = np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -262,31 +263,23 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
     if not (np.isfinite(R).all() and np.isfinite(S).all()):
         raise ValueError("value vectors must be finite")
     if isinstance(f, DagModel):
-        parts = [(f.degree, f.gradients)]
-        width = max(f.n, len(f.nodes))  # flow keeps V x N arrays
+        part, width = f, max(f.n, len(f.nodes))  # flow keeps V x N arrays
     else:
-        by_degree: dict[int, dict] = {}
-        for I, c in f.multilinear.terms.items():
-            if I:
-                by_degree.setdefault(len(I), {})[I] = c
-        parts = [(m, from_terms(f.n, terms).gradients) for m, terms in by_degree.items()]
-        width = max(f.n, 1)
+        part, width = CharacteristicFunction(f.multilinear), max(f.n, 1)
+    t, w = _unit_gauss_arrays(max(1, (part.degree + 1) // 2))  # one node of zero gradients for a constant
     E = R.shape[0]
     Z = np.zeros_like(R)
-    step = max(1, _CHUNK_ELEMENTS // (width * max(((m + 1) // 2 for m, _ in parts), default=1)))
+    step = max(1, _CHUNK_ELEMENTS // (width * len(w)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, E, step):
             Rc, Dc = R[lo : lo + step], S[lo : lo + step] - R[lo : lo + step]
-            for m, grad in parts:
-                nodes = _unit_gauss((m + 1) // 2)
-                t = np.array([tg for tg, _ in nodes])[:, None, None]
-                G = grad((Rc + t * Dc).reshape(len(nodes) * len(Rc), f.n))  # node-major: rows g * len(Rc) + e
-                acc = np.zeros_like(Dc)
-                for g, (_, w) in enumerate(nodes):
-                    acc += w * G[g * len(Rc) : (g + 1) * len(Rc)]
-                Z[lo : lo + step] += Dc * acc
+            G = part.gradients((Rc + t[:, None] * Dc).reshape(len(w) * len(Rc), f.n))  # node-major: rows g * len(Rc) + e
+            acc = np.zeros_like(Dc)
+            for g, wg in enumerate(w.tolist()):
+                acc += wg * G[g * len(Rc) : (g + 1) * len(Rc)]
+            Z[lo : lo + step] += Dc * acc
     if isinstance(f, DagModel):
-        f_r, f_s = (np.concatenate([f.flow(X[lo : lo + step])[0] for lo in range(0, E, step)]).tolist() for X in (R, S))
+        f_r, f_s = (np.concatenate([f._forward(X[lo : lo + step])[1][f._plan.sink] for lo in range(0, E, step)]).tolist() for X in (R, S))
         return [AttributionResult("ass", tuple(z), _exact_sum(z) - (b - a)) for z, a, b in zip(Z.tolist(), f_r, f_s)]
     results = []
     for e, (z, r, s) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist())):

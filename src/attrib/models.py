@@ -257,10 +257,10 @@ class DagModel:
     route.  Routes stop at the sink and repeat no edge, so the function is
     multilinear, of degree 1 plus the edge count of the longest route from a
     start.  Like a `CharacteristicFunction`, ``d(x)`` gives its value at one
-    point and ``d.gradients(X)`` its gradients at N points, both from `flow`,
-    so no method expands a graph's routes; the reference
-    `compile_dag` expands them into a `ModelSpec`.  All use the variable
-    order of `variables`.
+    point and ``d.gradients(X)`` its gradients at N points, both from `flow`
+    (the value from its forward pass alone), so no method expands a graph's
+    routes; the reference `compile_dag` expands them into a `ModelSpec`.
+    All use the variable order of `variables`.
     """
 
     nodes: tuple[str, ...]
@@ -324,8 +324,8 @@ class DagModel:
         return count, 1 + max((longest[node] for node in self.starts), default=0)
 
     def __call__(self, x: Sequence[float]) -> float:
-        """Expected sink arrivals at the point x, from `flow`."""
-        return float(self.flow([x])[0][0])
+        """Expected sink arrivals at the point x, from the forward pass of `flow`."""
+        return float(self._forward([x])[1][self._plan.sink, 0])
 
     def gradients(self, X) -> np.ndarray:
         """Gradients at every row of the N x n array X, as an N x n array, from `flow`."""
@@ -372,29 +372,38 @@ class DagModel:
         point gets the same bits whatever N is.  Products that overflow give
         inf or nan.
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"dimension mismatch: graph has {self.n} variables, got points of shape {X.shape}")
+        XT, inflow = self._forward(X)
         plan = self._plan
-        XT = np.ascontiguousarray(X.T)  # one row per variable, so each gather below takes whole rows
-        inflow = np.zeros((len(self.nodes), len(X)))
         reach = np.zeros_like(inflow)
         reach[plan.sink] = 1.0
         grad = np.empty_like(XT)
         with np.errstate(over="ignore", invalid="ignore"):
-            # add.accumulate adds rows in order for every N; a sum over one point's column would go pairwise
-            for k, tails, cols, start in plan.forward:
-                if len(tails):
-                    terms = inflow[tails] * XT[cols]
-                    inflow[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
-                if start is not None:
-                    inflow[k] += XT[start]
-            for k, heads, cols in plan.backward:
+            for k, heads, cols in plan.backward:  # terms added in order, as in `_forward`
                 terms = XT[cols] * reach[heads]
                 reach[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
             grad[: len(plan.start_nodes)] = reach[plan.start_nodes]
             grad[len(plan.start_nodes) :] = inflow[plan.tail] * reach[plan.head]
         return inflow[plan.sink], grad.T
+
+    def _forward(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """The forward pass of `flow`: X as one row per variable (n x N), and every node's inflow (V x N).
+
+        The value at the points is the sink's row of the inflow.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"dimension mismatch: graph has {self.n} variables, got points of shape {X.shape}")
+        XT = np.ascontiguousarray(X.T)  # one row per variable, so each gather takes whole rows
+        inflow = np.zeros((len(self.nodes), len(X)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # add.accumulate adds rows in order for every N; a sum over one point's column would go pairwise
+            for k, tails, cols, start in self._plan.forward:
+                if len(tails):
+                    terms = inflow[tails] * XT[cols]
+                    inflow[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+                if start is not None:
+                    inflow[k] += XT[start]
+        return XT, inflow
 
 
 class _FlowPlan(NamedTuple):

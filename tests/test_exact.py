@@ -441,7 +441,9 @@ class TestAttributeAssBatch:
             # the kernels sum monomials in different orders, so residuals agree to rounding of the z's scale
             assert abs(a.residual - b.residual) <= 1e-13 * max(1.0, math.fsum(map(abs, b.z)))
 
-    @pytest.mark.parametrize("model, chunk", [("payperclick", 66), ("layered-dag", 48)], ids=["payperclick", "layered-dag"])
+    @pytest.mark.parametrize(
+        "model, chunk", [("payperclick", 66), ("layered-dag", 48), ("mixed-degree", 48)], ids=["payperclick", "layered-dag", "mixed-degree"]
+    )
     def test_chunks_give_the_same_rows(self, monkeypatch, model, chunk):
         import random
 
@@ -450,6 +452,9 @@ class TestAttributeAssBatch:
 
         if model == "payperclick":
             f = compile_model(payperclick_model(3))  # 11 variables, degree 5: 3 Gauss nodes
+        elif model == "mixed-degree":
+            # monomials of degree 1, 2, 3 and 5 over 8 variables, all at the 3 Gauss nodes of degree 5
+            f = from_terms(8, {(1,): 2.0, (2, 3): -1.5, (4, 5, 6): 0.5, (1, 3, 5, 7, 8): 1.25}, [SeparableTerm(2, "poly", (0.0, 0.0, 1.0))])
         else:
             # 3 layers of 2 nodes into a sink: 12 variables on 7 nodes, degree 4: 2 Gauss nodes
             grid = [[f"n{k}_{j}" for j in range(2)] for k in range(3)]
@@ -573,7 +578,7 @@ class TestFlowGraphs:
         f = compile_model(compile_dag(d))
         cells = st.lists(st.floats(0.0, 2.0), min_size=d.n, max_size=d.n).map(tuple)
         vp = ValuePair(data.draw(cells), data.draw(cells))
-        methods = [attribute_naive, attribute_aumann_shapley]
+        methods = [attribute_ass, attribute_naive, attribute_aumann_shapley]
         if 1 <= d.n <= 10:
             orders = data.draw(st.lists(st.permutations(range(1, d.n + 1)).map(tuple), min_size=1, max_size=3, unique=True))
             pw = PermutationWeights({order: 1.0 / len(orders) for order in orders})
@@ -583,6 +588,17 @@ class TestFlowGraphs:
             assert a.method == b.method and a.converged == b.converged
             for x, y in zip(a.z + (a.residual,), b.z + (b.residual,)):
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
+
+    def test_ass_on_a_graph_is_the_one_row_batch(self):
+        from attrib.exact import attribute_ass_batch
+        from attrib.models import ecommerce_dag_example
+        from attrib.reports import resolve_method
+
+        d = ecommerce_dag_example()
+        vp = ValuePair((100.0, 40.0, 0.5, 0.25, 0.75, 0.5, 0.25), (120.0, 35.0, 0.25, 0.5, 0.5, 0.75, 0.5))
+        [row] = attribute_ass_batch(d, [vp.r], [vp.s])
+        assert attribute_ass(d, vp) == row
+        assert resolve_method("ass")(d, vp) == row
 
     @pytest.mark.parametrize("k", [1, 7, 8, 9, 16])
     def test_one_point_gets_the_bits_of_many_across_parallel_edges(self, k):
@@ -627,6 +643,8 @@ class TestFlowGraphs:
         d = ecommerce_dag_example()
         with pytest.raises(ValueError, match="dimension mismatch: function has 7 variables, values have 2"):
             attribute_ass_batch(d, [[1.0, 1.0]], [[2.0, 2.0]])
+        with pytest.raises(ValueError, match="dimension mismatch: function has 7 variables, values have 2"):
+            attribute_ass(d, ValuePair((1.0, 1.0), (2.0, 2.0)))
         with pytest.raises(ValueError, match="finite"):
             attribute_ass_batch(d, [[math.inf] * 7], [[1.0] * 7])
         assert attribute_ass_batch(d, [], []) == []
