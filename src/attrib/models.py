@@ -298,30 +298,16 @@ class DagModel:
 
     @property
     def degree(self) -> int:
-        """1 plus the edge count of the longest route from a start to the sink (1 with no starts)."""
-        return self._routes()[1]
+        """1 plus the edge count of the longest route from a start to the sink (1 with no starts).
 
-    def _routes(self) -> tuple[dict[str, int], int]:
-        """Each node's count of routes to the sink, and the degree, from one pass in reverse topological order.
-
-        Raises on a cycle and on a start node from which the sink cannot be
-        reached.
+        Read from the cached `_plan`.  Raises on a cycle, and on every read,
+        not only the first, on a start node that cannot reach the sink.
         """
-        out_edges: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for u, v, _ in self.edges:
-            out_edges[u].append(v)
-        count = {n: 0 for n in self.nodes}
-        count[self.sink] = 1
-        longest = {n: 0 for n in self.nodes}
-        for n in reversed([self.nodes[k] for k in self._plan.order]):
-            if n != self.sink:
-                heads = [v for v in out_edges[n] if count[v] > 0]
-                count[n] = sum(count[v] for v in heads)
-                longest[n] = 1 + max((longest[v] for v in heads), default=-1)
+        longest = dict(zip(self.nodes, self._plan.longest.tolist()))
         for node in self.starts:
-            if count[node] == 0:
+            if longest[node] < 0:
                 raise ModelError(f"sink is unreachable from start node {node!r}")
-        return count, 1 + max((longest[node] for node in self.starts), default=0)
+        return 1 + max((longest[node] for node in self.starts), default=0)
 
     def __call__(self, x: Sequence[float]) -> float:
         """Expected sink arrivals at the point x, from the forward pass of `flow`."""
@@ -333,7 +319,7 @@ class DagModel:
 
     @cached_property
     def _plan(self) -> _FlowPlan:
-        """The node order and index arrays `flow` walks, built on first use; raises on a cycle.
+        """The index arrays `flow` walks and each node's longest route, built on first use; raises on a cycle.
 
         The plan is kept for the life of the graph, so its fields must not
         change after its first evaluation.
@@ -353,7 +339,13 @@ class DagModel:
             out_of[node[u]].append(e)
         forward = [(k, tail[into[k]], col[into[k]], start_col.get(k)) for k in order if into[k] or k in start_col]
         backward = [(k, head[out_of[k]], col[out_of[k]]) for k in reversed(order) if k != sink and out_of[k]]
-        return _FlowPlan(order, sink, start_nodes, tail, head, forward, backward)
+        longest = np.full(len(self.nodes), -1)
+        longest[sink] = 0
+        for k, heads, _ in backward:  # reverse topological order, so every head is done before its tail
+            best = longest[heads].max()
+            if best >= 0:
+                longest[k] = best + 1
+        return _FlowPlan(longest, sink, start_nodes, tail, head, forward, backward)
 
     def flow(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Expected sink arrivals and their gradients at every row of the N x n array X, as N and N x n arrays.
@@ -407,9 +399,9 @@ class DagModel:
 
 
 class _FlowPlan(NamedTuple):
-    """What `DagModel.flow` walks; nodes and edges are indices into the graph's tuples."""
+    """What `DagModel.flow` walks, and the longest routes `DagModel.degree` reads; nodes and edges are indices into the graph's tuples."""
 
-    order: list[int]  # every node, each edge's tail before its head
+    longest: np.ndarray  # per node, the edge count of its longest route to the sink; -1 if it cannot reach the sink
     sink: int
     start_nodes: list[int]  # the nodes with a start count, in node order: X's first columns
     tail: np.ndarray  # per edge
@@ -446,7 +438,7 @@ def parse_dag(text: str, path: str = "<dag>") -> DagModel:
         edges.append((ends[0], ends[1], var.strip()))
     try:
         d = DagModel(nodes, sink_tokens[0], starts, tuple(edges))
-        _toposort(d)
+        d._plan  # sorts the graph once for its lifetime, raising on a cycle
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from None
     return d
@@ -467,14 +459,19 @@ def compile_dag(d: DagModel) -> ModelSpec:
     """Expand a graph into one term per (start node, route to sink): the route-expansion reference.
 
     Raises on cycles, on unreachable starts, and when the route count
-    exceeds ROUTE_CAP (counted by `DagModel` before enumeration).  No
-    method calls it: they read the graph through `DagModel.flow`, which
-    needs no routes.
+    exceeds ROUTE_CAP (counted before enumeration).  No method calls it:
+    they read the graph through `DagModel.flow`, which needs no routes.
     """
-    count, _ = d._routes()
-    total = sum(count[node] for node in d.starts)
+    d.degree  # raises on a cycle and on a start node that cannot reach the sink
+    plan = d._plan
+    routes = [0] * len(d.nodes)  # per node, its count of routes to the sink
+    routes[plan.sink] = 1
+    for k, heads, _ in plan.backward:
+        routes[k] = sum(routes[v] for v in heads.tolist())
+    total = sum(routes[k] for k in plan.start_nodes)
     if total > ROUTE_CAP:
         raise ModelError(f"{total} start/route pairs exceed the cap of {ROUTE_CAP} for expanding the graph into terms")
+    count = dict(zip(d.nodes, routes))
     out_edges: dict[str, list[tuple[str, str]]] = {n: [] for n in d.nodes}
     for u, v, name in d.edges:
         out_edges[u].append((v, name))

@@ -42,6 +42,7 @@ _PANELS = 8
 # Largest nodes x variables block whose gradients one call takes.
 _CHUNK_ELEMENTS = 1 << 20
 
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     tol: float = 1e-10
@@ -133,22 +134,23 @@ def edge_walk(order: Sequence[int]) -> BasePath:
 
 
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point end slope, cut back so the end segment stays monotone."""
+    """One-sided three-point end slope, cut to 0 where it is not positive, so the end segment stays monotone.
+
+    The secants m0 and m1 are never negative, so the rule's other cut, to
+    3 m0 where the secants differ in sign, never applies: d <= 2 m0 there.
+    """
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    return d if d > 0.0 else 0.0
 
 
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cubic coefficients (4, intervals), highest power first, of the monotone PCHIP through (x, y).
 
     Interior slopes are the weighted harmonic means of Fritsch and Butland
-    (SIAM J. Sci. Stat. Comput. 5(2), 1984), zero where the neighbouring
-    secants differ in sign or vanish; end slopes use the one-sided rule
-    above; two samples give the straight line.
+    (SIAM J. Sci. Stat. Comput. 5(2), 1984), zero where a neighbouring
+    secant vanishes (the samples never decrease, so no secant is negative
+    and none differ in sign); end slopes use the one-sided rule above; two
+    samples give the straight line.
     """
     h = np.diff(x)
     m = np.diff(y) / h
@@ -158,7 +160,7 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     else:
         w1 = 2.0 * h[1:] + h[:-1]
         w2 = h[1:] + 2.0 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        flat = (m[1:] == 0.0) | (m[:-1] == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
         d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])

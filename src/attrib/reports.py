@@ -6,12 +6,11 @@ entity: ``ass`` in one batch kernel call, other methods one row at a time.
 A model is compiled once.  A flow graph goes to every method as it is: it
 answers the same two calls as a compiled model, values and gradients at
 points, from forward and backward passes, so no method expands its routes.
-`resolve_method` is
-the one map from a method id to its kernel; a ``random-order:`` id reads its
-weights file through `attrib.models`, which holds every file grammar.
-`render_machine` writes a report's JSON Lines records by filling one
-template per (variables, method, segment labels), byte for byte what
-``json.dumps`` writes for each record.
+`resolve_method` is the one map from a method id to its kernel; a
+``random-order:`` id reads its weights file through `attrib.models`, which
+holds every file grammar.  `render_machine` writes a report's JSON Lines
+records by filling one template per (variables, method, segment labels),
+byte for byte what ``json.dumps`` writes for each record.
 """
 from __future__ import annotations
 

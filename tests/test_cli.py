@@ -520,6 +520,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {orders}:1: order 'a p' does not list each of 'a p c' exactly once\n"
 
+    def test_weights_line_without_a_colon_names_the_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text("[nodes]\na b t\n[sink]\nt\n[starts]\na : s_a\nb : s_b\n[edges]\na b : p_ab\nb t : p_bt\na t : p_at\n")
+        (tmp_path / "v.csv").write_text("e,s_a,10,20\ne,s_b,5,4\ne,p_ab,0.5,0.25\ne,p_bt,0.5,0.75\ne,p_at,0.25,0.5\n")
+        (tmp_path / "w.txt").write_text("# one order, but no weight\n\ns_a s_b p_ab p_bt p_at\n")
+        assert main(["--dag", "g.txt", "--values", "v.csv", "--method", "random-order:w.txt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: w.txt:3: expected 'names : weight'\n"
+
     def test_files_with_a_byte_order_mark(self, tmp_path, capsys):
         # Excel and Windows editors start UTF-8 files with U+FEFF
         model = tmp_path / "model.txt"

@@ -191,6 +191,12 @@ def test_separable_rejects_non_finite_parameter(kind, params):
         SeparableTerm(2, kind, params)
 
 
+def test_separable_term_beyond_the_variable_count_rejected():
+    with pytest.raises(ValueError) as info:
+        from_terms(2, {}, [SeparableTerm(3, "poly", (1.0, 2.0))])
+    assert str(info.value) == "separable term index 3 exceeds variable count 2"
+
+
 def test_affine_is_stored_as_poly():
     term = SeparableTerm(1, "affine", (4.0, 1.0))
     assert (term.kind, term.params) == ("poly", (1.0, 4.0))
@@ -206,6 +212,7 @@ def test_separable_derivatives_are_exact():
         (SeparableTerm(1, "log", (2.0, 1.0, 3.0)), lambda x: 6.0 / (2.0 * x + 1.0)),
         (SeparableTerm(1, "exp", (0.5, 0.0, 2.0)), lambda x: math.exp(0.5 * x)),
         (SeparableTerm(1, "powlaw", (1.0, 2.0, 3.0, 2.0)), lambda x: 6.0 * (x + 2.0)),
+        (SeparableTerm(1, "powlaw", (2.0, 1.0, 3.0, 1.0)), lambda x: 6.0),
     ]
     for term, expect in cases:
         d = term.derivative()

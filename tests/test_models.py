@@ -195,15 +195,23 @@ class TestDag:
 
         sorts, real = [], models._toposort
         monkeypatch.setattr(models, "_toposort", lambda d: sorts.append(d) or real(d))
-        d = parse_dag(DAG_TEXT)
-        sorts.clear()  # parsing checks the graph for cycles on its own
+        d = parse_dag(DAG_TEXT)  # the parse's cycle check builds the plan every later call reads
         x = [1.0, 2.0, 0.5, 0.25, 0.75]
         for _ in range(3):
             d(x)
             d.gradients([x, x])
             d.flow([x])
             d.degree
+            compile_dag(d)
         assert len(sorts) == 1
+
+    def test_unreachable_start_is_reported_on_every_degree_read(self):
+        d = DagModel(("a", "b", "t"), "t", {"b": "s_b"}, (("a", "t", "p"),))
+        assert d([1.0, 0.5]) == 0.0  # builds and caches the plan
+        for _ in range(2):
+            with pytest.raises(ModelError) as info:
+                d.degree
+            assert str(info.value) == "sink is unreachable from start node 'b'"
 
     def test_unreachable_start_rejected(self):
         d = DagModel(("a", "b", "t"), "t", {"b": "s_b"}, (("a", "t", "p"),))
@@ -232,6 +240,7 @@ class TestDag:
             ("[nodes]\na t\n[sink]\nt\n[edges]\na : p\n", "g.txt:6: edge line needs two node names, got 'a : p'"),
             ("[nodes]\na a t\n[sink]\nt\n", "g.txt: node names must be unique"),
             ("[nodes]\na b t\n[sink]\nt\n[starts]\na : s\nb : s\n", "g.txt: start variables must be distinct"),
+            ("[nodes]\na t\n[sink]\nt\n[starts]\nq : s\n", "g.txt: start entry for unknown node 'q'"),
         ],
     )
     def test_malformed_graphs_name_the_file(self, text, message):
