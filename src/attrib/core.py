@@ -11,7 +11,7 @@ here is a pure function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -345,23 +345,25 @@ class ValuePair:
 
 @dataclass(frozen=True)
 class AttributionResult:
-    """Per-variable attributions plus the completeness residual sum(z) - (f(s) - f(r)).
+    """Per-variable attributions z of the change f(s) - f(r), and the completeness residual sum(z) - change.
 
-    ``converged`` is the one trust flag: false when the method stopped short
-    (quadrature out of refinements) or when z or the residual is not finite.
+    The kernel supplies z and the change it evaluated; the residual is
+    derived here, from the exact sum of z.  ``converged`` is the one trust
+    flag: false when the method stopped short (quadrature out of
+    refinements) or when z or the residual is not finite.
     """
 
     method: str
     z: tuple[float, ...]
-    residual: float
+    change: float
     converged: bool = True
+    residual: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "change", float(self.change))
+        object.__setattr__(self, "residual", _exact_sum(self.z) - self.change)
         if self.converged and not (math.isfinite(self.residual) and all(map(math.isfinite, self.z))):
             object.__setattr__(self, "converged", False)
-
-    def total(self) -> float:
-        return _exact_sum(self.z)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _exact_sum, _monomial_partials, evaluate
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _monomial_partials, evaluate
 from .models import DagModel
 from .paths import _nodes
 
@@ -229,11 +229,10 @@ def _node_partials_sum(rv: list[float], dv: list[float], count: int) -> list[flo
 
 
 def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Sequence[float]) -> AttributionResult:
-    """Add the separable endpoint rule to the multilinear attributions z and take the residual."""
+    """Add the separable endpoint rule to the multilinear attributions z and take the change."""
     for t in f.separable:
         z[t.index - 1] += t.value(s[t.index - 1]) - t.value(r[t.index - 1])
-    residual = _exact_sum(z) - (evaluate(f, s) - evaluate(f, r))
-    return AttributionResult("ass", tuple(z), residual)
+    return AttributionResult("ass", tuple(z), evaluate(f, s) - evaluate(f, r))
 
 
 def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[AttributionResult]:
@@ -280,7 +279,7 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
             Z[lo : lo + step] += Dc * acc
     if isinstance(f, DagModel):
         f_r, f_s = (np.concatenate([f._forward(X[lo : lo + step])[1][f._plan.sink] for lo in range(0, E, step)]).tolist() for X in (R, S))
-        return [AttributionResult("ass", tuple(z), _exact_sum(z) - (b - a)) for z, a, b in zip(Z.tolist(), f_r, f_s)]
+        return [AttributionResult("ass", tuple(z), b - a) for z, a, b in zip(Z.tolist(), f_r, f_s)]
     results = []
     for e, (z, r, s) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist())):
         try:
@@ -301,5 +300,4 @@ def attribute_naive(f, vp: ValuePair) -> AttributionResult:
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
     g = f.gradients([vp.s])[0].tolist()
     z = tuple(g[k] * (vp.s[k] - vp.r[k]) for k in range(f.n))
-    residual = _exact_sum(z) - (f(vp.s) - f(vp.r))
-    return AttributionResult("naive", z, residual)
+    return AttributionResult("naive", z, f(vp.s) - f(vp.r))

@@ -32,9 +32,10 @@ term per (start, route) pair; no method needs it, and it stays as the route
 expansion that tests check the flow passes against.
 
 Snapshots are CSV rows ``entity,variable,initial,final`` (header optional),
-parsed into one columnar `SnapshotTable`: entity and variable names, per-row
-indices into them and per-row initial and final float arrays, which
-`SnapshotTable.columns` maps onto a model's variables as E x n arrays.
+read in one pass that checks each row as it comes, into one columnar
+`SnapshotTable`: entity and variable names, per-row indices into them and
+per-row initial and final float arrays, which `SnapshotTable.columns` maps
+onto a model's variables as E x n arrays.
 
 Order-weight files, for ``random-order:``, hold one line per variable order::
 
@@ -504,8 +505,8 @@ class SnapshotTable:
     ``entities`` and ``variables`` hold the distinct names in order of first
     appearance; the int arrays ``entity`` and ``variable`` index them per
     row, and the float arrays ``initial`` and ``final`` hold the row's
-    values.  `parse_snapshots` guarantees finite values and no entity
-    listing a variable twice.
+    values.  `parse_snapshots` checks every row before it is stored, so
+    the values are finite and no entity lists a variable twice.
     """
 
     entities: tuple[str, ...]
@@ -556,81 +557,59 @@ class SnapshotTable:
 def parse_snapshots(text: str, path: str = "<values>") -> SnapshotTable:
     """CSV rows ``entity,variable,initial,final`` as a SnapshotTable.
 
-    Blank rows are skipped and a first row that reads
-    ``entity,variable,initial,final`` (any case or spacing) is a header.
-    Each row must have 4 cells and finite numbers, and no entity may list a
-    variable twice; names are stripped of surrounding spaces.  The checks
-    run in bulk; when one fails, a sequential pass names the file and the
-    physical line (the last line of a quoted multi-line row) of the first
-    offending row.
+    Rows whose cells are all blank (``,,,`` too) are skipped, and the first
+    other row is a header if it reads ``entity,variable,initial,final`` (any
+    case or spacing).  Each row is checked as it is read: 4 cells, names
+    stripped of surrounding spaces, finite numbers (initial, then final),
+    and no entity listing a variable twice.  The first offending row stops
+    the parse with a ModelError naming the file and its physical line (the
+    last line of a quoted multi-line row).
     """
-    try:
-        rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    except csv.Error:  # a cell over the csv module's field size limit, or a NUL before Python 3.11
-        rows = [[]]  # not 4 cells, so the sequential pass runs and names the line
-    if rows and _is_header(rows[0]):
-        del rows[0]
-    table = _snapshot_table(rows)
-    if table is None:
-        # raises at the first offending line, unless the only misfits were blank rows of spaces, which it drops
-        table = _snapshot_table(_checked_rows(text, path))
-    return table
-
-
-def _is_header(row: list[str]) -> bool:
-    return [cell.strip().lower() for cell in row] == _HEADER
-
-
-def _snapshot_table(rows: list[list[str]]) -> SnapshotTable | None:
-    """The rows as a SnapshotTable, or None if one is not 4 cells of finite numbers or repeats a cell."""
-    if any(len(row) != 4 for row in rows):
-        return None
-    entity, variable, initial, final = zip(*rows) if rows else ((), (), (), ())
-    try:
-        initial = np.array(list(map(float, initial)), dtype=float)
-        final = np.array(list(map(float, final)), dtype=float)
-    except ValueError:
-        return None
-    if not (np.isfinite(initial).all() and np.isfinite(final).all()):
-        return None
-    entities, entity = _codes(map(str.strip, entity))
-    variables, variable = _codes(map(str.strip, variable))
-    cells = np.sort(entity * len(variables) + variable)
-    if (cells[1:] == cells[:-1]).any():
-        return None
-    return SnapshotTable(entities, variables, entity, variable, initial, final)
-
-
-def _codes(names) -> tuple[tuple[str, ...], np.ndarray]:
-    """The distinct names in order of first appearance, and each name's index into them."""
-    index: dict[str, int] = {}
-    codes = [index.setdefault(name, len(index)) for name in names]
-    return tuple(index), np.array(codes, dtype=np.intp)
-
-
-def _checked_rows(text: str, path: str) -> list[list[str]]:
-    """The data rows, checked one by one in file order; raises ModelError naming the first bad line."""
     reader = csv.reader(io.StringIO(text))
-    rows: list[list[str]] = []
-    seen: dict[str, set[str]] = {}
+    entities: dict[str, int] = {}
+    variables: dict[str, int] = {}
+    cells: set[tuple[int, int]] = set()
+    entity, variable, initial, final = [], [], [], []
+    header = True  # no non-blank row read yet
     try:
-        for k, row in enumerate(row for row in reader if any(cell.strip() for cell in row)):
-            if k == 0 and _is_header(row):
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 4:
-                raise ModelError(f"{where}: expected entity,variable,initial,final")
-            entity, var = row[0].strip(), row[1].strip()
-            _parse_float(row[2].strip(), where)
-            _parse_float(row[3].strip(), where)
-            listed = seen.setdefault(entity, set())
-            if var in listed:
-                raise ModelError(f"{where}: variable {var!r} listed twice for entity {entity!r}")
-            listed.add(var)
-            rows.append(row)
-    except csv.Error as exc:
+        for row in reader:
+            try:
+                e, v, a, b = row
+                r, s = float(a), float(b)
+                ok = math.isfinite(r) and math.isfinite(s)
+            except ValueError:
+                ok = False
+            if not ok:  # a blank row, the header, or an error
+                if not any(cell.strip() for cell in row):
+                    continue
+                if header and [cell.strip().lower() for cell in row] == _HEADER:
+                    header = False
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != 4:
+                    raise ModelError(f"{where}: expected entity,variable,initial,final")
+                e, v, a, b = row
+                r, s = _parse_float(a.strip(), where), _parse_float(b.strip(), where)
+            header = False
+            e, v = e.strip(), v.strip()
+            cell = (entities.setdefault(e, len(entities)), variables.setdefault(v, len(variables)))
+            if cell in cells:
+                raise ModelError(f"{path}:{reader.line_num}: variable {v!r} listed twice for entity {e!r}")
+            cells.add(cell)
+            entity.append(cell[0])
+            variable.append(cell[1])
+            initial.append(r)
+            final.append(s)
+    except csv.Error as exc:  # a cell over the csv module's field size limit, or a NUL before Python 3.11
         raise ModelError(f"{path}:{reader.line_num}: {exc}") from None
-    return rows
+    return SnapshotTable(
+        tuple(entities),
+        tuple(variables),
+        np.array(entity, dtype=np.intp),
+        np.array(variable, dtype=np.intp),
+        np.array(initial, dtype=float),
+        np.array(final, dtype=float),
+    )
 
 
 # ---------------------------------------------------------------------------

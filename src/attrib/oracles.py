@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, ValuePair, _check_permutation, _exact_sum
+from .core import AttributionResult, ValuePair, _check_permutation
 
 __all__ = [
     "ORDER_CAP",
@@ -187,8 +187,8 @@ def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
             others = [v for v in range(n) if v not in prefix]
             z[others] += _walk(table, vals[_spread(others) | mask])
         z /= math.factorial(n)
-        residual = _exact_sum(z) - (vals[-1] - vals[0])
-    return AttributionResult("ss-brute", tuple(float(v) for v in z), residual)
+        change = vals[-1] - vals[0]
+    return AttributionResult("ss-brute", tuple(float(v) for v in z), change)
 
 
 def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> AttributionResult:
@@ -206,8 +206,8 @@ def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> Attrib
     vals[corners] = [f(_corner(vp, mask)) for mask in corners]
     z = _walk(befores, vals, weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = _exact_sum(z) - (vals[-1] - vals[0])
-    return AttributionResult("random-order", tuple(z.tolist()), residual)
+        change = vals[-1] - vals[0]
+    return AttributionResult("random-order", tuple(z.tolist()), change)
 
 
 def value_variant_attribution(f, vp: ValuePair, weight_fn: Callable[[ValuePair], PermutationWeights]) -> AttributionResult:
@@ -219,7 +219,7 @@ def value_variant_attribution(f, vp: ValuePair, weight_fn: Callable[[ValuePair],
     a witness that those axioms are needed to single out Aumann-Shapley-Shubik.
     """
     res = random_order_attribution(f, vp, weight_fn(vp))
-    return AttributionResult("value-variant", res.z, res.residual)
+    return AttributionResult("value-variant", res.z, res.change)
 
 
 def hash_order_weights(vp: ValuePair) -> PermutationWeights:

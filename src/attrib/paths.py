@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, ValuePair, _check_permutation, _exact_sum
+from .core import AttributionResult, ValuePair, _check_permutation
 
 __all__ = [
     "QuadratureConfig",
@@ -262,8 +262,7 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
             converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
             if converged:
                 break
-    residual = _exact_sum(z) - (f(list(vp.s)) - f(list(vp.r)))
-    return AttributionResult(f"path:{base.kind}", tuple(z.tolist()), residual, converged)
+    return AttributionResult(f"path:{base.kind}", tuple(z.tolist()), f(list(vp.s)) - f(list(vp.r)), converged)
 
 
 def attribute_aumann_shapley(f, vp: ValuePair, q: QuadratureConfig | None = None) -> AttributionResult:

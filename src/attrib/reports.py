@@ -169,7 +169,7 @@ def _report(
             label = segments.get(name)
             if label is not None:
                 totals[label] = totals.get(label, 0.0) + zv
-    total_change = res.total() - res.residual
+    total_change = res.change
     return Report(
         entity=entity,
         method=res.method,

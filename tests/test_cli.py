@@ -639,6 +639,18 @@ class TestCli:
         assert main(argv) == 3
         assert "warning: the residual exceeds 1e-09 of |total change| + sum |attribution|" in capsys.readouterr().out
 
+    def test_total_change_is_the_change_of_f_under_a_large_residual(self, tmp_path, capsys):
+        # naive misses by 18 here; sum(z) - residual would round to 2.8000000000000007
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\na b c\n[multilinear]\na b : 1\nc : 1\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,a,4,1\ne,b,1,7\ne,c,0.8,0.6\n")
+        argv = ["--model", str(model), "--values", str(values), "--method", "naive", "--report", "machine"]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["total_change"] == (1.0 * 7.0 + 0.6) - (4.0 * 1.0 + 0.8) == 2.8
+        assert summary["residual"] == -18.0
+
     @pytest.mark.parametrize("method", ["ss-brute", "random-order"])
     def test_order_enumeration_cap_names_the_method(self, tmp_path, capsys, method):
         names = [f"x{i}" for i in range(11)]

@@ -1,11 +1,15 @@
 import csv
+import io
 import math
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrib import ValuePair, attribute_ass, evaluate
+from attrib import models
 from attrib.models import (
     DagModel,
     ModelError,
@@ -429,6 +433,100 @@ class TestSnapshots:
         with pytest.raises(ModelError) as info:
             snaps.columns(procurement_model().variables)
         assert str(info.value) == message
+
+
+def _reference_rows(text: str, path: str) -> list[tuple[str, str, str, str]]:
+    """parse_snapshots spelled out row by row: (entity, variable, initial.hex(), final.hex()) per data row."""
+    reader = csv.reader(io.StringIO(text))
+    out, seen, header = [], set(), True
+    try:
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if all(not cell.strip() for cell in row):
+                continue
+            if header:
+                header = False
+                if [cell.strip().lower() for cell in row] == ["entity", "variable", "initial", "final"]:
+                    continue
+            if len(row) != 4:
+                raise ModelError(f"{where}: expected entity,variable,initial,final")
+            values = []
+            for token in (row[2].strip(), row[3].strip()):
+                try:
+                    value = float(token)
+                except ValueError:
+                    raise ModelError(f"{where}: expected a number, got {token!r}") from None
+                if not math.isfinite(value):
+                    raise ModelError(f"{where}: expected a finite number, got {token!r}")
+                values.append(value.hex())
+            entity, variable = row[0].strip(), row[1].strip()
+            if (entity, variable) in seen:
+                raise ModelError(f"{where}: variable {variable!r} listed twice for entity {entity!r}")
+            seen.add((entity, variable))
+            out.append((entity, variable, *values))
+    except csv.Error as exc:
+        raise ModelError(f"{path}:{reader.line_num}: {exc}") from None
+    return out
+
+
+_CELLS = ["q", " q ", "r", "a", "p ", "", " ", '"q\nx"', '" a"', "1", " 2 ", "-0", "2.5e3", "1e999", "nan", "-inf", "x",
+          "entity", " Variable", "INITIAL", "final"]
+_VALID_ROW = st.tuples(*[st.sampled_from(["q", "r", " a", "p", "c"])] * 2, *[st.sampled_from(["1", "0.5", " 3 ", "-2"])] * 2)
+_ROWS = st.one_of(
+    st.sampled_from(["", "  ", ",,,", " , , , ", "entity,variable,initial,final", " Entity , VARIABLE ,Initial,FINAL"]),
+    st.lists(st.sampled_from(_CELLS), min_size=1, max_size=6).map(",".join),
+    st.tuples(*[st.sampled_from(_CELLS)] * 4).map(",".join),
+    _VALID_ROW.map(",".join),
+    _VALID_ROW.map(",".join),
+)
+
+
+class TestSnapshotsOnePass:
+    @settings(max_examples=400)
+    @given(rows=st.lists(_ROWS, max_size=8), newline=st.sampled_from(["\n", "\r\n"]))
+    def test_matches_a_row_by_row_reference(self, rows, newline):
+        text = newline.join(rows) + newline
+        try:
+            expected = _reference_rows(text, "v.csv")
+        except ModelError as exc:
+            with pytest.raises(ModelError) as info:
+                parse_snapshots(text, "v.csv")
+            assert str(info.value) == str(exc)
+            return
+        t = parse_snapshots(text, "v.csv")
+        got = [(t.entities[e], t.variables[v], a.hex(), b.hex())
+               for e, v, a, b in zip(t.entity.tolist(), t.variable.tolist(), t.initial.tolist(), t.final.tolist())]
+        assert got == expected
+        assert t.entities == tuple(dict.fromkeys(row[0] for row in expected))
+        assert t.variables == tuple(dict.fromkeys(row[1] for row in expected))
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("entity,variable,initial,final\n,,,\nq,a,1,2\n , , , \nq,p,3,4\n", None),
+            ("q,a,1,2\nq,p,1\nq,c,1,2\n", "v.csv:2: expected entity,variable,initial,final"),
+        ],
+    )
+    def test_reads_the_text_with_one_csv_reader(self, monkeypatch, text, error):
+        calls = []
+        reader = csv.reader
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(models.csv, "reader", counted)
+        if error is None:
+            assert parse_snapshots(text, "v.csv").variables == ("a", "p")
+        else:
+            with pytest.raises(ModelError, match=error):
+                parse_snapshots(text, "v.csv")
+        assert len(calls) == 1
+
+    def test_number_cells_are_read_stripped(self):
+        # str.strip drops the separators \x1c..\x1f and float alone does not: the row checks and the stored value agree
+        snaps = parse_snapshots("q,a,\x1c1\x1f,2\n")
+        assert snaps.initial.tolist() == [1.0] and snaps.final.tolist() == [2.0]
 
 
 class TestReadText:
