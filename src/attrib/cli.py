@@ -1,11 +1,11 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 malformed input, 3 numeric non-convergence, a
-non-finite result, or a completeness residual above 1e-9 of the change's
-scale under any method but naive.  A report run attributes
-every entity before printing anything: one bad entity stops the run with
-exit 2 and an error naming it, and nothing goes to stdout; exit 3 means
-every report was printed and at least one is flagged unconverged.
+Exit codes: 0 success, 2 malformed input, 3 a result `AttributionResult`
+flags: numeric non-convergence, a non-finite result, or a completeness
+residual above 1e-9 of the change's scale under any method but naive.  A
+report run attributes every entity before printing anything: one bad
+entity stops the run with exit 2 and an error naming it, and nothing goes
+to stdout; exit 3 means every report was printed and at least one is flagged.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", metavar="X", type=float, default=None,
                         help="quadrature tolerance for as-numeric, axiom tolerance for --axiom-suite;"
                              " finite and greater than 0 (ass, ss-brute, naive and random-order ignore it;"
-                             " the 1e-9 relative completeness check of reports does not change with it)")
+                             " the 1e-9 relative completeness check of every result does not change with it)")
     parser.add_argument("--max-refine", metavar="N", type=int, default=None,
                         help="panel doublings allowed before as-numeric gives up; 0 or more")
     parser.add_argument("--seed", metavar="N", type=int, default=0, help="seed for --axiom-suite instances")

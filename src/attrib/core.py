@@ -347,10 +347,10 @@ class ValuePair:
 class AttributionResult:
     """Per-variable attributions z of the change f(s) - f(r), and the completeness residual sum(z) - change.
 
-    The kernel supplies z and the change it evaluated; the residual is
-    derived here, from the exact sum of z.  ``converged`` is the one trust
-    flag: false when the method stopped short (quadrature out of
-    refinements) or when z or the residual is not finite.
+    The kernel supplies z, the change it evaluated and whether it
+    converged; the residual is derived here, from the exact sum of z.
+    ``converged``, the one trust flag, stays true only where the kernel
+    converged and `_distrust` finds no fault.
     """
 
     method: str
@@ -362,8 +362,20 @@ class AttributionResult:
     def __post_init__(self):
         object.__setattr__(self, "change", float(self.change))
         object.__setattr__(self, "residual", _exact_sum(self.z) - self.change)
-        if self.converged and not (math.isfinite(self.residual) and all(map(math.isfinite, self.z))):
+        if self.converged and _distrust(self.method, self.z, self.change, self.residual):
             object.__setattr__(self, "converged", False)
+
+
+_RESIDUAL_TOL = 1e-9  # largest trusted |residual|, relative to |change| + sum |z_i|
+
+
+def _distrust(method: str, z: Sequence[float], change: float, residual: float) -> str | None:
+    """A result's fault: "non-finite" z or residual, a "residual" over _RESIDUAL_TOL (not for naive, whose point it is), or None."""
+    if not (math.isfinite(residual) and all(map(math.isfinite, z))):
+        return "non-finite"
+    if method != "naive" and abs(residual) > _RESIDUAL_TOL * (abs(change) + _exact_sum(map(abs, z))):
+        return "residual"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -239,11 +239,11 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
     Path breakpoints (edge-walk corners, tabulation nodes) bound the panels so
     each panel sees a smooth integrand.  Panels double until two successive
     passes agree componentwise within q.tol (relative, with an absolute floor
-    of q.tol); if max_refine doublings are exhausted first, the best estimate
-    is returned with converged=False.  A pass takes its gradients in one
-    ``f.gradients`` call (one per block of _CHUNK_ELEMENTS values on very
-    fine passes); f is a model, a flow graph or a `BlackBoxFunction`, and a
-    plain callable is wrapped in a black box.
+    of q.tol); out of max_refine doublings, or at a pass that is not finite,
+    the estimate is returned with converged=False.  A pass takes its
+    gradients in one ``f.gradients`` call (one per block of _CHUNK_ELEMENTS
+    values on very fine passes); f is a model, a flow graph or a
+    `BlackBoxFunction`, and a plain callable is wrapped in a black box.
     """
     q = q or QuadratureConfig()
     if base.n is not None and base.n != vp.n:
@@ -260,7 +260,7 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
             blocks = [(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)]
             z, prev = sum(w @ (f.gradients(r + d * base.g(t)) * (d * base.dg(t))) for t, w in blocks), z
             converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
-            if converged:
+            if converged or not np.isfinite(z).all():
                 break
     return AttributionResult(f"path:{base.kind}", tuple(z.tolist()), f(list(vp.s)) - f(list(vp.r)), converged)
 

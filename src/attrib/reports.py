@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, ValuePair
+from .core import _RESIDUAL_TOL, AttributionResult, ValuePair, _distrust
 from .exact import attribute_ass, attribute_ass_batch, attribute_naive
 from .models import DagModel, ModelError, ModelSpec, SnapshotTable, compile_model, parse_order_weights, read_text
 from .models import compile_dag  # noqa: F401  no report expands routes; only the bench's span map reads this name
@@ -43,11 +43,6 @@ __all__ = [
 ]
 
 METHOD_IDS = ("ass", "ss-brute", "as-numeric", "naive", "random-order:<weights-file>")
-
-# Methods whose reports are unconverged when completeness misses by more than
-# _RESIDUAL_TOL of the change's scale.  naive's residual is its point.
-_RESIDUAL_GATED = ("ass", "as-numeric", "ss-brute", "random-order")
-_RESIDUAL_TOL = 1e-9
 
 
 @dataclass
@@ -121,11 +116,9 @@ def run_report(
     every method as it is, with the columns of ``DagModel.variables``, after
     one check that the sink is reachable from every start node; no method
     expands its routes.  Domain, dimension or overflow problems are
-    re-raised with the entity and variable names attached.  A report whose
-    attributions or residual are not finite is marked unconverged, and so
-    is a report of any method but ``naive`` whose |residual| exceeds 1e-9
-    of |total change| + sum |z_i| (``--tol`` does not set that tolerance).
-    Segment totals are plain sums of member attributions.
+    re-raised with the entity and variable names attached.  A report's
+    ``converged`` is its `AttributionResult`'s.  Segment totals are plain
+    sums of member attributions.
     """
     if isinstance(model, DagModel):
         model.degree  # raises ModelError on a start node that cannot reach the sink
@@ -169,7 +162,6 @@ def _report(
             label = segments.get(name)
             if label is not None:
                 totals[label] = totals.get(label, 0.0) + zv
-    total_change = res.change
     return Report(
         entity=entity,
         method=res.method,
@@ -177,20 +169,20 @@ def _report(
         initial=tuple(r),
         final=tuple(s),
         z=res.z,
-        total_change=total_change,
+        total_change=res.change,
         residual=res.residual,
-        converged=(
-            res.converged
-            and math.isfinite(total_change)
-            and not _residual_too_large(res.method, res.z, total_change, res.residual)
-        ),
+        converged=res.converged,
         segments=totals,
     )
 
 
-def _residual_too_large(method: str, z: Sequence[float], total_change: float, residual: float) -> bool:
-    """|residual| > _RESIDUAL_TOL * (|total change| + sum |z_i|), for the methods in _RESIDUAL_GATED."""
-    return method in _RESIDUAL_GATED and abs(residual) > _RESIDUAL_TOL * (abs(total_change) + math.fsum(map(abs, z)))
+# The warning for each fault `_distrust` finds; with none, the kernel itself did not converge.
+_WARNINGS = {
+    "non-finite": "warning: non-finite result; the values overflow double precision, do not trust these attributions",
+    "residual": f"warning: the residual exceeds {_RESIDUAL_TOL:g} of |total change| + sum |attribution|;"
+    " attributions are best estimates",
+    None: "warning: quadrature did not converge; attributions are best estimates",
+}
 
 
 def render_text(report: Report) -> str:
@@ -200,15 +192,9 @@ def render_text(report: Report) -> str:
     for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z):
         lines.append(f"{name:<{name_w}}  {ini:>16.10g}  {fin:>16.10g}  {zv:>20.12g}")
     lines.append(f"total change: {report.total_change:.12g}    residual: {report.residual:.12g}")
-    if not all(map(math.isfinite, (*report.z, report.residual, report.total_change))):
-        lines.append("warning: non-finite result; the values overflow double precision, do not trust these attributions")
-    elif not report.converged and _residual_too_large(report.method, report.z, report.total_change, report.residual):
-        lines.append(
-            f"warning: the residual exceeds {_RESIDUAL_TOL:g} of |total change| + sum |attribution|;"
-            " attributions are best estimates"
-        )
-    elif not report.converged:
-        lines.append("warning: quadrature did not converge; attributions are best estimates")
+    why = _distrust(report.method, report.z, report.total_change, report.residual)
+    if why == "non-finite" or not report.converged:
+        lines.append(_WARNINGS[why])
     if report.segments:
         lines.append("segment totals:")
         for label in sorted(report.segments):

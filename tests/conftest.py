@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from attrib import CharacteristicFunction, MultilinearPoly, SeparableTerm, ValuePair, product_function
 
 hypothesis.settings.register_profile("suite", max_examples=60, deadline=None)
+# many more mutated inputs for tests/test_exit_contract.py alone: pytest --hypothesis-profile exit-contract
+hypothesis.settings.register_profile("exit-contract", max_examples=2000, deadline=None)
 hypothesis.settings.load_profile("suite")
 
 coeffs = st.floats(min_value=-10, max_value=10, allow_nan=False)

@@ -639,6 +639,17 @@ class TestCli:
         assert main(argv) == 3
         assert "warning: the residual exceeds 1e-09 of |total change| + sum |attribution|" in capsys.readouterr().out
 
+    def test_residual_gate_with_an_overflowing_scale(self, tmp_path, capsys):
+        # z = (1.7e308, -1.7e308) sums to the change exactly, but sum |z_i| overflows
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\na b\n[multilinear]\na : 1\nb : -1\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,a,0,1.7e308\ne,b,0,1.7e308\n")
+        assert main(["--model", str(model), "--values", str(values), "--report", "machine"]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out.splitlines()[-1])
+        assert captured.err == "" and summary["converged"] is True and summary["residual"] == 0.0
+
     def test_total_change_is_the_change_of_f_under_a_large_residual(self, tmp_path, capsys):
         # naive misses by 18 here; sum(z) - residual would round to 2.8000000000000007
         model = tmp_path / "model.txt"

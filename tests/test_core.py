@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,10 +9,16 @@ from attrib import (
     CharacteristicFunction,
     DomainError,
     MultilinearPoly,
+    PermutationWeights,
     SeparableTerm,
     ValuePair,
     affine_reparameterize,
+    attribute_ass,
+    attribute_aumann_shapley,
+    attribute_naive,
+    attribute_path,
     combine,
+    edge_walk,
     evaluate,
     from_terms,
     monomial,
@@ -19,9 +26,12 @@ from attrib import (
     permute_variables,
     permute_vector,
     product_function,
+    random_order_attribution,
+    shapley_shubik_bruteforce,
 )
 
 from attrib.core import _monomial_partials
+from attrib.exact import attribute_ass_batch
 from conftest import charfn_pairs, charfns
 
 
@@ -170,6 +180,46 @@ def test_value_pair_validation():
         ValuePair((1.0,), (1.0, 2.0))
     with pytest.raises(ValueError):
         ValuePair((float("nan"),), (1.0,))
+
+
+def _cancelling_row():
+    """f = ab - ac + d with a 1 -> 1.1, b 1e17 -> 1e17 + 16, c = 1e17, d 0 -> 1: ab - ac cancels in floating point."""
+    f = from_terms(4, {(1, 2): 1.0, (1, 3): -1.0, (4,): 1.0})
+    return f, ValuePair((1.0, 1e17, 1e17, 0.0), (1.1, 100000000000000016, 1e17, 1.0))
+
+
+_METHODS = {
+    "ass": attribute_ass,
+    "ass-batch": lambda f, vp: attribute_ass_batch(f, np.array([vp.r]), np.array([vp.s]))[0],
+    "as-numeric": attribute_aumann_shapley,
+    "edge-walk": lambda f, vp: attribute_path(f, vp, edge_walk((1, 2, 3, 4))),
+    "naive": attribute_naive,
+    "ss-brute": shapley_shubik_bruteforce,
+    "random-order": lambda f, vp: random_order_attribution(f, vp, PermutationWeights.uniform(4)),
+}
+
+
+@pytest.mark.parametrize(
+    "method, residual, converged",
+    [
+        ("ass", 0.8, False),
+        ("ass-batch", 0.8, False),
+        ("as-numeric", 1.6, False),
+        ("edge-walk", 1.6, False),
+        # naive's residual is its point, so the gate leaves it alone
+        ("naive", 3.2, True),
+        # the order walks telescope to residual 0 here, so no residual gate can see their error;
+        # only a forward error bound on z could flag them, and the flag is not asserted
+        ("ss-brute", 0.0, None),
+        ("random-order", 0.0, None),
+    ],
+)
+def test_result_is_distrusted_where_completeness_misses(method, residual, converged):
+    res = _METHODS[method](*_cancelling_row())
+    assert res.residual == pytest.approx(residual, abs=1e-12)
+    assert math.isfinite(res.change) and all(map(math.isfinite, res.z))
+    if converged is not None:
+        assert res.converged is converged
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -204,6 +204,13 @@ class TestAttributePath:
         assert not res.converged
         assert res.z[0] == pytest.approx(rough((1.0,)) - rough((0.0,)), rel=0.1)
 
+    def test_a_non_finite_pass_ends_the_refinement(self):
+        # every node's gradient overflows, so no finer pass could agree with the first
+        f = _CountedGradients(product_function(6))
+        res = attribute_aumann_shapley(f, ValuePair((1e150,) * 6, (2e150,) + (-1e150,) * 5))
+        assert not res.converged and not all(map(math.isfinite, res.z))
+        assert f.shapes == [(8 * 16, 6)]
+
 
 class TestAumannShapley:
     def test_matches_exact_on_procurement(self, procurement):
