@@ -303,15 +303,15 @@ class CharacteristicFunction:
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"dimension mismatch: function has {self.n} variables, got points of shape {X.shape}")
         G = np.zeros_like(X)
+        derivs = [(t.index - 1, t.derivative()) for t in self.separable]
         with np.errstate(over="ignore", invalid="ignore"):
             for I, c in self.multilinear.terms.items():
                 if I:
                     cols = [j - 1 for j in I]
                     G[:, cols] += _batch_partials(X[:, cols], c)
-        derivs = [(t.index - 1, t.derivative()) for t in self.separable]
-        for x, g in zip(X.tolist() if derivs else (), G):
-            for i, d in derivs:
-                g[i] += d.value(x[i])
+            for x, g in zip(X.tolist() if derivs else (), G):
+                for i, d in derivs:
+                    g[i] += d.value(x[i])  # a numpy scalar add, which warns on overflow outside errstate
         return G
 
     def as_dict(self) -> dict:

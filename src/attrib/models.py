@@ -54,7 +54,6 @@ import graphlib
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -194,6 +193,7 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
             raise ModelError(f"{path}:{lineno}: variable {name!r} already has segment {segments[name]!r}")
         segments[name] = label
     ml_terms = []
+    sums: dict[frozenset[str], float] = {}  # per monomial, its coefficient so far, summed in file order as `compile_model` sums it
     for lineno, line in sections.get("multilinear", []):
         if ":" not in line:
             raise ModelError(f"{path}:{lineno}: term line needs 'names : coefficient', got {line!r}")
@@ -202,7 +202,12 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
         if len(set(names)) != len(names):
             raise ModelError(f"{path}:{lineno}: variable repeated within one term: {names}")
         _check_declared(names, declared, "term", f"{path}:{lineno}: ")
-        ml_terms.append((names, _parse_float(rhs.strip(), f"{path}:{lineno}")))
+        coeff = _parse_float(rhs.strip(), f"{path}:{lineno}")
+        key = frozenset(names)
+        sums[key] = sums.get(key, 0.0) + coeff
+        if not math.isfinite(sums[key]):
+            raise ModelError(f"{path}:{lineno}: coefficients of the terms over {names} add up to {sums[key]}")
+        ml_terms.append((names, coeff))
     sep_terms = []
     for lineno, line in sections.get("separable", []):
         if ":" not in line:
@@ -249,7 +254,7 @@ def format_model(ms: ModelSpec) -> str:
 ROUTE_CAP = 10**6  # start/route pairs, so terms, that the reference `compile_dag` may expand one graph into
 
 
-@dataclass
+@dataclass(frozen=True)
 class DagModel:
     """Flow graph whose expected arrivals at the sink form the model.
 
@@ -262,6 +267,9 @@ class DagModel:
     (the value from its forward pass alone), so no method expands a graph's
     routes; the reference `compile_dag` expands them into a `ModelSpec`.
     All use the variable order of `variables`.
+
+    A graph is checked once, when it is built: construction raises
+    ModelError on a cycle or on a start node that cannot reach the sink.
     """
 
     nodes: tuple[str, ...]
@@ -287,6 +295,7 @@ class DagModel:
             if name in seen_vars:
                 raise ModelError(f"variable {name!r} assigned twice")
             seen_vars.add(name)
+        object.__setattr__(self, "_plan", self._build_plan())
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -299,16 +308,8 @@ class DagModel:
 
     @property
     def degree(self) -> int:
-        """1 plus the edge count of the longest route from a start to the sink (1 with no starts).
-
-        Read from the cached `_plan`.  Raises on a cycle, and on every read,
-        not only the first, on a start node that cannot reach the sink.
-        """
-        longest = dict(zip(self.nodes, self._plan.longest.tolist()))
-        for node in self.starts:
-            if longest[node] < 0:
-                raise ModelError(f"sink is unreachable from start node {node!r}")
-        return 1 + max((longest[node] for node in self.starts), default=0)
+        """1 plus the edge count of the longest route from a start to the sink (1 with no starts)."""
+        return self._plan.degree
 
     def __call__(self, x: Sequence[float]) -> float:
         """Expected sink arrivals at the point x, from the forward pass of `flow`."""
@@ -318,13 +319,8 @@ class DagModel:
         """Gradients at every row of the N x n array X, as an N x n array, from `flow`."""
         return self.flow(X)[1]
 
-    @cached_property
-    def _plan(self) -> _FlowPlan:
-        """The index arrays `flow` walks and each node's longest route, built on first use; raises on a cycle.
-
-        The plan is kept for the life of the graph, so its fields must not
-        change after its first evaluation.
-        """
+    def _build_plan(self) -> _FlowPlan:
+        """The index arrays `flow` walks and the degree; raises on a cycle, then on the first start that cannot reach the sink."""
         node = {name: k for k, name in enumerate(self.nodes)}
         order = [node[name] for name in _toposort(self)]
         sink = node[self.sink]
@@ -340,13 +336,17 @@ class DagModel:
             out_of[node[u]].append(e)
         forward = [(k, tail[into[k]], col[into[k]], start_col.get(k)) for k in order if into[k] or k in start_col]
         backward = [(k, head[out_of[k]], col[out_of[k]]) for k in reversed(order) if k != sink and out_of[k]]
-        longest = np.full(len(self.nodes), -1)
+        longest = np.full(len(self.nodes), -1)  # per node, the edge count of its longest route to the sink; -1 if none
         longest[sink] = 0
         for k, heads, _ in backward:  # reverse topological order, so every head is done before its tail
             best = longest[heads].max()
             if best >= 0:
                 longest[k] = best + 1
-        return _FlowPlan(longest, sink, start_nodes, tail, head, forward, backward)
+        for name in self.starts:
+            if longest[node[name]] < 0:
+                raise ModelError(f"sink is unreachable from start node {name!r}")
+        degree = 1 + int(longest[start_nodes].max(initial=0))
+        return _FlowPlan(degree, sink, start_nodes, tail, head, forward, backward)
 
     def flow(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Expected sink arrivals and their gradients at every row of the N x n array X, as N and N x n arrays.
@@ -400,9 +400,9 @@ class DagModel:
 
 
 class _FlowPlan(NamedTuple):
-    """What `DagModel.flow` walks, and the longest routes `DagModel.degree` reads; nodes and edges are indices into the graph's tuples."""
+    """What `DagModel.flow` walks, and the degree `DagModel.degree` reads; nodes and edges are indices into the graph's tuples."""
 
-    longest: np.ndarray  # per node, the edge count of its longest route to the sink; -1 if it cannot reach the sink
+    degree: int
     sink: int
     start_nodes: list[int]  # the nodes with a start count, in node order: X's first columns
     tail: np.ndarray  # per edge
@@ -412,21 +412,45 @@ class _FlowPlan(NamedTuple):
 
 
 def parse_dag(text: str, path: str = "<dag>") -> DagModel:
+    """Graph file as a DagModel.
+
+    A malformed line, an unknown or repeated name, or a second sink is an
+    error naming the file and line; a cycle or a start node that cannot
+    reach the sink, found when the graph is built, names the file.
+    """
     sections = _sections(text, path, ("nodes", "sink", "starts", "edges"))
     for required in ("nodes", "sink"):
         if required not in sections:
             raise ModelError(f"{path}: missing [{required}] section")
-    nodes = tuple(name for _, line in sections["nodes"] for name in line.split())
-    sink_tokens = [tok for _, line in sections["sink"] for tok in line.split()]
-    if len(sink_tokens) != 1:
+    nodes: list[str] = []
+    known: set[str] = set()
+    for lineno, line in sections["nodes"]:
+        for name in line.split():
+            if name in known:
+                raise ModelError(f"{path}:{lineno}: node {name!r} declared twice")
+            nodes.append(name)
+            known.add(name)
+    sinks = [(lineno, tok) for lineno, line in sections["sink"] for tok in line.split()]
+    if len(sinks) > 1:
+        raise ModelError(f"{path}:{sinks[1][0]}: exactly one sink expected, got {sinks[0][1]!r} and {sinks[1][1]!r}")
+    if not sinks:
         raise ModelError(f"{path}: exactly one sink expected")
+    [(lineno, sink)] = sinks
+    if sink not in known:
+        raise ModelError(f"{path}:{lineno}: sink {sink!r} is not a node")
+    assigned: set[str] = set()  # start and edge variables so far
     starts = {}
     for lineno, line in sections.get("starts", []):
         if ":" not in line:
             raise ModelError(f"{path}:{lineno}: start line needs 'node : variable', got {line!r}")
         node, var = (part.strip() for part in line.split(":", 1))
+        if node not in known:
+            raise ModelError(f"{path}:{lineno}: start entry for unknown node {node!r}")
         if node in starts:
             raise ModelError(f"{path}:{lineno}: node {node!r} already has start variable {starts[node]!r}")
+        if var in assigned:
+            raise ModelError(f"{path}:{lineno}: variable {var!r} assigned twice")
+        assigned.add(var)
         starts[node] = var
     edges = []
     for lineno, line in sections.get("edges", []):
@@ -436,13 +460,17 @@ def parse_dag(text: str, path: str = "<dag>") -> DagModel:
         ends = lhs.split()
         if len(ends) != 2:
             raise ModelError(f"{path}:{lineno}: edge line needs two node names, got {line!r}")
-        edges.append((ends[0], ends[1], var.strip()))
+        (u, v), var = ends, var.strip()
+        if u not in known or v not in known:
+            raise ModelError(f"{path}:{lineno}: edge {u!r} -> {v!r} uses an unknown node")
+        if var in assigned:
+            raise ModelError(f"{path}:{lineno}: variable {var!r} assigned twice")
+        assigned.add(var)
+        edges.append((u, v, var))
     try:
-        d = DagModel(nodes, sink_tokens[0], starts, tuple(edges))
-        d._plan  # sorts the graph once for its lifetime, raising on a cycle
-    except ValueError as exc:
+        return DagModel(tuple(nodes), sink, starts, tuple(edges))
+    except ValueError as exc:  # a cycle, or a start node that cannot reach the sink
         raise ModelError(f"{path}: {exc}") from None
-    return d
 
 
 def _toposort(d: DagModel) -> list[str]:
@@ -459,11 +487,10 @@ def _toposort(d: DagModel) -> list[str]:
 def compile_dag(d: DagModel) -> ModelSpec:
     """Expand a graph into one term per (start node, route to sink): the route-expansion reference.
 
-    Raises on cycles, on unreachable starts, and when the route count
-    exceeds ROUTE_CAP (counted before enumeration).  No method calls it:
-    they read the graph through `DagModel.flow`, which needs no routes.
+    Raises when the route count exceeds ROUTE_CAP (counted before
+    enumeration).  No method calls it: they read the graph through
+    `DagModel.flow`, which needs no routes.
     """
-    d.degree  # raises on a cycle and on a start node that cannot reach the sink
     plan = d._plan
     routes = [0] * len(d.nodes)  # per node, its count of routes to the sink
     routes[plan.sink] = 1
@@ -617,9 +644,14 @@ def parse_snapshots(text: str, path: str = "<values>") -> SnapshotTable:
 
 
 def parse_order_weights(text: str, variables: Sequence[str], path: str = "<weights>") -> PermutationWeights:
-    """Weights file: one ``name name ... : weight`` line per variable order; a repeated order adds up."""
+    """Weights file: one ``name name ... : weight`` line per variable order; a repeated order adds up.
+
+    An order whose weights add up to a negative or non-finite number is an
+    error naming the file, the order's last line and its names.
+    """
     index = {name: i for i, name in enumerate(variables, 1)}
     weights: dict[tuple[int, ...], float] = {}
+    last: dict[tuple[int, ...], int] = {}  # per order, the line of its last weight
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip(raw)
         if not line:
@@ -636,6 +668,11 @@ def parse_order_weights(text: str, variables: Sequence[str], path: str = "<weigh
         except ValueError:
             raise ModelError(f"{path}:{lineno}: order {' '.join(names)!r} does not list each of {' '.join(variables)!r} exactly once") from None
         weights[order] = weights.get(order, 0.0) + _parse_float(rhs.strip(), f"{path}:{lineno}")
+        last[order] = lineno
+    for order, w in weights.items():
+        if not (w >= 0.0 and math.isfinite(w)):
+            names = " ".join(variables[i - 1] for i in order)
+            raise ModelError(f"{path}:{last[order]}: weight {w} for order {names!r} is not a finite nonnegative number")
     try:
         return PermutationWeights(weights)
     except ValueError as exc:

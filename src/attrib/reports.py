@@ -113,15 +113,13 @@ def run_report(
     entity missing a model variable or listing one the model lacks is an
     error naming it.  ``ass`` attributes every entity in one batch kernel
     call, other methods call their handle per entity.  A `DagModel` goes to
-    every method as it is, with the columns of ``DagModel.variables``, after
-    one check that the sink is reachable from every start node; no method
-    expands its routes.  Domain, dimension or overflow problems are
+    every method as it is, with the columns of ``DagModel.variables``; no
+    method expands its routes.  Domain, dimension or overflow problems are
     re-raised with the entity and variable names attached.  A report's
     ``converged`` is its `AttributionResult`'s.  Segment totals are plain
     sums of member attributions.
     """
     if isinstance(model, DagModel):
-        model.degree  # raises ModelError on a start node that cannot reach the sink
         f, variables, segments = model, model.variables, {}
     else:
         f, variables, segments = compile_model(model), model.variables, model.segments

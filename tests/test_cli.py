@@ -243,6 +243,25 @@ class TestOrderWeightsFile:
         pw = parse_order_weights("a p : 0.25\np a : 0.75\n", ("a", "p"))
         assert pw.weights == {(1, 2): 0.25, (2, 1): 0.75}
 
+    def test_repeated_order_adds_up(self):
+        pw = parse_order_weights("a p : -0.25\np a : 0.75\na p : 0.5\n", ("a", "p"))
+        assert pw.weights == {(1, 2): 0.25, (2, 1): 0.75}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a p c : 1\nc p a : -0.5\n", "w.txt:2: weight -0.5 for order 'c p a' is not a finite nonnegative number"),
+            ("a p c : 1e308\nc p a : 0\na p c : 1e308\n", "w.txt:3: weight inf for order 'a p c' is not a finite nonnegative number"),
+        ],
+        ids=["negative", "overflowing-sum"],
+    )
+    def test_bad_weight_names_line_and_order(self, text, message):
+        from attrib.models import ModelError
+
+        with pytest.raises(ModelError) as info:
+            parse_order_weights(text, ("a", "p", "c"), "w.txt")
+        assert str(info.value) == message
+
     def test_unknown_name(self):
         from attrib.models import ModelError
 
@@ -353,6 +372,7 @@ class TestCli:
             ("[multilinear]\na z : 1\n", "4: term references undeclared variable 'z'"),
             ("[variables]\nb a\n", "4: variable 'a' declared twice"),
             ("[segments]\na : x\na : y\n", "5: variable 'a' already has segment 'x'"),
+            ("[variables]\np\n[multilinear]\na p : 1e308\np a : 1e308\n", "7: coefficients of the terms over ('p', 'a') add up to inf"),
         ],
     )
     def test_model_term_errors_name_file_and_line(self, tmp_path, capsys, body, message):
@@ -371,7 +391,7 @@ class TestCli:
         values.write_text("e,s_a,1,2\ne,p,0,1\n")
         assert main(["--dag", str(dag), "--values", str(values)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"{dag}: edge 'a' -> 'q' uses an unknown node" in captured.err
+        assert captured.out == "" and f"{dag}:8: edge 'a' -> 'q' uses an unknown node" in captured.err
 
     def test_overflow_is_located_input_error(self, tmp_path, capsys):
         model = tmp_path / "model.txt"
@@ -456,7 +476,7 @@ class TestCli:
         for method in ("ass", "naive", "as-numeric", "ss-brute", f"random-order:{orders}"):
             assert main(["--dag", str(dag), "--values", str(values), "--method", method]) == 2
             captured = capsys.readouterr()
-            assert captured.out == "" and captured.err == "error: sink is unreachable from start node 'b'\n"
+            assert captured.out == "" and captured.err == f"error: {dag}: sink is unreachable from start node 'b'\n"
 
     def test_bad_entity_in_a_batch_stops_the_run(self, tmp_path, capsys):
         # one bad entity fails the whole run: exit 2, the entity named, nothing printed

@@ -348,6 +348,15 @@ def test_gradients_of_every_separable_kind_equal_the_point_loop():
     assert f.gradients(X).tolist() == [_loop_gradient(f, x) for x in X]
 
 
+def test_gradients_that_overflow_past_a_separable_derivative_warn_nothing():
+    import warnings
+
+    f = from_terms(1, {(1,): 1e308}, [SeparableTerm(1, "poly", (0.0, 1e308))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.gradients([[1.0]]).tolist() == [[math.inf]]
+
+
 def test_gradients_raise_the_first_points_domain_error():
     f = from_terms(2, {(1, 2): 1.0}, [SeparableTerm(2, "exp", (1000.0, 0.0, 1.0))])
     with pytest.raises(DomainError, match=r"exp term on variable 2 overflows at x = 2\.0") as info:

@@ -3,8 +3,9 @@
 Every run of `attrib.cli.main` on a model or graph, a snapshot CSV and,
 for ``random-order:``, a weights file ends in one of three ways: exit 0
 with finite numbers only, every summary converged; exit 2 with nothing on
-stdout and one ``error: ...`` line on stderr; or exit 3 with every report
-printed and at least one flagged unconverged.  No exception escapes.
+stdout and one ``error: ...`` line on stderr that names an input file or
+an entity; or exit 3 with every report printed and at least one flagged
+unconverged.  No exception escapes.
 
 Hypothesis starts from small valid files and mutates them line by line
 and token by token.  The default profile keeps this test to a few seconds;
@@ -146,6 +147,8 @@ def test_every_run_ends_in_one_of_three_exits(graph, method, data):
     assert code in (0, 2, 3), (code, out, err)
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+        # it says where: an input file or an entity, or, for the order-enumeration cap, the method
+        assert any(str(path) in err for path in paths.values()) or "entity '" in err or "enumerates variable orders" in err, err
         return
     assert err == ""
     records = [json.loads(line) for line in out.splitlines()]

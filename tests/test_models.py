@@ -184,22 +184,20 @@ class TestDag:
         assert terms == {("p_ab", "p_bt", "s_a"), ("p_at", "s_a"), ("p_bt", "s_b")}
 
     def test_cycle_rejected(self):
-        d = DagModel(("a", "b", "t"), "t", {"a": "s_a"}, (("a", "b", "x"), ("b", "a", "y"), ("a", "t", "z")))
-        with pytest.raises(ModelError):
-            compile_dag(d)
+        with pytest.raises(ModelError, match="graph has a cycle: a -> b -> a"):
+            DagModel(("a", "b", "t"), "t", {"a": "s_a"}, (("a", "b", "x"), ("b", "a", "y"), ("a", "t", "z")))
 
-    def test_cycle_is_reported_on_every_call(self):
-        d = DagModel(("a", "b", "t"), "t", {"a": "s_a"}, (("a", "b", "x"), ("b", "a", "y"), ("a", "t", "z")))
-        for _ in range(2):
-            with pytest.raises(ModelError, match="graph has a cycle: "):
-                d([1.0, 1.0, 1.0, 1.0])
+    def test_cycle_is_refused_before_an_unreachable_start(self):
+        # b -> a -> b never reaches t, and b is a start: the cycle is the error
+        with pytest.raises(ModelError, match="graph has a cycle: "):
+            DagModel(("a", "b", "t"), "t", {"b": "s_b"}, (("a", "b", "x"), ("b", "a", "y")))
 
     def test_flow_plan_is_built_once(self, monkeypatch):
         from attrib import models
 
         sorts, real = [], models._toposort
         monkeypatch.setattr(models, "_toposort", lambda d: sorts.append(d) or real(d))
-        d = parse_dag(DAG_TEXT)  # the parse's cycle check builds the plan every later call reads
+        d = parse_dag(DAG_TEXT)  # construction checks the graph and builds the plan every later call reads
         x = [1.0, 2.0, 0.5, 0.25, 0.75]
         for _ in range(3):
             d(x)
@@ -209,27 +207,30 @@ class TestDag:
             compile_dag(d)
         assert len(sorts) == 1
 
-    def test_unreachable_start_is_reported_on_every_degree_read(self):
-        d = DagModel(("a", "b", "t"), "t", {"b": "s_b"}, (("a", "t", "p"),))
-        assert d([1.0, 0.5]) == 0.0  # builds and caches the plan
-        for _ in range(2):
-            with pytest.raises(ModelError) as info:
-                d.degree
-            assert str(info.value) == "sink is unreachable from start node 'b'"
+    def test_graph_is_frozen(self):
+        import dataclasses
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            parse_dag(DAG_TEXT).edges = ()
+
+    def test_first_unreachable_start_in_starts_order_is_named(self):
+        with pytest.raises(ModelError) as info:
+            DagModel(("a", "b", "c", "t"), "t", {"c": "s_c", "a": "s_a", "b": "s_b"}, (("a", "t", "p"),))
+        assert str(info.value) == "sink is unreachable from start node 'c'"
 
     def test_unreachable_start_rejected(self):
-        d = DagModel(("a", "b", "t"), "t", {"b": "s_b"}, (("a", "t", "p"),))
-        with pytest.raises(ModelError):
-            compile_dag(d)
+        with pytest.raises(ModelError) as info:
+            DagModel(("a", "b", "t"), "t", {"b": "s_b"}, (("a", "t", "p"),))
+        assert str(info.value) == "sink is unreachable from start node 'b'"
 
     def test_unknown_section_names_file_and_line(self):
         with pytest.raises(ModelError, match=r"g\.txt:5: unknown section \[edge\]"):
             parse_dag("[nodes]\na t\n[sink]\nt\n[edge]\na t : p\n", "g.txt")
 
     def test_graph_errors_name_the_file(self):
-        with pytest.raises(ModelError, match=r"g\.txt: edge 'a' -> 'q' uses an unknown node"):
+        with pytest.raises(ModelError, match=r"g\.txt:8: edge 'a' -> 'q' uses an unknown node"):
             parse_dag("[nodes]\na t\n[sink]\nt\n[starts]\na : s_a\n[edges]\na q : p\n", "g.txt")
-        with pytest.raises(ModelError, match=r"g\.txt: sink 'x' is not a node"):
+        with pytest.raises(ModelError, match=r"g\.txt:4: sink 'x' is not a node"):
             parse_dag("[nodes]\na t\n[sink]\nx\n", "g.txt")
 
     @pytest.mark.parametrize(
@@ -237,14 +238,19 @@ class TestDag:
         [
             ("[sink]\nt\n", "g.txt: missing [nodes] section"),
             ("[nodes]\na t\n", "g.txt: missing [sink] section"),
-            ("[nodes]\na t\n[sink]\na t\n", "g.txt: exactly one sink expected"),
+            ("[nodes]\na t\n[sink]\n", "g.txt: exactly one sink expected"),
+            ("[nodes]\na t\n[sink]\na t\n", "g.txt:4: exactly one sink expected, got 'a' and 't'"),
+            ("[nodes]\na t\n[sink]\nt\na\n", "g.txt:5: exactly one sink expected, got 't' and 'a'"),
             ("[nodes]\na t\n[sink]\nt\n[starts]\na s_a\n", "g.txt:6: start line needs 'node : variable', got 'a s_a'"),
             ("[nodes]\na t\n[sink]\nt\n[edges]\na t p\n", "g.txt:6: edge line needs 'from to : variable', got 'a t p'"),
             ("[nodes]\na b t\n[sink]\nt\n[edges]\na b t : p\n", "g.txt:6: edge line needs two node names, got 'a b t : p'"),
             ("[nodes]\na t\n[sink]\nt\n[edges]\na : p\n", "g.txt:6: edge line needs two node names, got 'a : p'"),
-            ("[nodes]\na a t\n[sink]\nt\n", "g.txt: node names must be unique"),
-            ("[nodes]\na b t\n[sink]\nt\n[starts]\na : s\nb : s\n", "g.txt: start variables must be distinct"),
-            ("[nodes]\na t\n[sink]\nt\n[starts]\nq : s\n", "g.txt: start entry for unknown node 'q'"),
+            ("[nodes]\na b\nt a\n[sink]\nt\n", "g.txt:3: node 'a' declared twice"),
+            ("[nodes]\na b t\n[sink]\nt\n[starts]\na : s\nb : s\n", "g.txt:7: variable 's' assigned twice"),
+            ("[nodes]\na t\n[sink]\nt\n[starts]\na : s\n[edges]\na t : s\n", "g.txt:8: variable 's' assigned twice"),
+            ("[nodes]\na t\n[sink]\nt\n[edges]\na t : p\nt a : p\n", "g.txt:7: variable 'p' assigned twice"),
+            ("[nodes]\na t\n[sink]\nt\n[starts]\nq : s\n", "g.txt:6: start entry for unknown node 'q'"),
+            ("[nodes]\na t\n[sink]\nt\n[edges]\nq t : p\n", "g.txt:6: edge 'q' -> 't' uses an unknown node"),
         ],
     )
     def test_malformed_graphs_name_the_file(self, text, message):
@@ -289,6 +295,22 @@ class TestDag:
         with pytest.raises(ModelError):
             DagModel(("a", "t"), "t", {"a": "p"}, (("a", "t", "p"),))
 
+    @pytest.mark.parametrize(
+        "nodes, sink, starts, edges, message",
+        [
+            (("a", "a", "t"), "t", {}, (), "node names must be unique"),
+            (("a", "t"), "x", {}, (), "sink 'x' is not a node"),
+            (("a", "t"), "t", {"q": "s"}, (), "start entry for unknown node 'q'"),
+            (("a", "b", "t"), "t", {"a": "s", "b": "s"}, (("a", "t", "p"), ("b", "t", "q")), "start variables must be distinct"),
+            (("a", "t"), "t", {}, (("a", "q", "p"),), "edge 'a' -> 'q' uses an unknown node"),
+        ],
+    )
+    def test_graphs_built_in_code_are_checked(self, nodes, sink, starts, edges, message):
+        # parse_dag finds these first, with the line; a graph built in code gets the same checks
+        with pytest.raises(ModelError) as info:
+            DagModel(nodes, sink, starts, edges)
+        assert str(info.value) == message
+
     def test_compiled_value_matches_flow_recursion(self):
         # independent oracle: expected arrivals via memoized recursion on the
         # graph, no route enumeration involved
@@ -306,9 +328,8 @@ class TestDag:
             starts = {nodes[a]: f"s{a}" for a in range(n_mid) if rng.random() < 0.7}
             if not starts:
                 starts = {nodes[0]: "s0"}
-            d = DagModel(nodes, "t", starts, tuple(edges))
             try:
-                ms = compile_dag(d)
+                ms = compile_dag(DagModel(nodes, "t", starts, tuple(edges)))
             except ModelError:
                 continue  # a start that cannot reach the sink; not this test's concern
             f = compile_model(ms)
