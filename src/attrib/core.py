@@ -227,39 +227,6 @@ def _poly_compose_affine(coeffs: tuple[float, ...], c: float, d: float) -> tuple
     return tuple(out)
 
 
-def _merge_separable(n: int, terms: Iterable[SeparableTerm]) -> tuple[SeparableTerm, ...]:
-    poly_acc: dict[int, list[float]] = {}
-    scale_acc: dict[tuple, float] = {}
-    for t in terms:
-        if t.index > n:
-            raise ValueError(f"separable term index {t.index} exceeds variable count {n}")
-        if t.kind == "poly":
-            acc = poly_acc.setdefault(t.index, [])
-            while len(acc) < len(t.params):
-                acc.append(0.0)
-            for j, c in enumerate(t.params):
-                acc[j] += c
-        else:
-            key = (t.index, t.kind) + t.params[:2] + t.params[3:]
-            scale_acc[key] = scale_acc.get(key, 0.0) + t.params[2]
-    out: list[SeparableTerm] = []
-    for idx in sorted(poly_acc):
-        coeffs = poly_acc[idx]
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs.pop()
-        if any(c != 0.0 for c in coeffs):
-            out.append(SeparableTerm(idx, "poly", tuple(coeffs)))
-    for key in sorted(scale_acc):
-        scale = scale_acc[key]
-        if scale == 0.0:
-            continue
-        idx, kind = key[0], key[1]
-        params = key[2:4] + (scale,) + key[4:]
-        out.append(SeparableTerm(idx, kind, params))
-    out.sort(key=lambda t: (t.index, t.kind, t.params))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # the characteristic function and attribution value types
 
@@ -267,6 +234,9 @@ def _merge_separable(n: int, terms: Iterable[SeparableTerm]) -> tuple[SeparableT
 @dataclass
 class CharacteristicFunction:
     """f(x) = multilinear part + sum of separable terms.
+
+    Separable terms are kept as given, sorted by variable, kind and
+    parameters; two terms on one variable are never combined.
 
     Every method reads f through two calls: ``f(x)``, the value at one
     point, and ``f.gradients(X)``, the gradients at the N rows of an N x n
@@ -277,7 +247,10 @@ class CharacteristicFunction:
     separable: tuple[SeparableTerm, ...] = ()
 
     def __post_init__(self):
-        self.separable = _merge_separable(self.multilinear.n, self.separable)
+        for t in self.separable:
+            if t.index > self.n:
+                raise ValueError(f"separable term index {t.index} exceeds variable count {self.n}")
+        self.separable = tuple(sorted(self.separable, key=lambda t: (t.index, t.kind, t.params)))
 
     @property
     def n(self) -> int:
@@ -445,7 +418,11 @@ def partial_derivative(f: CharacteristicFunction, i: int) -> CharacteristicFunct
 
 
 def combine(f1: CharacteristicFunction, f2: CharacteristicFunction, a: float = 1.0, b: float = 1.0) -> CharacteristicFunction:
-    """Return a*f1 + b*f2 with merged sparse terms and zero coefficients pruned."""
+    """Return a*f1 + b*f2.
+
+    Multilinear terms over one index set merge, and exact zero coefficients
+    are pruned; the separable terms of both functions are kept, scaled.
+    """
     if f1.n != f2.n:
         raise ValueError(f"dimension mismatch: {f1.n} vs {f2.n} variables")
     terms: dict[Subset, float] = dict(f1.multilinear.scaled(a).terms)

@@ -54,7 +54,8 @@ import graphlib
 import io
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -274,10 +275,11 @@ class DagModel:
 
     nodes: tuple[str, ...]
     sink: str
-    starts: dict[str, str]
+    starts: Mapping[str, str]
     edges: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "starts", MappingProxyType(dict(self.starts)))  # a read-only copy, so the plan stays true to it
         known = set(self.nodes)
         if len(known) != len(self.nodes):
             raise ModelError("node names must be unique")
@@ -296,6 +298,10 @@ class DagModel:
                 raise ModelError(f"variable {name!r} assigned twice")
             seen_vars.add(name)
         object.__setattr__(self, "_plan", self._build_plan())
+
+    def __reduce__(self):
+        """Pickle and copy by the constructor's arguments, since a mappingproxy does not pickle."""
+        return DagModel, (self.nodes, self.sink, dict(self.starts), self.edges)
 
     @property
     def variables(self) -> tuple[str, ...]:

@@ -22,7 +22,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,9 +54,10 @@ def _check_cap(n: int):
 class PermutationWeights:
     """Finite nonnegative weights over variable orders, summing to 1 within 1e-12."""
 
-    weights: dict[tuple[int, ...], float]
+    weights: Mapping[tuple[int, ...], float]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))  # a read-only copy, so the walk plan stays true to it
         if not self.weights:
             raise ValueError("need at least one order")
         n = len(next(iter(self.weights)))
@@ -71,6 +73,10 @@ class PermutationWeights:
     @property
     def n(self) -> int:
         return len(next(iter(self.weights)))
+
+    def __reduce__(self):
+        """Pickle and copy by the constructor's argument, since a mappingproxy does not pickle."""
+        return PermutationWeights, (dict(self.weights),)
 
     @classmethod
     def single(cls, order: Sequence[int]) -> "PermutationWeights":

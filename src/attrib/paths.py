@@ -249,12 +249,12 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
     if base.n is not None and base.n != vp.n:
         raise ValueError(f"{base.kind} path is over {base.n} variables, values have {vp.n}")
     r = np.asarray(vp.r)
-    d = np.asarray(vp.s) - r
     if not hasattr(f, "gradients"):
         f = BlackBoxFunction(vp.n, f)
     step = max(1, _CHUNK_ELEMENTS // max(vp.n, 1))
     z = None
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan, and a result flagged unconverged
+        d = np.asarray(vp.s) - r  # -1e308 to 1e308 moves by inf
         for k in range(q.max_refine + 1):
             nodes, weights = _nodes(base.breaks, _ORDER, _PANELS * 2**k)
             blocks = [(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)]

@@ -86,6 +86,17 @@ class TestRunReport:
             run_report(ms, snaps, method)
         assert str(info.value) == "entity 'q3': log term on variable 2 got nonpositive argument -1.0 (variable 'p')"
 
+    def test_batch_error_about_no_entity_is_raised_as_it_is(self, monkeypatch):
+        import attrib.reports
+
+        def failing_batch(f, R, S):
+            raise ValueError("not about one entity")
+
+        monkeypatch.setattr(attrib.reports, "attribute_ass_batch", failing_batch)
+        with pytest.raises(ValueError) as info:
+            run_report(parse_model(MODEL), parse_snapshots(VALUES))
+        assert type(info.value) is ValueError and str(info.value) == "not about one entity"
+
     def test_batch_matches_single_entity_calls(self):
         ms = parse_model(MODEL)
         rows = ["e1,a,4,5\ne1,p,1,12\ne1,c,1,1.5\n", "e2,a,2,1\ne2,p,3,3\ne2,c,-1,2\n"]
@@ -373,6 +384,8 @@ class TestCli:
             ("[variables]\nb a\n", "4: variable 'a' declared twice"),
             ("[segments]\na : x\na : y\n", "5: variable 'a' already has segment 'x'"),
             ("[variables]\np\n[multilinear]\na p : 1e308\np a : 1e308\n", "7: coefficients of the terms over ('p', 'a') add up to inf"),
+            ("[separable]\na : powlaw 1 0 1 0.5\n", "4: powlaw exponent must be a nonzero integer"),
+            ("[separable]\na : powlaw 1 0 1 0\n", "4: powlaw exponent must be a nonzero integer"),
         ],
     )
     def test_model_term_errors_name_file_and_line(self, tmp_path, capsys, body, message):
@@ -383,6 +396,32 @@ class TestCli:
         assert main(["--model", str(bad), "--values", str(values)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"{bad}:{message}" in captured.err
+
+    def test_like_separable_terms_are_each_evaluated(self, tmp_path, capsys):
+        # each term is finite; their scales, added, would overflow to inf
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\na p c\n[multilinear]\na p : 1\n[separable]\nc : log 1 2 1e308\nc : log 1 2 1e308\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,a,1,2\ne,p,3,4\ne,c,0.1,0.2\n")
+        assert main(["--model", str(model), "--values", str(values), "--report", "machine"]) == 0
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert captured.err == "" and records[-1]["record"] == "summary" and records[-1]["converged"] is True
+        [c] = [r for r in records if r.get("variable") == "c"]
+        # 2e308 * (ln 2.2 - ln 2.1), taken in mpmath from the doubles 0.2 + 2 and 0.1 + 2
+        assert c["attribution"] == pytest.approx(9.304003126978579e306, rel=1e-12)
+        # from 1 to 2 the terms' sum, f itself, overflows: flagged, not refused
+        values.write_text("e,a,1,2\ne,p,3,4\ne,c,1,2\n")
+        assert main(["--model", str(model), "--values", str(values), "--report", "machine"]) == 3
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out.splitlines()[-1])
+        assert captured.err == "" and summary["record"] == "summary" and summary["converged"] is False
+
+    def test_no_arguments_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([])
+        assert info.value.code == 2
+        assert "one of --model, --dag, --axiom-suite, --demo is required" in capsys.readouterr().err
 
     def test_unknown_graph_node_names_file(self, tmp_path, capsys):
         dag = tmp_path / "graph.txt"

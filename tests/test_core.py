@@ -252,7 +252,56 @@ def test_affine_is_stored_as_poly():
     assert (term.kind, term.params) == ("poly", (1.0, 4.0))
     assert term.value(2.5) == 4.0 * 2.5 + 1.0
     f = from_terms(1, {}, [term, SeparableTerm(1, "poly", (-1.0, 0.0, 2.0))])
-    assert f.separable == (SeparableTerm(1, "poly", (0.0, 4.0, 2.0)),)
+    # both terms are kept as given, in sorted order, and add up to the poly 4x + 2x^2
+    assert f.separable == (SeparableTerm(1, "poly", (-1.0, 0.0, 2.0)), SeparableTerm(1, "poly", (1.0, 4.0)))
+    merged = SeparableTerm(1, "poly", (0.0, 4.0, 2.0))
+    for x in (0.0, 0.5, -1.25, 3.0):
+        assert f((x,)) == pytest.approx(merged.value(x), rel=1e-15, abs=1e-15)
+
+
+def test_like_separable_terms_attribute_as_the_terms_merged_by_hand():
+    like = [
+        SeparableTerm(1, "log", (2.0, 1.0, 1.5)),
+        SeparableTerm(1, "log", (2.0, 1.0, -0.25)),
+        SeparableTerm(2, "exp", (0.5, -1.0, 3.0)),
+        SeparableTerm(2, "exp", (0.5, -1.0, 0.75)),
+        SeparableTerm(3, "poly", (1.0, -2.0)),
+        SeparableTerm(3, "poly", (0.5, 0.0, 4.0)),
+        SeparableTerm(3, "powlaw", (1.0, 2.0, 2.0, -2.0)),
+        SeparableTerm(3, "powlaw", (1.0, 2.0, 0.5, -2.0)),
+    ]
+    merged = [
+        SeparableTerm(1, "log", (2.0, 1.0, 1.25)),
+        SeparableTerm(2, "exp", (0.5, -1.0, 3.75)),
+        SeparableTerm(3, "poly", (1.5, -2.0, 4.0)),
+        SeparableTerm(3, "powlaw", (1.0, 2.0, 2.5, -2.0)),
+    ]
+    terms = {(1, 2): 2.0, (2, 3): -1.0, (3,): 0.5}
+    f, g = from_terms(3, terms, like), from_terms(3, terms, merged)
+    assert len(f.separable) == 8
+    vp = ValuePair((0.25, -1.0, 0.5), (1.5, 2.0, 3.0))
+    a, b = attribute_ass(f, vp), attribute_ass(g, vp)
+    assert a.z == pytest.approx(b.z, rel=1e-12)
+    assert a.change == pytest.approx(b.change, rel=1e-12)
+    assert a.converged and b.converged
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: from_terms(2, {(1, 3): 1.0}), "variable index 3 outside 1..2"),
+        (lambda: from_terms(2, {(0,): 1.0}), "variable index 0 outside 1..2"),
+        (lambda: MultilinearPoly(-1, {}), "variable count must be nonnegative"),
+        (lambda: SeparableTerm(0, "poly", (1.0,)), "separable term index must be >= 1"),
+        (lambda: SeparableTerm(1, "poly", ()), "poly term needs at least one coefficient"),
+        (lambda: affine_reparameterize(product_function(2), 3, 2.0, 1.0), "variable index 3 outside 1..2"),
+        (lambda: affine_reparameterize(product_function(2), 0, 2.0, 1.0), "variable index 0 outside 1..2"),
+    ],
+)
+def test_constructors_refuse_indices_and_counts_out_of_range(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_separable_derivatives_are_exact():

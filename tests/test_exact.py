@@ -57,6 +57,8 @@ class TestShapleyWeights:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             shapley_weight(3, 3)
+        with pytest.raises(ValueError, match="need at least one variable"):
+            shapley_weights(0)
         with pytest.raises(ValueError):
             shapley_weight(-1, 3)
 
@@ -643,6 +645,12 @@ class TestFlowGraphs:
             attribute_ass_batch(d, [[1.0, 1.0]], [[2.0, 2.0]])
         with pytest.raises(ValueError, match="dimension mismatch: function has 7 variables, values have 2"):
             attribute_ass(d, ValuePair((1.0, 1.0), (2.0, 2.0)))
+        with pytest.raises(ValueError, match="dimension mismatch: function has 7 variables, values have 2"):
+            attribute_naive(d, ValuePair((1.0, 1.0), (2.0, 2.0)))
+        with pytest.raises(ValueError, match="dimension mismatch: function has 3 variables, values have 2"):
+            attribute_naive(product_function(3), ValuePair((1.0, 1.0), (2.0, 2.0)))
+        with pytest.raises(ValueError, match=r"dimension mismatch: graph has 7 variables, got points of shape \(1, 2\)"):
+            d.gradients([[1.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             attribute_ass_batch(d, [[math.inf] * 7], [[1.0] * 7])
         assert attribute_ass_batch(d, [], []) == []

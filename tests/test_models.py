@@ -213,6 +213,27 @@ class TestDag:
         with pytest.raises(dataclasses.FrozenInstanceError):
             parse_dag(DAG_TEXT).edges = ()
 
+    def test_starts_are_a_read_only_copy(self):
+        shop = ecommerce_dag_example()
+        starts = dict(shop.starts)
+        d = DagModel(shop.nodes, shop.sink, starts, shop.edges)
+        vp = ValuePair((1.0,) * 7, (2.0,) * 7)
+        n, variables, value, result = d.n, d.variables, d([1.0] * 7), attribute_ass(d, vp)
+        with pytest.raises(TypeError):
+            d.starts["item"] = "s_item"
+        starts["item"] = "s_item"
+        assert d.starts == {"home": "s_home", "catalog": "s_catalog"}
+        assert (d.n, d.variables, d([1.0] * 7), attribute_ass(d, vp)) == (n, variables, value, result)
+        assert value == 5.0
+
+    def test_graph_pickles_and_copies(self):
+        import copy
+        import pickle
+
+        d = ecommerce_dag_example()
+        for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            assert twin == d and twin([1.0] * 7) == d([1.0] * 7)
+
     def test_first_unreachable_start_in_starts_order_is_named(self):
         with pytest.raises(ModelError) as info:
             DagModel(("a", "b", "c", "t"), "t", {"c": "s_c", "a": "s_a", "b": "s_b"}, (("a", "t", "p"),))
@@ -568,6 +589,10 @@ class TestPresets:
     def test_procurement(self):
         f = compile_model(procurement_model())
         assert evaluate(f, (5.0, 12.0, 1.5)) == 90.0
+
+    def test_payperclick_needs_a_position(self):
+        with pytest.raises(ModelError, match="need at least one position"):
+            payperclick_model(0)
 
     def test_payperclick_positions(self):
         ms = payperclick_model()

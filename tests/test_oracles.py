@@ -161,6 +161,28 @@ class TestRandomOrder:
         # a nan weight makes the sum nan, which the sum-to-one check lets through
         with pytest.raises(ValueError, match="not a finite nonnegative number"):
             PermutationWeights({(1, 2): math.nan})
+        with pytest.raises(ValueError, match="need at least one order"):
+            PermutationWeights({})
+
+    def test_weights_are_a_read_only_copy(self):
+        w = {(1, 2): 1.0, (2, 1): 0.0}
+        pw = PermutationWeights(w)
+        vp = ValuePair((0.0, 0.0), (1.0, 1.0))
+        before = random_order_attribution(product_function(2), vp, pw)
+        with pytest.raises(TypeError):
+            pw.weights[(1, 2)] = 5.0
+        w[(1, 2)], w[(2, 1)] = 0.0, 1.0
+        assert pw.n == 2 and pw.weights == {(1, 2): 1.0, (2, 1): 0.0}
+        after = random_order_attribution(product_function(2), vp, pw)
+        assert after == before and after.z == (0.0, 1.0)
+
+    def test_weights_pickle_and_copy(self):
+        import copy
+        import pickle
+
+        pw = PermutationWeights({(1, 2): 0.25, (2, 1): 0.75})
+        for twin in (pickle.loads(pickle.dumps(pw)), copy.deepcopy(pw)):
+            assert twin == pw and twin.weights == {(1, 2): 0.25, (2, 1): 0.75}
 
     def test_evaluates_only_the_corners_its_orders_visit(self):
         # two walks over 6 variables visit 7 corners each and share the start and end corners

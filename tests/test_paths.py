@@ -89,6 +89,8 @@ class TestTabulatedPath:
             tabulated_path((0.0, 0.5, 0.5, 1.0), [(0.0, 0.1, 0.2, 1.0)])
         with pytest.raises(ValueError):
             tabulated_path((0.1, 1.0), [(0.0, 1.0)])
+        with pytest.raises(ValueError, match="each component needs one sample per grid point"):
+            tabulated_path((0.0, 0.5, 1.0), [(0.0, 0.5, 1.0), (0.0, 1.0)])
 
     def test_interpolant_stays_monotone(self):
         path = tabulated_path((0.0, 0.25, 0.5, 1.0), [(0.0, 0.1, 0.8, 1.0)])
@@ -226,6 +228,16 @@ class TestAumannShapley:
         res = attribute_aumann_shapley(f, vp)
         assert res.z[0] == pytest.approx(math.e - 1.0, rel=1e-10)
         assert res.z[1] == pytest.approx(3.0, rel=1e-10)
+
+    def test_a_move_past_the_double_range_is_flagged_without_numpy_warnings(self):
+        import warnings
+
+        # s - r for -1e308 to 1e308 overflows to inf before any gradient is taken
+        vp = ValuePair((-1e308, 2.0), (1e308, 6.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = attribute_aumann_shapley(from_terms(2, {(1, 2): 2.0}), vp)
+        assert not res.converged
 
     def test_zero_change(self):
         res = attribute_aumann_shapley(product_function(3), ValuePair((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)))
