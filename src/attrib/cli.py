@@ -68,9 +68,16 @@ def _axiom_suite(args) -> int:
     return EXIT_OK
 
 
+def _mode(args) -> str | None:
+    """The one mode flag given: --demo, --axiom-suite, --model or --dag, or None; a ModelError naming two given together."""
+    flags = (("--demo", args.demo), ("--axiom-suite", args.axiom_suite), ("--model", args.model), ("--dag", args.dag))
+    given = [flag for flag, value in flags if value]
+    if len(given) > 1:
+        raise ModelError(f"give either {given[0]} or {given[1]}, not both")
+    return given[0] if given else None
+
+
 def _run_reports(args) -> int:
-    if args.model and args.dag:
-        raise ModelError("give either --model or --dag, not both")
     if not args.values:
         raise ModelError("--values is required")
     if args.model:
@@ -94,7 +101,8 @@ def main(argv=None) -> int:
             raise ModelError(f"--tol must be finite and greater than 0, got {args.tol}")
         if args.max_refine is not None and args.max_refine < 0:
             raise ModelError(f"--max-refine must be a nonnegative integer, got {args.max_refine}")
-        if args.demo == "mix-effects":
+        mode = _mode(args)
+        if mode == "--demo":
             demo = mix_effects_demo()
             if args.report == "machine":
                 print(render_machine(demo.segmented))
@@ -102,9 +110,9 @@ def main(argv=None) -> int:
             else:
                 print(render_mix_effects(demo))
             return EXIT_OK
-        if args.axiom_suite:
+        if mode == "--axiom-suite":
             return _axiom_suite(args)
-        if not (args.model or args.dag):
+        if mode is None:
             parser.error("one of --model, --dag, --axiom-suite, --demo is required")
         return _run_reports(args)
     except (OSError, ValueError) as exc:  # ModelError, the input errors, is a ValueError

@@ -13,7 +13,12 @@ each node prefix and suffix products give every member's partial in O(m):
 O(m^2) per monomial.  A monomial of degree _ARRAY_DEGREE or more gets all
 its nodes' partials from one numpy pass, which multiplies and adds in the
 order of the pure-Python loop that smaller ones take, so the two give the
-same bits.  Separable terms use the endpoint rule f_i(s_i) - f_i(r_i).
+same bits.  Separable terms use the endpoint rule f_i(s_i) - f_i(r_i).  The
+change f(s) - f(r) comes from the same pass: the loop that gathers each
+monomial's endpoints also multiplies out its value at r and at s, and each
+separable term's two endpoint values go into both the attribution and the
+two sums.  Every product and sum is taken in `evaluate`'s order, so the
+change has its bits without evaluating f twice more.
 
 `attribute_monomial` keeps the paper's dynamic program as the reference
 oracle: for member i it is c * (s_i - r_i) * sum_k w_k(m) * X_k, where
@@ -31,7 +36,8 @@ flow graph (`attrib.models.DagModel`), whose degree bounds that of every
 route's term, it comes from one forward and one backward pass over the
 graph, O(ceil(D / 2) (V + E)) per pair however many routes there are.  The
 function's monomials are summed at each node before the node sum, so rows
-agree with `attribute_ass` to rounding, not bit for bit.
+agree with `attribute_ass` to rounding, not bit for bit; a model's change
+is taken per row as `attribute_ass` takes it, so it has `evaluate`'s bits.
 
 Everything runs in plain double precision.  Both kernels multiply only
 values that lie between the endpoints of each variable (DP cells are
@@ -47,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _monomial_partials, evaluate
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _monomial_partials
 from .models import DagModel
 from .paths import _nodes
 
@@ -169,8 +175,12 @@ def attribute_ass(f: CharacteristicFunction | DagModel, vp: ValuePair) -> Attrib
     nodes, each giving all m partials by prefix and suffix products.  From
     degree _ARRAY_DEGREE up that is one numpy pass over all the nodes, below
     it a pure-Python loop; both give the same bits.  Monomials are folded in
-    ascending key order so results are bit-stable across runs.  A flow graph
-    is the one-row `attribute_ass_batch`.
+    ascending key order so results are bit-stable across runs.  One explicit
+    loop per monomial gathers r_j and s_j in I order, builds d_j, and
+    multiplies out c * prod r_j and c * prod s_j, which are summed in
+    `evaluate`'s order; `_finish` adds the separable terms, so the change
+    f(s) - f(r) has `evaluate`'s bits.  A flow graph is the one-row
+    `attribute_ass_batch`.
     """
     if vp.n != f.n:
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
@@ -178,20 +188,33 @@ def attribute_ass(f: CharacteristicFunction | DagModel, vp: ValuePair) -> Attrib
         return attribute_ass_batch(f, [vp.r], [vp.s])[0]
     r, s = vp.r, vp.s
     z = [0.0] * f.n
+    f_r = f_s = 0.0
     for I, c in f.multilinear.terms.items():
+        rv, dv = [], []
+        p_r = p_s = c
+        for j in I:
+            a, b = r[j - 1], s[j - 1]
+            rv.append(a)
+            dv.append(b - a)
+            p_r *= a
+            p_s *= b
+        f_r += p_r
+        f_s += p_s
         if not I:
             continue  # a constant has no members and changes nothing
-        rv = [r[j - 1] for j in I]
-        dv = [s[j - 1] - r[j - 1] for j in I]
+        count = (len(I) + 1) // 2
         if len(I) >= _ARRAY_DEGREE:
-            acc = _node_partials_sum(rv, dv, (len(I) + 1) // 2)
+            acc = _node_partials_sum(rv, dv, count)
         else:
-            acc = [0.0] * len(I)
-            for t, w in _unit_gauss((len(I) + 1) // 2):
+            # Seeding the sum with the first node's partials, not 0.0 plus them, can keep a -0.0 that 0.0 + -0.0
+            # would make 0.0; z starts at 0.0, so no entry of z is ever -0.0 and its bits are the same.
+            (t, w), *rest = _unit_gauss(count)
+            acc = _monomial_partials([a + t * d for a, d in zip(rv, dv)], w)
+            for t, w in rest:
                 acc = list(map(add, acc, _monomial_partials([a + t * d for a, d in zip(rv, dv)], w)))
         for j, d, a in zip(I, dv, acc):
             z[j - 1] += c * d * a
-    return _finish(f, z, r, s)
+    return _finish(f, z, r, s, f_r, f_s)
 
 
 @lru_cache(maxsize=None)
@@ -228,11 +251,22 @@ def _node_partials_sum(rv: list[float], dv: list[float], count: int) -> list[flo
     return acc.tolist()
 
 
-def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Sequence[float]) -> AttributionResult:
-    """Add the separable endpoint rule to the multilinear attributions z and take the change."""
+def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Sequence[float], f_r: float, f_s: float) -> AttributionResult:
+    """Add the separable endpoint rule to z and to the multilinear values f_r and f_s, and take the change f_s - f_r.
+
+    One loop over the terms evaluates each once at s, then once at r, and
+    adds v_s - v_r to z, v_s to f_s and v_r to f_r.  The sums follow
+    `evaluate`'s order, so the change has its bits.  The first term outside
+    its domain, tried at s before r, raises its `DomainError`.
+    """
     for t in f.separable:
-        z[t.index - 1] += t.value(s[t.index - 1]) - t.value(r[t.index - 1])
-    return AttributionResult("ass", tuple(z), evaluate(f, s) - evaluate(f, r))
+        i = t.index - 1
+        v_s = t.value(s[i])
+        v_r = t.value(r[i])
+        z[i] += v_s - v_r
+        f_s += v_s
+        f_r += v_r
+    return AttributionResult("ass", tuple(z), f_s - f_r)
 
 
 def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[AttributionResult]:
@@ -245,11 +279,12 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
     or those of a `DagModel`, with columns in the order of ``f.variables``,
     which expands no routes.  Monomials are summed at each node before the
     node sum, so rows agree with `attribute_ass` to rounding, not bit for
-    bit.  A model's separable endpoint rule and residual are computed per
-    entity exactly as `attribute_ass` computes them; a graph's residual
-    takes f at both ends from chunked forward passes of `DagModel.flow`.  An
-    exception raised while evaluating an entity carries that entity's row
-    number as ``exc.row``.
+    bit.  For a model, each row's multilinear values at r and s come from
+    ``MultilinearPoly.evaluate``, and `_finish` adds the separable endpoint
+    rule and values as it does for `attribute_ass`, so every change has
+    `evaluate`'s bits.  A graph's change takes f at both ends from chunked
+    forward passes of `DagModel.flow`.  An exception raised while evaluating
+    an entity carries that entity's row number as ``exc.row``.
     """
     R = np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -283,7 +318,7 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
     results = []
     for e, (z, r, s) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist())):
         try:
-            results.append(_finish(f, z, r, s))
+            results.append(_finish(f, z, r, s, f.multilinear.evaluate(r), f.multilinear.evaluate(s)))
         except (ValueError, OverflowError) as exc:
             exc.row = e
             raise

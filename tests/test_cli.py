@@ -553,6 +553,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: give either --model or --dag, not both\n"
 
+    @pytest.mark.parametrize(
+        "modes, first, second",
+        [
+            (["--axiom-suite", "--model", "{model}"], "--axiom-suite", "--model"),
+            (["--demo", "mix-effects", "--model", "{model}"], "--demo", "--model"),
+            (["--demo", "mix-effects", "--dag", "{model}"], "--demo", "--dag"),
+            (["--axiom-suite", "--dag", "{model}"], "--axiom-suite", "--dag"),
+            (["--demo", "mix-effects", "--axiom-suite"], "--demo", "--axiom-suite"),
+        ],
+        ids=["axiom-suite-model", "demo-model", "demo-dag", "axiom-suite-dag", "demo-axiom-suite"],
+    )
+    def test_two_modes_together(self, model_files, capsys, modes, first, second):
+        # neither mode runs and the model is never read: one error line names both flags
+        model, values = model_files
+        assert main([arg.format(model=model) for arg in modes] + ["--values", values]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: give either {first} or {second}, not both\n"
+
+    def test_domain_errors_keep_their_order(self, tmp_path, capsys):
+        # term 1 leaves its domain at r, term 2 at s: the error is term 1's, as each term is tried at s, then r
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\na b\n[separable]\na : log 1 0 1\nb : log 1 0 1\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e1,a,1,2\ne1,b,1,2\ne2,a,-1,2\ne2,b,1,-1\n")
+        assert main(["--model", str(model), "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: entity 'e2': log term on variable 1 got nonpositive argument -1.0 (variable 'a')\n"
+
     def test_values_with_only_a_header(self, model_files, tmp_path, capsys):
         model, _ = model_files
         values = tmp_path / "v.csv"

@@ -511,6 +511,71 @@ class TestAttributeAssBatch:
         assert not res.converged
 
 
+def _same_float(a, b):
+    """a and b have the same bits, or are both nan (whose sign no printed output shows)."""
+    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+
+
+class TestChangeHasTheBitsOfEvaluate:
+    """Both kernels sum f(s) - f(r) without `evaluate`, in its order, so the change has its bits.
+
+    CI runs this class with the exit-contract profile (2,000 examples).
+    """
+
+    @staticmethod
+    def check(f, pairs):
+        from attrib.exact import attribute_ass_batch
+
+        want = [evaluate(f, vp.s) - evaluate(f, vp.r) for vp in pairs]
+        assert all(_same_float(attribute_ass(f, vp).change, w) for vp, w in zip(pairs, want))
+        batch = attribute_ass_batch(f, [vp.r for vp in pairs], [vp.s for vp in pairs])
+        assert all(_same_float(res.change, w) for res, w in zip(batch, want))
+        return batch
+
+    @given(pair=charfn_pairs(max_n=5), data=st.data())
+    def test_on_random_models(self, pair, data):
+        f, vp = pair
+        values = st.floats(min_value=-3, max_value=3, allow_nan=False)
+        more = data.draw(st.lists(st.tuples(*[st.tuples(values, values)] * f.n), max_size=3))
+        self.check(f, [vp] + [ValuePair(*zip(*rows)) for rows in more])
+
+    def test_overflowing_product(self):
+        # f is inf at both ends, so the change is nan and no result is trusted
+        [res] = self.check(from_terms(2, {(1, 2): 1e300}), [ValuePair((1e10, 1e10), (2e10, 3e10))])
+        assert math.isnan(res.change) and not res.converged
+
+    def test_constant_only(self):
+        [res] = self.check(from_terms(2, {(): 4.5}), [ValuePair((1.0, 2.0), (3.0, -1.0))])
+        assert res.z == (0.0, 0.0) and res.change == 0.0
+
+    def test_zero_difference(self):
+        f = from_terms(3, {(1, 2): -2.5, (2, 3): 1.25, (): 1.0}, [SeparableTerm(3, "exp", (0.5, 0.0, 2.0))])
+        [res] = self.check(f, [ValuePair((0.3, -1.7, 2.0), (0.3, -1.7, 2.0))])
+        assert res.z == (0.0, 0.0, 0.0) and res.change == 0.0 and res.converged
+
+
+class TestDomainErrorOrder:
+    """Term 1 leaves its domain at r, term 2 at s: each term is tried at s, then r, so term 1's error comes first."""
+
+    f = from_terms(2, {(1, 2): 1.0}, [SeparableTerm(1, "log", (1.0, 0.0, 1.0)), SeparableTerm(2, "log", (1.0, 0.0, 1.0))])
+    message = "log term on variable 1 got nonpositive argument -1.0"
+
+    def test_single_pair(self):
+        from attrib import DomainError
+
+        with pytest.raises(DomainError) as info:
+            attribute_ass(self.f, ValuePair((-1.0, 1.0), (2.0, -1.0)))
+        assert str(info.value) == self.message and info.value.index == 1
+
+    def test_batch_names_the_row(self):
+        from attrib import DomainError
+        from attrib.exact import attribute_ass_batch
+
+        with pytest.raises(DomainError) as info:
+            attribute_ass_batch(self.f, [[1.0, 1.0], [-1.0, 1.0]], [[2.0, 2.0], [2.0, -1.0]])
+        assert str(info.value) == self.message and info.value.index == 1 and info.value.row == 1
+
+
 @st.composite
 def flow_graphs(draw, max_nodes=6):
     """A small random DAG with its sink anywhere in node order, so graphs hold edges out of the sink.
