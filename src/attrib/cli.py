@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--model", metavar="PATH", help="model file (variables, terms, segments)")
     parser.add_argument("--dag", metavar="PATH", help="flow graph file; every method attributes it as it is, without expanding its routes")
-    parser.add_argument("--values", metavar="PATH", help="CSV snapshot rows entity,variable,initial,final")
+    parser.add_argument("--values", metavar="PATH", help="CSV snapshot rows entity,variable,initial,final, for --model or --dag")
     parser.add_argument("--method", metavar="ID", default="ass",
                         help="ass | ss-brute | as-numeric | naive | random-order:<weights-file> (default: ass)")
     parser.add_argument("--tol", metavar="X", type=float, default=None,
@@ -69,11 +69,13 @@ def _axiom_suite(args) -> int:
 
 
 def _mode(args) -> str | None:
-    """The one mode flag given: --demo, --axiom-suite, --model or --dag, or None; a ModelError naming two given together."""
+    """The one mode flag given, or None; a ModelError names two modes given together, or --values with a mode not reading it."""
     flags = (("--demo", args.demo), ("--axiom-suite", args.axiom_suite), ("--model", args.model), ("--dag", args.dag))
     given = [flag for flag, value in flags if value]
     if len(given) > 1:
         raise ModelError(f"give either {given[0]} or {given[1]}, not both")
+    if args.values and given[:1] in (["--demo"], ["--axiom-suite"]):
+        raise ModelError(f"--values goes with --model or --dag; {given[0]} does not read it")
     return given[0] if given else None
 
 

@@ -2,15 +2,14 @@
 
 `run_report` takes a model and a `SnapshotTable`, maps the table onto the
 model's columns as E x n initial and final arrays, and attributes every
-entity: ``ass`` in one batch kernel call, other methods one row at a time.
-A model is compiled once.  A flow graph goes to every method as it is: it
-answers the same two calls as a compiled model, values and gradients at
-points, from forward and backward passes, so no method expands its routes.
-`resolve_method` is the one map from a method id to its kernel; a
-``random-order:`` id reads its weights file through `attrib.models`, which
-holds every file grammar.  `render_machine` writes a report's JSON Lines
-records by filling one template per (variables, method, segment labels),
-byte for byte what ``json.dumps`` writes for each record.
+entity in one call of the method's handle.  A model is compiled once.  A
+flow graph goes to every method as it is: it answers the same two calls as
+a compiled model, values and gradients at points, from forward and backward
+passes, so no method expands its routes.  `resolve_method` maps a method id
+to its handle; a ``random-order:`` id reads its weights file through
+`attrib.models`, which holds every file grammar.  `render_machine` writes a
+report's JSON Lines records by filling one template per (variables, method,
+segment labels), byte for byte what ``json.dumps`` writes for each record.
 """
 from __future__ import annotations
 
@@ -59,15 +58,27 @@ class Report:
     segments: dict[str, float] | None = None
 
 
-def _ass(f, vp: ValuePair | tuple[np.ndarray, np.ndarray]):
-    """attribute_ass for one pair; attribute_ass_batch, one result per row, for a pair (R, S) of E x n arrays.
+def _method(kernel: Callable, batch: Callable | None = None) -> Callable:
+    """A method handle: kernel(f, vp) for one `ValuePair` vp, one result per row for a pair (R, S) of E x n arrays.
 
-    The ``ass`` handle takes both, so `resolve_method` stays the one place
-    that maps a method id to its kernel.
+    Rows go to batch in one call if it is given, else to kernel one by one, a failing row's number set as ``exc.row``.
     """
-    if isinstance(vp, ValuePair):
-        return attribute_ass(f, vp)
-    return attribute_ass_batch(f, *vp)
+
+    def handle(f, vp: ValuePair | tuple[np.ndarray, np.ndarray]):
+        if isinstance(vp, ValuePair):
+            return kernel(f, vp)
+        if batch is not None:
+            return batch(f, *vp)
+        results = []
+        for e, (r, s) in enumerate(zip(*vp, strict=True)):
+            try:
+                results.append(kernel(f, ValuePair(r, s)))
+            except (ValueError, OverflowError) as exc:
+                exc.row = e
+                raise
+        return results
+
+    return handle
 
 
 def resolve_method(
@@ -77,25 +88,25 @@ def resolve_method(
     max_refine: int | None = None,
 ) -> Callable:
     if method_id == "ass":
-        return _ass
+        return _method(attribute_ass, attribute_ass_batch)
     if method_id == "naive":
-        return attribute_naive
+        return _method(attribute_naive)
     if (method_id == "ss-brute" or method_id.startswith("random-order:")) and len(variables) > ORDER_CAP:
         raise ModelError(
             f"method {method_id} enumerates variable orders, capped at {ORDER_CAP} variables; the model has {len(variables)}"
         )
     if method_id == "ss-brute":
-        return shapley_shubik_bruteforce
+        return _method(shapley_shubik_bruteforce)
     if method_id == "as-numeric":
         q = QuadratureConfig(
             tol=tol if tol is not None else QuadratureConfig.tol,
             max_refine=max_refine if max_refine is not None else QuadratureConfig.max_refine,
         )
-        return lambda f, vp: attribute_aumann_shapley(f, vp, q)
+        return _method(lambda f, vp: attribute_aumann_shapley(f, vp, q))
     if method_id.startswith("random-order:"):
         source = method_id.split(":", 1)[1]
         pw = parse_order_weights(read_text(source), variables, source)
-        return lambda f, vp: random_order_attribution(f, vp, pw)
+        return _method(lambda f, vp: random_order_attribution(f, vp, pw))
     raise ModelError(f"unknown method {method_id!r}; known: {', '.join(METHOD_IDS)}")
 
 
@@ -108,14 +119,13 @@ def run_report(
 ) -> list[Report]:
     """Attribute each entity's change under the named method, one report per entity of snaps.
 
-    The model is compiled and the method resolved once for the whole table,
-    and the table mapped onto the model's variables as E x n arrays; an
-    entity missing a model variable or listing one the model lacks is an
-    error naming it.  ``ass`` attributes every entity in one batch kernel
-    call, other methods call their handle per entity.  A `DagModel` goes to
-    every method as it is, with the columns of ``DagModel.variables``; no
-    method expands its routes.  Domain, dimension or overflow problems are
-    re-raised with the entity and variable names attached.  A report's
+    The model is compiled and the method resolved once, and the table mapped
+    onto the model's variables as E x n arrays; an entity missing a model
+    variable or listing one the model lacks is an error naming it.  One call
+    of the method's handle attributes every entity; a `DagModel` goes to it
+    as it is, with the columns of ``DagModel.variables``.  An error that the
+    handle numbers with a row is re-raised naming the row's entity and, if
+    known, the variable; any other is raised as it is.  A report's
     ``converged`` is its `AttributionResult`'s.  Segment totals are plain
     sums of member attributions.
     """
@@ -125,29 +135,16 @@ def run_report(
         f, variables, segments = compile_model(model), model.variables, model.segments
     handle = resolve_method(method, variables, tol, max_refine)
     R, S = snaps.columns(variables)
-    rows = list(zip(snaps.entities, R.tolist(), S.tolist()))
-    if method == "ass":
-        try:
-            results = handle(f, (R, S))
-        except (ValueError, OverflowError) as exc:  # the batch kernel numbers the entity's row
-            if not hasattr(exc, "row"):  # not about one entity
-                raise
-            raise _located(variables, snaps.entities[exc.row], exc) from exc
-    else:
-        results = []
-        for entity, r, s in rows:
-            try:
-                results.append(handle(f, ValuePair(r, s)))
-            except (ValueError, OverflowError) as exc:
-                raise _located(variables, entity, exc) from exc
+    try:
+        results = handle(f, (R, S))
+    except (ValueError, OverflowError) as exc:  # the handle numbers the row of the entity it failed on
+        if not hasattr(exc, "row"):  # not about one entity
+            raise
+        idx = getattr(exc, "index", None)
+        where = f" (variable {variables[idx - 1]!r})" if idx else ""
+        raise ModelError(f"entity {snaps.entities[exc.row]!r}: {exc}{where}") from exc
+    rows = zip(snaps.entities, R.tolist(), S.tolist())
     return [_report(variables, segments, *row, res) for row, res in zip(rows, results)]
-
-
-def _located(variables: tuple[str, ...], entity: str, exc: Exception) -> ModelError:
-    """The error exc, raised while attributing entity, as a ModelError naming the entity and, if known, the variable."""
-    idx = getattr(exc, "index", None)
-    where = f" (variable {variables[idx - 1]!r})" if idx else ""
-    return ModelError(f"entity {entity!r}: {exc}{where}")
 
 
 def _report(

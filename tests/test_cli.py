@@ -76,8 +76,13 @@ class TestRunReport:
         with pytest.raises(ModelError, match="q3.*'p'"):
             run_report(ms, snaps)
 
-    @pytest.mark.parametrize("method", ["naive", "ss-brute", "as-numeric"])
-    def test_per_entity_methods_name_the_failing_entity(self, method):
+    @pytest.mark.parametrize("method", ["ass", "naive", "ss-brute", "as-numeric", "random-order"])
+    def test_per_entity_methods_name_the_failing_entity(self, tmp_path, method):
+        # every method's handle numbers the failing row, and run_report names its entity one way
+        if method == "random-order":
+            orders = tmp_path / "orders.txt"
+            orders.write_text("c p a : 1\n")
+            method = f"random-order:{orders}"
         ms = parse_model(MODEL + "[separable]\np : log 1 0 1\n")
         snaps = parse_snapshots(VALUES + "q3,a,4,5\nq3,p,-1,12\nq3,c,1,1.5\n")
         from attrib.models import ModelError
@@ -181,6 +186,48 @@ class TestRunReport:
         assert kinds == {"attribution", "segment", "summary"}
         summary = [r for r in records if r["record"] == "summary"][0]
         assert summary["total_change"] == pytest.approx(86.0)
+
+
+class TestMethodHandles:
+    """Every `resolve_method` handle attributes one ValuePair, as its kernel does, or an E x n table, one result per row."""
+
+    R = [[4.0, 1.0, 1.0], [2.0, 3.0, -1.0], [1.0, 0.5, 2.0]]
+    S = [[5.0, 12.0, 1.5], [1.0, 3.0, 2.0], [3.0, 0.25, 2.0]]
+
+    @pytest.mark.parametrize("method", ["ass", "naive", "as-numeric", "ss-brute", "random-order"])
+    def test_one_pair_and_a_table(self, tmp_path, method):
+        import numpy as np
+
+        from attrib import ValuePair
+        from attrib.exact import attribute_ass, attribute_ass_batch, attribute_naive
+        from attrib.models import compile_model
+        from attrib.oracles import random_order_attribution, shapley_shubik_bruteforce
+        from attrib.paths import QuadratureConfig, attribute_aumann_shapley
+        from attrib.reports import resolve_method
+
+        ms = parse_model(MODEL + "[separable]\nc : exp 0.5 0 2\n")
+        f = compile_model(ms)
+        kernels = {
+            "ass": attribute_ass,
+            "naive": attribute_naive,
+            "as-numeric": lambda g, vp: attribute_aumann_shapley(g, vp, QuadratureConfig()),
+            "ss-brute": shapley_shubik_bruteforce,
+        }
+        if method == "random-order":
+            orders = tmp_path / "orders.txt"
+            orders.write_text("a p c : 0.25\nc a p : 0.75\n")
+            pw = parse_order_weights(orders.read_text(), ms.variables, str(orders))
+            method = f"random-order:{orders}"
+            kernels[method] = lambda g, vp: random_order_attribution(g, vp, pw)
+        kernel, handle = kernels[method], resolve_method(method, ms.variables)
+        pairs = [ValuePair(r, s) for r, s in zip(self.R, self.S)]
+        singles = [repr(kernel(f, vp)) for vp in pairs]
+        assert [repr(handle(f, vp)) for vp in pairs] == singles
+        rows = handle(f, (np.array(self.R), np.array(self.S)))
+        if method == "ass":
+            assert rows == attribute_ass_batch(f, self.R, self.S)
+        else:
+            assert [repr(row) for row in rows] == singles
 
 
 def _machine_records(report: Report) -> list[dict]:
@@ -570,6 +617,19 @@ class TestCli:
         assert main([arg.format(model=model) for arg in modes] + ["--values", values]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: give either {first} or {second}, not both\n"
+
+    @pytest.mark.parametrize(
+        "mode, values",
+        [(["--axiom-suite"], "{values}"), (["--demo", "mix-effects"], "{tmp}/nonexistent.csv")],
+        ids=["axiom-suite", "demo"],
+    )
+    def test_values_outside_a_report_run(self, model_files, tmp_path, capsys, mode, values):
+        # only --model and --dag read --values: the mode does not run, and the file is never opened
+        path = values.format(values=model_files[1], tmp=tmp_path)
+        assert main(mode + ["--values", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --values goes with --model or --dag; {mode[0]} does not read it\n"
 
     def test_domain_errors_keep_their_order(self, tmp_path, capsys):
         # term 1 leaves its domain at r, term 2 at s: the error is term 1's, as each term is tried at s, then r

@@ -667,6 +667,29 @@ class TestFlowGraphs:
         assert attribute_ass(d, vp) == row
         assert resolve_method("ass")(d, vp) == row
 
+    # f = s0·p + s1 from (0, 1, 0) to (1, 1, h): z_s0 = z_p = h/2 exactly, but f(s) = 1 + h rounds to 1
+    _ROUNDED_AWAY = ((0.0, 1.0, 0.0), (1.0, 1.0, 1.7339923889602518e-176))
+
+    def test_change_that_rounds_away_keeps_the_exact_z(self):
+        from attrib.models import DagModel
+
+        d = DagModel(("v0", "v1"), "v1", {"v0": "s0", "v1": "s1"}, (("v0", "v1", "p0_0_1"),))
+        res = attribute_ass(d, ValuePair(*self._ROUNDED_AWAY))
+        h = self._ROUNDED_AWAY[1][2]
+        assert d.variables == ("s0", "s1", "p0_0_1")
+        assert res.z == (h / 2, 0.0, h / 2) and res.change == 0.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the residual gate's scale omits the rounding of f(r) and f(s), so an exact z with a change"
+        " rounded to 0.0 is flagged (ROADMAP item 3); the rule that fixes it must make this pass",
+    )
+    def test_change_that_rounds_away_is_trusted(self):
+        from attrib.models import DagModel
+
+        d = DagModel(("v0", "v1"), "v1", {"v0": "s0", "v1": "s1"}, (("v0", "v1", "p0_0_1"),))
+        assert attribute_ass(d, ValuePair(*self._ROUNDED_AWAY)).converged
+
     @pytest.mark.parametrize("k", [1, 7, 8, 9, 16])
     def test_one_point_gets_the_bits_of_many_across_parallel_edges(self, k):
         import random
