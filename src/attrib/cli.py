@@ -31,16 +31,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model", metavar="PATH", help="model file (variables, terms, segments)")
     parser.add_argument("--dag", metavar="PATH", help="flow graph file; every method attributes it as it is, without expanding its routes")
     parser.add_argument("--values", metavar="PATH", help="CSV snapshot rows entity,variable,initial,final, for --model or --dag")
-    parser.add_argument("--method", metavar="ID", default="ass",
-                        help="ass | ss-brute | as-numeric | naive | random-order:<weights-file> (default: ass)")
+    parser.add_argument("--method", metavar="ID",
+                        help="ass | ss-brute | as-numeric | naive | random-order:<weights-file> (default: ass);"
+                             " for --model, --dag or --axiom-suite")
     parser.add_argument("--tol", metavar="X", type=float, default=None,
                         help="quadrature tolerance for as-numeric, axiom tolerance for --axiom-suite;"
                              " finite and greater than 0 (ass, ss-brute, naive and random-order ignore it;"
                              " the 1e-9 relative completeness check of every result does not change with it)")
     parser.add_argument("--max-refine", metavar="N", type=int, default=None,
                         help="panel doublings allowed before as-numeric gives up; 0 or more")
-    parser.add_argument("--seed", metavar="N", type=int, default=0, help="seed for --axiom-suite instances")
-    parser.add_argument("--trials", metavar="N", type=int, default=200, help="trials per axiom for --axiom-suite")
+    parser.add_argument("--seed", metavar="N", type=int, help="seed for --axiom-suite instances (default: 0)")
+    parser.add_argument("--trials", metavar="N", type=int, help="trials per axiom for --axiom-suite (default: 200)")
     parser.add_argument("--report", choices=("text", "machine"), default="text")
     parser.add_argument("--axiom-suite", action="store_true", help="verify the axioms for --method and exit")
     parser.add_argument("--demo", choices=("mix-effects",), help="run a built-in demonstration")
@@ -48,19 +49,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _axiom_suite(args) -> int:
-    if args.method.startswith("random-order:"):
+    method_id = "ass" if args.method is None else args.method
+    seed = 0 if args.seed is None else args.seed
+    trials = 200 if args.trials is None else args.trials
+    if method_id.startswith("random-order:"):
         raise ModelError(
-            f"--axiom-suite cannot check {args.method}: the suite's instances have unnamed variables,"
+            f"--axiom-suite cannot check {method_id}: the suite's instances have unnamed variables,"
             " so no weights file can list their orders"
         )
-    method = resolve_method(args.method, tol=args.tol, max_refine=args.max_refine)
-    gen = InstanceGenerator(seed=args.seed)
+    method = resolve_method(method_id, tol=args.tol, max_refine=args.max_refine)
+    gen = InstanceGenerator(seed=seed)
     tol = args.tol if args.tol is not None else 1e-8
-    verdicts = run_axiom_suite(method, gen, trials=args.trials, tol=tol)
+    verdicts = run_axiom_suite(method, gen, trials=trials, tol=tol)
     if args.report == "machine":
         print(json.dumps([v.to_dict() for v in verdicts], indent=2))
     else:
-        print(f"axiom suite: method={args.method} trials={args.trials} tol={tol:g} seed={args.seed}")
+        print(f"axiom suite: method={method_id} trials={trials} tol={tol:g} seed={seed}")
         for v in verdicts:
             flag = "PASS" if v.passed else "FAIL"
             note = f"  ({v.note})" if v.note else ""
@@ -69,14 +73,25 @@ def _axiom_suite(args) -> int:
 
 
 def _mode(args) -> str | None:
-    """The one mode flag given, or None; a ModelError names two modes given together, or --values with a mode not reading it."""
+    """The one mode flag given, or None; a ModelError names two modes given together, or a flag the mode does not read.
+
+    --values goes with --model and --dag, --method with every mode but --demo, --seed and --trials with --axiom-suite.
+    """
     flags = (("--demo", args.demo), ("--axiom-suite", args.axiom_suite), ("--model", args.model), ("--dag", args.dag))
     given = [flag for flag, value in flags if value]
     if len(given) > 1:
         raise ModelError(f"give either {given[0]} or {given[1]}, not both")
-    if args.values and given[:1] in (["--demo"], ["--axiom-suite"]):
-        raise ModelError(f"--values goes with --model or --dag; {given[0]} does not read it")
-    return given[0] if given else None
+    if not given:
+        return None
+    mode = given[0]
+    if args.values and mode in ("--demo", "--axiom-suite"):
+        raise ModelError(f"--values goes with --model or --dag; {mode} does not read it")
+    if args.method is not None and mode == "--demo":
+        raise ModelError(f"--method goes with --model, --dag or --axiom-suite; {mode} does not read it")
+    for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
+        if value is not None and mode != "--axiom-suite":
+            raise ModelError(f"{flag} goes with --axiom-suite; {mode} does not read it")
+    return mode
 
 
 def _run_reports(args) -> int:
@@ -89,7 +104,8 @@ def _run_reports(args) -> int:
     snaps = parse_snapshots(read_text(args.values), args.values)
     if not snaps:
         raise ModelError(f"{args.values}: no snapshot rows")
-    reports = run_report(model, snaps, args.method, tol=args.tol, max_refine=args.max_refine)
+    method = "ass" if args.method is None else args.method
+    reports = run_report(model, snaps, method, tol=args.tol, max_refine=args.max_refine)
     render = render_machine if args.report == "machine" else render_text
     print(("\n" if args.report == "machine" else "\n\n").join(render(report) for report in reports))
     return EXIT_OK if all(report.converged for report in reports) else EXIT_NUMERIC

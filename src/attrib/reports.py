@@ -8,15 +8,14 @@ a compiled model, values and gradients at points, from forward and backward
 passes, so no method expands its routes.  `resolve_method` maps a method id
 to its handle; a ``random-order:`` id reads its weights file through
 `attrib.models`, which holds every file grammar.  `render_machine` writes a
-report's JSON Lines records by filling one template per (variables, method,
-segment labels), byte for byte what ``json.dumps`` writes for each record.
+report's JSON Lines records, one f-string each, byte for byte what
+``json.dumps`` writes for each record.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
@@ -203,47 +202,23 @@ def render_machine(report: Report) -> str:
     Each line is what ``json.dumps`` writes for the record, non-finite
     numbers as NaN, Infinity or -Infinity included.
     """
-    labels = tuple(sorted(report.segments)) if report.segments else ()
-    numbers = (
-        *report.initial,
-        *report.final,
-        *report.z,
-        *(report.segments[label] for label in labels),
-        report.total_change,
-        report.residual,
-    )
-    if not math.isfinite(sum(numbers)):  # some number is nan or infinite, or the sum overflows
-        numbers = tuple(map(json.dumps, numbers))
-    template = _machine_template(report.variables, report.method, labels)
-    return template.format(encode_basestring_ascii(report.entity), *numbers, "true" if report.converged else "false")
-
-
-@lru_cache(maxsize=16)
-def _machine_template(variables: tuple[str, ...], method: str, labels: tuple[str, ...]) -> str:
-    """A str.format template of render_machine's records.
-
-    Field 0 is the encoded entity; then come every initial value, every
-    final value, every attribution, each segment total, the total change,
-    the residual and the converged flag.  Floats fill their fields as
-    float.__repr__ writes them, which is how json.dumps writes finite floats.
-    """
-
-    def literal(name: str) -> str:
-        return encode_basestring_ascii(name).replace("{", "{{").replace("}", "}}")
-
-    n = len(variables)
-    m = literal(method)
+    segments = sorted(report.segments.items()) if report.segments else []
+    numbers = (*report.initial, *report.final, *report.z, *(v for _, v in segments), report.total_change, report.residual)
+    # str of a finite float is float.__repr__, as json.dumps writes it; str, not repr, keeps a numpy float's digits bare
+    num = str if math.isfinite(sum(numbers)) else json.dumps  # else some number is nan or infinite, or the sum overflows
+    entity, method = encode_basestring_ascii(report.entity), encode_basestring_ascii(report.method)
     lines = [
-        '{{"record": "attribution", "entity": {0}, "method": ' + m + ', "variable": ' + literal(name)
-        + ', "initial": {%d}, "final": {%d}, "attribution": {%d}}}' % (i, i + n, i + 2 * n)
-        for i, name in enumerate(variables, 1)
+        f'{{"record": "attribution", "entity": {entity}, "method": {method}, "variable": {encode_basestring_ascii(name)},'
+        f' "initial": {num(ini)}, "final": {num(fin)}, "attribution": {num(zv)}}}'
+        for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z)
     ]
-    for j, label in enumerate(labels, 3 * n + 1):
-        lines.append('{{"record": "segment", "entity": {0}, "segment": ' + literal(label) + ', "attribution": {%d}}}' % j)
-    k = 3 * n + len(labels)
+    lines += [
+        f'{{"record": "segment", "entity": {entity}, "segment": {encode_basestring_ascii(label)}, "attribution": {num(v)}}}'
+        for label, v in segments
+    ]
     lines.append(
-        '{{"record": "summary", "entity": {0}, "method": ' + m
-        + ', "total_change": {%d}, "residual": {%d}, "converged": {%d}}}' % (k + 1, k + 2, k + 3)
+        f'{{"record": "summary", "entity": {entity}, "method": {method}, "total_change": {num(report.total_change)},'
+        f' "residual": {num(report.residual)}, "converged": {"true" if report.converged else "false"}}}'
     )
     return "\n".join(lines)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from attrib import CharacteristicFunction, MultilinearPoly, SeparableTerm, ValuePair, product_function
 
 hypothesis.settings.register_profile("suite", max_examples=60, deadline=None)
-# many more mutated inputs for tests/test_exit_contract.py alone: pytest --hypothesis-profile exit-contract
+# many more examples for the property tests CI runs one by one: pytest --hypothesis-profile exit-contract
 hypothesis.settings.register_profile("exit-contract", max_examples=2000, deadline=None)
 hypothesis.settings.load_profile("suite")
 

@@ -231,7 +231,7 @@ class TestMethodHandles:
 
 
 def _machine_records(report: Report) -> list[dict]:
-    """render_machine's records built as dicts, the reference its template must match byte for byte."""
+    """render_machine's records built as dicts, the reference its output must match byte for byte."""
     records = []
     for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z):
         records.append(
@@ -619,17 +619,32 @@ class TestCli:
         assert captured.out == "" and captured.err == f"error: give either {first} or {second}, not both\n"
 
     @pytest.mark.parametrize(
-        "mode, values",
-        [(["--axiom-suite"], "{values}"), (["--demo", "mix-effects"], "{tmp}/nonexistent.csv")],
-        ids=["axiom-suite", "demo"],
+        "argv, message",
+        [
+            (["--axiom-suite", "--values", "{values}"], "--values goes with --model or --dag; --axiom-suite does not read it"),
+            (["--demo", "mix-effects", "--values", "{tmp}/nonexistent.csv"],
+             "--values goes with --model or --dag; --demo does not read it"),
+            (["--demo", "mix-effects", "--method", "naive"],
+             "--method goes with --model, --dag or --axiom-suite; --demo does not read it"),
+            (["--demo", "mix-effects", "--method", "ass"],
+             "--method goes with --model, --dag or --axiom-suite; --demo does not read it"),
+            (["--model", "{tmp}/nonexistent.txt", "--values", "{values}", "--trials", "0"],
+             "--trials goes with --axiom-suite; --model does not read it"),
+            (["--model", "{tmp}/nonexistent.txt", "--values", "{values}", "--trials", "0", "--seed", "9"],
+             "--seed goes with --axiom-suite; --model does not read it"),
+            (["--dag", "{tmp}/nonexistent.txt", "--values", "{values}", "--seed", "0"],
+             "--seed goes with --axiom-suite; --dag does not read it"),
+            (["--demo", "mix-effects", "--trials", "5"], "--trials goes with --axiom-suite; --demo does not read it"),
+        ],
+        ids=["axiom-suite", "demo", "demo-method", "demo-default-method", "model-trials", "model-seed-and-trials",
+             "dag-seed", "demo-trials"],
     )
-    def test_values_outside_a_report_run(self, model_files, tmp_path, capsys, mode, values):
-        # only --model and --dag read --values: the mode does not run, and the file is never opened
-        path = values.format(values=model_files[1], tmp=tmp_path)
-        assert main(mode + ["--values", path]) == 2
+    def test_values_outside_a_report_run(self, model_files, tmp_path, capsys, argv, message):
+        # a flag the mode does not read, even at its default value, is refused: the mode does not run, and no file is opened
+        assert main([arg.format(values=model_files[1], tmp=tmp_path) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --values goes with --model or --dag; {mode[0]} does not read it\n"
+        assert captured.err == f"error: {message}\n"
 
     def test_domain_errors_keep_their_order(self, tmp_path, capsys):
         # term 1 leaves its domain at r, term 2 at s: the error is term 1's, as each term is tried at s, then r
