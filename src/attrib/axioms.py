@@ -94,11 +94,10 @@ class InstanceGenerator:
         return ValuePair(tuple(r), tuple(s))
 
     def function(self, rng: random.Random, n: int, vp: ValuePair) -> CharacteristicFunction:
-        terms: dict[tuple[int, ...], float] = {}
+        terms = []
         for _ in range(rng.randint(*self.terms_range)):
             size = rng.randint(1, n)
-            I = tuple(sorted(rng.sample(range(1, n + 1), size)))
-            terms[I] = terms.get(I, 0.0) + self._coeff(rng)
+            terms.append((rng.sample(range(1, n + 1), size), self._coeff(rng)))
         sep: list[SeparableTerm] = []
         if self.separable:
             for i in range(1, n + 1):
@@ -188,15 +187,15 @@ def _check_dummy_on_box(method: Method, gen: InstanceGenerator, trial: int):
     f, vp, rng = gen.instance(trial)
     n = f.n
     i, j = rng.sample(range(1, n + 1), 2)
-    terms: dict[tuple[int, ...], float] = {}
+    terms = []
     pinned_any = False
     for I, c in f.multilinear.terms.items():
         if i in I:
-            I = tuple(sorted(set(I) | {j}))
+            I = set(I) | {j}
             pinned_any = True
-        terms[I] = terms.get(I, 0.0) + c
+        terms.append((I, c))
     if not pinned_any:
-        terms[(i, j)] = 1.0
+        terms.append(((i, j), 1.0))
     f2 = from_terms(n, terms, tuple(t for t in f.separable if t.index != i))
     r = list(vp.r)
     s = list(vp.s)

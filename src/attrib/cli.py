@@ -72,10 +72,17 @@ def _axiom_suite(args) -> int:
     return EXIT_OK
 
 
+_ALL_BUT_DEMO = ("--model", "--dag", "--axiom-suite")
+# the flags only some modes read, in the order they are checked, each with the modes that read it
+_READERS = (("--values", ("--model", "--dag")), ("--method", _ALL_BUT_DEMO), ("--seed", ("--axiom-suite",)),
+            ("--trials", ("--axiom-suite",)), ("--tol", _ALL_BUT_DEMO), ("--max-refine", _ALL_BUT_DEMO))
+
+
 def _mode(args) -> str | None:
     """The one mode flag given, or None; a ModelError names two modes given together, or a flag the mode does not read.
 
-    --values goes with --model and --dag, --method with every mode but --demo, --seed and --trials with --axiom-suite.
+    `_READERS` maps each flag to the modes that read it: --values goes with --model and --dag, --seed and --trials
+    with --axiom-suite, and --method, --tol and --max-refine with every mode but --demo; the message names them.
     """
     flags = (("--demo", args.demo), ("--axiom-suite", args.axiom_suite), ("--model", args.model), ("--dag", args.dag))
     given = [flag for flag, value in flags if value]
@@ -84,13 +91,10 @@ def _mode(args) -> str | None:
     if not given:
         return None
     mode = given[0]
-    if args.values and mode in ("--demo", "--axiom-suite"):
-        raise ModelError(f"--values goes with --model or --dag; {mode} does not read it")
-    if args.method is not None and mode == "--demo":
-        raise ModelError(f"--method goes with --model, --dag or --axiom-suite; {mode} does not read it")
-    for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
-        if value is not None and mode != "--axiom-suite":
-            raise ModelError(f"{flag} goes with --axiom-suite; {mode} does not read it")
+    for flag, modes in _READERS:
+        if getattr(args, flag[2:].replace("-", "_")) is not None and mode not in modes:
+            readers = f"{', '.join(modes[:-1])} or {modes[-1]}" if len(modes) > 1 else modes[0]
+            raise ModelError(f"{flag} goes with {readers}; {mode} does not read it")
     return mode
 
 

@@ -104,9 +104,6 @@ class MultilinearPoly:
                 out[tuple(j for j in I if j != i)] = c
         return MultilinearPoly(self.n, out)
 
-    def scaled(self, a: float) -> "MultilinearPoly":
-        return MultilinearPoly(self.n, {k: a * c for k, c in self.terms.items()})
-
 
 # ---------------------------------------------------------------------------
 # separable terms
@@ -420,14 +417,13 @@ def partial_derivative(f: CharacteristicFunction, i: int) -> CharacteristicFunct
 def combine(f1: CharacteristicFunction, f2: CharacteristicFunction, a: float = 1.0, b: float = 1.0) -> CharacteristicFunction:
     """Return a*f1 + b*f2.
 
-    Multilinear terms over one index set merge, and exact zero coefficients
-    are pruned; the separable terms of both functions are kept, scaled.
+    `MultilinearPoly` merges the multilinear terms over one index set and
+    prunes exact zero coefficients; the separable terms of both functions
+    are kept, scaled.
     """
     if f1.n != f2.n:
         raise ValueError(f"dimension mismatch: {f1.n} vs {f2.n} variables")
-    terms: dict[Subset, float] = dict(f1.multilinear.scaled(a).terms)
-    for I, c in f2.multilinear.scaled(b).terms.items():
-        terms[I] = terms.get(I, 0.0) + c
+    terms = [(I, a * c) for I, c in f1.multilinear.terms.items()] + [(I, b * c) for I, c in f2.multilinear.terms.items()]
     sep = tuple(t.scaled(a) for t in f1.separable) + tuple(t.scaled(b) for t in f2.separable)
     return CharacteristicFunction(MultilinearPoly(f1.n, terms), sep)
 
@@ -446,7 +442,7 @@ def permute_variables(f: CharacteristicFunction, sigma: Sequence[int]) -> Charac
     result g satisfies g(y) = f(x) whenever y[sigma(i)-1] = x[i-1].
     """
     sig = tuple(map(int, _check_permutation(sigma, f.n)))
-    terms = {tuple(sorted(sig[j - 1] for j in I)): c for I, c in f.multilinear.terms.items()}
+    terms = [(tuple(sig[j - 1] for j in I), c) for I, c in f.multilinear.terms.items()]
     sep = tuple(t.reindexed(sig[t.index - 1]) for t in f.separable)
     return CharacteristicFunction(MultilinearPoly(f.n, terms), sep)
 
@@ -471,17 +467,12 @@ def affine_reparameterize(f: CharacteristicFunction, j: int, c: float, d: float)
         raise ValueError(f"variable index {j} outside 1..{f.n}")
     if c <= 0:
         raise ValueError(f"scale must be positive, got {c}")
-    terms: dict[Subset, float] = {}
-
-    def add(I: Subset, v: float):
-        terms[I] = terms.get(I, 0.0) + v
-
+    terms: list[tuple[Subset, float]] = []
     for I, coeff in f.multilinear.terms.items():
         if j in I:
-            add(I, coeff / c)
-            add(tuple(i for i in I if i != j), -coeff * d / c)
+            terms += [(I, coeff / c), (tuple(i for i in I if i != j), -coeff * d / c)]
         else:
-            add(I, coeff)
+            terms.append((I, coeff))
     sep = tuple(t.compose_affine(c, d) if t.index == j else t for t in f.separable)
     return CharacteristicFunction(MultilinearPoly(f.n, terms), sep)
 

@@ -7,6 +7,7 @@ order walked, the bitmask of the variables that move before v.  Variable
 v's total is then the sum of f(before_v | v) - f(before_v) over the orders,
 read from the values of f at the box corners.
 
+One builder, `_befores`, makes every table from an array of orders.
 Shapley-Shubik enumeration walks all n! orders in lexicographic order.
 Their table depends only on n, so it is built once per n (`_before_masks`,
 n <= 8, 8 * 8! bytes at most, about 0.36 MB for every n together) and
@@ -95,19 +96,10 @@ class PermutationWeights:
         Orders go in lexicographic order, so uniform weights walk them as
         `shapley_shubik_bruteforce` does.
         """
-        n = self.n
         orders = sorted(order for order, w in self.weights.items() if w > 0.0)
-        steps = np.array(orders, dtype=np.int8).T - 1
-        bits = np.left_shift(1, np.arange(n)).astype(np.uint8 if n <= 8 else np.uint16)
-        befores = np.empty(steps.shape, bits.dtype)
-        mask = np.zeros(len(orders), bits.dtype)
-        cols = np.arange(len(orders))
-        for step in steps:
-            befores[step, cols] = mask
-            mask |= bits[step]
-        befores.flags.writeable = False
+        befores = _befores(np.array(orders, dtype=np.int8) - 1)
         # an order's before-masks are the corners it visits, bar the last: all variables moved
-        corners = np.unique(befores).tolist() + [(1 << n) - 1]
+        corners = np.unique(befores).tolist() + [(1 << self.n) - 1]
         return befores, np.array([self.weights[order] for order in orders]), corners
 
 
@@ -124,27 +116,25 @@ def _spread(others: Sequence[int]) -> np.ndarray:
     return lut
 
 
+def _befores(orders: np.ndarray) -> np.ndarray:
+    """The read-only (n, E) before-mask table of an E x n array of 0-based orders: uint8 up to 8 variables, uint16 above."""
+    n = orders.shape[1]
+    bits = np.left_shift(1, np.arange(n)).astype(np.uint8 if n <= 8 else np.uint16)
+    befores = np.empty((n, len(orders)), bits.dtype)
+    mask = np.zeros(len(orders), bits.dtype)
+    cols = np.arange(len(orders))
+    for step in orders.T:
+        befores[step, cols] = mask
+        mask |= bits[step]
+    befores.flags.writeable = False
+    return befores
+
+
 @lru_cache(maxsize=None)
 def _before_masks(n: int) -> np.ndarray:
-    """The read-only (n, n!) uint8 before-mask table of all orders over 0..n-1, n <= 8, in lexicographic order.
-
-    The orders that start with v are v followed by the lexicographic orders
-    of the others, so the table is n blocks: row v of block v is 0, and the
-    other rows are the (n - 1) table mapped onto the others, plus v.
-    """
-    if n == 1:
-        table = np.zeros((1, 1), np.uint8)
-    else:
-        sub = _before_masks(n - 1)
-        blocks = []
-        for v in range(n):
-            others = [u for u in range(n) if u != v]
-            block = np.zeros((n, sub.shape[1]), np.uint8)
-            block[others] = _spread(others)[sub] | (1 << v)
-            blocks.append(block)
-        table = np.concatenate(blocks, axis=1)
-    table.flags.writeable = False
-    return table
+    """The cached (n, n!) before-mask table of all orders over 0..n-1, n <= 8, in lexicographic order."""
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.int8, n * math.factorial(n))
+    return _befores(flat.reshape(-1, n))
 
 
 def _walk(befores: np.ndarray, vals: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

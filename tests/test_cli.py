@@ -635,9 +635,13 @@ class TestCli:
             (["--dag", "{tmp}/nonexistent.txt", "--values", "{values}", "--seed", "0"],
              "--seed goes with --axiom-suite; --dag does not read it"),
             (["--demo", "mix-effects", "--trials", "5"], "--trials goes with --axiom-suite; --demo does not read it"),
+            (["--demo", "mix-effects", "--tol", "0.5", "--max-refine", "3"],
+             "--tol goes with --model, --dag or --axiom-suite; --demo does not read it"),
+            (["--demo", "mix-effects", "--max-refine", "3"],
+             "--max-refine goes with --model, --dag or --axiom-suite; --demo does not read it"),
         ],
         ids=["axiom-suite", "demo", "demo-method", "demo-default-method", "model-trials", "model-seed-and-trials",
-             "dag-seed", "demo-trials"],
+             "dag-seed", "demo-trials", "demo-tol", "demo-max-refine"],
     )
     def test_values_outside_a_report_run(self, model_files, tmp_path, capsys, argv, message):
         # a flag the mode does not read, even at its default value, is refused: the mode does not run, and no file is opened

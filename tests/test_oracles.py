@@ -107,6 +107,19 @@ class TestOrderWalk:
             table[0, 0] = 1
         assert _before_masks(4) is table
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cached_table_holds_each_orders_before_masks(self, n):
+        # column k holds, for each variable, the mask of the variables that move before it in the k-th lexicographic order
+        table = _before_masks(n)
+        assert table.shape == (n, math.factorial(n))
+        for k, order in enumerate(itertools.permutations(range(n))):
+            want = [0] * n
+            mask = 0
+            for v in order:
+                want[v] = mask
+                mask |= 1 << v
+            assert table[:, k].tolist() == want, f"order {order}"
+
 
 class TestRandomOrder:
     def test_single_identity_order(self):
