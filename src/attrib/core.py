@@ -253,11 +253,6 @@ class CharacteristicFunction:
     def n(self) -> int:
         return self.multilinear.n
 
-    @property
-    def degree(self) -> int:
-        """The size of the largest monomial (0 with none)."""
-        return max(map(len, self.multilinear.terms), default=0)
-
     def __call__(self, x: Sequence[float]) -> float:
         return evaluate(self, x)
 

@@ -28,16 +28,14 @@ the subset means X_k / C(m-1, k) instead of the sums; since
 w_k(m) * C(m-1, k) = 1/m the attribution is c * (s_i - r_i) times the mean
 of that row, built by a two-buffer recursion in O(m^2) time and O(m) memory.
 
-`attribute_ass_batch` applies the same rule to many value pairs at once:
-z = (s - r) * sum_g w_g grad(r + t_g (s - r)) over the ceil(D / 2)
-Gauss-Legendre nodes of the function's degree D, from its ``gradients``
-method.  For a model that is the gradient of its multilinear part; for a
-flow graph (`attrib.models.DagModel`), whose degree bounds that of every
-route's term, it comes from one forward and one backward pass over the
-graph, O(ceil(D / 2) (V + E)) per pair however many routes there are.  The
-function's monomials are summed at each node before the node sum, so rows
-agree with `attribute_ass` to rounding, not bit for bit; a model's change
-is taken per row as `attribute_ass` takes it, so it has `evaluate`'s bits.
+`attribute_ass_batch` applies the same rule to many value pairs at once.
+Each monomial of a model takes the array pass over every pair's row at
+once, so each row has `attribute_ass`'s bits.  A flow graph
+(`attrib.models.DagModel`) has no monomials: z = (s - r) * sum_g w_g
+grad(r + t_g (s - r)) over the ceil(D / 2) Gauss-Legendre nodes of its
+degree D, which bounds that of every route's term, with each gradient from
+one forward and one backward pass over the graph, O(ceil(D / 2) (V + E))
+per pair however many routes there are.
 
 Everything runs in plain double precision.  Both kernels multiply only
 values that lie between the endpoints of each variable (DP cells are
@@ -204,7 +202,7 @@ def attribute_ass(f: CharacteristicFunction | DagModel, vp: ValuePair) -> Attrib
             continue  # a constant has no members and changes nothing
         count = (len(I) + 1) // 2
         if len(I) >= _ARRAY_DEGREE:
-            acc = _node_partials_sum(rv, dv, count)
+            acc = _node_partials_sum(rv, dv, count).tolist()
         else:
             # Seeding the sum with the first node's partials, not 0.0 plus them, can keep a -0.0 that 0.0 + -0.0
             # would make 0.0; z starts at 0.0, so no entry of z is ever -0.0 and its bits are the same.
@@ -227,20 +225,23 @@ def _unit_gauss_arrays(count: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _node_partials_sum(rv: list[float], dv: list[float], count: int) -> list[float]:
-    """sum_g w_g * partials of prod(rv + t_g dv) over `count` Gauss nodes, with the bits of the pure-Python loop.
+def _node_partials_sum(r, d, count: int) -> np.ndarray:
+    """sum_g w_g * partials of prod(r + t_g d) over `count` Gauss nodes, with the bits of the pure-Python loop.
 
-    The points of a block of nodes form one array whose partials come from
-    `_batch_partials`, which multiplies in the order `_monomial_partials`
-    does.  The rows are added in node order: the accumulator goes into a
-    block's first row, and numpy reduces over the slow axis of an array
-    one row at a time, where it would sum a contiguous axis pairwise.
-    Blocks hold at most _BLOCK_ELEMENTS points x members.
+    r and d are one row of shape (m,) or E rows of shape (E, m), each with
+    the bits of its own call.  The points of a block of nodes form one array
+    whose partials come from `_batch_partials`, which multiplies in the
+    order `_monomial_partials` does.  The nodes are added in order: the
+    accumulator goes into a block's first node, and numpy reduces over an
+    array's slow axis one node at a time, not pairwise as along a contiguous
+    axis.  Blocks hold at most _BLOCK_ELEMENTS coordinates, or one node's.
     """
     t, w = _unit_gauss_arrays(count)
-    r, d = np.array(rv), np.array(dv)
-    acc = np.zeros(len(rv))
-    step = max(1, _BLOCK_ELEMENTS // len(rv))
+    r, d = np.asarray(r, dtype=float), np.asarray(d, dtype=float)
+    lead = (1,) * (r.ndim - 1)  # a node's t and w, the same for every row
+    t, w = t.reshape(count, *lead, 1), w.reshape(count, *lead)
+    acc = np.zeros_like(r)
+    step = max(1, _BLOCK_ELEMENTS // r.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, count, step):
             x = t[lo : lo + step] * d
@@ -248,7 +249,7 @@ def _node_partials_sum(rv: list[float], dv: list[float], count: int) -> list[flo
             rows = _batch_partials(x, w[lo : lo + step])
             rows[0] += acc
             acc = np.add.reduce(rows, axis=0)
-    return acc.tolist()
+    return acc
 
 
 def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Sequence[float], f_r: float, f_s: float) -> AttributionResult:
@@ -272,19 +273,17 @@ def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Se
 def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[AttributionResult]:
     """`attribute_ass` of f for every pair of rows (R[e], S[e]) of two E x n arrays.
 
-    z is (S - R) * sum_g w_g grad(R + t_g (S - R)) over the ceil(D / 2)
-    Gauss-Legendre nodes of f's degree D, from one gradient call over all
-    nodes of a chunk of entities; chunks keep every temporary near
-    _CHUNK_ELEMENTS.  The gradients are those of a model's multilinear part,
-    or those of a `DagModel`, with columns in the order of ``f.variables``,
-    which expands no routes.  Monomials are summed at each node before the
-    node sum, so rows agree with `attribute_ass` to rounding, not bit for
-    bit.  For a model, each row's multilinear values at r and s come from
-    ``MultilinearPoly.evaluate``, and `_finish` adds the separable endpoint
-    rule and values as it does for `attribute_ass`, so every change has
-    `evaluate`'s bits.  A graph's change takes f at both ends from chunked
-    forward passes of `DagModel.flow`.  An exception raised while evaluating
-    an entity carries that entity's row number as ``exc.row``.
+    For a model, each monomial, in ``f.multilinear.terms`` order, takes
+    `_node_partials_sum` at its own ceil(m / 2) Gauss nodes over all rows
+    of a chunk of entities, and `_finish` adds the separable terms to z and
+    to each row's values from ``MultilinearPoly.evaluate``: every row has
+    `attribute_ass`'s bits.  A `DagModel` has no monomials: z is
+    (S - R) * sum_g w_g grad(R + t_g (S - R)) over the ceil(D / 2) nodes of
+    its degree D, from one gradient call over all nodes of a chunk, which
+    expands no routes, and the change takes f at both ends from chunked
+    forward passes of `DagModel.flow`.  Chunks keep every temporary near
+    _CHUNK_ELEMENTS.  An exception raised while evaluating an entity
+    carries that entity's row number as ``exc.row``.
     """
     R = np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -296,25 +295,30 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {R.shape[1]}")
     if not (np.isfinite(R).all() and np.isfinite(S).all()):
         raise ValueError("value vectors must be finite")
-    if isinstance(f, DagModel):
-        part, width = f, max(f.n, len(f.nodes))  # flow keeps V x N arrays
-    else:
-        part, width = CharacteristicFunction(f.multilinear), max(f.n, 1)
-    t, w = _unit_gauss_arrays(max(1, (part.degree + 1) // 2))  # one node of zero gradients for a constant
     E = R.shape[0]
     Z = np.zeros_like(R)
-    step = max(1, _CHUNK_ELEMENTS // (width * len(w)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, E, step):
-            Rc, Dc = R[lo : lo + step], S[lo : lo + step] - R[lo : lo + step]
-            G = part.gradients((Rc + t[:, None] * Dc).reshape(len(w) * len(Rc), f.n))  # node-major: rows g * len(Rc) + e
-            acc = np.zeros_like(Dc)
-            for g, wg in enumerate(w.tolist()):
-                acc += wg * G[g * len(Rc) : (g + 1) * len(Rc)]
-            Z[lo : lo + step] += Dc * acc
     if isinstance(f, DagModel):
+        t, w = _unit_gauss_arrays((f.degree + 1) // 2)
+        step = max(1, _CHUNK_ELEMENTS // (max(f.n, len(f.nodes)) * len(w)))  # flow keeps V x N arrays
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, E, step):
+                Rc, Dc = R[lo : lo + step], S[lo : lo + step] - R[lo : lo + step]
+                G = f.gradients((Rc + t[:, None] * Dc).reshape(len(w) * len(Rc), f.n))  # node-major: rows g * len(Rc) + e
+                acc = np.zeros_like(Dc)
+                for g, wg in enumerate(w.tolist()):
+                    acc += wg * G[g * len(Rc) : (g + 1) * len(Rc)]
+                Z[lo : lo + step] += Dc * acc
         f_r, f_s = (np.concatenate([f._forward(X[lo : lo + step])[1][f._plan.sink] for lo in range(0, E, step)]).tolist() for X in (R, S))
         return [AttributionResult("ass", tuple(z), b - a) for z, a, b in zip(Z.tolist(), f_r, f_s)]
+    step = max(1, _CHUNK_ELEMENTS // max(f.n, 1))  # each monomial's points and partials are E x m, m <= n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, E, step):
+            Rc, Dc, Zc = R[lo : lo + step], S[lo : lo + step] - R[lo : lo + step], Z[lo : lo + step]
+            for I, c in f.multilinear.terms.items():
+                if I:  # a constant has no members and changes nothing
+                    cols = [j - 1 for j in I]
+                    Dm = Dc[:, cols]
+                    Zc[:, cols] += c * Dm * _node_partials_sum(Rc[:, cols], Dm, (len(I) + 1) // 2)
     results = []
     for e, (z, r, s) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist())):
         try:

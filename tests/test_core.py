@@ -296,6 +296,7 @@ def test_like_separable_terms_attribute_as_the_terms_merged_by_hand():
         (lambda: SeparableTerm(1, "poly", ()), "poly term needs at least one coefficient"),
         (lambda: affine_reparameterize(product_function(2), 3, 2.0, 1.0), "variable index 3 outside 1..2"),
         (lambda: affine_reparameterize(product_function(2), 0, 2.0, 1.0), "variable index 0 outside 1..2"),
+        (lambda: product_function(2).multilinear.partial(3), "variable index 3 outside 1..2"),
     ],
 )
 def test_constructors_refuse_indices_and_counts_out_of_range(build, message):
@@ -329,6 +330,8 @@ def test_separable_affine_composition_closed():
         comp = term.compose_affine(2.0, 0.5)
         for y in (0.4, 1.3, 2.0):
             assert comp.value(2.0 * y + 0.5) == pytest.approx(term.value(y), rel=1e-12)
+    # a zero top coefficient leaves a zero power of x, which is trimmed
+    assert SeparableTerm(1, "poly", (1.0, 0.0)).compose_affine(2.0, 1.0).params == (1.0,)
 
 
 def test_gradient_matches_partial_derivatives():

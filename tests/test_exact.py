@@ -416,32 +416,46 @@ class TestAttributeAssBatch:
         entities=st.sampled_from([1, 2, 37]),
         still=st.floats(0.0, 0.5),
         constant=st.floats(-5.0, 5.0),
+        wide=st.none() | st.integers(0, 24),
+        extreme=st.sampled_from([0.0, 0.05, 0.3]),
     )
-    def test_matches_per_pair_kernel(self, seed, entities, still, constant):
-        from hypothesis import assume
-
+    def test_matches_per_pair_kernel(self, seed, entities, still, constant, wide, extreme):
+        """Every row has the bits of `attribute_ass`, and a failing row raises its error."""
         from attrib import InstanceGenerator
-        from attrib.exact import attribute_ass_batch
+        from attrib.exact import _ARRAY_DEGREE, attribute_ass_batch
 
         gen = InstanceGenerator(seed=seed, n_range=(1, 9), terms_range=(0, 12))
         f, vp, rng = gen.instance(0)
-        f = combine(f, from_terms(f.n, {(): constant}))  # constants change nothing
         pairs = [vp] + [gen.pair(rng, f.n) for _ in range(entities - 1)]
-        # some variables keep their value in every entity
-        fixed = [i for i in range(f.n) if rng.random() < still]
-        pairs = [ValuePair(p.r, tuple(p.r[i] if i in fixed else v for i, v in enumerate(p.s))) for p in pairs]
+        terms = list(f.multilinear.terms.items()) + [((), constant)]  # constants change nothing
+        n = f.n
+        if wide is not None:
+            # a monomial that `attribute_ass` also takes through its array pass, over new variables as needed
+            n = max(n, _ARRAY_DEGREE + wide)
+            terms.append((rng.sample(range(1, n + 1), _ARRAY_DEGREE + wide), rng.uniform(-10.0, 10.0)))
+        f = from_terms(n, terms, f.separable)
+        # some variables keep their value in every entity; some values are signed zeros, huge or subnormal
+        fixed = [i for i in range(n) if rng.random() < still]
+        specials = [0.0, -0.0, 1e154, -1e154, 3e307, -3e307, 5e-324, -5e-324]
+        rows = []
+        for p, q in zip(pairs, [gen.pair(rng, n - len(vp.r)) for _ in pairs]):
+            r = [rng.choice(specials) if rng.random() < extreme else v for v in p.r + q.r]
+            s = [r[i] if i in fixed else rng.choice(specials) if rng.random() < extreme else v for i, v in enumerate(p.s + q.s)]
+            rows.append(ValuePair(r, s))
+        want = []
+        for p in rows:
+            try:
+                want.append(attribute_ass(f, p))
+            except ValueError as exc:
+                want.append(exc)  # a separable term outside its domain or overflowing
+                break
         try:
-            want = [attribute_ass(f, p) for p in pairs]
-        except ValueError:
-            assume(False)  # a log term saw a nonpositive argument
-        got = attribute_ass_batch(f, [p.r for p in pairs], [p.s for p in pairs])
-        assert len(got) == entities
-        for a, b in zip(got, want):
-            assert a.method == "ass" and a.converged
-            for x, y in zip(a.z, b.z):
-                assert abs(x - y) <= 1e-13 * max(1.0, abs(y))
-            # the kernels sum monomials in different orders, so residuals agree to rounding of the z's scale
-            assert abs(a.residual - b.residual) <= 1e-13 * max(1.0, math.fsum(map(abs, b.z)))
+            got = attribute_ass_batch(f, [p.r for p in rows], [p.s for p in rows])
+        except ValueError as exc:
+            assert isinstance(want[-1], ValueError)
+            assert (type(exc), str(exc), exc.row) == (type(want[-1]), str(want[-1]), len(want) - 1)
+            return
+        assert [repr(res) for res in got] == [repr(res) for res in want]
 
     @pytest.mark.parametrize(
         "model, chunk", [("payperclick", 66), ("layered-dag", 48), ("mixed-degree", 48)], ids=["payperclick", "layered-dag", "mixed-degree"]
@@ -455,7 +469,7 @@ class TestAttributeAssBatch:
         if model == "payperclick":
             f = compile_model(payperclick_model(3))  # 11 variables, degree 5: 3 Gauss nodes
         elif model == "mixed-degree":
-            # monomials of degree 1, 2, 3 and 5 over 8 variables, all at the 3 Gauss nodes of degree 5
+            # monomials of degree 1, 2, 3 and 5 over 8 variables, each at its own 1, 1, 2 and 3 Gauss nodes
             f = from_terms(8, {(1,): 2.0, (2, 3): -1.5, (4, 5, 6): 0.5, (1, 3, 5, 7, 8): 1.25}, [SeparableTerm(2, "poly", (0.0, 0.0, 1.0))])
         else:
             # 3 layers of 2 nodes into a sink: 12 variables on 7 nodes, degree 4: 2 Gauss nodes
@@ -466,7 +480,8 @@ class TestAttributeAssBatch:
         R = [[rng.uniform(0.5, 2.0) for _ in range(f.n)] for _ in range(11)]
         S = [[rng.uniform(0.5, 2.0) for _ in range(f.n)] for _ in range(11)]
         whole = exact.attribute_ass_batch(f, R, S)
-        monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", chunk)  # 2 entities x Gauss nodes x variables per chunk
+        # entities per chunk: 6 of a model (chunk // variables), 2 of the graph (chunk // (Gauss nodes x variables))
+        monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", chunk)
         assert exact.attribute_ass_batch(f, R, S) == whole
 
     def test_functions_without_monomials(self):

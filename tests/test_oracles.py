@@ -57,9 +57,12 @@ class TestBruteforce:
         assert res.z[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_cap_enforced(self):
-        n = 11
-        with pytest.raises(ValueError):
-            shapley_shubik_bruteforce(product_function(n), ValuePair((0.0,) * n, (1.0,) * n))
+        for n, message in [(11, "order enumeration capped at 10 variables, got 11"), (0, "need at least one variable")]:
+            vp = ValuePair((0.0,) * n, (1.0,) * n)
+            with pytest.raises(ValueError, match=message):
+                shapley_shubik_bruteforce(product_function(n), vp)
+            with pytest.raises(ValueError, match=message):
+                random_order_attribution(product_function(n), vp, PermutationWeights.single((1,)))
 
     def test_single_variable(self):
         res = shapley_shubik_bruteforce(lambda x: x[0] ** 3, ValuePair((1.0,), (2.0,)))
