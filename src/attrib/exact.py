@@ -30,7 +30,10 @@ of that row, built by a two-buffer recursion in O(m^2) time and O(m) memory.
 
 `attribute_ass_batch` applies the same rule to many value pairs at once.
 Each monomial of a model takes the array pass over every pair's row at
-once, so each row has `attribute_ass`'s bits.  A flow graph
+once, so each row has `attribute_ass`'s bits.  Every row's f(r) and f(s)
+come from one pass over the columns of the value arrays: per monomial, c
+times each of its columns in turn, added into a total that starts at 0.0,
+which are `evaluate`'s operations in its order.  A flow graph
 (`attrib.models.DagModel`) has no monomials: z = (s - r) * sum_g w_g
 grad(r + t_g (s - r)) over the ceil(D / 2) Gauss-Legendre nodes of its
 degree D, which bounds that of every route's term, with each gradient from
@@ -275,8 +278,12 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
 
     For a model, each monomial, in ``f.multilinear.terms`` order, takes
     `_node_partials_sum` at its own ceil(m / 2) Gauss nodes over all rows
-    of a chunk of entities, and `_finish` adds the separable terms to z and
-    to each row's values from ``MultilinearPoly.evaluate``: every row has
+    of a chunk of entities.  Every row's multilinear f(r) and f(s) come from
+    one column pass: per monomial in that order, constants included, a
+    product that starts at c and is multiplied by each column of I in turn,
+    added to a total that starts at 0.0, which are
+    ``MultilinearPoly.evaluate``'s operations in its order.  `_finish` adds
+    the separable terms to z and to those values: every row has
     `attribute_ass`'s bits.  A `DagModel` has no monomials: z is
     (S - R) * sum_g w_g grad(R + t_g (S - R)) over the ceil(D / 2) nodes of
     its degree D, from one gradient call over all nodes of a chunk, which
@@ -319,10 +326,18 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
                     cols = [j - 1 for j in I]
                     Dm = Dc[:, cols]
                     Zc[:, cols] += c * Dm * _node_partials_sum(Rc[:, cols], Dm, (len(I) + 1) // 2)
+        # every row's f(r) and f(s) from the columns, with `MultilinearPoly.evaluate`'s operations in its order
+        F_r, F_s = np.zeros(E), np.zeros(E)
+        for I, c in f.multilinear.terms.items():
+            for X, F in ((R, F_r), (S, F_s)):
+                p = np.full(E, c)
+                for j in I:
+                    p *= X[:, j - 1]
+                F += p
     results = []
-    for e, (z, r, s) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist())):
+    for e, (z, r, s, f_r, f_s) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist(), F_r.tolist(), F_s.tolist())):
         try:
-            results.append(_finish(f, z, r, s, f.multilinear.evaluate(r), f.multilinear.evaluate(s)))
+            results.append(_finish(f, z, r, s, f_r, f_s))
         except (ValueError, OverflowError) as exc:
             exc.row = e
             raise

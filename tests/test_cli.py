@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import attrib
 from attrib.cli import main
 from attrib.models import parse_model, parse_snapshots
 from attrib.reports import Report, mix_effects_demo, parse_order_weights, render_machine, render_text, run_report
@@ -22,6 +26,15 @@ a p c : 1
 """
 
 VALUES = "entity,variable,initial,final\nq2,a,4,5\nq2,p,1,12\nq2,c,1,1.5\n"
+
+
+# two more entities for MODEL, each with its own values
+MORE_VALUES = "q3,a,2,3\nq3,p,5,4\nq3,c,2,1\nq4,a,1,1\nq4,p,2,3\nq4,c,0.5,2\n"
+
+
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports the attrib these tests import."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(attrib.__file__))}
 
 
 @pytest.fixture
@@ -714,20 +727,33 @@ class TestCli:
         assert "entity: e" in capsys.readouterr().out
 
     def test_import_does_not_load_scipy(self):
-        import os
-        import subprocess
-        import sys
-
-        import attrib
-
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(attrib.__file__))}
         # scipy serves one optional test; hashlib (OpenSSL, a few MB) only the value-variant weight rule
         code = (
             "import sys, attrib.cli;"
             " print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')))"
         )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env()).stdout
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "report, render, sep", [("machine", render_machine, "\n"), ("text", render_text, "\n\n")], ids=["machine", "text"]
+    )
+    def test_each_report_is_written_as_it_is_rendered(self, model_files, monkeypatch, report, render, sep):
+        model, values = model_files
+        with open(values, "a") as file:
+            file.write(MORE_VALUES)
+        reports = run_report(parse_model(MODEL), parse_snapshots(VALUES + MORE_VALUES))
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["--model", model, "--values", values, "--report", report]) == 0
+        assert max(map(len, writes)) <= max(len(render(r)) for r in reports) + len(sep)
+        assert "".join(writes) == sep.join(render(r) for r in reports) + "\n"
 
     def test_demo(self, capsys):
         assert main(["--demo", "mix-effects"]) == 0
@@ -869,3 +895,44 @@ class TestCli:
         orders.write_text("a p c : 0.5\nc p a : 0.5\n")
         assert main(["--model", model, "--values", values, "--method", f"random-order:{orders}"]) == 0
         assert "total change: 86" in capsys.readouterr().out
+
+
+class TestEntryPoint:
+    """`python -m attrib.cli` goes through `run()`, which freezes the import-time objects out of the collector."""
+
+    @pytest.mark.parametrize("case", ["ok", "flagged", "bad-entity"])
+    @pytest.mark.parametrize("report", ["machine", "text"])
+    def test_same_output_as_main(self, tmp_path, capsys, case, report):
+        model = tmp_path / "model.txt"
+        values = tmp_path / "values.csv"
+        if case == "flagged":  # entity 'big' overflows: exit 3
+            model.write_text("[variables]\na b\n[multilinear]\na b : 1e300\n")
+            values.write_text("ok,a,1,2\nok,b,1,3\nbig,a,1e10,2e10\nbig,b,1e10,3e10\n")
+        else:  # segments and a separable term; entity 'q3' leaves the log term's domain: exit 2
+            model.write_text(MODEL + "[separable]\np : log 1 0 1\n")
+            values.write_text(VALUES + (MORE_VALUES if case == "ok" else "q3,a,4,5\nq3,p,-1,12\nq3,c,1,1.5\n"))
+        argv = ["--model", str(model), "--values", str(values), "--report", report]
+        child = subprocess.run([sys.executable, "-m", "attrib.cli", *argv], capture_output=True, env=_child_env(), timeout=120)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (child.returncode, child.stdout, child.stderr.decode()) == (code, captured.out.encode(), captured.err)
+        assert code == {"ok": 0, "flagged": 3, "bad-entity": 2}[case]
+
+    @pytest.mark.parametrize("report", ["machine", "text"])
+    def test_closed_stdout_is_one_error_line(self, tmp_path, report):
+        # 600 entities, more output than a pipe holds.  Entity e1's 8,000-character name makes its report one large
+        # write after e0's small one, so e0's records still sit in stdout's buffer when the write fails, and the
+        # interpreter's flush at exit would fail on them again.  PYTHONUNBUFFERED would leave nothing buffered.
+        model = tmp_path / "model.txt"
+        model.write_text(MODEL)
+        values = tmp_path / "values.csv"
+        rows = VALUES.split("\n", 1)[1]
+        values.write_text("".join(rows.replace("q2", f"e{k}" + "x" * 8000 * (k == 1)) for k in range(600)))
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [sys.executable, "-m", "attrib.cli", "--model", str(model), "--values", str(values), "--report", report]
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()  # before the child writes anything
+        _, err = child.communicate(timeout=120)
+        assert err.decode() == "error: [Errno 32] Broken pipe\n"  # one line: no traceback, no "Exception ignored"
+        assert child.returncode == 2

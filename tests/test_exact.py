@@ -457,6 +457,24 @@ class TestAttributeAssBatch:
             return
         assert [repr(res) for res in got] == [repr(res) for res in want]
 
+    def test_change_comes_from_the_columns_not_evaluate(self, monkeypatch):
+        """f(r) and f(s) of a model's rows come from one column pass with `evaluate`'s bits, a constant included."""
+        from attrib.core import MultilinearPoly
+        from attrib.exact import attribute_ass_batch
+
+        f = from_terms(3, {(): 2.5, (1, 2): 1e300, (2, 3): -1e300, (1, 2, 3): 1.5}, [SeparableTerm(3, "poly", (0.0, 0.0, 1.0))])
+        R = [[0.5, -1.0, 2.0], [1.0, 1.0, 1.0], [1e10, 1e10, 1e10], [0.0, -0.0, 3.0]]
+        S = [[1.5, 2.0, -0.25], [1e10, 1.0, 1.0], [2e10, 3e10, 1e10], [-0.0, 1e-300, 3.0]]
+        want = [attribute_ass(f, ValuePair(r, s)) for r, s in zip(R, S)]
+        # row 1's f(s) overflows to inf; in row 2 two products overflow to inf and -inf, which add to nan
+        assert math.isinf(want[1].change) and math.isnan(want[2].change)
+
+        def refuse(self, x):
+            raise AssertionError("attribute_ass_batch called MultilinearPoly.evaluate")
+
+        monkeypatch.setattr(MultilinearPoly, "evaluate", refuse)
+        assert [repr(res) for res in attribute_ass_batch(f, R, S)] == [repr(res) for res in want]
+
     @pytest.mark.parametrize(
         "model, chunk", [("payperclick", 66), ("layered-dag", 48), ("mixed-degree", 48)], ids=["payperclick", "layered-dag", "mixed-degree"]
     )
