@@ -20,6 +20,7 @@ from .core import (
     CharacteristicFunction,
     SeparableTerm,
     ValuePair,
+    _change,
     affine_reparameterize,
     combine,
     evaluate,
@@ -160,7 +161,7 @@ def _certified_monotone(f: CharacteristicFunction, vp: ValuePair, i: int, floor:
 def _check_completeness(method: Method, gen: InstanceGenerator, trial: int):
     f, vp, _ = gen.instance(trial)
     res = method(f, vp)
-    total = evaluate(f, vp.s) - evaluate(f, vp.r)
+    total = _change(f, vp)
     viol = _gap(math.fsum(res.z), total)
     return viol, _describe(f, vp, z=list(res.z), change=total, residual=math.fsum(res.z) - total)
 

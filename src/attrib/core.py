@@ -235,9 +235,11 @@ class CharacteristicFunction:
     Separable terms are kept as given, sorted by variable, kind and
     parameters; two terms on one variable are never combined.
 
-    Every method reads f through two calls: ``f(x)``, the value at one
-    point, and ``f.gradients(X)``, the gradients at the N rows of an N x n
-    array.  A flow graph (`attrib.models.DagModel`) answers the same two.
+    Every method reads f through three calls: ``f(x)``, the value at one
+    point, ``f.gradients(X)``, the gradients at the N rows of an N x n
+    array, and ``f.changes(R, S)``, the changes f(s) - f(r) between the E
+    row pairs of two E x n arrays.  A flow graph (`attrib.models.DagModel`)
+    answers the same three.
     """
 
     multilinear: MultilinearPoly
@@ -278,6 +280,37 @@ class CharacteristicFunction:
                 for i, d in derivs:
                     g[i] += d.value(x[i])  # a numpy scalar add, which warns on overflow outside errstate
         return G
+
+    def changes(self, R, S) -> np.ndarray:
+        """f(s) - f(r) for every pair of rows (r, s) of two E x n arrays, as E values, from differences.
+
+        A monomial c * prod_I x changes by the telescoped pair: from q = 0
+        and p = c, for each j of I in turn, q <- q r_j + p (s_j - r_j), then
+        p <- p s_j.  q then holds c (prod_I s - prod_I r) as a sum of terms
+        that each carry one difference s_j - r_j, so nothing cancels when s
+        is near r, as f(s) - f(r) would.  The monomials are added in key
+        order into a total that starts at 0.0, then each separable term's
+        v_s - v_r, its value tried at s before r.  Products that overflow
+        give inf or nan, as in plain float arithmetic.
+        """
+        R = np.asarray(R, dtype=float)
+        S = np.asarray(S, dtype=float)
+        if R.ndim != 2 or R.shape != S.shape or R.shape[1] != self.n:
+            raise ValueError(f"dimension mismatch: function has {self.n} variables, got points of shapes {R.shape} and {S.shape}")
+        out = []
+        for r, s in zip(R.tolist(), S.tolist()):
+            total = 0.0
+            for I, c in self.multilinear.terms.items():
+                q, p = 0.0, c
+                for j in I:
+                    a, b = r[j - 1], s[j - 1]
+                    q = q * a + p * (b - a)
+                    p *= b
+                total += q
+            for t in self.separable:
+                total += t.value(s[t.index - 1]) - t.value(r[t.index - 1])
+            out.append(total)
+        return np.array(out)
 
     def as_dict(self) -> dict:
         return {
@@ -353,6 +386,20 @@ def _exact_sum(values: Iterable[float]) -> float:
         return math.fsum(values)
     except (OverflowError, ValueError):
         return math.nan
+
+
+def _change(f, vp: ValuePair, ends: tuple[float, float] | None = None) -> float:
+    """The change f(s) - f(r) of a model or flow graph from ``f.changes``; of a black box, its value at s less its value at r.
+
+    A black box has no structure to difference.  A caller that already
+    holds its values (f(r), f(s)) passes them as ends, so that it is not
+    evaluated again.
+    """
+    if hasattr(f, "changes"):
+        return float(f.changes([vp.r], [vp.s])[0])
+    if ends is not None:
+        return float(ends[1]) - float(ends[0])
+    return float(f(list(vp.s))) - float(f(list(vp.r)))
 
 
 def _check_dims(f: CharacteristicFunction, x: Sequence[float]):

@@ -13,12 +13,16 @@ each node prefix and suffix products give every member's partial in O(m):
 O(m^2) per monomial.  A monomial of degree _ARRAY_DEGREE or more gets all
 its nodes' partials from one numpy pass, which multiplies and adds in the
 order of the pure-Python loop that smaller ones take, so the two give the
-same bits.  Separable terms use the endpoint rule f_i(s_i) - f_i(r_i).  The
-change f(s) - f(r) comes from the same pass: the loop that gathers each
-monomial's endpoints also multiplies out its value at r and at s, and each
-separable term's two endpoint values go into both the attribution and the
-two sums.  Every product and sum is taken in `evaluate`'s order, so the
-change has its bits without evaluating f twice more.
+same bits.  Separable terms use the endpoint rule f_i(s_i) - f_i(r_i).
+
+Every method reads f through three calls: ``f(x)``, ``f.gradients(X)`` and
+``f.changes(R, S)``, which takes the change f(s) - f(r) from differences
+(`attrib.core.CharacteristicFunction.changes`,
+`attrib.models.DagModel.changes`), so it does not cancel when s is near r.
+The `ass` kernels take the same rule inside their own passes: the loop that
+gathers each monomial's endpoints also runs its telescoped pair, and each
+separable term's endpoint difference goes into both the attribution and
+the change, so the change has ``f.changes``'s bits without a second pass.
 
 `attribute_monomial` keeps the paper's dynamic program as the reference
 oracle: for member i it is c * (s_i - r_i) * sum_k w_k(m) * X_k, where
@@ -30,15 +34,14 @@ of that row, built by a two-buffer recursion in O(m^2) time and O(m) memory.
 
 `attribute_ass_batch` applies the same rule to many value pairs at once.
 Each monomial of a model takes the array pass over every pair's row at
-once, so each row has `attribute_ass`'s bits.  Every row's f(r) and f(s)
-come from one pass over the columns of the value arrays: per monomial, c
-times each of its columns in turn, added into a total that starts at 0.0,
-which are `evaluate`'s operations in its order.  A flow graph
+once, so each row has `attribute_ass`'s bits, its change included: the
+telescoped pair runs over the columns of the monomial.  A flow graph
 (`attrib.models.DagModel`) has no monomials: z = (s - r) * sum_g w_g
 grad(r + t_g (s - r)) over the ceil(D / 2) Gauss-Legendre nodes of its
 degree D, which bounds that of every route's term, with each gradient from
 one forward and one backward pass over the graph, O(ceil(D / 2) (V + E))
-per pair however many routes there are.
+per pair however many routes there are, and its change from
+``DagModel.changes``.
 
 Everything runs in plain double precision.  Both kernels multiply only
 values that lie between the endpoints of each variable (DP cells are
@@ -54,7 +57,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _monomial_partials
+from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _change, _monomial_partials
 from .models import DagModel
 from .paths import _nodes
 
@@ -177,11 +180,10 @@ def attribute_ass(f: CharacteristicFunction | DagModel, vp: ValuePair) -> Attrib
     degree _ARRAY_DEGREE up that is one numpy pass over all the nodes, below
     it a pure-Python loop; both give the same bits.  Monomials are folded in
     ascending key order so results are bit-stable across runs.  One explicit
-    loop per monomial gathers r_j and s_j in I order, builds d_j, and
-    multiplies out c * prod r_j and c * prod s_j, which are summed in
-    `evaluate`'s order; `_finish` adds the separable terms, so the change
-    f(s) - f(r) has `evaluate`'s bits.  A flow graph is the one-row
-    `attribute_ass_batch`.
+    loop per monomial gathers r_j and s_j in I order, builds d_j, and runs
+    the telescoped pair of ``f.changes``; `_finish` adds the separable
+    terms, so the change has ``f.changes``'s bits.  A flow graph is the
+    one-row `attribute_ass_batch`.
     """
     if vp.n != f.n:
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
@@ -189,18 +191,18 @@ def attribute_ass(f: CharacteristicFunction | DagModel, vp: ValuePair) -> Attrib
         return attribute_ass_batch(f, [vp.r], [vp.s])[0]
     r, s = vp.r, vp.s
     z = [0.0] * f.n
-    f_r = f_s = 0.0
+    change = 0.0
     for I, c in f.multilinear.terms.items():
         rv, dv = [], []
-        p_r = p_s = c
+        q, p = 0.0, c
         for j in I:
             a, b = r[j - 1], s[j - 1]
+            d = b - a
             rv.append(a)
-            dv.append(b - a)
-            p_r *= a
-            p_s *= b
-        f_r += p_r
-        f_s += p_s
+            dv.append(d)
+            q = q * a + p * d
+            p *= b
+        change += q
         if not I:
             continue  # a constant has no members and changes nothing
         count = (len(I) + 1) // 2
@@ -215,7 +217,7 @@ def attribute_ass(f: CharacteristicFunction | DagModel, vp: ValuePair) -> Attrib
                 acc = list(map(add, acc, _monomial_partials([a + t * d for a, d in zip(rv, dv)], w)))
         for j, d, a in zip(I, dv, acc):
             z[j - 1] += c * d * a
-    return _finish(f, z, r, s, f_r, f_s)
+    return _finish(f, z, r, s, change)
 
 
 @lru_cache(maxsize=None)
@@ -255,22 +257,18 @@ def _node_partials_sum(r, d, count: int) -> np.ndarray:
     return acc
 
 
-def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Sequence[float], f_r: float, f_s: float) -> AttributionResult:
-    """Add the separable endpoint rule to z and to the multilinear values f_r and f_s, and take the change f_s - f_r.
+def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Sequence[float], change: float) -> AttributionResult:
+    """Add each separable term's v_s - v_r to z and to the multilinear change, in ``f.changes``'s order.
 
-    One loop over the terms evaluates each once at s, then once at r, and
-    adds v_s - v_r to z, v_s to f_s and v_r to f_r.  The sums follow
-    `evaluate`'s order, so the change has its bits.  The first term outside
-    its domain, tried at s before r, raises its `DomainError`.
+    The first term outside its domain, tried at s before r, raises its
+    `DomainError`.
     """
     for t in f.separable:
         i = t.index - 1
-        v_s = t.value(s[i])
-        v_r = t.value(r[i])
-        z[i] += v_s - v_r
-        f_s += v_s
-        f_r += v_r
-    return AttributionResult("ass", tuple(z), f_s - f_r)
+        v = t.value(s[i]) - t.value(r[i])
+        z[i] += v
+        change += v
+    return AttributionResult("ass", tuple(z), change)
 
 
 def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[AttributionResult]:
@@ -278,19 +276,15 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
 
     For a model, each monomial, in ``f.multilinear.terms`` order, takes
     `_node_partials_sum` at its own ceil(m / 2) Gauss nodes over all rows
-    of a chunk of entities.  Every row's multilinear f(r) and f(s) come from
-    one column pass: per monomial in that order, constants included, a
-    product that starts at c and is multiplied by each column of I in turn,
-    added to a total that starts at 0.0, which are
-    ``MultilinearPoly.evaluate``'s operations in its order.  `_finish` adds
-    the separable terms to z and to those values: every row has
-    `attribute_ass`'s bits.  A `DagModel` has no monomials: z is
-    (S - R) * sum_g w_g grad(R + t_g (S - R)) over the ceil(D / 2) nodes of
-    its degree D, from one gradient call over all nodes of a chunk, which
-    expands no routes, and the change takes f at both ends from chunked
-    forward passes of `DagModel.flow`.  Chunks keep every temporary near
-    _CHUNK_ELEMENTS.  An exception raised while evaluating an entity
-    carries that entity's row number as ``exc.row``.
+    of a chunk of entities, and its telescoped pair over the same columns
+    gives every row's multilinear change.  `_finish` adds the separable
+    terms to z and to that change: every row has `attribute_ass`'s bits.
+    A `DagModel` has no monomials: z is (S - R) * sum_g w_g grad(R + t_g
+    (S - R)) over the ceil(D / 2) nodes of its degree D, from one gradient
+    call over all nodes of a chunk, which expands no routes, and the change
+    comes from ``DagModel.changes`` on the chunk.  Chunks keep every
+    temporary near _CHUNK_ELEMENTS.  An exception raised while evaluating
+    an entity carries that entity's row number as ``exc.row``.
     """
     R = np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -304,6 +298,7 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
         raise ValueError("value vectors must be finite")
     E = R.shape[0]
     Z = np.zeros_like(R)
+    F = np.zeros(E)
     if isinstance(f, DagModel):
         t, w = _unit_gauss_arrays((f.degree + 1) // 2)
         step = max(1, _CHUNK_ELEMENTS // (max(f.n, len(f.nodes)) * len(w)))  # flow keeps V x N arrays
@@ -315,29 +310,28 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
                 for g, wg in enumerate(w.tolist()):
                     acc += wg * G[g * len(Rc) : (g + 1) * len(Rc)]
                 Z[lo : lo + step] += Dc * acc
-        f_r, f_s = (np.concatenate([f._forward(X[lo : lo + step])[1][f._plan.sink] for lo in range(0, E, step)]).tolist() for X in (R, S))
-        return [AttributionResult("ass", tuple(z), b - a) for z, a, b in zip(Z.tolist(), f_r, f_s)]
+                F[lo : lo + step] = f.changes(Rc, S[lo : lo + step])
+        return [AttributionResult("ass", tuple(z), change) for z, change in zip(Z.tolist(), F.tolist())]
     step = max(1, _CHUNK_ELEMENTS // max(f.n, 1))  # each monomial's points and partials are E x m, m <= n
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, E, step):
-            Rc, Dc, Zc = R[lo : lo + step], S[lo : lo + step] - R[lo : lo + step], Z[lo : lo + step]
+            Rc, Sc, Zc, Fc = R[lo : lo + step], S[lo : lo + step], Z[lo : lo + step], F[lo : lo + step]
+            Dc = Sc - Rc
             for I, c in f.multilinear.terms.items():
                 if I:  # a constant has no members and changes nothing
                     cols = [j - 1 for j in I]
                     Dm = Dc[:, cols]
                     Zc[:, cols] += c * Dm * _node_partials_sum(Rc[:, cols], Dm, (len(I) + 1) // 2)
-        # every row's f(r) and f(s) from the columns, with `MultilinearPoly.evaluate`'s operations in its order
-        F_r, F_s = np.zeros(E), np.zeros(E)
-        for I, c in f.multilinear.terms.items():
-            for X, F in ((R, F_r), (S, F_s)):
-                p = np.full(E, c)
-                for j in I:
-                    p *= X[:, j - 1]
-                F += p
+                    q, p = np.zeros(len(Rc)), np.full(len(Rc), c)
+                    for j in cols:  # the telescoped pair of `CharacteristicFunction.changes`, a column at a time
+                        q *= Rc[:, j]
+                        q += p * Dc[:, j]
+                        p *= Sc[:, j]
+                    Fc += q
     results = []
-    for e, (z, r, s, f_r, f_s) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist(), F_r.tolist(), F_s.tolist())):
+    for e, (z, r, s, change) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist(), F.tolist())):
         try:
-            results.append(_finish(f, z, r, s, f_r, f_s))
+            results.append(_finish(f, z, r, s, change))
         except (ValueError, OverflowError) as exc:
             exc.row = e
             raise
@@ -354,4 +348,4 @@ def attribute_naive(f, vp: ValuePair) -> AttributionResult:
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
     g = f.gradients([vp.s])[0].tolist()
     z = tuple(g[k] * (vp.s[k] - vp.r[k]) for k in range(f.n))
-    return AttributionResult("naive", z, f(vp.s) - f(vp.r))
+    return AttributionResult("naive", z, _change(f, vp))

@@ -25,11 +25,12 @@ Graph file grammar::
     a b : p_ab
 
 A graph's model is the expected arrivals at its sink.  A `DagModel` answers
-the two calls every method makes of a compiled model, ``d(x)`` and
-``d.gradients(X)``, from `DagModel.flow`: a forward and a backward pass
-over the graph, with no routes.  `compile_dag` expands a graph into one
-term per (start, route) pair; no method needs it, and it stays as the route
-expansion that tests check the flow passes against.
+the three calls every method makes of a compiled model, ``d(x)``,
+``d.gradients(X)`` and ``d.changes(R, S)``, from the passes of
+`DagModel.flow`: forward and backward over the graph, with no routes.
+`compile_dag` expands a graph into one term per (start, route) pair; no
+method needs it, and it stays as the route expansion that tests check the
+flow passes against.
 
 Snapshots are CSV rows ``entity,variable,initial,final`` (header optional),
 read in one pass that checks each row as it comes, into one columnar
@@ -264,10 +265,11 @@ class DagModel:
     route.  Routes stop at the sink and repeat no edge, so the function is
     multilinear, of degree 1 plus the edge count of the longest route from a
     start.  Like a `CharacteristicFunction`, ``d(x)`` gives its value at one
-    point and ``d.gradients(X)`` its gradients at N points, both from `flow`
-    (the value from its forward pass alone), so no method expands a graph's
-    routes; the reference `compile_dag` expands them into a `ModelSpec`.
-    All use the variable order of `variables`.
+    point, ``d.gradients(X)`` its gradients at N points and
+    ``d.changes(R, S)`` its changes between N pairs of points, all from the
+    passes of `flow`, so no method expands a graph's routes; the reference
+    `compile_dag` expands them into a `ModelSpec`.  All use the variable
+    order of `variables`.
 
     A graph is checked once, when it is built: construction raises
     ModelError on a cycle or on a start node that cannot reach the sink.
@@ -324,6 +326,34 @@ class DagModel:
     def gradients(self, X) -> np.ndarray:
         """Gradients at every row of the N x n array X, as an N x n array, from `flow`."""
         return self.flow(X)[1]
+
+    def changes(self, R, S) -> np.ndarray:
+        """Expected sink arrivals at each row of S less those at the same row of R, two N x n arrays, as N values.
+
+        Beside the forward pass of `flow` at R, one more pass in the same
+        order carries each node's change of inflow: the sum over its edges
+        of the tail's change times the edge's probability at s plus the
+        tail's inflow at r times the edge's change, in edge order, plus the
+        change of its start count.  Every term carries one difference, so
+        nothing cancels when S is near R, as the sink's inflow at S less
+        that at R would.  Products that overflow give inf or nan.
+        """
+        RT, inflow = self._forward(R)
+        S = np.asarray(S, dtype=float)
+        if S.shape != RT.shape[::-1]:
+            raise ValueError(f"dimension mismatch: graph has {self.n} variables, got points of shapes {np.shape(R)} and {S.shape}")
+        ST = np.ascontiguousarray(S.T)
+        delta = np.zeros_like(inflow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            DT = ST - RT
+            for k, tails, cols, start in self._plan.forward:
+                if len(tails):
+                    terms = delta[tails] * ST[cols]
+                    terms += inflow[tails] * DT[cols]
+                    delta[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+                if start is not None:
+                    delta[k] += DT[start]
+        return delta[self._plan.sink]
 
     def _build_plan(self) -> _FlowPlan:
         """The index arrays `flow` walks and the degree; raises on a cycle, then on the first start that cannot reach the sink."""

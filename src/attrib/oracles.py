@@ -16,6 +16,8 @@ prefix over the n = 8 table, so no larger table is ever built.  A
 `PermutationWeights` builds its own table, weight vector and corner list
 once, on first use.  Orders are represented as tuples listing variables
 (1-based) in the sequence they move, e.g. (2, 1) moves variable 2 first.
+The change comes from ``f.changes`` for a model or a flow graph, and from
+the corner values at s and r for a black box.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, ValuePair, _check_permutation
+from .core import AttributionResult, ValuePair, _change, _check_permutation
 
 __all__ = [
     "ORDER_CAP",
@@ -183,8 +185,7 @@ def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
             others = [v for v in range(n) if v not in prefix]
             z[others] += _walk(table, vals[_spread(others) | mask])
         z /= math.factorial(n)
-        change = vals[-1] - vals[0]
-    return AttributionResult("ss-brute", tuple(float(v) for v in z), change)
+    return AttributionResult("ss-brute", tuple(float(v) for v in z), _change(f, vp, (vals[0], vals[-1])))
 
 
 def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> AttributionResult:
@@ -201,9 +202,7 @@ def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> Attrib
     vals = np.empty(1 << n, dtype=np.float64)
     vals[corners] = [f(_corner(vp, mask)) for mask in corners]
     z = _walk(befores, vals, weights)
-    with np.errstate(over="ignore", invalid="ignore"):
-        change = vals[-1] - vals[0]
-    return AttributionResult("random-order", tuple(z.tolist()), change)
+    return AttributionResult("random-order", tuple(z.tolist()), _change(f, vp, (vals[0], vals[-1])))
 
 
 def value_variant_attribution(f, vp: ValuePair, weight_fn: Callable[[ValuePair], PermutationWeights]) -> AttributionResult:

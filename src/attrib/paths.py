@@ -6,10 +6,11 @@ r + (s - r) * gamma(t), and the attribution to variable i is the integral of
 d_i f along that path times the i-th velocity, taken at all the nodes of a
 pass at once by one ``f.gradients`` call.  A model, a flow graph and a
 `BlackBoxFunction` all answer that call; a plain callable is wrapped in a
-black box.  Integrals use composite Gauss-Legendre panels that double
-until two successive estimates agree to the requested tolerance; failure to
-converge is flagged on the result rather than raised, so verification
-harnesses can report it.
+black box.  The change comes from ``f.changes`` for a model or a flow
+graph, and from a black box's values at s and r.  Integrals use composite
+Gauss-Legendre panels that double until two successive estimates agree to
+the requested tolerance; failure to converge is flagged on the result
+rather than raised, so verification harnesses can report it.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, ValuePair, _check_permutation
+from .core import AttributionResult, ValuePair, _change, _check_permutation
 
 __all__ = [
     "QuadratureConfig",
@@ -262,7 +263,7 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
             converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
             if converged or not np.isfinite(z).all():
                 break
-    return AttributionResult(f"path:{base.kind}", tuple(z.tolist()), f(list(vp.s)) - f(list(vp.r)), converged)
+    return AttributionResult(f"path:{base.kind}", tuple(z.tolist()), _change(f, vp), converged)
 
 
 def attribute_aumann_shapley(f, vp: ValuePair, q: QuadratureConfig | None = None) -> AttributionResult:

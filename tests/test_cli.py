@@ -470,12 +470,13 @@ class TestCli:
         [c] = [r for r in records if r.get("variable") == "c"]
         # 2e308 * (ln 2.2 - ln 2.1), taken in mpmath from the doubles 0.2 + 2 and 0.1 + 2
         assert c["attribution"] == pytest.approx(9.304003126978579e306, rel=1e-12)
-        # from 1 to 2 the terms' sum, f itself, overflows: flagged, not refused
+        # from 1 to 2 the terms' sum, f itself, overflows, but each term's change is finite: so is their sum, trusted
         values.write_text("e,a,1,2\ne,p,3,4\ne,c,1,2\n")
-        assert main(["--model", str(model), "--values", str(values), "--report", "machine"]) == 3
+        assert main(["--model", str(model), "--values", str(values), "--report", "machine"]) == 0
         captured = capsys.readouterr()
         summary = json.loads(captured.out.splitlines()[-1])
-        assert captured.err == "" and summary["record"] == "summary" and summary["converged"] is False
+        assert captured.err == "" and summary["record"] == "summary" and summary["converged"] is True
+        assert summary["total_change"] == pytest.approx(2 * (1e308 * math.log(4 / 3)), rel=1e-12)
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -819,7 +820,7 @@ class TestCli:
         assert "warning: the residual exceeds 1e-09 of |total change| + sum |attribution|" in capsys.readouterr().out
 
     def test_residual_gate_flags_a_cancelling_ass_row(self, tmp_path, capsys):
-        # a b - a c cancels in floating point: ass prints z_a = 0 (true 0.8) and a residual of 0.8
+        # a b - a c cancels in floating point: ass prints z_a = 0 (true 0.8) and a residual of -1.2 (change 19, true 18.6)
         model = tmp_path / "model.txt"
         model.write_text("[variables]\na b c d\n[multilinear]\na b : 1\na c : -1\nd : 1\n")
         values = tmp_path / "values.csv"
@@ -828,9 +829,22 @@ class TestCli:
         assert main(argv + ["--report", "machine"]) == 3
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert records[0]["variable"] == "a" and records[0]["attribution"] == 0.0
-        assert records[-1]["converged"] is False and records[-1]["residual"] == pytest.approx(0.8, rel=1e-3)
+        assert records[-1]["converged"] is False and records[-1]["residual"] == pytest.approx(-1.2, rel=1e-3)
         assert main(argv) == 3
         assert "warning: the residual exceeds 1e-09 of |total change| + sum |attribution|" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method, code", [("ass", 0), ("as-numeric", 0), ("ss-brute", 3)])
+    def test_small_move_takes_its_change_from_differences(self, model_files, tmp_path, capsys, method, code):
+        # f(s) - f(r) would cancel to 7.99999995138e-08; the change from differences is right to a few ulps, so ass and
+        # as-numeric, whose z are right, are trusted, and ss-brute, whose corner walk cancels in z, is flagged
+        model, _ = model_files
+        values = tmp_path / "small.csv"
+        values.write_text("q,a,4,4.00000004\nq,p,1,1.00000001\nq,c,1,1\n")
+        assert main(["--model", model, "--values", str(values), "--method", method, "--report", "machine"]) == code
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        exact = 7.999999991380232e-08  # from rationals on the given doubles
+        assert abs(summary["total_change"] - exact) <= 4 * math.ulp(exact)
+        assert summary["converged"] is (code == 0)
 
     def test_residual_gate_with_an_overflowing_scale(self, tmp_path, capsys):
         # z = (1.7e308, -1.7e308) sums to the change exactly, but sum |z_i| overflows

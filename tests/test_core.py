@@ -202,24 +202,25 @@ _METHODS = {
 @pytest.mark.parametrize(
     "method, residual, converged",
     [
-        ("ass", 0.8, False),
-        ("ass-batch", 0.8, False),
-        ("as-numeric", 1.6, False),
-        ("edge-walk", 1.6, False),
+        ("ass", -1.2, False),
+        ("ass-batch", -1.2, False),
+        ("as-numeric", -0.4, False),
+        ("edge-walk", -0.4, False),
         # naive's residual is its point, so the gate leaves it alone
-        ("naive", 3.2, True),
-        # the order walks telescope to residual 0 here, so no residual gate can see their error;
-        # only a forward error bound on z could flag them, and the flag is not asserted
-        ("ss-brute", 0.0, None),
-        ("random-order", 0.0, None),
+        ("naive", 1.2, True),
+        # the order walks telescope to f(s) - f(r) = 17.0, so only a change that is not that difference can flag them
+        ("ss-brute", -2.0, False),
+        ("random-order", -2.0, False),
     ],
 )
 def test_result_is_distrusted_where_completeness_misses(method, residual, converged):
-    res = _METHODS[method](*_cancelling_row())
+    """Every method's change, 19.0 (exact 18.6), comes from differences; the rounded f(s) - f(r) is 17.0."""
+    f, vp = _cancelling_row()
+    res = _METHODS[method](f, vp)
+    assert evaluate(f, vp.s) - evaluate(f, vp.r) == 17.0 and res.change == 19.0
     assert res.residual == pytest.approx(residual, abs=1e-12)
-    assert math.isfinite(res.change) and all(map(math.isfinite, res.z))
-    if converged is not None:
-        assert res.converged is converged
+    assert all(map(math.isfinite, res.z))
+    assert res.converged is converged
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
