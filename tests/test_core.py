@@ -202,6 +202,31 @@ _METHODS = {
 @pytest.mark.parametrize(
     "method, residual, converged",
     [
+        ("ass", 0.8, False),
+        ("ass-batch", 0.8, False),
+        ("as-numeric", 1.6, False),
+        ("edge-walk", 1.6, False),
+        # naive's residual is its point, so the gate leaves it alone
+        ("naive", 3.2, True),
+        # the order walks telescope to residual 0 against the rounded f(s) - f(r), so no gate on that
+        # residual could see their error; test_every_change_comes_from_differences flags them
+        ("ss-brute", 0.0, None),
+        ("random-order", 0.0, None),
+    ],
+)
+def test_result_is_distrusted_where_completeness_misses(method, residual, converged):
+    """z keeps its bits, so sum(z) less the rounded f(s) - f(r) = 17.0 is the residual it always had."""
+    f, vp = _cancelling_row()
+    res = _METHODS[method](f, vp)
+    assert math.fsum(res.z) - (evaluate(f, vp.s) - evaluate(f, vp.r)) == pytest.approx(residual, abs=1e-12)
+    assert math.isfinite(res.change) and all(map(math.isfinite, res.z))
+    if converged is not None:
+        assert res.converged is converged
+
+
+@pytest.mark.parametrize(
+    "method, residual, converged",
+    [
         ("ass", -1.2, False),
         ("ass-batch", -1.2, False),
         ("as-numeric", -0.4, False),
@@ -213,7 +238,7 @@ _METHODS = {
         ("random-order", -2.0, False),
     ],
 )
-def test_result_is_distrusted_where_completeness_misses(method, residual, converged):
+def test_every_change_comes_from_differences(method, residual, converged):
     """Every method's change, 19.0 (exact 18.6), comes from differences; the rounded f(s) - f(r) is 17.0."""
     f, vp = _cancelling_row()
     res = _METHODS[method](f, vp)
