@@ -1,12 +1,13 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 malformed input, 3 a result `AttributionResult`
-flags: numeric non-convergence, a non-finite result, or a completeness
-residual above 1e-9 of the change's scale under any method but naive.  A
-report run attributes every entity before printing anything, then writes
-each report as it is rendered: one bad entity stops the run with exit 2 and
-an error naming it, and nothing goes to stdout; exit 3 means every report
-was printed and at least one is flagged.
+Exit codes: 0 success, 2 malformed input, 3 a report whose result carries
+a fault (`AttributionResult.fault`): numeric non-convergence, a non-finite
+result, or a completeness residual above 1e-9 of the change's scale under
+any method but naive.  A report run attributes every entity before
+printing anything, then writes each report as it is rendered: one bad
+entity stops the run with exit 2 and an error naming it, and nothing goes
+to stdout; exit 3 means every report was printed and at least one is
+flagged.
 """
 from __future__ import annotations
 
@@ -125,7 +126,7 @@ def _run_reports(args) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise
-    return EXIT_OK if all(report.converged for report in reports) else EXIT_NUMERIC
+    return EXIT_NUMERIC if any(report.fault for report in reports) else EXIT_OK
 
 
 def main(argv=None) -> int:

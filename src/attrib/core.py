@@ -346,9 +346,10 @@ class AttributionResult:
     """Per-variable attributions z of the change f(s) - f(r), and the completeness residual sum(z) - change.
 
     The kernel supplies z, the change it evaluated and whether it
-    converged; the residual is derived here, from the exact sum of z.
-    ``converged``, the one trust flag, stays true only where the kernel
-    converged and `_distrust` finds no fault.
+    converged; the residual is derived here, from the exact sum of z, and
+    so is ``fault``, the one trust verdict: the fault `_distrust` finds,
+    else "unconverged" where the kernel did not converge, else None.
+    ``converged`` is then ``fault is None``.
     """
 
     method: str
@@ -356,12 +357,14 @@ class AttributionResult:
     change: float
     converged: bool = True
     residual: float = field(init=False)
+    fault: str | None = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "change", float(self.change))
         object.__setattr__(self, "residual", _exact_sum(self.z) - self.change)
-        if self.converged and _distrust(self.method, self.z, self.change, self.residual):
-            object.__setattr__(self, "converged", False)
+        fault = _distrust(self.method, self.z, self.change, self.residual) or (None if self.converged else "unconverged")
+        object.__setattr__(self, "fault", fault)
+        object.__setattr__(self, "converged", fault is None)
 
 
 _RESIDUAL_TOL = 1e-9  # largest trusted |residual|, relative to |change| + sum |z_i|

@@ -301,7 +301,7 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
     F = np.zeros(E)
     if isinstance(f, DagModel):
         t, w = _unit_gauss_arrays((f.degree + 1) // 2)
-        step = max(1, _CHUNK_ELEMENTS // (max(f.n, len(f.nodes)) * len(w)))  # flow keeps V x N arrays
+        step = max(1, _CHUNK_ELEMENTS // (max(f.n, len(f.nodes)) * len(w)))  # the graph's passes keep V x N arrays
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, E, step):
                 Rc, Dc = R[lo : lo + step], S[lo : lo + step] - R[lo : lo + step]

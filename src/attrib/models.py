@@ -26,11 +26,10 @@ Graph file grammar::
 
 A graph's model is the expected arrivals at its sink.  A `DagModel` answers
 the three calls every method makes of a compiled model, ``d(x)``,
-``d.gradients(X)`` and ``d.changes(R, S)``, from the passes of
-`DagModel.flow`: forward and backward over the graph, with no routes.
-`compile_dag` expands a graph into one term per (start, route) pair; no
-method needs it, and it stays as the route expansion that tests check the
-flow passes against.
+``d.gradients(X)`` and ``d.changes(R, S)``, from passes forward and
+backward over the graph, with no routes.  `compile_dag` expands a graph
+into one term per (start, route) pair; no method needs it, and it stays as
+the route expansion that tests check the passes against.
 
 Snapshots are CSV rows ``entity,variable,initial,final`` (header optional),
 read in one pass that checks each row as it comes, into one columnar
@@ -187,9 +186,9 @@ def parse_model(text: str, path: str = "<model>") -> ModelSpec:
             declared.add(name)
     segments = {}
     for lineno, line in sections.get("segments", []):
-        if ":" not in line:
+        name, _, label = (part.strip() for part in line.partition(":"))
+        if not label:
             raise ModelError(f"{path}:{lineno}: segment line needs 'name : label', got {line!r}")
-        name, label = (part.strip() for part in line.split(":", 1))
         _check_declared((name,), declared, "segment entry", f"{path}:{lineno}: ")
         if name in segments:
             raise ModelError(f"{path}:{lineno}: variable {name!r} already has segment {segments[name]!r}")
@@ -266,10 +265,10 @@ class DagModel:
     multilinear, of degree 1 plus the edge count of the longest route from a
     start.  Like a `CharacteristicFunction`, ``d(x)`` gives its value at one
     point, ``d.gradients(X)`` its gradients at N points and
-    ``d.changes(R, S)`` its changes between N pairs of points, all from the
-    passes of `flow`, so no method expands a graph's routes; the reference
-    `compile_dag` expands them into a `ModelSpec`.  All use the variable
-    order of `variables`.
+    ``d.changes(R, S)`` its changes between N pairs of points, all from
+    forward and backward passes over the graph, so no method expands its
+    routes; the reference `compile_dag` expands them into a `ModelSpec`.
+    All use the variable order of `variables`.
 
     A graph is checked once, when it is built: construction raises
     ModelError on a cycle or on a start node that cannot reach the sink.
@@ -320,17 +319,42 @@ class DagModel:
         return self._plan.degree
 
     def __call__(self, x: Sequence[float]) -> float:
-        """Expected sink arrivals at the point x, from the forward pass of `flow`."""
+        """Expected sink arrivals at the point x, from the forward pass."""
         return float(self._forward([x])[1][self._plan.sink, 0])
 
     def gradients(self, X) -> np.ndarray:
-        """Gradients at every row of the N x n array X, as an N x n array, from `flow`."""
-        return self.flow(X)[1]
+        """Gradients of the expected sink arrivals at every row of the N x n array X, as an N x n array.
+
+        Columns of X follow `variables`.  The forward pass, in topological
+        order, gives each node's inflow: its start count plus the inflow of
+        every edge's tail times the edge's probability.  The backward pass
+        gives each node's reach of the sink: 1 at the sink, elsewhere the
+        sum over its edges of probability times the reach of the head.  The
+        partial of a start variable is the reach of its node, that of an
+        edge variable the inflow of its tail times the reach of its head.
+        No node after the sink reaches it, so an edge out of the sink has
+        partial 0, as routes stop at the sink.  Each node is one numpy
+        operation over the N points, so a call costs O(N (V + E)).  A
+        node's edge terms are added in edge order, so a point gets the same
+        bits whatever N is.  Products that overflow give inf or nan.
+        """
+        XT, inflow = self._forward(X)
+        plan = self._plan
+        reach = np.zeros_like(inflow)
+        reach[plan.sink] = 1.0
+        grad = np.empty_like(XT)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, heads, cols in plan.backward:  # terms added in order, as in `_forward`
+                terms = XT[cols] * reach[heads]
+                reach[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+            grad[: len(plan.start_nodes)] = reach[plan.start_nodes]
+            grad[len(plan.start_nodes) :] = inflow[plan.tail] * reach[plan.head]
+        return grad.T
 
     def changes(self, R, S) -> np.ndarray:
         """Expected sink arrivals at each row of S less those at the same row of R, two N x n arrays, as N values.
 
-        Beside the forward pass of `flow` at R, one more pass in the same
+        Beside the forward pass at R, one more pass in the same
         order carries each node's change of inflow: the sum over its edges
         of the tail's change times the edge's probability at s plus the
         tail's inflow at r times the edge's change, in edge order, plus the
@@ -356,7 +380,7 @@ class DagModel:
         return delta[self._plan.sink]
 
     def _build_plan(self) -> _FlowPlan:
-        """The index arrays `flow` walks and the degree; raises on a cycle, then on the first start that cannot reach the sink."""
+        """The index arrays the passes walk and the degree; raises on a cycle, then on the first start that cannot reach the sink."""
         node = {name: k for k, name in enumerate(self.nodes)}
         order = [node[name] for name in _toposort(self)]
         sink = node[self.sink]
@@ -384,38 +408,8 @@ class DagModel:
         degree = 1 + int(longest[start_nodes].max(initial=0))
         return _FlowPlan(degree, sink, start_nodes, tail, head, forward, backward)
 
-    def flow(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Expected sink arrivals and their gradients at every row of the N x n array X, as N and N x n arrays.
-
-        Columns of X follow `variables`.  The forward pass, in topological
-        order, gives each node's inflow: its start count plus the inflow of
-        every edge's tail times the edge's probability.  The value is the
-        sink's inflow.  The backward pass gives each node's reach of the
-        sink: 1 at the sink, elsewhere the sum over its edges of probability
-        times the reach of the head.  The partial of a start variable is the
-        reach of its node, that of an edge variable the inflow of its tail
-        times the reach of its head.  No node after the sink reaches it, so
-        an edge out of the sink has partial 0, as routes stop at the sink.
-        Each node is one numpy operation over the N points, so a call costs
-        O(N (V + E)).  A node's edge terms are added in edge order, so a
-        point gets the same bits whatever N is.  Products that overflow give
-        inf or nan.
-        """
-        XT, inflow = self._forward(X)
-        plan = self._plan
-        reach = np.zeros_like(inflow)
-        reach[plan.sink] = 1.0
-        grad = np.empty_like(XT)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, heads, cols in plan.backward:  # terms added in order, as in `_forward`
-                terms = XT[cols] * reach[heads]
-                reach[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
-            grad[: len(plan.start_nodes)] = reach[plan.start_nodes]
-            grad[len(plan.start_nodes) :] = inflow[plan.tail] * reach[plan.head]
-        return inflow[plan.sink], grad.T
-
     def _forward(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """The forward pass of `flow`: X as one row per variable (n x N), and every node's inflow (V x N).
+        """The forward pass: X as one row per variable (n x N), and every node's inflow (V x N).
 
         The value at the points is the sink's row of the inflow.
         """
@@ -436,7 +430,7 @@ class DagModel:
 
 
 class _FlowPlan(NamedTuple):
-    """What `DagModel.flow` walks, and the degree `DagModel.degree` reads; nodes and edges are indices into the graph's tuples."""
+    """What the passes of a `DagModel` walk, and the degree `DagModel.degree` reads; nodes and edges are indices into the graph's tuples."""
 
     degree: int
     sink: int
@@ -477,9 +471,9 @@ def parse_dag(text: str, path: str = "<dag>") -> DagModel:
     assigned: set[str] = set()  # start and edge variables so far
     starts = {}
     for lineno, line in sections.get("starts", []):
-        if ":" not in line:
+        node, _, var = (part.strip() for part in line.partition(":"))
+        if not var:
             raise ModelError(f"{path}:{lineno}: start line needs 'node : variable', got {line!r}")
-        node, var = (part.strip() for part in line.split(":", 1))
         if node not in known:
             raise ModelError(f"{path}:{lineno}: start entry for unknown node {node!r}")
         if node in starts:
@@ -490,13 +484,13 @@ def parse_dag(text: str, path: str = "<dag>") -> DagModel:
         starts[node] = var
     edges = []
     for lineno, line in sections.get("edges", []):
-        if ":" not in line:
+        lhs, _, var = (part.strip() for part in line.partition(":"))
+        if not var:
             raise ModelError(f"{path}:{lineno}: edge line needs 'from to : variable', got {line!r}")
-        lhs, var = line.split(":", 1)
         ends = lhs.split()
         if len(ends) != 2:
             raise ModelError(f"{path}:{lineno}: edge line needs two node names, got {line!r}")
-        (u, v), var = ends, var.strip()
+        u, v = ends
         if u not in known or v not in known:
             raise ModelError(f"{path}:{lineno}: edge {u!r} -> {v!r} uses an unknown node")
         if var in assigned:
@@ -525,7 +519,7 @@ def compile_dag(d: DagModel) -> ModelSpec:
 
     Raises when the route count exceeds ROUTE_CAP (counted before
     enumeration).  No method calls it: they read the graph through
-    `DagModel.flow`, which needs no routes.
+    ``d(x)``, ``d.gradients(X)`` and ``d.changes(R, S)``, which need no routes.
     """
     plan = d._plan
     routes = [0] * len(d.nodes)  # per node, its count of routes to the sink

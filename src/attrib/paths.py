@@ -15,7 +15,7 @@ rather than raised, so verification harnesses can report it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -59,8 +59,7 @@ class BlackBoxFunction:
     """Opaque evaluator, optionally with an analytic gradient.
 
     Without a gradient handle, partials fall back to central differences with
-    per-coordinate step 1e-6 * (1 + |x_i|).  `gradients` takes them point by
-    point.
+    per-coordinate step 1e-6 * (1 + |x_i|).
     """
 
     n: int
@@ -70,23 +69,20 @@ class BlackBoxFunction:
     def __call__(self, x: Sequence[float]) -> float:
         return self.fn(x)
 
-    def gradient(self, x: Sequence[float]) -> list[float]:
-        if self.grad is not None:
-            return list(self.grad(x))
-        out = [0.0] * self.n
-        base = list(x)
-        for i in range(self.n):
-            h = 1e-6 * (1.0 + abs(base[i]))
-            hi = list(base)
-            lo = list(base)
-            hi[i] += h
-            lo[i] -= h
-            out[i] = (self.fn(hi) - self.fn(lo)) / (2.0 * h)
-        return out
-
     def gradients(self, X) -> np.ndarray:
-        """The gradient at every row of the N x n array X, as an N x n array."""
-        return np.array([self.gradient(x) for x in np.asarray(X, dtype=float).tolist()])
+        """The gradient at every row of the N x n array X, as an N x n array, taken point by point."""
+        rows = np.asarray(X, dtype=float).tolist()
+        if self.grad is not None:
+            return np.array([list(self.grad(x)) for x in rows])
+        G = [[0.0] * self.n for _ in rows]
+        for x, g in zip(rows, G):
+            for i in range(self.n):
+                h = 1e-6 * (1.0 + abs(x[i]))
+                hi, lo = list(x), list(x)
+                hi[i] += h
+                lo[i] -= h
+                g[i] = (self.fn(hi) - self.fn(lo)) / (2.0 * h)
+        return np.array(G)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +242,16 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
     values on very fine passes); f is a model, a flow graph or a
     `BlackBoxFunction`, and a plain callable is wrapped in a black box.
     """
+    return _integrate(f, vp, base, q, f"path:{base.kind}")
+
+
+def attribute_aumann_shapley(f, vp: ValuePair, q: QuadratureConfig | None = None) -> AttributionResult:
+    """Path attribution along the straight line from r to s."""
+    return _integrate(f, vp, straight_line(), q, "as-numeric")
+
+
+def _integrate(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None, method: str) -> AttributionResult:
+    """The attribution of `attribute_path`, under the method name given, so that its result and verdict are made once."""
     q = q or QuadratureConfig()
     if base.n is not None and base.n != vp.n:
         raise ValueError(f"{base.kind} path is over {base.n} variables, values have {vp.n}")
@@ -263,10 +269,4 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
             converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
             if converged or not np.isfinite(z).all():
                 break
-    return AttributionResult(f"path:{base.kind}", tuple(z.tolist()), _change(f, vp), converged)
-
-
-def attribute_aumann_shapley(f, vp: ValuePair, q: QuadratureConfig | None = None) -> AttributionResult:
-    """Path attribution along the straight line from r to s."""
-    res = attribute_path(f, vp, straight_line(), q)
-    return replace(res, method="as-numeric")
+    return AttributionResult(method, tuple(z.tolist()), _change(f, vp), converged)

@@ -3,13 +3,14 @@
 `run_report` takes a model and a `SnapshotTable`, maps the table onto the
 model's columns as E x n initial and final arrays, and attributes every
 entity in one call of the method's handle.  A model is compiled once.  A
-flow graph goes to every method as it is: it answers the same two calls as
-a compiled model, values and gradients at points, from forward and backward
-passes, so no method expands its routes.  `resolve_method` maps a method id
-to its handle; a ``random-order:`` id reads its weights file through
-`attrib.models`, which holds every file grammar.  `render_machine` writes a
-report's JSON Lines records, one f-string each, byte for byte what
-``json.dumps`` writes for each record.
+flow graph goes to every method as it is: it answers the same three calls
+as a compiled model, values, gradients and changes at points, from forward
+and backward passes, so no method expands its routes.  `resolve_method`
+maps a method id to its handle; a ``random-order:`` id reads its weights
+file through `attrib.models`, which holds every file grammar.  A report
+carries its result's ``fault``, and both renderers read it.
+`render_machine` writes a report's JSON Lines records, one f-string each,
+byte for byte what ``json.dumps`` writes for each record.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import _RESIDUAL_TOL, AttributionResult, ValuePair, _distrust
+from .core import _RESIDUAL_TOL, AttributionResult, ValuePair
 from .exact import attribute_ass, attribute_ass_batch, attribute_naive
 from .models import DagModel, ModelError, ModelSpec, SnapshotTable, compile_model, parse_order_weights, read_text
 from .models import compile_dag  # noqa: F401  no report expands routes; only the bench's span map reads this name
@@ -53,7 +54,7 @@ class Report:
     z: tuple[float, ...]
     total_change: float
     residual: float
-    converged: bool
+    fault: str | None  # the `AttributionResult`'s trust verdict; None for a trusted report
     segments: dict[str, float] | None = None
 
 
@@ -125,7 +126,7 @@ def run_report(
     as it is, with the columns of ``DagModel.variables``.  An error that the
     handle numbers with a row is re-raised naming the row's entity and, if
     known, the variable; any other is raised as it is.  A report's
-    ``converged`` is its `AttributionResult`'s.  Segment totals are plain
+    ``fault`` is its `AttributionResult`'s.  Segment totals are plain
     sums of member attributions.
     """
     if isinstance(model, DagModel):
@@ -165,17 +166,17 @@ def _report(
         z=res.z,
         total_change=res.change,
         residual=res.residual,
-        converged=res.converged,
+        fault=res.fault,
         segments=totals,
     )
 
 
-# The warning for each fault `_distrust` finds; with none, the kernel itself did not converge.
+# The warning for each fault a result can carry.
 _WARNINGS = {
     "non-finite": "warning: non-finite result; the values overflow double precision, do not trust these attributions",
     "residual": f"warning: the residual exceeds {_RESIDUAL_TOL:g} of |total change| + sum |attribution|;"
     " attributions are best estimates",
-    None: "warning: quadrature did not converge; attributions are best estimates",
+    "unconverged": "warning: quadrature did not converge; attributions are best estimates",
 }
 
 
@@ -186,9 +187,8 @@ def render_text(report: Report) -> str:
     for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z):
         lines.append(f"{name:<{name_w}}  {ini:>16.10g}  {fin:>16.10g}  {zv:>20.12g}")
     lines.append(f"total change: {report.total_change:.12g}    residual: {report.residual:.12g}")
-    why = _distrust(report.method, report.z, report.total_change, report.residual)
-    if why == "non-finite" or not report.converged:
-        lines.append(_WARNINGS[why])
+    if report.fault:
+        lines.append(_WARNINGS[report.fault])
     if report.segments:
         lines.append("segment totals:")
         for label in sorted(report.segments):
@@ -218,7 +218,7 @@ def render_machine(report: Report) -> str:
     ]
     lines.append(
         f'{{"record": "summary", "entity": {entity}, "method": {method}, "total_change": {num(report.total_change)},'
-        f' "residual": {num(report.residual)}, "converged": {"true" if report.converged else "false"}}}'
+        f' "residual": {num(report.residual)}, "converged": {"false" if report.fault else "true"}}}'
     )
     return "\n".join(lines)
 

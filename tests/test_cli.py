@@ -178,14 +178,14 @@ class TestRunReport:
         got = run_report(d, snaps, method)
         assert [r.entity for r in got] == ["e0", "e1"]
         for a, b in zip(got, expected):
-            assert a.variables == b.variables and a.segments is None and a.converged == b.converged
+            assert a.variables == b.variables and a.segments is None and a.fault == b.fault
             for x, y in zip(a.z + (a.total_change, a.residual), b.z + (b.total_change, b.residual)):
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
 
     def test_non_finite_result_is_flagged(self):
         ms = parse_model("[variables]\na b\n[multilinear]\na b : 1e300\n")
         [report] = run_report(ms, parse_snapshots("e,a,1e10,2e10\ne,b,1e10,3e10\n"))
-        assert not report.converged
+        assert report.fault == "non-finite"
         assert "warning: non-finite result" in render_text(report)
         assert "did not converge" not in render_text(report)
 
@@ -199,6 +199,53 @@ class TestRunReport:
         assert kinds == {"attribution", "segment", "summary"}
         summary = [r for r in records if r["record"] == "summary"][0]
         assert summary["total_change"] == pytest.approx(86.0)
+
+
+# (model, values, method argv) for each verdict a report can carry; the warning line render_text prints for it
+_VERDICTS = {
+    "non-finite": ("[variables]\na b\n[multilinear]\na b : 1e300\n", "e,a,1e10,2e10\ne,b,1e10,3e10\n", [],
+                   "warning: non-finite result; the values overflow double precision, do not trust these attributions"),
+    # a b - a c cancels in floating point, so ass misses the change by about 1.2
+    "residual": ("[variables]\na b c d\n[multilinear]\na b : 1\na c : -1\nd : 1\n",
+                 "e,a,1,1.1\ne,b,1e17,100000000000000016\ne,c,1e17,1e17\ne,d,0,1\n", [],
+                 "warning: the residual exceeds 1e-09 of |total change| + sum |attribution|; attributions are best estimates"),
+    "unconverged": (MODEL, VALUES, ["--method", "as-numeric", "--max-refine", "0"],
+                    "warning: quadrature did not converge; attributions are best estimates"),
+    None: (MODEL, VALUES, [], None),
+}
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("method", ["ass", "naive", "as-numeric", "ss-brute"])
+    def test_is_made_once_per_entity(self, monkeypatch, method):
+        from attrib import core, reports
+
+        real, calls = core._distrust, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(core, "_distrust", counted)
+        monkeypatch.setattr(reports, "_distrust", counted, raising=False)  # a module that imports the name holds its own
+        got = run_report(parse_model(MODEL), parse_snapshots(VALUES + MORE_VALUES), method)
+        for report in got:
+            render_text(report)
+        assert len(got) == 3 and len(calls) == 3
+
+    @pytest.mark.parametrize("fault", list(_VERDICTS), ids=str)
+    def test_text_machine_and_exit_code_read_one_verdict(self, tmp_path, capsys, fault):
+        # each verdict comes from a real run, and its warning text tells the four apart
+        model_text, values_text, method, warning = _VERDICTS[fault]
+        model, values = tmp_path / "model.txt", tmp_path / "values.csv"
+        model.write_text(model_text)
+        values.write_text(values_text)
+        argv = ["--model", str(model), "--values", str(values), *method]
+        assert main(argv) == (0 if fault is None else 3)
+        warnings_printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+        assert warnings_printed == ([] if warning is None else [warning])
+        assert main(argv + ["--report", "machine"]) == (0 if fault is None else 3)
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["converged"] is (fault is None)
 
 
 class TestMethodHandles:
@@ -270,7 +317,7 @@ def _machine_records(report: Report) -> list[dict]:
             "method": report.method,
             "total_change": report.total_change,
             "residual": report.residual,
-            "converged": report.converged,
+            "converged": report.fault is None,
         }
     )
     return records
@@ -293,7 +340,7 @@ def _reports(draw):
         z=tuple(draw(st.lists(_numbers, min_size=n, max_size=n))),
         total_change=draw(_numbers),
         residual=draw(_numbers),
-        converged=draw(st.booleans()),
+        fault=draw(st.sampled_from([None, "non-finite", "residual", "unconverged"])),
         segments=draw(st.one_of(st.none(), st.dictionaries(_names, _numbers, max_size=3))),
     )
 
@@ -305,7 +352,7 @@ class TestRenderMachine:
 
     def test_names_with_format_characters_render_verbatim(self):
         report = Report("e{0}%s", "ass", ("a{1}", "%d", "}{"), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (0.5, -0.0, math.nan),
-                        math.nan, 0.0, False, {"{}": 0.5, "%%": 1e300})
+                        math.nan, 0.0, "non-finite", {"{}": 0.5, "%%": 1e300})
         assert render_machine(report) == "\n".join(json.dumps(rec) for rec in _machine_records(report))
 
 
@@ -492,6 +539,15 @@ class TestCli:
         assert main(["--dag", str(dag), "--values", str(values)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"{dag}:8: edge 'a' -> 'q' uses an unknown node" in captured.err
+
+    def test_graph_edge_without_a_variable_names_file_and_line(self, tmp_path, capsys):
+        dag = tmp_path / "graph.txt"
+        dag.write_text("[nodes]\na t\n[sink]\nt\n[starts]\na : s_a\n[edges]\na t :\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,s_a,1,2\n")
+        assert main(["--dag", str(dag), "--values", str(values)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {dag}:8: edge line needs 'from to : variable', got 'a t :'\n"
 
     def test_overflow_is_located_input_error(self, tmp_path, capsys):
         model = tmp_path / "model.txt"

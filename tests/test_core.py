@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from attrib import (
+    AttributionResult,
     CharacteristicFunction,
     DomainError,
     MultilinearPoly,
@@ -246,6 +247,21 @@ def test_every_change_comes_from_differences(method, residual, converged):
     assert res.residual == pytest.approx(residual, abs=1e-12)
     assert all(map(math.isfinite, res.z))
     assert res.converged is converged
+
+
+@pytest.mark.parametrize(
+    "z, change, kernel_converged, fault",
+    [
+        ((1.0, 2.0), 3.0, True, None),
+        ((1.0, 2.0), 3.0, False, "unconverged"),
+        # a fault _distrust finds comes before the kernel's own
+        ((1.0, 2.0), 4.0, False, "residual"),
+        ((math.inf, 2.0), 3.0, False, "non-finite"),
+    ],
+)
+def test_result_carries_one_verdict(z, change, kernel_converged, fault):
+    res = AttributionResult("ass", z, change, kernel_converged)
+    assert res.fault == fault and res.converged is (fault is None)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

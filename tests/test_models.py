@@ -151,6 +151,7 @@ class TestModelFormat:
         [
             ("a b\n[variables]\na b\n", "m.txt:1: content before any [section] header"),
             ("[variables]\na b\n[segments]\na x\n", "m.txt:4: segment line needs 'name : label', got 'a x'"),
+            ("[variables]\na b\n[segments]\na :\n", "m.txt:4: segment line needs 'name : label', got 'a :'"),
             ("[variables]\na b\n[multilinear]\na b 1\n", "m.txt:4: term line needs 'names : coefficient', got 'a b 1'"),
             ("[variables]\na b\n[separable]\na poly 0 1\n", "m.txt:4: separable line needs 'name : kind params', got 'a poly 0 1'"),
             ("[variables]\na b\n[separable]\na : poly\n", "m.txt:4: separable line needs a kind and parameters, got 'a : poly'"),
@@ -202,7 +203,7 @@ class TestDag:
         for _ in range(3):
             d(x)
             d.gradients([x, x])
-            d.flow([x])
+            d.changes([x], [x])
             d.degree
             compile_dag(d)
         assert len(sorts) == 1
@@ -263,7 +264,9 @@ class TestDag:
             ("[nodes]\na t\n[sink]\na t\n", "g.txt:4: exactly one sink expected, got 'a' and 't'"),
             ("[nodes]\na t\n[sink]\nt\na\n", "g.txt:5: exactly one sink expected, got 't' and 'a'"),
             ("[nodes]\na t\n[sink]\nt\n[starts]\na s_a\n", "g.txt:6: start line needs 'node : variable', got 'a s_a'"),
+            ("[nodes]\na t\n[sink]\nt\n[starts]\na :\n", "g.txt:6: start line needs 'node : variable', got 'a :'"),
             ("[nodes]\na t\n[sink]\nt\n[edges]\na t p\n", "g.txt:6: edge line needs 'from to : variable', got 'a t p'"),
+            ("[nodes]\na t\n[sink]\nt\n[edges]\na t :\n", "g.txt:6: edge line needs 'from to : variable', got 'a t :'"),
             ("[nodes]\na b t\n[sink]\nt\n[edges]\na b t : p\n", "g.txt:6: edge line needs two node names, got 'a b t : p'"),
             ("[nodes]\na t\n[sink]\nt\n[edges]\na : p\n", "g.txt:6: edge line needs two node names, got 'a : p'"),
             ("[nodes]\na b\nt a\n[sink]\nt\n", "g.txt:3: node 'a' declared twice"),

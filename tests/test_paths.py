@@ -18,7 +18,6 @@ from attrib import (
     monomial,
     product_function,
     shapley_shubik_bruteforce,
-    shapley_weight,
     straight_line,
     tabulated_path,
 )
@@ -309,12 +308,6 @@ class TestQuadrature:
         assert t.tolist() == want_t and wt.tolist() == want_w
         if breaks == (0.0, 1.0) and panels == 1:
             assert t.tolist() == [0.5 * (v + 1.0) for v in x]  # the rule on [0, 1] the exact kernel has always used
-
-    def test_weight_bridge(self):
-        for n in range(1, 13):
-            for k in range(n):
-                got = composite_gauss_legendre(lambda t: t**k * (1 - t) ** (n - 1 - k), 0.0, 1.0, order=16)
-                assert abs(got - shapley_weight(k, n)) <= 1e-12
 
     def test_composite_panels(self):
         got = composite_gauss_legendre(math.sin, 0.0, math.pi, order=8, panels=4)
