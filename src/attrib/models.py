@@ -42,10 +42,11 @@ Order-weight files, for ``random-order:``, hold one line per variable order::
     a p c : 0.5            # names in the order they move ':' weight
 
 All four grammars live here, and `read_text` is the one reader of their
-files: UTF-8, with an optional byte order mark.  A parse error is a
-`ModelError` naming the file and, where there is one, the line.  Numbers
-are parsed as decimal doubles; ``format_model`` writes coefficients with
-repr so a round trip is bit exact.
+files: UTF-8, with an optional byte order mark.  A parser checks only the
+syntax; `ModelSpec` and `DagModel` check the names when built, in code or
+from a file, and a parser puts the file and the line of the item at fault
+before their message.  Numbers are parsed as decimal doubles;
+``format_model`` writes coefficients with repr so a round trip is bit exact.
 """
 from __future__ import annotations
 
@@ -88,7 +89,12 @@ class ModelError(ValueError):
 
 @dataclass
 class ModelSpec:
-    """Named description of a characteristic function."""
+    """Named description of a characteristic function.
+
+    Construction checks every rule on the names, item by item in the order
+    of the model file's sections; the first fault is a ModelError tagged
+    ``exc.item = (section, position)``, from which `parse_model` names its line.
+    """
 
     variables: tuple[str, ...]
     ml_terms: tuple[tuple[tuple[str, ...], float], ...] = ()
@@ -96,31 +102,72 @@ class ModelSpec:
     segments: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ModelError("variable names must be unique")
-        declared = set(self.variables)
-        _check_declared((name for names, _ in self.ml_terms for name in names), declared, "term")
-        _check_declared((name for name, _, _ in self.sep_terms), declared, "separable term")
-        _check_declared(self.segments, declared, "segment entry")
+        declared: dict[str, int] = {}  # name -> its 1-based index
+        for i, name in enumerate(self.variables):
+            if not name:
+                raise _fault(("variables", i), "empty variable name")
+            if name in declared:
+                raise _fault(("variables", i), f"variable {name!r} declared twice")
+            declared[name] = i + 1
+        for i, (name, label) in enumerate(self.segments.items()):
+            _check_declared((name,), declared, "segment entry", ("segments", i))
+            if not label:
+                raise _fault(("segments", i), f"variable {name!r} has an empty segment label")
+        sums: dict[frozenset[str], float] = {}  # per monomial, its coefficient so far, summed in order as `compile_model` sums it
+        for i, (names, coeff) in enumerate(self.ml_terms):
+            key = frozenset(names)
+            if len(key) != len(names):
+                raise _fault(("multilinear", i), f"variable repeated within one term: {names}")
+            _check_declared(names, declared, "term", ("multilinear", i))
+            sums[key] = sums.get(key, 0.0) + coeff
+            if not math.isfinite(sums[key]):
+                raise _fault(("multilinear", i), f"coefficients of the terms over {names} add up to {sums[key]}")
+        for i, (name, kind, params) in enumerate(self.sep_terms):
+            _check_declared((name,), declared, "separable term", ("separable", i))
+            try:
+                SeparableTerm(declared[name], kind, params)  # checks kind, parameter count and exponent
+            except ValueError as exc:
+                raise _fault(("separable", i), str(exc)) from None
 
     @property
     def n(self) -> int:
         return len(self.variables)
 
 
-def _check_declared(names, declared: set[str], what: str, where: str = ""):
+def _fault(item: tuple[str, int], message: str) -> ModelError:
+    """A ModelError on one item of a spec or graph, tagged ``exc.item = (section, position)``."""
+    exc = ModelError(message)
+    exc.item = item
+    return exc
+
+
+def _check_declared(names, declared, what: str, item: tuple[str, int]):
     for name in names:
         if name not in declared:
-            raise ModelError(f"{where}{what} references undeclared variable {name!r}")
+            raise _fault(item, f"{what} references undeclared variable {name!r}")
+
+
+def _assign(name: str, assigned: set[str], item: tuple[str, int], owner: str):
+    if not name:
+        raise _fault(item, f"{owner} has an empty variable name")
+    if name in assigned:
+        raise _fault(item, f"variable {name!r} assigned twice")
+    assigned.add(name)
+
+
+def _built(build, path: str, sections: dict[str, list[tuple[int, str]]]):
+    """build(), its ModelError re-raised as ``path:line: message``, the line of the section entry it tags, or ``path: message``."""
+    try:
+        return build()
+    except ModelError as exc:
+        item = getattr(exc, "item", None)
+        where = path if item is None else f"{path}:{sections[item[0]][item[1]][0]}"
+        raise ModelError(f"{where}: {exc}") from None
 
 
 def compile_model(ms: ModelSpec) -> CharacteristicFunction:
     index = {name: i for i, name in enumerate(ms.variables, 1)}
-    terms = []
-    for names, coeff in ms.ml_terms:
-        if len(set(names)) != len(names):
-            raise ModelError(f"variable repeated within one term: {names}")
-        terms.append((tuple(index[name] for name in names), coeff))
+    terms = [(tuple(index[name] for name in names), coeff) for names, coeff in ms.ml_terms]
     sep = tuple(SeparableTerm(index[name], kind, params) for name, kind, params in ms.sep_terms)
     return from_terms(ms.n, terms, sep)
 
@@ -173,58 +220,36 @@ def _parse_float(token: str, context: str) -> float:
 
 
 def parse_model(text: str, path: str = "<model>") -> ModelSpec:
+    """Model file as a ModelSpec: this checks the syntax, and `ModelSpec` the names, naming the file and line."""
     sections = _sections(text, path, ("variables", "segments", "multilinear", "separable"))
     if "variables" not in sections:
         raise ModelError(f"{path}: missing [variables] section")
-    variables: list[str] = []
-    declared: set[str] = set()
-    for lineno, line in sections["variables"]:
-        for name in line.split():
-            if name in declared:
-                raise ModelError(f"{path}:{lineno}: variable {name!r} declared twice")
-            variables.append(name)
-            declared.add(name)
+    sections["variables"] = [(lineno, name) for lineno, line in sections["variables"] for name in line.split()]  # an entry per item
     segments = {}
     for lineno, line in sections.get("segments", []):
         name, _, label = (part.strip() for part in line.partition(":"))
         if not label:
             raise ModelError(f"{path}:{lineno}: segment line needs 'name : label', got {line!r}")
-        _check_declared((name,), declared, "segment entry", f"{path}:{lineno}: ")
         if name in segments:
             raise ModelError(f"{path}:{lineno}: variable {name!r} already has segment {segments[name]!r}")
         segments[name] = label
     ml_terms = []
-    sums: dict[frozenset[str], float] = {}  # per monomial, its coefficient so far, summed in file order as `compile_model` sums it
     for lineno, line in sections.get("multilinear", []):
         if ":" not in line:
             raise ModelError(f"{path}:{lineno}: term line needs 'names : coefficient', got {line!r}")
         lhs, rhs = line.rsplit(":", 1)
-        names = tuple(lhs.split())
-        if len(set(names)) != len(names):
-            raise ModelError(f"{path}:{lineno}: variable repeated within one term: {names}")
-        _check_declared(names, declared, "term", f"{path}:{lineno}: ")
-        coeff = _parse_float(rhs.strip(), f"{path}:{lineno}")
-        key = frozenset(names)
-        sums[key] = sums.get(key, 0.0) + coeff
-        if not math.isfinite(sums[key]):
-            raise ModelError(f"{path}:{lineno}: coefficients of the terms over {names} add up to {sums[key]}")
-        ml_terms.append((names, coeff))
+        ml_terms.append((tuple(lhs.split()), _parse_float(rhs.strip(), f"{path}:{lineno}")))
     sep_terms = []
     for lineno, line in sections.get("separable", []):
         if ":" not in line:
             raise ModelError(f"{path}:{lineno}: separable line needs 'name : kind params', got {line!r}")
         name, rhs = (part.strip() for part in line.split(":", 1))
-        _check_declared((name,), declared, "separable term", f"{path}:{lineno}: ")
         fields = rhs.split()
         if len(fields) < 2:
             raise ModelError(f"{path}:{lineno}: separable line needs a kind and parameters, got {line!r}")
-        params = tuple(_parse_float(tok, f"{path}:{lineno}") for tok in fields[1:])
-        try:
-            SeparableTerm(1, fields[0], params)  # checks kind, parameter count and exponent while the line is known
-        except ValueError as exc:
-            raise ModelError(f"{path}:{lineno}: {exc}") from None
-        sep_terms.append((name, fields[0], params))
-    return ModelSpec(tuple(variables), tuple(ml_terms), tuple(sep_terms), segments)
+        sep_terms.append((name, fields[0], tuple(_parse_float(tok, f"{path}:{lineno}") for tok in fields[1:])))
+    variables = tuple(name for _, name in sections["variables"])
+    return _built(lambda: ModelSpec(variables, tuple(ml_terms), tuple(sep_terms), segments), path, sections)
 
 
 def format_model(ms: ModelSpec) -> str:
@@ -270,8 +295,9 @@ class DagModel:
     routes; the reference `compile_dag` expands them into a `ModelSpec`.
     All use the variable order of `variables`.
 
-    A graph is checked once, when it is built: construction raises
-    ModelError on a cycle or on a start node that cannot reach the sink.
+    A graph is checked once, when it is built: its names item by item in
+    file order, tagged as in `ModelSpec`, then the whole graph for a cycle
+    or a start node that cannot reach the sink.
     """
 
     nodes: tuple[str, ...]
@@ -281,23 +307,24 @@ class DagModel:
 
     def __post_init__(self):
         object.__setattr__(self, "starts", MappingProxyType(dict(self.starts)))  # a read-only copy, so the plan stays true to it
-        known = set(self.nodes)
-        if len(known) != len(self.nodes):
-            raise ModelError("node names must be unique")
+        known: set[str] = set()
+        for i, name in enumerate(self.nodes):
+            if not name:
+                raise _fault(("nodes", i), "empty node name")
+            if name in known:
+                raise _fault(("nodes", i), f"node {name!r} declared twice")
+            known.add(name)
         if self.sink not in known:
-            raise ModelError(f"sink {self.sink!r} is not a node")
-        for node in self.starts:
+            raise _fault(("sink", 0), f"sink {self.sink!r} is not a node")
+        assigned: set[str] = set()  # start and edge variables so far
+        for i, (node, var) in enumerate(self.starts.items()):
             if node not in known:
-                raise ModelError(f"start entry for unknown node {node!r}")
-        seen_vars = set(self.starts.values())
-        if len(seen_vars) != len(self.starts):
-            raise ModelError("start variables must be distinct")
-        for u, v, name in self.edges:
+                raise _fault(("starts", i), f"start entry for unknown node {node!r}")
+            _assign(var, assigned, ("starts", i), f"start node {node!r}")
+        for i, (u, v, var) in enumerate(self.edges):
             if u not in known or v not in known:
-                raise ModelError(f"edge {u!r} -> {v!r} uses an unknown node")
-            if name in seen_vars:
-                raise ModelError(f"variable {name!r} assigned twice")
-            seen_vars.add(name)
+                raise _fault(("edges", i), f"edge {u!r} -> {v!r} uses an unknown node")
+            _assign(var, assigned, ("edges", i), f"edge {u!r} -> {v!r}")
         object.__setattr__(self, "_plan", self._build_plan())
 
     def __reduce__(self):
@@ -442,45 +469,24 @@ class _FlowPlan(NamedTuple):
 
 
 def parse_dag(text: str, path: str = "<dag>") -> DagModel:
-    """Graph file as a DagModel.
-
-    A malformed line, an unknown or repeated name, or a second sink is an
-    error naming the file and line; a cycle or a start node that cannot
-    reach the sink, found when the graph is built, names the file.
-    """
+    """Graph file as a DagModel: this checks the syntax, and `DagModel` the names and the graph, naming the file and line."""
     sections = _sections(text, path, ("nodes", "sink", "starts", "edges"))
     for required in ("nodes", "sink"):
         if required not in sections:
             raise ModelError(f"{path}: missing [{required}] section")
-    nodes: list[str] = []
-    known: set[str] = set()
-    for lineno, line in sections["nodes"]:
-        for name in line.split():
-            if name in known:
-                raise ModelError(f"{path}:{lineno}: node {name!r} declared twice")
-            nodes.append(name)
-            known.add(name)
-    sinks = [(lineno, tok) for lineno, line in sections["sink"] for tok in line.split()]
+    sections["nodes"] = [(lineno, name) for lineno, line in sections["nodes"] for name in line.split()]  # an entry per item
+    sinks = sections["sink"] = [(lineno, tok) for lineno, line in sections["sink"] for tok in line.split()]
     if len(sinks) > 1:
         raise ModelError(f"{path}:{sinks[1][0]}: exactly one sink expected, got {sinks[0][1]!r} and {sinks[1][1]!r}")
     if not sinks:
         raise ModelError(f"{path}: exactly one sink expected")
-    [(lineno, sink)] = sinks
-    if sink not in known:
-        raise ModelError(f"{path}:{lineno}: sink {sink!r} is not a node")
-    assigned: set[str] = set()  # start and edge variables so far
     starts = {}
     for lineno, line in sections.get("starts", []):
         node, _, var = (part.strip() for part in line.partition(":"))
         if not var:
             raise ModelError(f"{path}:{lineno}: start line needs 'node : variable', got {line!r}")
-        if node not in known:
-            raise ModelError(f"{path}:{lineno}: start entry for unknown node {node!r}")
         if node in starts:
             raise ModelError(f"{path}:{lineno}: node {node!r} already has start variable {starts[node]!r}")
-        if var in assigned:
-            raise ModelError(f"{path}:{lineno}: variable {var!r} assigned twice")
-        assigned.add(var)
         starts[node] = var
     edges = []
     for lineno, line in sections.get("edges", []):
@@ -490,17 +496,9 @@ def parse_dag(text: str, path: str = "<dag>") -> DagModel:
         ends = lhs.split()
         if len(ends) != 2:
             raise ModelError(f"{path}:{lineno}: edge line needs two node names, got {line!r}")
-        u, v = ends
-        if u not in known or v not in known:
-            raise ModelError(f"{path}:{lineno}: edge {u!r} -> {v!r} uses an unknown node")
-        if var in assigned:
-            raise ModelError(f"{path}:{lineno}: variable {var!r} assigned twice")
-        assigned.add(var)
-        edges.append((u, v, var))
-    try:
-        return DagModel(tuple(nodes), sink, starts, tuple(edges))
-    except ValueError as exc:  # a cycle, or a start node that cannot reach the sink
-        raise ModelError(f"{path}: {exc}") from None
+        edges.append((*ends, var))
+    nodes = tuple(name for _, name in sections["nodes"])
+    return _built(lambda: DagModel(nodes, sinks[0][1], starts, tuple(edges)), path, sections)
 
 
 def _toposort(d: DagModel) -> list[str]:
@@ -616,11 +614,11 @@ def parse_snapshots(text: str, path: str = "<values>") -> SnapshotTable:
 
     Rows whose cells are all blank (``,,,`` too) are skipped, and the first
     other row is a header if it reads ``entity,variable,initial,final`` (any
-    case or spacing).  Each row is checked as it is read: 4 cells, names
-    stripped of surrounding spaces, finite numbers (initial, then final),
-    and no entity listing a variable twice.  The first offending row stops
-    the parse with a ModelError naming the file and its physical line (the
-    last line of a quoted multi-line row).
+    case or spacing).  Each row is checked as it is read: 4 cells, finite
+    numbers (initial, then final), names stripped of surrounding spaces and
+    not empty, and no entity listing a variable twice.  The first offending
+    row stops the parse with a ModelError naming the file and its physical
+    line (the last line of a quoted multi-line row).
     """
     reader = csv.reader(io.StringIO(text))
     entities: dict[str, int] = {}
@@ -649,6 +647,8 @@ def parse_snapshots(text: str, path: str = "<values>") -> SnapshotTable:
                 r, s = _parse_float(a.strip(), where), _parse_float(b.strip(), where)
             header = False
             e, v = e.strip(), v.strip()
+            if not (e and v):
+                raise ModelError(f"{path}:{reader.line_num}: empty {'variable' if e else 'entity'} name")
             cell = (entities.setdefault(e, len(entities)), variables.setdefault(v, len(variables)))
             if cell in cells:
                 raise ModelError(f"{path}:{reader.line_num}: variable {v!r} listed twice for entity {e!r}")

@@ -645,6 +645,15 @@ class TestCli:
         assert captured.out == ""
         assert "entity 'q3'" in captured.err and "variable 'p'" in captured.err
 
+    def test_empty_entity_name_names_file_and_line(self, model_files, tmp_path, capsys):
+        # not attributed as an entity named ''
+        model, _ = model_files
+        values = tmp_path / "values.csv"
+        values.write_text(",a,1,2\n")
+        assert main(["--model", model, "--values", str(values), "--report", "machine"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {values}:1: empty entity name\n"
+
     def test_snapshot_mismatch_names_the_entity(self, model_files, tmp_path, capsys):
         model, _ = model_files
         values = tmp_path / "values.csv"

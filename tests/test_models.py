@@ -164,7 +164,27 @@ class TestModelFormat:
 
     def test_compile_rejects_repeated_variable_in_spec_built_in_code(self):
         with pytest.raises(ModelError, match="variable repeated within one term"):
-            compile_model(ModelSpec(("a",), ((("a", "a"), 1.0),)))
+            ModelSpec(("a",), ((("a", "a"), 1.0),))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((("a", ""),), "empty variable name"),
+            ((("a", "b", "a"),), "variable 'a' declared twice"),
+            ((("a",), (), (), {"a": ""}), "variable 'a' has an empty segment label"),
+            ((("a",), (), (), {"": "x"}), "segment entry references undeclared variable ''"),
+            ((("a", "b"), ((("a", "b"), 1.0), (("b", "a", "b"), 1.0))), "variable repeated within one term: ('b', 'a', 'b')"),
+            ((("a", "b"), ((("a", "b"), 1e308), (("b", "a"), 1e308))), "coefficients of the terms over ('b', 'a') add up to inf"),
+            ((("a",), ((("a",), math.nan),)), "coefficients of the terms over ('a',) add up to nan"),
+            ((("a", "b"), (), (("b", "powlaw", (1.0, 0.0, 1.0, 0.5)),)), "powlaw exponent must be a nonzero integer"),
+            ((("a",), (), (("", "poly", (1.0,)),)), "separable term references undeclared variable ''"),
+        ],
+    )
+    def test_specs_built_in_code_are_checked(self, args, message):
+        # parse_model gets these from the constructor too, and puts the file and line before them
+        with pytest.raises(ModelError) as info:
+            ModelSpec(*args)
+        assert str(info.value) == message
 
 
 class TestDag:
@@ -322,11 +342,15 @@ class TestDag:
     @pytest.mark.parametrize(
         "nodes, sink, starts, edges, message",
         [
-            (("a", "a", "t"), "t", {}, (), "node names must be unique"),
+            (("a", "a", "t"), "t", {}, (), "node 'a' declared twice"),
             (("a", "t"), "x", {}, (), "sink 'x' is not a node"),
             (("a", "t"), "t", {"q": "s"}, (), "start entry for unknown node 'q'"),
-            (("a", "b", "t"), "t", {"a": "s", "b": "s"}, (("a", "t", "p"), ("b", "t", "q")), "start variables must be distinct"),
+            (("a", "b", "t"), "t", {"a": "s", "b": "s"}, (("a", "t", "p"), ("b", "t", "q")), "variable 's' assigned twice"),
             (("a", "t"), "t", {}, (("a", "q", "p"),), "edge 'a' -> 'q' uses an unknown node"),
+            (("a", "", "t"), "t", {}, (), "empty node name"),
+            (("a", "t"), "t", {"a": ""}, (("a", "t", "p"),), "start node 'a' has an empty variable name"),
+            (("a", "t"), "t", {"a": "s"}, (("a", "t", ""),), "edge 'a' -> 't' has an empty variable name"),
+            (("a", "t"), "t", {"": "s"}, (), "start entry for unknown node ''"),
         ],
     )
     def test_graphs_built_in_code_are_checked(self, nodes, sink, starts, edges, message):
@@ -448,6 +472,12 @@ class TestSnapshots:
             ("q,a,1,2\nq,p,x,2\nq,a,1,2\n", "v.csv:2: expected a number, got 'x'"),
             # a quoted cell spanning lines: the line is the row's last physical line
             ('"q\nx",a,1,2\n"q\nx",p,1,oops\n', "v.csv:4: expected a number, got 'oops'"),
+            # a name of spaces is empty once stripped; the numbers are checked first
+            (",a,1,2\n", "v.csv:1: empty entity name"),
+            ("q,a,1,2\n  ,p,1,2\n", "v.csv:2: empty entity name"),
+            ("q,,1,2\n", "v.csv:1: empty variable name"),
+            ("q,a,1,2\n , ,1,2\n", "v.csv:2: empty entity name"),
+            (",a,x,2\n", "v.csv:1: expected a number, got 'x'"),
         ],
     )
     def test_row_errors_name_file_and_line(self, text, message):
@@ -505,6 +535,9 @@ def _reference_rows(text: str, path: str) -> list[tuple[str, str, str, str]]:
                     raise ModelError(f"{where}: expected a finite number, got {token!r}")
                 values.append(value.hex())
             entity, variable = row[0].strip(), row[1].strip()
+            for name, what in ((entity, "entity"), (variable, "variable")):
+                if not name:
+                    raise ModelError(f"{where}: empty {what} name")
             if (entity, variable) in seen:
                 raise ModelError(f"{where}: variable {variable!r} listed twice for entity {entity!r}")
             seen.add((entity, variable))
@@ -523,6 +556,8 @@ _ROWS = st.one_of(
     st.tuples(*[st.sampled_from(_CELLS)] * 4).map(",".join),
     _VALID_ROW.map(",".join),
     _VALID_ROW.map(",".join),
+    # good numbers, and names that may be empty or spaces
+    st.tuples(*[st.sampled_from(["", " ", "q"])] * 2, st.just("1"), st.just("2")).map(",".join),
 )
 
 
@@ -572,6 +607,192 @@ class TestSnapshotsOnePass:
         # str.strip drops the separators \x1c..\x1f and float alone does not: the row checks and the stored value agree
         snaps = parse_snapshots("q,a,\x1c1\x1f,2\n")
         assert snaps.initial.tolist() == [1.0] and snaps.final.tolist() == [2.0]
+
+
+_NAMES = ["a", "b", "c", "x_1", "y.2"]
+
+
+class _File:
+    """File text built line by line, with the line of each (section, position) item."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.line_of: dict[tuple[str, int], int] = {}
+
+    def section(self, header: str):
+        self.lines += ["# a comment", f"[{header}]", ""]
+
+    def add(self, text: str, *items: tuple[str, int]):
+        self.lines.append(text)
+        self.line_of.update((item, len(self.lines)) for item in items)
+
+    def names(self, section: str, names, per_line: int):
+        for k in range(0, len(names), per_line):
+            self.add(" ".join(names[k : k + per_line]), *((section, j) for j in range(k, min(k + per_line, len(names)))))
+
+    @property
+    def text(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
+def _renamed(d: dict, i: int, new: str) -> dict:
+    """d with its i-th key renamed, keeping the order."""
+    return {(new if j == i else key): value for j, (key, value) in enumerate(d.items())}
+
+
+@st.composite
+def _model_draws(draw):
+    """ModelSpec arguments with at most one fault, and the (section, position) of the item at fault, or None."""
+    variables = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=5, unique=True))
+    segments = {name: draw(st.sampled_from(["x", "y"])) for name in draw(st.lists(st.sampled_from(variables), unique=True))}
+    names = st.lists(st.sampled_from(variables), unique=True).map(tuple)
+    ml_terms = draw(st.lists(st.tuples(names, st.sampled_from([1.0, -2.5, 0.1])), max_size=4))
+    kinds = st.sampled_from([("poly", (0.0, 2.0)), ("exp", (1.0, 0.0, 0.5)), ("powlaw", (1.0, 2.0, 1.0, -2.0))])
+    sep_terms = [(name, *kind) for name, kind in draw(st.lists(st.tuples(st.sampled_from(variables), kinds), max_size=3))]
+    fault = draw(st.sampled_from([None, "duplicate", "undeclared", "empty", "repeated"]))
+    where = None
+    if fault == "duplicate":
+        k = draw(st.integers(1, len(variables)))
+        variables.insert(k, draw(st.sampled_from(variables[:k])))
+        where = ("variables", k)
+    elif fault in ("undeclared", "empty"):
+        new = "zz" if fault == "undeclared" else ""
+        spots = [("segments", i) for i in range(len(segments))] + [("separable", i) for i in range(len(sep_terms))]
+        if fault == "undeclared":
+            spots += [("multilinear", i) for i, (names, _) in enumerate(ml_terms) if names]
+        if spots:
+            where = section, i = draw(st.sampled_from(spots))
+            if section == "segments":
+                segments = _renamed(segments, i, new)
+            elif section == "separable":
+                sep_terms[i] = (new, *sep_terms[i][1:])
+            else:
+                names, coeff = ml_terms[i]
+                j = draw(st.integers(0, len(names) - 1))
+                ml_terms[i] = ((*names[:j], new, *names[j + 1 :]), coeff)
+    elif fault == "repeated":
+        spots = [i for i, (names, _) in enumerate(ml_terms) if names]
+        if spots:
+            i = draw(st.sampled_from(spots))
+            names, coeff = ml_terms[i]
+            ml_terms[i] = ((*names, draw(st.sampled_from(names))), coeff)
+            where = ("multilinear", i)
+    return (tuple(variables), tuple(ml_terms), tuple(sep_terms), segments), where
+
+
+def _model_file(variables, ml_terms, sep_terms, segments, per_line: int) -> _File:
+    out = _File()
+    out.section("variables")
+    out.names("variables", variables, per_line)
+    out.section("segments")
+    for i, (name, label) in enumerate(segments.items()):
+        out.add(f"{name} : {label}", ("segments", i))
+    out.section("multilinear")
+    for i, (names, coeff) in enumerate(ml_terms):
+        out.add(f"{' '.join(names)} : {coeff!r}", ("multilinear", i))
+    out.section("separable")
+    for i, (name, kind, params) in enumerate(sep_terms):
+        out.add(f"{name} : {kind} {' '.join(map(repr, params))}", ("separable", i))
+    return out
+
+
+@st.composite
+def _graph_draws(draw):
+    """DagModel arguments with at most one fault, and the (section, position) of the item at fault, or None.
+
+    Fault-free draws are acyclic, every edge going from a lower node to a
+    higher one, and every start reaches the sink, the last node.
+    """
+    k = draw(st.integers(2, 5))
+    nodes = [f"n{j}" for j in range(k)]
+    sink = nodes[-1]
+    pairs = draw(st.lists(st.sampled_from([(i, j) for i in range(k) for j in range(i + 1, k)]), max_size=6))
+    edges = [(nodes[i], nodes[j], f"p{e}") for e, (i, j) in enumerate(pairs)]
+    reach = {k - 1}
+    for i, j in sorted(pairs, reverse=True):  # tails in decreasing order, so each head is settled before its tails
+        if j in reach:
+            reach.add(i)
+    starts = {nodes[i]: f"s{i}" for i in draw(st.lists(st.sampled_from(sorted(reach)), unique=True))}
+    fault = draw(st.sampled_from([None, "duplicate", "unknown", "empty", "reused"]))
+    where = None
+    if fault == "duplicate":
+        j = draw(st.integers(1, k))
+        nodes.insert(j, draw(st.sampled_from(nodes[:j])))
+        where = ("nodes", j)
+    elif fault == "unknown":
+        spots = [("sink", 0)] + [("starts", i) for i in range(len(starts))] + [("edges", i) for i in range(len(edges))]
+        where = section, i = draw(st.sampled_from(spots))
+        if section == "sink":
+            sink = "zz"
+        elif section == "starts":
+            starts = _renamed(starts, i, "zz")
+        else:
+            u, v, var = edges[i]
+            edges[i] = ("zz", v, var) if draw(st.booleans()) else (u, "zz", var)
+    elif fault == "empty" and starts:
+        i = draw(st.integers(0, len(starts) - 1))
+        starts = _renamed(starts, i, "")
+        where = ("starts", i)
+    elif fault == "reused":
+        spots = [("starts", i) for i in range(len(starts))] + [("edges", i) for i in range(len(edges))]
+        if len(spots) > 1:
+            m = draw(st.integers(1, len(spots) - 1))
+            used = [*starts.values(), *(var for _, _, var in edges)][draw(st.integers(0, m - 1))]
+            where = section, i = spots[m]
+            if section == "starts":
+                starts[list(starts)[i]] = used
+            else:
+                edges[i] = (*edges[i][:2], used)
+    return (tuple(nodes), sink, starts, tuple(edges)), where
+
+
+def _graph_file(nodes, sink, starts, edges, per_line: int) -> _File:
+    out = _File()
+    out.section("nodes")
+    out.names("nodes", nodes, per_line)
+    out.section("sink")
+    out.add(sink, ("sink", 0))
+    out.section("starts")
+    for i, (node, var) in enumerate(starts.items()):
+        out.add(f"{node} : {var}", ("starts", i))
+    out.section("edges")
+    for i, (u, v, var) in enumerate(edges):
+        out.add(f"{u} {v} : {var}", ("edges", i))
+    return out
+
+
+class TestParserAndConstructorAgree:
+    """A file and the same items built in code give the same fault, the file's error adding the item's line."""
+
+    @given(drawn=_model_draws(), per_line=st.integers(1, 3))
+    def test_model(self, drawn, per_line):
+        args, where = drawn
+        out = _model_file(*args, per_line)
+        try:
+            built = ModelSpec(*args)
+        except ModelError as exc:
+            assert where is not None
+            with pytest.raises(ModelError) as info:
+                parse_model(out.text, "m.txt")
+            assert str(info.value) == f"m.txt:{out.line_of[where]}: {exc}"
+        else:
+            assert where is None
+            assert parse_model(out.text, "m.txt") == built
+
+    @given(drawn=_graph_draws(), per_line=st.integers(1, 3))
+    def test_graph(self, drawn, per_line):
+        args, where = drawn
+        out = _graph_file(*args, per_line)
+        try:
+            built = DagModel(*args)
+        except ModelError as exc:
+            assert where is not None
+            with pytest.raises(ModelError) as info:
+                parse_dag(out.text, "g.txt")
+            assert str(info.value) == f"g.txt:{out.line_of[where]}: {exc}"
+        else:
+            assert where is None
+            assert parse_dag(out.text, "g.txt") == built
 
 
 class TestReadText:
