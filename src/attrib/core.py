@@ -5,8 +5,9 @@ from index subsets to coefficients, so ``{(1, 2): 3.0}`` is ``3*x1*x2`` and
 ``{(): 5.0}`` is the constant 5.  Separable terms are univariate functions of
 a single variable drawn from a small closed registry of kinds, each of which
 has an exact symbolic derivative and composes cleanly with affine changes of
-variable.  All values are immutable after construction and every operation
-here is a pure function, so instances can be shared freely across threads.
+variable.  All values are immutable after construction, their mappings held
+as a `ReadOnlyDict`, and every operation here is a pure function, so
+instances can be shared freely across threads.
 """
 from __future__ import annotations
 
@@ -45,6 +46,18 @@ class DomainError(ValueError):
         self.index = index
 
 
+class ReadOnlyDict(dict):
+    """A dict fixed when built: every mutator raises TypeError, and it pickles and copies as its contents."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 # ---------------------------------------------------------------------------
 # multilinear part
 
@@ -68,7 +81,7 @@ def _canonical_terms(n: int, terms) -> dict[Subset, float]:
     return {k: c for k, c in sorted(acc.items()) if c != 0.0}
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultilinearPoly:
     """Sparse multilinear polynomial: sum of coeff * prod_{i in I} x_i.
 
@@ -76,12 +89,12 @@ class MultilinearPoly:
     """
 
     n: int
-    terms: dict[Subset, float]
+    terms: Mapping[Subset, float]
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("variable count must be nonnegative")
-        self.terms = _canonical_terms(self.n, self.terms)
+        object.__setattr__(self, "terms", ReadOnlyDict(_canonical_terms(self.n, self.terms)))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -173,6 +186,10 @@ class SeparableTerm:
         except OverflowError:
             raise DomainError(f"{k} term on variable {self.index} overflows at x = {x!r}", self.index) from None
 
+    def change(self, a: float, b: float) -> float:
+        """value(b) - value(a), tried at b first, so a term outside its domain at both raises b's `DomainError`."""
+        return self.value(b) - self.value(a)
+
     def derivative(self) -> "SeparableTerm":
         k, p = self.kind, self.params
         if k == "poly":
@@ -228,7 +245,7 @@ def _poly_compose_affine(coeffs: tuple[float, ...], c: float, d: float) -> tuple
 # the characteristic function and attribution value types
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharacteristicFunction:
     """f(x) = multilinear part + sum of separable terms.
 
@@ -249,7 +266,7 @@ class CharacteristicFunction:
         for t in self.separable:
             if t.index > self.n:
                 raise ValueError(f"separable term index {t.index} exceeds variable count {self.n}")
-        self.separable = tuple(sorted(self.separable, key=lambda t: (t.index, t.kind, t.params)))
+        object.__setattr__(self, "separable", tuple(sorted(self.separable, key=lambda t: (t.index, t.kind, t.params))))
 
     @property
     def n(self) -> int:
@@ -308,7 +325,7 @@ class CharacteristicFunction:
                     p *= b
                 total += q
             for t in self.separable:
-                total += t.value(s[t.index - 1]) - t.value(r[t.index - 1])
+                total += t.change(r[t.index - 1], s[t.index - 1])
             out.append(total)
         return np.array(out)
 

@@ -13,7 +13,7 @@ each node prefix and suffix products give every member's partial in O(m):
 O(m^2) per monomial.  A monomial of degree _ARRAY_DEGREE or more gets all
 its nodes' partials from one numpy pass, which multiplies and adds in the
 order of the pure-Python loop that smaller ones take, so the two give the
-same bits.  Separable terms use the endpoint rule f_i(s_i) - f_i(r_i).
+same bits.  Separable terms add f_i(s_i) - f_i(r_i), `SeparableTerm.change`.
 
 Every method reads f through three calls: ``f(x)``, ``f.gradients(X)`` and
 ``f.changes(R, S)``, which takes the change f(s) - f(r) from differences
@@ -58,8 +58,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _change, _monomial_partials
-from .models import DagModel
-from .paths import _nodes
+from .paths import _CHUNK_ELEMENTS, _nodes
 
 __all__ = [
     "shapley_weight",
@@ -72,9 +71,6 @@ __all__ = [
 ]
 
 RowHook = Callable[[list, list], None]
-
-# Largest points x columns temporary `attribute_ass_batch` builds at once.
-_CHUNK_ELEMENTS = 1 << 20
 
 # Lowest monomial degree `attribute_ass` takes through one array pass over its
 # Gauss nodes.  Measured on repeated calls, the two cost the same near degree
@@ -166,13 +162,14 @@ def attribute_monomial(
 
 
 @lru_cache(maxsize=None)
-def _unit_gauss(count: int) -> tuple[tuple[float, float], ...]:
-    """The count-node Gauss-Legendre rule mapped to [0, 1], as (node, weight) pairs of floats."""
+def _unit_gauss(count: int) -> tuple[tuple[tuple[float, float], ...], np.ndarray, np.ndarray]:
+    """The count-node Gauss-Legendre rule mapped to [0, 1]: (node, weight) float pairs, a read-only column of nodes and row of weights."""
     t, w = _nodes((0.0, 1.0), count, 1)
-    return tuple(zip(t.tolist(), w.tolist()))
+    t.flags.writeable = w.flags.writeable = False
+    return tuple(zip(t.tolist(), w.tolist())), t[:, None], w
 
 
-def attribute_ass(f: CharacteristicFunction | DagModel, vp: ValuePair) -> AttributionResult:
+def attribute_ass(f, vp: ValuePair) -> AttributionResult:
     """Exact attribution of f(s) - f(r): straight-line integral per monomial plus endpoint rule per separable term.
 
     Cost is O(m^2) per monomial of degree m: ceil(m / 2) Gauss-Legendre
@@ -182,12 +179,13 @@ def attribute_ass(f: CharacteristicFunction | DagModel, vp: ValuePair) -> Attrib
     ascending key order so results are bit-stable across runs.  One explicit
     loop per monomial gathers r_j and s_j in I order, builds d_j, and runs
     the telescoped pair of ``f.changes``; `_finish` adds the separable
-    terms, so the change has ``f.changes``'s bits.  A flow graph is the
-    one-row `attribute_ass_batch`.
+    terms, so the change has ``f.changes``'s bits.  f is a
+    `CharacteristicFunction`, or else a flow graph
+    (`attrib.models.DagModel`), which takes the one-row `attribute_ass_batch`.
     """
     if vp.n != f.n:
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
-    if isinstance(f, DagModel):
+    if not isinstance(f, CharacteristicFunction):
         return attribute_ass_batch(f, [vp.r], [vp.s])[0]
     r, s = vp.r, vp.s
     z = [0.0] * f.n
@@ -211,23 +209,13 @@ def attribute_ass(f: CharacteristicFunction | DagModel, vp: ValuePair) -> Attrib
         else:
             # Seeding the sum with the first node's partials, not 0.0 plus them, can keep a -0.0 that 0.0 + -0.0
             # would make 0.0; z starts at 0.0, so no entry of z is ever -0.0 and its bits are the same.
-            (t, w), *rest = _unit_gauss(count)
+            (t, w), *rest = _unit_gauss(count)[0]
             acc = _monomial_partials([a + t * d for a, d in zip(rv, dv)], w)
             for t, w in rest:
                 acc = list(map(add, acc, _monomial_partials([a + t * d for a, d in zip(rv, dv)], w)))
         for j, d, a in zip(I, dv, acc):
             z[j - 1] += c * d * a
     return _finish(f, z, r, s, change)
-
-
-@lru_cache(maxsize=None)
-def _unit_gauss_arrays(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_unit_gauss(count)` as a read-only column of nodes and a read-only row of weights."""
-    nodes = _unit_gauss(count)
-    t = np.array([tg for tg, _ in nodes])[:, None]
-    w = np.array([wg for _, wg in nodes])
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
 
 
 def _node_partials_sum(r, d, count: int) -> np.ndarray:
@@ -241,7 +229,7 @@ def _node_partials_sum(r, d, count: int) -> np.ndarray:
     array's slow axis one node at a time, not pairwise as along a contiguous
     axis.  Blocks hold at most _BLOCK_ELEMENTS coordinates, or one node's.
     """
-    t, w = _unit_gauss_arrays(count)
+    _, t, w = _unit_gauss(count)
     r, d = np.asarray(r, dtype=float), np.asarray(d, dtype=float)
     lead = (1,) * (r.ndim - 1)  # a node's t and w, the same for every row
     t, w = t.reshape(count, *lead, 1), w.reshape(count, *lead)
@@ -264,15 +252,14 @@ def _finish(f: CharacteristicFunction, z: list[float], r: Sequence[float], s: Se
     `DomainError`.
     """
     for t in f.separable:
-        i = t.index - 1
-        v = t.value(s[i]) - t.value(r[i])
-        z[i] += v
+        v = t.change(r[t.index - 1], s[t.index - 1])
+        z[t.index - 1] += v
         change += v
     return AttributionResult("ass", tuple(z), change)
 
 
-def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[AttributionResult]:
-    """`attribute_ass` of f for every pair of rows (R[e], S[e]) of two E x n arrays.
+def attribute_ass_batch(f, R, S) -> list[AttributionResult]:
+    """`attribute_ass` of f, a model or a flow graph, for every pair of rows (R[e], S[e]) of two E x n arrays.
 
     For a model, each monomial, in ``f.multilinear.terms`` order, takes
     `_node_partials_sum` at its own ceil(m / 2) Gauss nodes over all rows
@@ -299,8 +286,8 @@ def attribute_ass_batch(f: CharacteristicFunction | DagModel, R, S) -> list[Attr
     E = R.shape[0]
     Z = np.zeros_like(R)
     F = np.zeros(E)
-    if isinstance(f, DagModel):
-        t, w = _unit_gauss_arrays((f.degree + 1) // 2)
+    if not isinstance(f, CharacteristicFunction):  # a flow graph
+        _, t, w = _unit_gauss((f.degree + 1) // 2)
         step = max(1, _CHUNK_ELEMENTS // (max(f.n, len(f.nodes)) * len(w)))  # the graph's passes keep V x N arrays
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, E, step):

@@ -55,12 +55,11 @@ import graphlib
 import io
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CharacteristicFunction, SeparableTerm, _check_permutation, from_terms
+from .core import CharacteristicFunction, ReadOnlyDict, SeparableTerm, _check_permutation, from_terms
 from .oracles import PermutationWeights
 
 __all__ = [
@@ -87,21 +86,26 @@ class ModelError(ValueError):
     """Malformed model, graph, or snapshot input."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """Named description of a characteristic function.
 
-    Construction checks every rule on the names, item by item in the order
-    of the model file's sections; the first fault is a ModelError tagged
-    ``exc.item = (section, position)``, from which `parse_model` names its line.
+    Construction keeps a read-only copy, of tuples and a `ReadOnlyDict`, then
+    checks every rule on the names, item by item in the order of the model
+    file's sections; the first fault is a ModelError tagged ``exc.item =
+    (section, position)``, from which `parse_model` names its line.
     """
 
     variables: tuple[str, ...]
     ml_terms: tuple[tuple[tuple[str, ...], float], ...] = ()
     sep_terms: tuple[tuple[str, str, tuple[float, ...]], ...] = ()
-    segments: dict[str, str] = field(default_factory=dict)
+    segments: Mapping[str, str] = field(default_factory=ReadOnlyDict)
 
     def __post_init__(self):
+        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "ml_terms", tuple((tuple(names), coeff) for names, coeff in self.ml_terms))
+        object.__setattr__(self, "sep_terms", tuple((name, kind, tuple(params)) for name, kind, params in self.sep_terms))
+        object.__setattr__(self, "segments", ReadOnlyDict(self.segments))
         declared: dict[str, int] = {}  # name -> its 1-based index
         for i, name in enumerate(self.variables):
             if not name:
@@ -295,9 +299,9 @@ class DagModel:
     routes; the reference `compile_dag` expands them into a `ModelSpec`.
     All use the variable order of `variables`.
 
-    A graph is checked once, when it is built: its names item by item in
-    file order, tagged as in `ModelSpec`, then the whole graph for a cycle
-    or a start node that cannot reach the sink.
+    A graph keeps a read-only copy, as a `ModelSpec` does, and is checked
+    when built: its names item by item in file order, tagged as in
+    `ModelSpec`, then the whole graph for a cycle or an unreachable start.
     """
 
     nodes: tuple[str, ...]
@@ -306,7 +310,9 @@ class DagModel:
     edges: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "starts", MappingProxyType(dict(self.starts)))  # a read-only copy, so the plan stays true to it
+        object.__setattr__(self, "nodes", tuple(self.nodes))  # a read-only copy, so the plan stays true to it
+        object.__setattr__(self, "starts", ReadOnlyDict(self.starts))
+        object.__setattr__(self, "edges", tuple(tuple(edge) for edge in self.edges))
         known: set[str] = set()
         for i, name in enumerate(self.nodes):
             if not name:
@@ -326,10 +332,6 @@ class DagModel:
                 raise _fault(("edges", i), f"edge {u!r} -> {v!r} uses an unknown node")
             _assign(var, assigned, ("edges", i), f"edge {u!r} -> {v!r}")
         object.__setattr__(self, "_plan", self._build_plan())
-
-    def __reduce__(self):
-        """Pickle and copy by the constructor's arguments, since a mappingproxy does not pickle."""
-        return DagModel, (self.nodes, self.sink, dict(self.starts), self.edges)
 
     @property
     def variables(self) -> tuple[str, ...]:

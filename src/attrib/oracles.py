@@ -25,12 +25,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, ValuePair, _change, _check_permutation
+from .core import AttributionResult, ReadOnlyDict, ValuePair, _change, _check_permutation
 
 __all__ = [
     "ORDER_CAP",
@@ -55,12 +54,12 @@ def _check_cap(n: int):
 
 @dataclass(frozen=True)
 class PermutationWeights:
-    """Finite nonnegative weights over variable orders, summing to 1 within 1e-12."""
+    """Finite nonnegative weights over variable orders, summing to 1 within 1e-12, kept as a read-only copy."""
 
     weights: Mapping[tuple[int, ...], float]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))  # a read-only copy, so the walk plan stays true to it
+        object.__setattr__(self, "weights", ReadOnlyDict(self.weights))  # a read-only copy, so the walk plan stays true to it
         if not self.weights:
             raise ValueError("need at least one order")
         n = len(next(iter(self.weights)))
@@ -76,10 +75,6 @@ class PermutationWeights:
     @property
     def n(self) -> int:
         return len(next(iter(self.weights)))
-
-    def __reduce__(self):
-        """Pickle and copy by the constructor's argument, since a mappingproxy does not pickle."""
-        return PermutationWeights, (dict(self.weights),)
 
     @classmethod
     def single(cls, order: Sequence[int]) -> "PermutationWeights":

@@ -40,7 +40,7 @@ __all__ = [
 _ORDER = 16
 _PANELS = 8
 
-# Largest nodes x variables block whose gradients one call takes.
+# Largest block of elements one pass builds at once, here and in `attrib.exact`.
 _CHUNK_ELEMENTS = 1 << 20
 
 

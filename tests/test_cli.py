@@ -801,6 +801,12 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env()).stdout
         assert out.strip() == "[]"
 
+    def test_import_does_not_load_the_file_grammars(self):
+        # the kernels tell a graph from a model by its type alone; only the CLI and the reports read files
+        code = "import sys, attrib; print(sorted(m for m in ('attrib.models', 'csv', 'graphlib') if m in sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env()).stdout
+        assert out.strip() == "[]"
+
     @pytest.mark.parametrize(
         "report, render, sep", [("machine", render_machine, "\n"), ("text", render_text, "\n\n")], ids=["machine", "text"]
     )

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from attrib import (
     shapley_shubik_bruteforce,
 )
 
-from attrib.core import _monomial_partials
+from attrib.core import ReadOnlyDict, _monomial_partials
 from attrib.exact import attribute_ass_batch
 from conftest import charfn_pairs, charfns
 
@@ -287,6 +290,83 @@ def test_separable_term_beyond_the_variable_count_rejected():
     with pytest.raises(ValueError) as info:
         from_terms(2, {}, [SeparableTerm(3, "poly", (1.0, 2.0))])
     assert str(info.value) == "separable term index 3 exceeds variable count 2"
+
+
+class TestReadOnlyRecords:
+    def test_read_only_dict_refuses_every_mutator(self):
+        d = ReadOnlyDict({"a": 1})
+        mutators = [
+            lambda: d.__setitem__("b", 2),
+            lambda: d.__delitem__("a"),
+            d.clear,
+            lambda: d.pop("a"),
+            d.popitem,
+            lambda: d.setdefault("b", 2),
+            lambda: d.update(b=2),
+        ]
+        for mutate in mutators:
+            with pytest.raises(TypeError):
+                mutate()
+        with pytest.raises(TypeError):
+            d |= {"b": 2}
+        assert d == {"a": 1} and type(d) is ReadOnlyDict
+
+    def test_read_only_dict_pickles_and_copies_as_its_contents(self):
+        d = ReadOnlyDict({(1, 2): 0.5, (): -1.0})
+        for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+            assert type(twin) is ReadOnlyDict and twin == d and list(twin) == list(d)
+
+    def test_function_refuses_changes_after_its_checks(self):
+        f = product_function(2)
+        with pytest.raises(TypeError):
+            f.multilinear.terms[(3,)] = 1.0
+        for record, name in ((f, "separable"), (f, "multilinear"), (f.multilinear, "n"), (f.multilinear, "terms")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+        assert f.multilinear.terms == {(1, 2): 1.0}
+        assert attribute_ass(f, ValuePair((1.0, 1.0), (2.0, 3.0))).z == pytest.approx((2.0, 3.0))
+
+    def test_function_keeps_a_copy_of_its_terms(self):
+        terms = {(1, 2): 2.0}
+        f = from_terms(2, terms)
+        terms[(1,)] = 5.0
+        assert f.multilinear.terms == {(1, 2): 2.0} and type(f.multilinear.terms) is ReadOnlyDict
+
+    def test_function_pickles_and_copies(self):
+        f = from_terms(3, {(1, 2): 2.0, (3,): -1.0}, [SeparableTerm(2, "log", (1.0, 0.5, 2.0))])
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert twin == f and twin((1.0, 2.0, 3.0)) == f((1.0, 2.0, 3.0))
+            assert type(twin.multilinear.terms) is ReadOnlyDict
+
+
+_EVERY_KIND = [
+    SeparableTerm(1, "poly", (0.5, -2.0, 3.0)),
+    SeparableTerm(1, "affine", (4.0, 1.0)),
+    SeparableTerm(1, "log", (2.0, 1.0, 1.5)),
+    SeparableTerm(1, "exp", (0.5, -1.0, 3.0)),
+    SeparableTerm(1, "powlaw", (1.0, 2.0, 0.5, -3.0)),
+]
+
+
+@pytest.mark.parametrize("term", _EVERY_KIND, ids=lambda t: t.kind + str(len(t.params)))
+def test_separable_change_has_the_bits_of_the_value_difference(term):
+    for a, b in ((0.25, 1.75), (3.0, 0.1), (1.0, 1.0), (0.3, 0.30000000000000004)):
+        assert term.change(a, b).hex() == (term.value(b) - term.value(a)).hex()
+
+
+@pytest.mark.parametrize(
+    "term, a, b, message",
+    [
+        (SeparableTerm(1, "log", (1.0, 0.0, 1.0)), -1.0, -2.0, "log term on variable 1 got nonpositive argument -2.0"),
+        (SeparableTerm(1, "log", (1.0, 0.0, 1.0)), -1.0, 2.0, "log term on variable 1 got nonpositive argument -1.0"),
+        (SeparableTerm(1, "exp", (1.0, 0.0, 1.0)), 1000.0, 2000.0, "exp term on variable 1 overflows at x = 2000.0"),
+        (SeparableTerm(1, "powlaw", (1.0, 0.0, 1.0, 3.0)), 1e200, 2e200, "powlaw term on variable 1 overflows at x = 2e+200"),
+    ],
+)
+def test_separable_change_raises_the_domain_error_at_b_before_a(term, a, b, message):
+    with pytest.raises(DomainError) as info:
+        term.change(a, b)
+    assert str(info.value) == message and info.value.index == 1
 
 
 def test_affine_is_stored_as_poly():

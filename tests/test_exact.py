@@ -177,6 +177,35 @@ class TestAttributeAss:
         assert not all(map(math.isfinite, res.z)) and not res.converged
 
 
+def test_each_kernel_takes_each_separable_difference_from_the_term_once_per_row(monkeypatch):
+    from attrib.exact import attribute_ass_batch
+
+    f = from_terms(
+        3,
+        {(1, 2): 1.5, (2, 3): -1.0},
+        [SeparableTerm(1, "log", (1.0, 0.0, 1.0)), SeparableTerm(3, "exp", (0.5, 0.0, 1.0)), SeparableTerm(3, "poly", (1.0, 2.0))],
+    )
+    R = [[1.0, 2.0, 3.0], [2.0, 0.5, -1.0]]
+    S = [[2.0, 1.0, 0.5], [0.25, 4.0, 2.0]]
+    expected = [(t, r[t.index - 1], s[t.index - 1]) for r, s in zip(R, S) for t in f.separable]
+    calls = []
+    change = SeparableTerm.change
+
+    def counted(term, a, b):
+        calls.append((term, a, b))
+        return change(term, a, b)
+
+    monkeypatch.setattr(SeparableTerm, "change", counted)
+    for run in (
+        lambda: f.changes(R, S),
+        lambda: [attribute_ass(f, ValuePair(r, s)) for r, s in zip(R, S)],
+        lambda: attribute_ass_batch(f, R, S),
+    ):
+        calls.clear()
+        run()
+        assert calls == expected
+
+
 class TestAttributeNaive:
     def test_procurement(self, procurement):
         f, vp = procurement

@@ -1,6 +1,9 @@
+import copy
 import csv
+import dataclasses
 import io
 import math
+import pickle
 import random
 import sys
 
@@ -187,6 +190,39 @@ class TestModelFormat:
         assert str(info.value) == message
 
 
+class TestModelSpecIsReadOnly:
+    def test_segments_refuse_changes(self):
+        ms = ModelSpec(("a",))
+        with pytest.raises(TypeError):
+            ms.segments["b"] = ""
+        assert ms.segments == {}
+
+    def test_fields_refuse_assignment(self):
+        ms = ModelSpec(("a",))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ms.ml_terms = ((("a", "a"), 1.0),)
+        assert ms.ml_terms == () and compile_model(ms).multilinear.terms == {}
+
+    def test_keeps_a_copy_of_what_it_is_given(self):
+        variables, segments = ["a", "b"], {"a": "x"}
+        ms = ModelSpec(variables, (), (), segments)
+        variables.append("c")
+        segments["b"] = "y"
+        assert ms.variables == ("a", "b") and ms.segments == {"a": "x"}
+
+    def test_sequences_become_tuples_equal_to_the_parsed_file(self):
+        ms = ModelSpec(["a", "b"], [(["a", "b"], 2.0)], [("a", "poly", [0.0, 1.0])], {"a": "s"})
+        assert ms == parse_model("[variables]\na b\n[segments]\na : s\n[multilinear]\na b : 2\n[separable]\na : poly 0 1\n")
+        assert ms.ml_terms == ((("a", "b"), 2.0),) and ms.sep_terms == (("a", "poly", (0.0, 1.0)),)
+
+    def test_pickles_and_copies(self):
+        ms = parse_model(MODEL_TEXT)
+        for twin in (pickle.loads(pickle.dumps(ms)), copy.deepcopy(ms)):
+            assert twin == ms and compile_model(twin) == compile_model(ms)
+            with pytest.raises(TypeError):
+                twin.segments["c"] = "z"
+
+
 class TestDag:
     def test_parse(self):
         d = parse_dag(DAG_TEXT)
@@ -246,6 +282,13 @@ class TestDag:
         assert d.starts == {"home": "s_home", "catalog": "s_catalog"}
         assert (d.n, d.variables, d([1.0] * 7), attribute_ass(d, vp)) == (n, variables, value, result)
         assert value == 5.0
+
+    def test_graph_sequences_become_tuples(self):
+        shop = ecommerce_dag_example()
+        d = DagModel(list(shop.nodes), shop.sink, dict(shop.starts), [list(edge) for edge in shop.edges])
+        assert d == shop and type(d.nodes) is tuple and all(type(edge) is tuple for edge in d.edges)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.edges = ()
 
     def test_graph_pickles_and_copies(self):
         import copy
