@@ -186,6 +186,20 @@ class SeparableTerm:
         except OverflowError:
             raise DomainError(f"{k} term on variable {self.index} overflows at x = {x!r}", self.index) from None
 
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """`value` at every entry of the 1-d array x, with its bits.
+
+        A poly runs the same Horner steps on the whole array; every other
+        kind calls `value` entry by entry, so the scalar rule, and the
+        `DomainError` it raises, is the only one.
+        """
+        if self.kind == "poly":
+            acc = np.zeros_like(x)
+            for c in reversed(self.params):
+                acc = acc * x + c
+            return acc
+        return np.fromiter(map(self.value, x.tolist()), float, len(x))
+
     def change(self, a: float, b: float) -> float:
         """value(b) - value(a), tried at b first, so a term outside its domain at both raises b's `DomainError`."""
         return self.value(b) - self.value(a)
@@ -279,9 +293,12 @@ class CharacteristicFunction:
         """All partial derivatives of f at every row of the N x n array X, as an N x n array.
 
         Monomials are added in ascending key order, then the separable
-        derivatives, each built once and evaluated point by point, so a point
-        outside a term's domain raises the `DomainError` a single-point call
-        would.  Products that overflow give inf, as in plain float arithmetic.
+        derivatives, each built once and evaluated over its whole column by
+        `SeparableTerm.values`, in term order, so every row has the bits of a
+        single-point call.  Where a point lies outside a term's domain, the
+        point-major loop reruns to raise the `DomainError` a single-point
+        call would: the first failing point wins over the first failing
+        term.  Products that overflow give inf, as in plain float arithmetic.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
@@ -293,9 +310,14 @@ class CharacteristicFunction:
                 if I:
                     cols = [j - 1 for j in I]
                     G[:, cols] += _batch_partials(X[:, cols], c)
-            for x, g in zip(X.tolist() if derivs else (), G):
+            try:
                 for i, d in derivs:
-                    g[i] += d.value(x[i])  # a numpy scalar add, which warns on overflow outside errstate
+                    G[:, i] += d.values(X[:, i])
+            except DomainError:
+                for x in X.tolist():
+                    for i, d in derivs:
+                        d.value(x[i])
+                raise
         return G
 
     def changes(self, R, S) -> np.ndarray:

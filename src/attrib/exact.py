@@ -181,12 +181,13 @@ def attribute_ass(f, vp: ValuePair) -> AttributionResult:
     the telescoped pair of ``f.changes``; `_finish` adds the separable
     terms, so the change has ``f.changes``'s bits.  f is a
     `CharacteristicFunction`, or else a flow graph
-    (`attrib.models.DagModel`), which takes the one-row `attribute_ass_batch`.
+    (`attrib.models.DagModel`), which takes the one-row `attribute_ass_batch`;
+    anything else raises TypeError.
     """
-    if vp.n != f.n:
-        raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
     if not isinstance(f, CharacteristicFunction):
         return attribute_ass_batch(f, [vp.r], [vp.s])[0]
+    if vp.n != f.n:
+        raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
     r, s = vp.r, vp.s
     z = [0.0] * f.n
     change = 0.0
@@ -271,8 +272,14 @@ def attribute_ass_batch(f, R, S) -> list[AttributionResult]:
     call over all nodes of a chunk, which expands no routes, and the change
     comes from ``DagModel.changes`` on the chunk.  Chunks keep every
     temporary near _CHUNK_ELEMENTS.  An exception raised while evaluating
-    an entity carries that entity's row number as ``exc.row``.
+    an entity carries that entity's row number as ``exc.row``.  Any other f
+    raises TypeError.
     """
+    if not isinstance(f, CharacteristicFunction):
+        from .models import DagModel  # a graph's caller has loaded it already; `import attrib` does not
+
+        if not isinstance(f, DagModel):
+            raise TypeError(f"exact attribution needs a model or a flow graph, got {type(f).__name__}")
     R = np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=float)
     if len(R) == len(S) == 0:

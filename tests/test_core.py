@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from attrib import (
@@ -36,7 +36,7 @@ from attrib import (
 
 from attrib.core import ReadOnlyDict, _monomial_partials
 from attrib.exact import attribute_ass_batch
-from conftest import charfn_pairs, charfns
+from conftest import charfn_pairs, charfns, multilinear_terms
 
 
 def test_evaluate_single_monomial():
@@ -543,6 +543,85 @@ def test_gradients_raise_the_first_points_domain_error():
     assert info.value.index == 2
     with pytest.raises(ValueError, match="dimension mismatch"):
         f.gradients([(1.0, 2.0, 3.0)])
+
+
+# grid points and offsets that put bases at exactly zero; large scales and slopes that overflow exp and powlaw
+_GRID = st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0])
+_OFFSETS = st.one_of(_GRID, st.floats(-3, 3))
+_SLOPES = st.one_of(st.sampled_from([1.0, -1.0, 2.0, 800.0, -1000.0]), st.floats(-2, 2))
+_SCALES = st.one_of(st.sampled_from([1.0, 1e300, -1e300]), st.floats(-2, 2))
+
+
+@st.composite
+def _every_kind(draw, n):
+    """A separable term of any kind on a variable of 1..n; poly includes the affine spelling."""
+    i = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["poly", "affine", "log", "exp", "powlaw"]))
+    if kind == "poly":
+        return SeparableTerm(i, kind, draw(st.lists(st.floats(-2, 2), min_size=1, max_size=4)))
+    if kind == "affine":
+        return SeparableTerm(i, kind, (draw(st.floats(-2, 2)), draw(_OFFSETS)))
+    params = (draw(_SLOPES), draw(_OFFSETS), draw(_SCALES))
+    if kind == "powlaw":
+        params += (draw(st.sampled_from([-3, -2, -1, 1, 2, 3, 150])),)
+    return SeparableTerm(i, kind, params)
+
+
+@st.composite
+def _functions_and_points(draw):
+    n = draw(st.integers(1, 4))
+    f = from_terms(n, draw(multilinear_terms(n)), draw(st.lists(_every_kind(n), max_size=5)))
+    X = draw(st.lists(st.lists(st.one_of(_GRID, st.floats(-3, 3)), min_size=n, max_size=n), min_size=1, max_size=30))
+    return f, X
+
+
+def _bits(rows):
+    return [[repr(v) for v in row] for row in rows]  # -0.0 is not 0.0, and every nan is one value
+
+
+@example((from_terms(1, {}, [SeparableTerm(1, "log", (1.0, 0.0, 1.0))]), [[1.0], [0.0], [2.0]]))  # a zero base, power -2
+@example((from_terms(2, {}, [SeparableTerm(1, "exp", (1000.0, 0.0, 1.0)), SeparableTerm(2, "poly", (1.0, 1e300, 1e300))]), [[0.5, 2.0], [1.0, 1.0]]))
+@example((from_terms(2, {}, [SeparableTerm(1, "exp", (1000.0, 0.0, 1.0)), SeparableTerm(2, "log", (1.0, 0.0, 1.0))]), [[0.5, 1.0], [0.5, 0.0], [3.0, 1.0]]))
+@given(_functions_and_points())
+def test_gradients_of_drawn_terms_equal_the_point_loop_or_raise_its_first_error(case):
+    """Many points and every kind of term, some outside a derivative's domain: the point loop's rows, or its first error."""
+    f, X = case
+    try:
+        want = [_loop_gradient(f, x) for x in X]
+    except DomainError as first:
+        with pytest.raises(DomainError) as info:
+            f.gradients(X)
+        assert (str(info.value), info.value.index) == (str(first), first.index)
+    else:
+        assert _bits(f.gradients(X).tolist()) == _bits(want)
+
+
+def test_gradients_take_each_derivative_a_column_at_a_time(monkeypatch):
+    """One call over N rows: a poly derivative's `value` is never called, every other derivative's N times, down its column."""
+    f = from_terms(
+        3,
+        {(1, 2): 1.5},
+        [
+            SeparableTerm(1, "log", (1.0, 4.0, 1.0)),  # derivative powlaw, exponent -1
+            SeparableTerm(2, "exp", (0.5, 0.0, 1.0)),
+            SeparableTerm(2, "poly", (1.0, 2.0, 3.0)),
+            SeparableTerm(3, "powlaw", (1.0, 4.0, 2.0, 1.0)),  # derivative poly
+            SeparableTerm(3, "powlaw", (1.0, 4.0, 2.0, 3.0)),
+        ],
+    )
+    X = [[0.5, -1.0, 2.0], [1.0, 0.0, -0.5], [2.5, 3.0, 1.0], [-1.5, 0.25, 0.0]]
+    calls = []
+    value = SeparableTerm.value
+
+    def counted(term, x):
+        calls.append((term, x))
+        return value(term, x)
+
+    monkeypatch.setattr(SeparableTerm, "value", counted)
+    f.gradients(X)
+    derivs = [t.derivative() for t in f.separable]
+    assert [d.kind for d in derivs] == ["powlaw", "exp", "poly", "poly", "powlaw"]
+    assert calls == [(d, x[d.index - 1]) for d in derivs if d.kind != "poly" for x in X]
 
 
 @given(charfn_pairs(max_n=4))

@@ -1,13 +1,18 @@
 import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import attrib
 from attrib import (
+    BlackBoxFunction,
     SeparableTerm,
     ValuePair,
     attribute_ass,
@@ -22,7 +27,8 @@ from attrib import (
     shapley_weights,
 )
 from attrib.core import _batch_partials
-from attrib.exact import dp_subset_means
+from attrib.exact import attribute_ass_batch, dp_subset_means
+from attrib.reports import resolve_method
 
 from conftest import charfn_pairs, coeffs, exact_product_attribution
 
@@ -175,6 +181,39 @@ class TestAttributeAss:
         assert attribute_ass(f, ValuePair((1.0, 1.0), (2.0, 3.0))).converged
         res = attribute_ass(f, ValuePair((1e10, 1e10), (2e10, 3e10)))
         assert not all(map(math.isfinite, res.z)) and not res.converged
+
+
+class TestExactNeedsAModelOrAGraph:
+    """A black box or a plain callable has no terms to split: a TypeError naming its type, before f.n is read."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, vp: attribute_ass(f, vp),
+            lambda f, vp: attribute_ass_batch(f, [vp.r], [vp.s]),
+            lambda f, vp: attribute_ass_batch(f, [], []),
+            lambda f, vp: resolve_method("ass")(f, vp),
+        ],
+        ids=["ass", "ass-batch", "empty-batch", "resolve-method"],
+    )
+    @pytest.mark.parametrize(
+        "f, name",
+        [(BlackBoxFunction(2, lambda x: x[0] * x[1]), "BlackBoxFunction"), (lambda x: x[0], "function")],
+        ids=["black-box", "callable"],
+    )
+    def test_anything_else_is_a_type_error(self, call, f, name):
+        with pytest.raises(TypeError, match=rf"^exact attribution needs a model or a flow graph, got {name}$"):
+            call(f, ValuePair((1.0, 1.0), (2.0, 2.0)))
+
+    def test_a_model_loads_no_file_grammar(self):
+        code = (
+            "import sys, attrib; f = attrib.product_function(2); vp = attrib.ValuePair((1.0, 2.0), (3.0, 4.0)); "
+            "attrib.attribute_ass(f, vp); attrib.exact.attribute_ass_batch(f, [vp.r], [vp.s]); "
+            "print(sorted(m for m in ('attrib.models', 'csv', 'graphlib') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(attrib.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+        assert out.strip() == "[]"
 
 
 def test_each_kernel_takes_each_separable_difference_from_the_term_once_per_row(monkeypatch):
