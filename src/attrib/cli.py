@@ -18,7 +18,6 @@ import math
 import os
 import sys
 
-from .axioms import InstanceGenerator, run_axiom_suite
 from .models import ModelError, parse_dag, parse_model, parse_snapshots, read_text
 from .reports import mix_effects_demo, render_machine, render_mix_effects, render_text, resolve_method, run_report
 
@@ -53,6 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _axiom_suite(args) -> int:
+    from .axioms import InstanceGenerator, run_axiom_suite  # here, so that no other mode loads the suite
+
     method_id = "ass" if args.method is None else args.method
     seed = 0 if args.seed is None else args.seed
     trials = 200 if args.trials is None else args.trials

@@ -7,12 +7,16 @@ a single variable drawn from a small closed registry of kinds, each of which
 has an exact symbolic derivative and composes cleanly with affine changes of
 variable.  All values are immutable after construction, their mappings held
 as a `ReadOnlyDict`, and every operation here is a pure function, so
-instances can be shared freely across threads.
+instances can be shared freely across threads.  The helpers that both
+kernel modules share live here too, so `attrib.exact` loads without
+`attrib.paths`: `_batch_partials`, the composite Gauss-Legendre rule
+`_nodes` and the block size `_CHUNK_ELEMENTS`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -483,6 +487,29 @@ def _batch_partials(x: np.ndarray, scale) -> np.ndarray:
     np.cumprod(out, axis=-1, out=out)
     out[..., :-1] *= np.cumprod(x[..., :0:-1], axis=-1)[..., ::-1]
     return out
+
+
+# Largest block of elements one pass builds at once, in `attrib.exact` and `attrib.paths`.
+_CHUNK_ELEMENTS = 1 << 20
+
+
+@lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)  # looked up on first use: numpy loads np.polynomial lazily
+
+
+def _nodes(breaks: Sequence[float], order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w of the `order`-point Gauss-Legendre rule on `panels` equal panels between successive breaks.
+
+    ``w @ fn(t)`` is then the composite rule for the integral of fn from
+    breaks[0] to breaks[-1]; nodes come in ascending order.
+    """
+    x, w = _leggauss(order)
+    a = np.asarray(breaks[:-1], dtype=float)[:, None]
+    h = (np.asarray(breaks[1:], dtype=float)[:, None] - a) / panels
+    mid = (a + (np.arange(panels) + 0.5) * h)[..., None]  # (segments, panels, 1)
+    half = 0.5 * h[..., None]
+    return (mid + half * x).ravel(), np.broadcast_to(w * half, mid.shape[:2] + w.shape).ravel()
 
 
 def partial_derivative(f: CharacteristicFunction, i: int) -> CharacteristicFunction:

@@ -43,6 +43,10 @@ one forward and one backward pass over the graph, O(ceil(D / 2) (V + E))
 per pair however many routes there are, and its change from
 ``DagModel.changes``.
 
+Gauss-Legendre nodes come from `attrib.core._nodes` and chunks are sized
+by `attrib.core._CHUNK_ELEMENTS`, the rule and the block size that
+`attrib.paths` uses too, so this module does not load `attrib.paths`.
+
 Everything runs in plain double precision.  Both kernels multiply only
 values that lie between the endpoints of each variable (DP cells are
 averages of endpoint products, Gauss nodes are points on the segment), so
@@ -57,8 +61,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, CharacteristicFunction, ValuePair, _batch_partials, _change, _monomial_partials
-from .paths import _CHUNK_ELEMENTS, _nodes
+from .core import (
+    _CHUNK_ELEMENTS,
+    AttributionResult,
+    CharacteristicFunction,
+    ValuePair,
+    _batch_partials,
+    _change,
+    _monomial_partials,
+    _nodes,
+)
 
 __all__ = [
     "shapley_weight",
@@ -333,11 +345,14 @@ def attribute_ass_batch(f, R, S) -> list[AttributionResult]:
 
 
 def attribute_naive(f, vp: ValuePair) -> AttributionResult:
-    """Endpoint-gradient baseline z_i = d_i f(s) * (s_i - r_i), for a model or a flow graph.
+    """Endpoint-gradient baseline z_i = d_i f(s) * (s_i - r_i), for a model, a flow graph or a `BlackBoxFunction`.
 
     Complete only for functions linear in each changing variable; the
-    generally nonzero residual is the point of keeping it around.
+    generally nonzero residual is the point of keeping it around.  An f
+    without ``f.gradients``, such as a plain callable, raises TypeError.
     """
+    if not hasattr(f, "gradients"):
+        raise TypeError(f"naive attribution needs a model, a flow graph or a BlackBoxFunction, got {type(f).__name__}")
     if vp.n != f.n:
         raise ValueError(f"dimension mismatch: function has {f.n} variables, values have {vp.n}")
     g = f.gradients([vp.s])[0].tolist()

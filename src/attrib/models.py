@@ -55,12 +55,14 @@ import graphlib
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import CharacteristicFunction, ReadOnlyDict, SeparableTerm, _check_permutation, from_terms
-from .oracles import PermutationWeights
+
+if TYPE_CHECKING:
+    from .oracles import PermutationWeights
 
 __all__ = [
     "ModelError",
@@ -705,6 +707,8 @@ def parse_order_weights(text: str, variables: Sequence[str], path: str = "<weigh
         if not (w >= 0.0 and math.isfinite(w)):
             names = " ".join(variables[i - 1] for i in order)
             raise ModelError(f"{path}:{last[order]}: weight {w} for order {names!r} is not a finite nonnegative number")
+    from .oracles import PermutationWeights  # here, so that reading a model or a graph does not load the oracles
+
     try:
         return PermutationWeights(weights)
     except ValueError as exc:

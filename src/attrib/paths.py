@@ -10,18 +10,20 @@ black box.  The change comes from ``f.changes`` for a model or a flow
 graph, and from a black box's values at s and r.  Integrals use composite
 Gauss-Legendre panels that double until two successive estimates agree to
 the requested tolerance; failure to converge is flagged on the result
-rather than raised, so verification harnesses can report it.
+rather than raised, so verification harnesses can report it.  The rule's
+nodes and weights (`attrib.core._nodes`) and the largest block a pass
+builds (`attrib.core._CHUNK_ELEMENTS`) live in `attrib.core`, which
+`attrib.exact` shares.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AttributionResult, ValuePair, _change, _check_permutation
+from .core import _CHUNK_ELEMENTS, AttributionResult, ValuePair, _change, _check_permutation, _nodes
 
 __all__ = [
     "QuadratureConfig",
@@ -39,9 +41,6 @@ __all__ = [
 # Gauss-Legendre nodes per panel, and panels per smooth stretch of the path in the first pass.
 _ORDER = 16
 _PANELS = 8
-
-# Largest block of elements one pass builds at once, here and in `attrib.exact`.
-_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -203,25 +202,6 @@ def tabulated_path(ts: Sequence[float], components: Sequence[Sequence[float]]) -
 
 # ---------------------------------------------------------------------------
 # quadrature
-
-
-@lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)  # looked up on first use: numpy loads np.polynomial lazily
-
-
-def _nodes(breaks: Sequence[float], order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and weights w of the `order`-point Gauss-Legendre rule on `panels` equal panels between successive breaks.
-
-    ``w @ fn(t)`` is then the composite rule for the integral of fn from
-    breaks[0] to breaks[-1]; nodes come in ascending order.
-    """
-    x, w = _leggauss(order)
-    a = np.asarray(breaks[:-1], dtype=float)[:, None]
-    h = (np.asarray(breaks[1:], dtype=float)[:, None] - a) / panels
-    mid = (a + (np.arange(panels) + 0.5) * h)[..., None]  # (segments, panels, 1)
-    half = 0.5 * h[..., None]
-    return (mid + half * x).ravel(), np.broadcast_to(w * half, mid.shape[:2] + w.shape).ravel()
 
 
 def composite_gauss_legendre(fn: Callable[[float], float], a: float, b: float, order: int = 16, panels: int = 1) -> float:

@@ -6,11 +6,13 @@ entity in one call of the method's handle.  A model is compiled once.  A
 flow graph goes to every method as it is: it answers the same three calls
 as a compiled model, values, gradients and changes at points, from forward
 and backward passes, so no method expands its routes.  `resolve_method`
-maps a method id to its handle; a ``random-order:`` id reads its weights
-file through `attrib.models`, which holds every file grammar.  A report
-carries its result's ``fault``, and both renderers read it.
-`render_machine` writes a report's JSON Lines records, one f-string each,
-byte for byte what ``json.dumps`` writes for each record.
+maps a method id to its handle, and imports `attrib.oracles` and
+`attrib.paths` only for a method other than ass and naive; a
+``random-order:`` id reads its weights file through `attrib.models`,
+which holds every file grammar.  A report carries its result's
+``fault``, and both renderers read it.  `render_machine` writes a
+report's JSON Lines records, one f-string each, byte for byte what
+``json.dumps`` writes for each record.
 """
 from __future__ import annotations
 
@@ -26,8 +28,6 @@ from .core import _RESIDUAL_TOL, AttributionResult, ValuePair
 from .exact import attribute_ass, attribute_ass_batch, attribute_naive
 from .models import DagModel, ModelError, ModelSpec, SnapshotTable, compile_model, parse_order_weights, read_text
 from .models import compile_dag  # noqa: F401  no report expands routes; only the bench's span map reads this name
-from .oracles import ORDER_CAP, random_order_attribution, shapley_shubik_bruteforce
-from .paths import QuadratureConfig, attribute_aumann_shapley
 
 __all__ = [
     "METHOD_IDS",
@@ -91,6 +91,10 @@ def resolve_method(
         return _method(attribute_ass, attribute_ass_batch)
     if method_id == "naive":
         return _method(attribute_naive)
+    # the other methods load their kernels here, so that an ass or naive run never imports them
+    from .oracles import ORDER_CAP, random_order_attribution, shapley_shubik_bruteforce
+    from .paths import QuadratureConfig, attribute_aumann_shapley
+
     if (method_id == "ss-brute" or method_id.startswith("random-order:")) and len(variables) > ORDER_CAP:
         raise ModelError(
             f"method {method_id} enumerates variable orders, capped at {ORDER_CAP} variables; the model has {len(variables)}"

@@ -807,6 +807,79 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env()).stdout
         assert out.strip() == "[]"
 
+    def test_exact_reports_load_no_axioms_oracles_or_paths(self, model_files, tmp_path):
+        # an ass or naive report on a model or a graph never calls them, and a run without bytecode caches
+        # would compile them; an ss-brute report loads the oracles, so the check can tell
+        model, values = model_files
+        dag, dag_values = tmp_path / "graph.txt", tmp_path / "graph.csv"
+        dag.write_text("[nodes]\na t\n[sink]\nt\n[starts]\na : s_a\n[edges]\na t : p\n")
+        dag_values.write_text("e,s_a,10,20\ne,p,0.5,0.25\n")
+        runs = [
+            ["--dag", str(dag), "--values", str(dag_values)],
+            ["--model", model, "--values", values],
+            ["--model", model, "--values", values, "--method", "naive", "--report", "machine"],
+            ["--model", model, "--values", values, "--method", "ss-brute"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import attrib.cli as cli\n"
+            "def loaded(): return [m for m in ('attrib.axioms', 'attrib.oracles', 'attrib.paths') if m in sys.modules]\n"
+            "seen = [loaded()]\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    seen.append(loaded())\n"
+            "print(json.dumps(seen))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env()).stdout
+        assert json.loads(out) == [[], [], [], [], ["attrib.oracles", "attrib.paths"]]
+
+    # every name `attrib` exports, by the module that defines it
+    _EXPORTS = {
+        "core": ("AttributionResult", "CharacteristicFunction", "DomainError", "MultilinearPoly", "SeparableTerm",
+                 "ValuePair", "affine_reparameterize", "combine", "evaluate", "from_terms", "monomial",
+                 "partial_derivative", "permute_variables", "permute_vector", "product_function"),
+        "exact": ("attribute_ass", "attribute_monomial", "attribute_naive", "shapley_weight", "shapley_weights"),
+        "oracles": ("PermutationWeights", "hash_order_weights", "random_order_attribution", "shapley_shubik_bruteforce",
+                    "value_variant_attribution"),
+        "paths": ("BlackBoxFunction", "QuadratureConfig", "attribute_aumann_shapley", "attribute_path",
+                  "composite_gauss_legendre", "edge_walk", "straight_line", "tabulated_path"),
+        "axioms": ("AXIOM_IDS", "AxiomVerdict", "InstanceGenerator", "check_axiom", "divergence_witness", "run_axiom_suite"),
+    }
+
+    def test_every_exported_name_is_its_home_modules_object(self):
+        import importlib
+
+        for home, names in self._EXPORTS.items():
+            module = importlib.import_module(f"attrib.{home}")
+            assert getattr(attrib, home) is module
+            for name in names:
+                assert getattr(attrib, name) is getattr(module, name), name
+        assert sorted(attrib.__all__) == sorted(name for names in self._EXPORTS.values() for name in names)
+        with pytest.raises(AttributeError, match="module 'attrib' has no attribute 'attribute_everything'"):
+            attrib.attribute_everything
+        with pytest.raises(ImportError):
+            from attrib import attribute_everything  # noqa: F401
+
+    def test_exported_names_load_their_module_on_first_use(self):
+        code = (
+            "import sys, attrib\n"
+            "lazy = ('attrib.axioms', 'attrib.oracles', 'attrib.paths')\n"
+            "print([m for m in lazy if m in sys.modules])\n"
+            "from attrib import edge_walk\n"
+            "print([m for m in lazy if m in sys.modules])\n"
+            "print(attrib.oracles.__name__, [m for m in lazy if m in sys.modules])\n"
+            "from attrib import *\n"
+            "print([m for m in lazy if m in sys.modules], InstanceGenerator.__module__)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env()).stdout
+        assert out.splitlines() == [
+            "[]",
+            "['attrib.paths']",
+            "attrib.oracles ['attrib.oracles', 'attrib.paths']",
+            "['attrib.axioms', 'attrib.oracles', 'attrib.paths'] attrib.axioms",
+        ]
+
     @pytest.mark.parametrize(
         "report, render, sep", [("machine", render_machine, "\n"), ("text", render_text, "\n\n")], ids=["machine", "text"]
     )

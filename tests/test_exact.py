@@ -205,6 +205,19 @@ class TestExactNeedsAModelOrAGraph:
         with pytest.raises(TypeError, match=rf"^exact attribution needs a model or a flow graph, got {name}$"):
             call(f, ValuePair((1.0, 1.0), (2.0, 2.0)))
 
+    @pytest.mark.parametrize("call", [attribute_naive, resolve_method("naive")], ids=["naive", "resolve-method"])
+    def test_naive_needs_gradients(self, call):
+        from attrib.models import ecommerce_dag_example
+
+        vp = ValuePair((1.0, 1.0), (2.0, 2.0))
+        with pytest.raises(TypeError, match=r"^naive attribution needs a model, a flow graph or a BlackBoxFunction, got function$"):
+            call(lambda x: x[0] * x[1], vp)
+        assert call(product_function(2), vp).z == (2.0, 2.0)
+        assert call(BlackBoxFunction(2, lambda x: x[0] * x[1], lambda x: (x[1], x[0])), vp).z == (2.0, 2.0)
+        d = ecommerce_dag_example()
+        r = [1.0 + k for k in range(d.n)]
+        assert call(d, ValuePair(r, [2.0 * x for x in r])).change > 0
+
     def test_a_model_loads_no_file_grammar(self):
         code = (
             "import sys, attrib; f = attrib.product_function(2); vp = attrib.ValuePair((1.0, 2.0), (3.0, 4.0)); "
