@@ -331,7 +331,13 @@ class CharacteristicFunction:
         and p = c, for each j of I in turn, q <- q r_j + p (s_j - r_j), then
         p <- p s_j.  q then holds c (prod_I s - prod_I r) as a sum of terms
         that each carry one difference s_j - r_j, so nothing cancels when s
-        is near r, as f(s) - f(r) would.  The monomials are added in key
+        is near r, as f(s) - f(r) would.  What the rounding of each s_j -
+        r_j drops, e_j (`_sub_error`), runs through a second pair from
+        q' = 0: q' <- q' r_j + p e_j, and q' joins q at the end where it is
+        finite.  Without it, when q r_j and p (s_j - r_j) nearly cancel, as
+        in a change of 1e-10 between points of size 1, that rounding would
+        be the whole of the error, and its size would hang on the order of
+        I.  The monomials are added in key
         order into a total that starts at 0.0, then each separable term's
         v_s - v_r, its value tried at s before r.  Products that overflow
         give inf or nan, as in plain float arithmetic.
@@ -344,11 +350,15 @@ class CharacteristicFunction:
         for r, s in zip(R.tolist(), S.tolist()):
             total = 0.0
             for I, c in self.multilinear.terms.items():
-                q, p = 0.0, c
+                q, q_err, p = 0.0, 0.0, c
                 for j in I:
                     a, b = r[j - 1], s[j - 1]
-                    q = q * a + p * (b - a)
+                    d = b - a
+                    q = q * a + p * d
+                    q_err = q_err * a + p * _sub_error(a, b, d)
                     p *= b
+                if math.isfinite(q_err):
+                    q += q_err
                 total += q
             for t in self.separable:
                 total += t.change(r[t.index - 1], s[t.index - 1])
@@ -432,6 +442,17 @@ def _exact_sum(values: Iterable[float]) -> float:
         return math.fsum(values)
     except (OverflowError, ValueError):
         return math.nan
+
+
+def _sub_error(a, b, d):
+    """What rounding dropped from d = b - a: the exact b - a less d (Knuth's TwoSum), for floats or arrays alike.
+
+    It is nan where d overflowed.  A telescoped pair that carries these
+    errors adds their sum to its result only where that sum is finite, so
+    an overflow leaves the result as the pair alone gives it.
+    """
+    z = d - b
+    return (b - (d - z)) - (a + z)
 
 
 def _change(f, vp: ValuePair, ends: tuple[float, float] | None = None) -> float:

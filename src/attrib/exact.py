@@ -70,6 +70,7 @@ from .core import (
     _change,
     _monomial_partials,
     _nodes,
+    _sub_error,
 )
 
 __all__ = [
@@ -205,14 +206,17 @@ def attribute_ass(f, vp: ValuePair) -> AttributionResult:
     change = 0.0
     for I, c in f.multilinear.terms.items():
         rv, dv = [], []
-        q, p = 0.0, c
+        q, q_err, p = 0.0, 0.0, c
         for j in I:
             a, b = r[j - 1], s[j - 1]
             d = b - a
             rv.append(a)
             dv.append(d)
             q = q * a + p * d
+            q_err = q_err * a + p * _sub_error(a, b, d)
             p *= b
+        if math.isfinite(q_err):
+            q += q_err
         change += q
         if not I:
             continue  # a constant has no members and changes nothing
@@ -323,16 +327,20 @@ def attribute_ass_batch(f, R, S) -> list[AttributionResult]:
         for lo in range(0, E, step):
             Rc, Sc, Zc, Fc = R[lo : lo + step], S[lo : lo + step], Z[lo : lo + step], F[lo : lo + step]
             Dc = Sc - Rc
+            Ec = _sub_error(Rc, Sc, Dc)
             for I, c in f.multilinear.terms.items():
                 if I:  # a constant has no members and changes nothing
                     cols = [j - 1 for j in I]
                     Dm = Dc[:, cols]
                     Zc[:, cols] += c * Dm * _node_partials_sum(Rc[:, cols], Dm, (len(I) + 1) // 2)
-                    q, p = np.zeros(len(Rc)), np.full(len(Rc), c)
-                    for j in cols:  # the telescoped pair of `CharacteristicFunction.changes`, a column at a time
+                    q, q_err, p = np.zeros(len(Rc)), np.zeros(len(Rc)), np.full(len(Rc), c)
+                    for j in cols:  # the telescoped pairs of `CharacteristicFunction.changes`, a column at a time
                         q *= Rc[:, j]
                         q += p * Dc[:, j]
+                        q_err *= Rc[:, j]
+                        q_err += p * Ec[:, j]
                         p *= Sc[:, j]
+                    np.add(q, q_err, out=q, where=np.isfinite(q_err))
                     Fc += q
     results = []
     for e, (z, r, s, change) in enumerate(zip(Z.tolist(), R.tolist(), S.tolist(), F.tolist())):

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CharacteristicFunction, ReadOnlyDict, SeparableTerm, _check_permutation, from_terms
+from .core import CharacteristicFunction, ReadOnlyDict, SeparableTerm, _check_permutation, _sub_error, from_terms
 
 if TYPE_CHECKING:
     from .oracles import PermutationWeights
@@ -385,30 +385,43 @@ class DagModel:
     def changes(self, R, S) -> np.ndarray:
         """Expected sink arrivals at each row of S less those at the same row of R, two N x n arrays, as N values.
 
-        Beside the forward pass at R, one more pass in the same
-        order carries each node's change of inflow: the sum over its edges
-        of the tail's change times the edge's probability at s plus the
-        tail's inflow at r times the edge's change, in edge order, plus the
-        change of its start count.  Every term carries one difference, so
-        nothing cancels when S is near R, as the sink's inflow at S less
-        that at R would.  Products that overflow give inf or nan.
+        Beside the forward pass at S, one more pass in the same order
+        carries each node's change of inflow: the sum over its edges of the
+        tail's change times the edge's probability at r plus the tail's
+        inflow at s times the edge's change, in edge order, plus the change
+        of its start count.  Along one route this is the telescoped pair of
+        `CharacteristicFunction.changes` over the route's variables in route
+        order, with its second pair over what the rounding of each
+        difference drops, so a graph whose routes list their edges in file
+        order gets the bits of its route expansion.  Every term carries one
+        difference, so nothing cancels when S is near R, as the sink's
+        inflow at S less that at R would.  Products that overflow give inf
+        or nan.
         """
-        RT, inflow = self._forward(R)
+        R = np.asarray(R, dtype=float)
         S = np.asarray(S, dtype=float)
-        if S.shape != RT.shape[::-1]:
-            raise ValueError(f"dimension mismatch: graph has {self.n} variables, got points of shapes {np.shape(R)} and {S.shape}")
-        ST = np.ascontiguousarray(S.T)
+        if R.shape != S.shape:
+            raise ValueError(f"dimension mismatch: graph has {self.n} variables, got points of shapes {R.shape} and {S.shape}")
+        ST, inflow = self._forward(S)
+        RT = np.ascontiguousarray(R.T)
         delta = np.zeros_like(inflow)
+        delta_err = np.zeros_like(inflow)
         with np.errstate(over="ignore", invalid="ignore"):
             DT = ST - RT
+            ET = _sub_error(RT, ST, DT)
             for k, tails, cols, start in self._plan.forward:
                 if len(tails):
-                    terms = delta[tails] * ST[cols]
+                    terms = delta[tails] * RT[cols]
                     terms += inflow[tails] * DT[cols]
                     delta[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+                    terms = delta_err[tails] * RT[cols]
+                    terms += inflow[tails] * ET[cols]
+                    delta_err[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
                 if start is not None:
                     delta[k] += DT[start]
-        return delta[self._plan.sink]
+                    delta_err[k] += ET[start]
+            sink, sink_err = delta[self._plan.sink], delta_err[self._plan.sink]
+            return np.add(sink, sink_err, out=sink, where=np.isfinite(sink_err))
 
     def _build_plan(self) -> _FlowPlan:
         """The index arrays the passes walk and the degree; raises on a cycle, then on the first start that cannot reach the sink."""

@@ -893,6 +893,20 @@ class TestFlowGraphs:
             for x, y in zip(a.z + (a.residual,), b.z + (b.residual,)):
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
 
+    @pytest.mark.parametrize("r, s", [((1.0, 1.0, 0.0), (1.0, 1e-10, 1.0)), ((1.0, 1e-10, 1.0), (1.0, 1.0, 0.0))])
+    def test_change_keeps_what_a_rounded_difference_drops(self, r, s):
+        """One route, its edges against file order, where 1e-10 - 1 rounds and the terms of the change nearly cancel."""
+        from attrib.models import DagModel, compile_dag, compile_model
+        from attrib.oracles import shapley_shubik_bruteforce
+
+        d = DagModel(("v0", "v1", "v2"), "v2", {"v0": "s0"}, (("v1", "v2", "p0"), ("v0", "v1", "p1")))
+        f = compile_model(compile_dag(d))
+        want = d(s) - d(r)  # the products of 0, 1 and 1e-10 are exact
+        assert abs(want) == 1e-10
+        assert d.changes([r], [s]).tolist() == f.changes([r], [s]).tolist() == [want]
+        for g in (d, f):
+            assert shapley_shubik_bruteforce(g, ValuePair(r, s)).converged
+
     def test_ass_on_a_graph_is_the_one_row_batch(self):
         from attrib.exact import attribute_ass_batch
         from attrib.models import ecommerce_dag_example
