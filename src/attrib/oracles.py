@@ -5,7 +5,9 @@ literal: every order contributes each of its n marginal differences.  The
 one engine, `_walk`, takes a *before-mask table*: row v holds, for every
 order walked, the bitmask of the variables that move before v.  Variable
 v's total is then the sum of f(before_v | v) - f(before_v) over the orders,
-read from the values of f at the box corners.
+read from the values of f at the box corners.  Such a difference depends
+only on its before-set, so it is computed once per before-set (at most 2^n
+of them), gathered per order and summed over the orders in table order.
 
 One builder, `_befores`, makes every table from an array of orders.
 Shapley-Shubik enumeration walks all n! orders in lexicographic order.
@@ -137,14 +139,21 @@ def _before_masks(n: int) -> np.ndarray:
 def _walk(befores: np.ndarray, vals: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Per-variable sums of the marginal contributions f(before_v | v) - f(before_v) over the orders of befores.
 
-    vals holds f at each box corner an order visits, indexed by mask.  Each
-    difference is multiplied by its order's weight when weights are given;
-    numpy's pairwise sum then adds them over the orders, in table order.
+    vals holds, indexed by mask, f at each box corner an order visits and
+    any number elsewhere.  A difference depends only on its before-set, so
+    for each v it is taken once per mask, then gathered per order: the same
+    subtraction of the same two corner values as gathering both corners per
+    order, and a difference at a mask no order visits is never gathered.
+    Each difference is multiplied by its order's weight when weights are
+    given; numpy's pairwise sum then adds them over the orders, in table
+    order.
     """
     totals = np.zeros(len(befores))
+    masks = np.arange(len(vals))
     with np.errstate(over="ignore", invalid="ignore"):  # corners that overflow give inf or nan, flagged by the result
         for v, before in enumerate(befores):
-            diffs = vals[before | (1 << v)] - vals[before]
+            marg = vals[masks | (1 << v)] - vals
+            diffs = marg[before]
             if weights is not None:
                 diffs *= weights
             totals[v] += diffs.sum()
@@ -154,9 +163,10 @@ def _walk(befores: np.ndarray, vals: np.ndarray, weights: np.ndarray | None = No
 def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
     """Average marginal contribution over all n! variable orders.
 
-    Evaluates f on all 2^n box corners up front, then walks the orders in
-    lexicographic order: n * n! differences of corner values, gathered
-    through the cached before-mask table.  Refuses n > ORDER_CAP.
+    Evaluates f on all 2^n box corners up front, takes each variable's
+    difference once per before-set, then walks the orders in lexicographic
+    order: n * n! differences, gathered through the cached before-mask
+    table.  Refuses n > ORDER_CAP.
 
     For n > _TABLE_N the walk goes one prefix of n - _TABLE_N variables at a
     time (for smaller n the one prefix is empty).  The orders that start
@@ -194,7 +204,7 @@ def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> Attrib
     if pw.n != n:
         raise ValueError(f"weights are over {pw.n} variables, values have {n}")
     befores, weights, corners = pw._walk_plan
-    vals = np.empty(1 << n, dtype=np.float64)
+    vals = np.zeros(1 << n)  # every mask is subtracted; those no order visits read 0, and are never gathered
     vals[corners] = [f(_corner(vp, mask)) for mask in corners]
     z = _walk(befores, vals, weights)
     return AttributionResult("random-order", tuple(z.tolist()), _change(f, vp, (vals[0], vals[-1])))

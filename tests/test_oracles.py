@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,8 +20,9 @@ from attrib import (
     shapley_shubik_bruteforce,
     value_variant_attribution,
 )
+from attrib import oracles
 from attrib.axioms import InstanceGenerator
-from attrib.oracles import _before_masks
+from attrib.oracles import _before_masks, _befores, _corner
 
 from conftest import charfn_pairs, exact_product_attribution
 
@@ -124,6 +126,66 @@ class TestOrderWalk:
             assert table[:, k].tolist() == want, f"order {order}"
 
 
+def reference_walk(befores, vals, weights=None):
+    """The walk by the book: per order, gather both corners and subtract, at the length of the table."""
+    totals = np.zeros(len(befores))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v, before in enumerate(befores):
+            diffs = vals[before | (1 << v)] - vals[before]
+            if weights is not None:
+                diffs *= weights
+            totals[v] += diffs.sum()
+    return totals
+
+
+# finite values of every size, both infinities, nan, both zeros, the largest floats and subnormals
+corner_values = st.one_of(st.floats(), st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, math.nan]))
+
+
+@st.composite
+def corner_vectors(draw, n):
+    """2^n corner values: scaled normals with a drawn share replaced by drawn values, special ones among them."""
+    palette = draw(st.lists(corner_values, min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.standard_normal(1 << n) * 10.0 ** int(rng.integers(-300, 300))
+    picked = rng.random(1 << n) < draw(st.floats(0.0, 1.0))
+    vals[picked] = rng.choice(np.array(palette), int(picked.sum()))
+    return vals
+
+
+class TestWalkKeepsItsBits:
+    """`oracles._walk` takes each difference once per before-set; its sums keep the bits of the walk by the book.
+
+    Compared by ``repr``, so every nan counts as one value.  CI runs this
+    class with the exit-contract profile (2,000 examples).
+    """
+
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_on_every_cached_table(self, n, data):
+        vals = data.draw(corner_vectors(n))
+        table = _before_masks(n)
+        assert repr(oracles._walk(table, vals).tolist()) == repr(reference_walk(table, vals).tolist())
+
+    @given(n=st.integers(1, 10), data=st.data())
+    def test_on_random_weight_plans(self, n, data):
+        orders = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=40))
+        befores = _befores(np.array(orders, dtype=np.int8))
+        assert befores.dtype == (np.uint8 if n <= 8 else np.uint16)
+        weights = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(orders), max_size=len(orders))))
+        vals = data.draw(corner_vectors(n))
+        got = oracles._walk(befores, vals, weights)
+        assert repr(got.tolist()) == repr(reference_walk(befores, vals, weights).tolist())
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_prefix_walk_keeps_its_bits(self, n, monkeypatch):
+        gen = InstanceGenerator(seed=2, n_range=(n, n), terms_range=(12, 12))
+        f, vp, _ = gen.instance(0)
+        got = shapley_shubik_bruteforce(f, vp)
+        monkeypatch.setattr(oracles, "_walk", reference_walk)
+        want = shapley_shubik_bruteforce(f, vp)
+        assert repr(got) == repr(want)
+
+
 class TestRandomOrder:
     def test_single_identity_order(self):
         res = random_order_attribution(
@@ -214,6 +276,26 @@ class TestRandomOrder:
         assert len(set(calls)) <= 12
         assert len(calls) == len(set(calls))
         assert abs(res.residual) <= 1e-9
+
+    def test_one_order_over_ten_variables_evaluates_its_eleven_corners(self):
+        # the walk subtracts at all 1,024 masks, but f is called only at the corners the order visits
+        f, vp, _ = InstanceGenerator(seed=2, n_range=(10, 10), terms_range=(12, 12)).instance(0)
+        calls = []
+
+        def counted(x):
+            calls.append(tuple(x))
+            return f(x)
+
+        order = (3, 10, 1, 7, 2, 9, 5, 4, 8, 6)
+        res = random_order_attribution(counted, vp, PermutationWeights.single(order))
+        assert len(calls) == vp.n + 1
+        # ss-brute's corner values, walked along this one order as its prefix loop walks them
+        vals = np.array([f(_corner(vp, mask)) for mask in range(1 << vp.n)])
+        want, mask = [0.0] * vp.n, 0
+        for v in (k - 1 for k in order):
+            want[v] = float(vals[mask | 1 << v] - vals[mask])
+            mask |= 1 << v
+        assert res.z == tuple(want)
 
     def test_monotonicity_under_uniform_weights(self):
         rng = random.Random(2)
