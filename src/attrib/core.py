@@ -270,11 +270,12 @@ class CharacteristicFunction:
     Separable terms are kept as given, sorted by variable, kind and
     parameters; two terms on one variable are never combined.
 
-    Every method reads f through three calls: ``f(x)``, the value at one
-    point, ``f.gradients(X)``, the gradients at the N rows of an N x n
-    array, and ``f.changes(R, S)``, the changes f(s) - f(r) between the E
-    row pairs of two E x n arrays.  A flow graph (`attrib.models.DagModel`)
-    answers the same three.
+    Every method reads f through four calls: ``f(x)``, the value at one
+    point, ``f.values(X)``, the values at the N rows of an N x n array,
+    ``f.gradients(X)``, the gradients at those rows, and
+    ``f.changes(R, S)``, the changes f(s) - f(r) between the E row pairs of
+    two E x n arrays.  A flow graph (`attrib.models.DagModel`) answers the
+    same four.
     """
 
     multilinear: MultilinearPoly
@@ -292,6 +293,36 @@ class CharacteristicFunction:
 
     def __call__(self, x: Sequence[float]) -> float:
         return evaluate(self, x)
+
+    def values(self, X) -> np.ndarray:
+        """f at every row of the N x n array X, as N values, each with the bits of ``f(x)``.
+
+        `evaluate`'s order of operations, a column at a time: each monomial
+        in key order starts from its coefficient and multiplies in its
+        columns, into a total that starts at 0.0; then each separable
+        term's `SeparableTerm.values`, in term order.  Where a point lies
+        outside a term's domain, the point loop reruns to raise the
+        `DomainError` of the first failing point.  Products that overflow
+        give inf or nan, as in plain float arithmetic.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"dimension mismatch: function has {self.n} variables, got points of shape {X.shape}")
+        total = np.zeros(len(X))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for I, c in self.multilinear.terms.items():
+                p = np.full(len(X), c)
+                for j in I:
+                    p *= X[:, j - 1]
+                total += p
+            try:
+                for t in self.separable:
+                    total += t.values(X[:, t.index - 1])
+            except DomainError:
+                for x in X.tolist():
+                    evaluate(self, x)
+                raise
+        return total
 
     def gradients(self, X) -> np.ndarray:
         """All partial derivatives of f at every row of the N x n array X, as an N x n array.

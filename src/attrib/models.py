@@ -25,9 +25,9 @@ Graph file grammar::
     a b : p_ab
 
 A graph's model is the expected arrivals at its sink.  A `DagModel` answers
-the three calls every method makes of a compiled model, ``d(x)``,
-``d.gradients(X)`` and ``d.changes(R, S)``, from passes forward and
-backward over the graph, with no routes.  `compile_dag` expands a graph
+the four calls every method makes of a compiled model, ``d(x)``,
+``d.values(X)``, ``d.gradients(X)`` and ``d.changes(R, S)``, from passes
+forward and backward over the graph, with no routes.  `compile_dag` expands a graph
 into one term per (start, route) pair; no method needs it, and it stays as
 the route expansion that tests check the passes against.
 
@@ -295,10 +295,11 @@ class DagModel:
     route.  Routes stop at the sink and repeat no edge, so the function is
     multilinear, of degree 1 plus the edge count of the longest route from a
     start.  Like a `CharacteristicFunction`, ``d(x)`` gives its value at one
-    point, ``d.gradients(X)`` its gradients at N points and
-    ``d.changes(R, S)`` its changes between N pairs of points, all from
-    forward and backward passes over the graph, so no method expands its
-    routes; the reference `compile_dag` expands them into a `ModelSpec`.
+    point, ``d.values(X)`` its values at N points, ``d.gradients(X)`` its
+    gradients there and ``d.changes(R, S)`` its changes between N pairs of
+    points, all from forward and backward passes over the graph, so no
+    method expands its routes; the reference `compile_dag` expands them
+    into a `ModelSpec`.
     All use the variable order of `variables`.
 
     A graph keeps a read-only copy, as a `ModelSpec` does, and is checked
@@ -350,8 +351,16 @@ class DagModel:
         return self._plan.degree
 
     def __call__(self, x: Sequence[float]) -> float:
-        """Expected sink arrivals at the point x, from the forward pass."""
-        return float(self._forward([x])[1][self._plan.sink, 0])
+        """Expected sink arrivals at the point x: the one-row `values`."""
+        return float(self.values([x])[0])
+
+    def values(self, X) -> np.ndarray:
+        """Expected sink arrivals at every row of the N x n array X, as N values: the sink's row of the forward pass.
+
+        A node's edge terms are added in edge order, so a point gets the
+        same bits whatever N is.  Products that overflow give inf or nan.
+        """
+        return self._forward(X)[1][self._plan.sink]
 
     def gradients(self, X) -> np.ndarray:
         """Gradients of the expected sink arrivals at every row of the N x n array X, as an N x n array.

@@ -18,8 +18,10 @@ prefix over the n = 8 table, so no larger table is ever built.  A
 `PermutationWeights` builds its own table, weight vector and corner list
 once, on first use.  Orders are represented as tuples listing variables
 (1-based) in the sequence they move, e.g. (2, 1) moves variable 2 first.
-The change comes from ``f.changes`` for a model or a flow graph, and from
-the corner values at s and r for a black box.
+A model or a flow graph gives the values at all the corners a walk needs
+in one ``f.values`` call, and its change from ``f.changes``.  A black box
+is called once per corner, and its change is its corner value at s less
+that at r.
 """
 from __future__ import annotations
 
@@ -102,9 +104,18 @@ class PermutationWeights:
         return befores, np.array([self.weights[order] for order in orders]), corners
 
 
-def _corner(vp: ValuePair, mask: int) -> list[float]:
-    """The box corner holding s_j where bit j of mask is set, r_j elsewhere."""
-    return [vp.s[j] if (mask >> j) & 1 else vp.r[j] for j in range(vp.n)]
+def _corner_values(f, vp: ValuePair, masks) -> np.ndarray:
+    """f at the box corner of each mask: the corner holds s_j where bit j of the mask is set, r_j elsewhere.
+
+    The corners are built as one array.  A model or a flow graph answers
+    them in one ``f.values`` call; a black box is called once per corner,
+    on that corner's row, in the order of masks.
+    """
+    bits = (np.asarray(masks)[:, None] >> np.arange(vp.n)) & 1
+    X = np.where(bits.astype(bool), vp.s, vp.r)
+    if hasattr(f, "values"):
+        return f.values(X)
+    return np.array([f(x) for x in X.tolist()], dtype=np.float64)
 
 
 def _spread(others: Sequence[int]) -> np.ndarray:
@@ -163,10 +174,11 @@ def _walk(befores: np.ndarray, vals: np.ndarray, weights: np.ndarray | None = No
 def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
     """Average marginal contribution over all n! variable orders.
 
-    Evaluates f on all 2^n box corners up front, takes each variable's
-    difference once per before-set, then walks the orders in lexicographic
-    order: n * n! differences, gathered through the cached before-mask
-    table.  Refuses n > ORDER_CAP.
+    Evaluates f on all 2^n box corners up front (one ``f.values`` call
+    for a model or a flow graph), takes each variable's difference once per
+    before-set, then walks the orders in lexicographic order: n * n!
+    differences, gathered through the cached before-mask table.  Refuses
+    n > ORDER_CAP.
 
     For n > _TABLE_N the walk goes one prefix of n - _TABLE_N variables at a
     time (for smaller n the one prefix is empty).  The orders that start
@@ -177,7 +189,7 @@ def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
     """
     n = vp.n
     _check_cap(n)
-    vals = np.array([f(_corner(vp, mask)) for mask in range(1 << n)], dtype=np.float64)
+    vals = _corner_values(f, vp, np.arange(1 << n))
     table = _before_masks(min(n, _TABLE_N))
     suffixes = table.shape[1]
     z = np.zeros(n)
@@ -205,7 +217,7 @@ def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> Attrib
         raise ValueError(f"weights are over {pw.n} variables, values have {n}")
     befores, weights, corners = pw._walk_plan
     vals = np.zeros(1 << n)  # every mask is subtracted; those no order visits read 0, and are never gathered
-    vals[corners] = [f(_corner(vp, mask)) for mask in corners]
+    vals[corners] = _corner_values(f, vp, corners)
     z = _walk(befores, vals, weights)
     return AttributionResult("random-order", tuple(z.tolist()), _change(f, vp, (vals[0], vals[-1])))
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from attrib import CharacteristicFunction, MultilinearPoly, SeparableTerm, ValuePair, product_function
+from attrib.models import DagModel
 
 hypothesis.settings.register_profile("suite", max_examples=60, deadline=None)
 # many more examples for the property tests CI runs one by one: pytest --hypothesis-profile exit-contract
@@ -55,6 +56,29 @@ def charfn_pairs(draw, max_n=5, with_separable=True):
     r = tuple(draw(values) for _ in range(f.n))
     s = tuple(draw(values) for _ in range(f.n))
     return f, ValuePair(r, s)
+
+
+@st.composite
+def flow_graphs(draw, max_nodes=6):
+    """A small random DAG with its sink anywhere in node order, so graphs hold edges out of the sink.
+
+    Edges run from lower to higher node index, so the graph is acyclic; a
+    pair may repeat (parallel edges), skip layers, or end at a node that
+    cannot reach the sink (a dead end).  Starts are drawn from the nodes
+    that reach the sink, the sink included, and may be none.
+    """
+    k = draw(st.integers(1, max_nodes))
+    nodes = tuple(f"v{i}" for i in range(k))
+    sink = draw(st.integers(0, k - 1))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    edges = tuple((nodes[a], nodes[b], f"p{j}_{a}_{b}") for j, (a, b) in enumerate(chosen))
+    reaches = {sink}
+    for a in range(k - 1, -1, -1):
+        if a != sink and any(u == a and b in reaches for u, b in chosen):
+            reaches.add(a)
+    starts = draw(st.sets(st.sampled_from(sorted(reaches))))
+    return DagModel(nodes, nodes[sink], {nodes[a]: f"s{a}" for a in sorted(starts)}, edges)
 
 
 def exact_product_attribution(r, s, i) -> Fraction:

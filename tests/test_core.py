@@ -36,7 +36,7 @@ from attrib import (
 
 from attrib.core import ReadOnlyDict, _monomial_partials
 from attrib.exact import attribute_ass_batch
-from conftest import charfn_pairs, charfns, multilinear_terms
+from conftest import charfn_pairs, charfns, flow_graphs, multilinear_terms
 
 
 def test_evaluate_single_monomial():
@@ -622,6 +622,57 @@ def test_gradients_take_each_derivative_a_column_at_a_time(monkeypatch):
     derivs = [t.derivative() for t in f.separable]
     assert [d.kind for d in derivs] == ["powlaw", "exp", "poly", "poly", "powlaw"]
     assert calls == [(d, x[d.index - 1]) for d in derivs if d.kind != "poly" for x in X]
+
+
+# points that overflow a monomial to inf, then to nan against another; signed zeros and non-finite cells
+_VALUE_CELLS = st.one_of(_GRID, st.sampled_from([-0.0, 1e200, -1e200, math.inf, -math.inf, math.nan]), st.floats(-3, 3))
+
+
+@st.composite
+def _functions_and_rows(draw):
+    n = draw(st.integers(1, 4))
+    f = from_terms(n, draw(multilinear_terms(n)), draw(st.lists(_every_kind(n), max_size=5)))
+    X = draw(st.lists(st.lists(_VALUE_CELLS, min_size=n, max_size=n), min_size=1, max_size=30))
+    return f, X
+
+
+class TestValuesHaveTheBitsOfOnePoint:
+    """``f.values(X)`` has, row by row, the bits of ``f(x)``, or raises the first failing row's error.
+
+    CI runs this class with the exit-contract profile (2,000 examples).
+    """
+
+    # monomials are added before the separable terms: (1 + 2^-53) - 1 is 0.0, (-1 + 1) + 2^-53 is not
+    @example((from_terms(1, {(): 1.0, (1,): 2.0**-53}, [SeparableTerm(1, "poly", (-1.0,))]), [[1.0]]))
+    @example((from_terms(2, {(1, 2): 2.0, (1,): -1.0}, [SeparableTerm(2, "powlaw", (1.0, 0.0, 1.0, -1.0))]), [[1e200, 1e200], [1.0, 0.0]]))
+    @example((from_terms(2, {}, [SeparableTerm(1, "exp", (1000.0, 0.0, 1.0)), SeparableTerm(2, "log", (1.0, 0.0, 1.0))]), [[0.5, 1.0], [0.5, 0.0], [3.0, 1.0]]))
+    @given(_functions_and_rows())
+    def test_on_drawn_models(self, case):
+        f, X = case
+        try:
+            want = [f(x) for x in X]
+        except DomainError as first:
+            with pytest.raises(DomainError) as info:
+                f.values(X)
+            assert (str(info.value), info.value.index) == (str(first), first.index)
+        else:
+            assert _bits([f.values(X).tolist()]) == _bits([want])
+
+    @given(d=flow_graphs(), data=st.data())
+    def test_on_drawn_graphs(self, d, data):
+        X = data.draw(st.lists(st.lists(_VALUE_CELLS, min_size=d.n, max_size=d.n), min_size=1, max_size=30))
+        assert _bits([d.values(X).tolist()]) == _bits([[d(x) for x in X]])
+
+    def test_overflow_and_signed_zeros(self):
+        f = from_terms(2, {(1, 2): 1e300, (2,): 1e300}, [SeparableTerm(2, "poly", (0.0, -1.0))])
+        X = [[1e10, 1.0], [-1e10, 1e10], [-0.0, 0.0], [0.0, -0.0]]
+        got = f.values(X).tolist()
+        assert _bits([got]) == _bits([[f(x) for x in X]])
+        assert math.isinf(got[0]) and math.isnan(got[1])
+
+    def test_refuses_a_row_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            product_function(2).values([(1.0, 2.0, 3.0)])
 
 
 @given(charfn_pairs(max_n=4))

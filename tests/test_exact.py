@@ -30,7 +30,7 @@ from attrib.core import _batch_partials
 from attrib.exact import attribute_ass_batch, dp_subset_means
 from attrib.reports import resolve_method
 
-from conftest import charfn_pairs, coeffs, exact_product_attribution
+from conftest import charfn_pairs, coeffs, exact_product_attribution, flow_graphs
 
 
 def subset_mean_oracle(r_vals, s_vals, k):
@@ -650,31 +650,6 @@ class TestDomainErrorOrder:
         with pytest.raises(DomainError) as info:
             attribute_ass_batch(self.f, [[1.0, 1.0], [-1.0, 1.0]], [[2.0, 2.0], [2.0, -1.0]])
         assert str(info.value) == self.message and info.value.index == 1 and info.value.row == 1
-
-
-@st.composite
-def flow_graphs(draw, max_nodes=6):
-    """A small random DAG with its sink anywhere in node order, so graphs hold edges out of the sink.
-
-    Edges run from lower to higher node index, so the graph is acyclic; a
-    pair may repeat (parallel edges), skip layers, or end at a node that
-    cannot reach the sink (a dead end).  Starts are drawn from the nodes
-    that reach the sink, the sink included, and may be none.
-    """
-    from attrib.models import DagModel
-
-    k = draw(st.integers(1, max_nodes))
-    nodes = tuple(f"v{i}" for i in range(k))
-    sink = draw(st.integers(0, k - 1))
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
-    edges = tuple((nodes[a], nodes[b], f"p{j}_{a}_{b}") for j, (a, b) in enumerate(chosen))
-    reaches = {sink}
-    for a in range(k - 1, -1, -1):
-        if a != sink and any(u == a and b in reaches for u, b in chosen):
-            reaches.add(a)
-    starts = draw(st.sets(st.sampled_from(sorted(reaches))))
-    return DagModel(nodes, nodes[sink], {nodes[a]: f"s{a}" for a in sorted(starts)}, edges)
 
 
 class TestChangeHasTheBitsOfChanges:

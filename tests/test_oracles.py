@@ -22,7 +22,7 @@ from attrib import (
 )
 from attrib import oracles
 from attrib.axioms import InstanceGenerator
-from attrib.oracles import _before_masks, _befores, _corner
+from attrib.oracles import _before_masks, _befores
 
 from conftest import charfn_pairs, exact_product_attribution
 
@@ -104,6 +104,30 @@ class TestOrderWalk:
         for i, got in enumerate(res.z, 1):
             want = exact_product_attribution(r, s, i)
             assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * abs(want)
+
+    def test_a_model_or_graph_answers_every_corner_in_one_values_call(self, monkeypatch):
+        from attrib import CharacteristicFunction
+        from attrib.models import DagModel, ecommerce_dag_example
+
+        f, vp, _ = InstanceGenerator(seed=4, n_range=(6, 6)).instance(0)
+        d = ecommerce_dag_example()
+        rng = random.Random(4)
+        dvp = ValuePair([rng.uniform(0.1, 2.0) for _ in range(d.n)], [rng.uniform(0.1, 2.0) for _ in range(d.n)])
+        cases = [(f, vp), (d, dvp)]
+        walks = [shapley_shubik_bruteforce, lambda h, pair: random_order_attribution(h, pair, PermutationWeights.uniform(pair.n))]
+        # what each walk gives on a black box that calls the model or graph once per corner
+        want = [walk(lambda x, g=g: g(x), pair).z for g, pair in cases for walk in walks]
+        calls = []
+
+        def refuse(self, x):
+            raise AssertionError("a point-by-point call")
+
+        for cls in (CharacteristicFunction, DagModel):
+            values = cls.values
+            monkeypatch.setattr(cls, "__call__", refuse)
+            monkeypatch.setattr(cls, "values", lambda self, X, values=values: calls.append(len(X)) or values(self, X))
+        assert [walk(g, pair).z for g, pair in cases for walk in walks] == want
+        assert calls == [1 << 6, 1 << 6, 1 << d.n, 1 << d.n]
 
     def test_cached_table_is_read_only(self):
         table = _before_masks(4)
@@ -289,8 +313,11 @@ class TestRandomOrder:
         order = (3, 10, 1, 7, 2, 9, 5, 4, 8, 6)
         res = random_order_attribution(counted, vp, PermutationWeights.single(order))
         assert len(calls) == vp.n + 1
-        # ss-brute's corner values, walked along this one order as its prefix loop walks them
-        vals = np.array([f(_corner(vp, mask)) for mask in range(1 << vp.n)])
+        def corner(mask):
+            return [vp.s[j] if (mask >> j) & 1 else vp.r[j] for j in range(vp.n)]
+
+        # ss-brute's corner values, one call of f per corner, walked along this one order as its prefix loop walks them
+        vals = np.array([f(corner(mask)) for mask in range(1 << vp.n)])
         want, mask = [0.0] * vp.n, 0
         for v in (k - 1 for k in order):
             want[v] = float(vals[mask | 1 << v] - vals[mask])
