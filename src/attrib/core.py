@@ -138,6 +138,8 @@ class MultilinearPoly:
 
 _PARAM_COUNT = {"affine": 2, "log": 3, "exp": 3, "powlaw": 4}
 
+_EXP_SAFE = 709.0  # e^709 is about 8.2e307, so math.exp of an exponent at most this never overflows
+
 
 @dataclass(frozen=True)
 class SeparableTerm:
@@ -205,7 +207,36 @@ class SeparableTerm:
         return np.fromiter(map(self.value, x.tolist()), float, len(x))
 
     def change(self, a: float, b: float) -> float:
-        """value(b) - value(a), tried at b first, so a term outside its domain at both raises b's `DomainError`."""
+        """value(b) - value(a), for an exp or a log term near a taken from b - a, so it does not cancel.
+
+        With slope alpha, offset beta and scale, an exp term changes by
+        scale e^(alpha a + beta) expm1(alpha (b - a)) where |alpha (b - a)|
+        < 1, and a log term by scale log1p(alpha (b - a) / (alpha a + beta))
+        where that ratio is below 1/2 in size (Goldberg, "What every
+        computer scientist should know about floating-point arithmetic",
+        1991).  Elsewhere, and wherever a form is 0 or not finite, the
+        change is the plain difference, tried at b first, so a term outside
+        its domain at both raises b's `DomainError`.  A form is only taken
+        where neither value raises: an exp's exponents are at most
+        _EXP_SAFE and a log's arguments positive at both ends.
+        """
+        k, p = self.kind, self.params
+        if k == "exp":
+            t = p[0] * (b - a)
+            if -1.0 < t < 1.0:
+                arg = p[0] * a + p[1]
+                if arg <= _EXP_SAFE and p[0] * b + p[1] <= _EXP_SAFE:
+                    form = p[2] * math.exp(arg) * math.expm1(t)
+                    if 0.0 < abs(form) < math.inf:
+                        return form
+        elif k == "log":
+            arg = p[0] * a + p[1]
+            if arg > 0.0:
+                q = p[0] * (b - a) / arg
+                if -0.5 < q < 0.5 and p[0] * b + p[1] > 0.0:
+                    form = p[2] * math.log1p(q)
+                    if 0.0 < abs(form) < math.inf:
+                        return form
         return self.value(b) - self.value(a)
 
     def derivative(self) -> "SeparableTerm":

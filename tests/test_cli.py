@@ -990,6 +990,22 @@ class TestCli:
         assert abs(summary["total_change"] - exact) <= 4 * math.ulp(exact)
         assert summary["converged"] is (code == 0)
 
+    @pytest.mark.parametrize("method, code", [("ass", 0), ("as-numeric", 0), ("ss-brute", 3)])
+    def test_exp_term_on_a_tiny_move_takes_its_change_from_the_difference(self, tmp_path, capsys, method, code):
+        # 2 exp(x / 2) from 100 to 100.0000000001: two values near 1e22 would cancel to 518480986112; expm1 of the
+        # moved exponent gives the change, so ass and as-numeric are trusted, and ss-brute, whose z cancels, is flagged
+        model = tmp_path / "model.txt"
+        model.write_text("[variables]\nx\n[separable]\nx : exp 0.5 0 2\n")
+        values = tmp_path / "values.csv"
+        values.write_text("e,x,100,100.0000000001\n")
+        assert main(["--model", str(model), "--values", str(values), "--method", method, "--report", "machine"]) == code
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        exact = 518479805657.24135  # 2 e^50 expm1(alpha (s - r)) on the given doubles, mpmath at 50 digits
+        assert abs(records[-1]["total_change"] - exact) <= 4 * math.ulp(exact)
+        if code == 0:
+            assert abs(records[0]["attribution"] - exact) <= 4 * math.ulp(exact)
+        assert records[-1]["converged"] is (code == 0)
+
     def test_residual_gate_with_an_overflowing_scale(self, tmp_path, capsys):
         # z = (1.7e308, -1.7e308) sums to the change exactly, but sum |z_i| overflows
         model = tmp_path / "model.txt"

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from attrib import (
@@ -348,10 +348,66 @@ _EVERY_KIND = [
 ]
 
 
+# pairs where an exp or a log term's change is taken from b - a: |alpha (b - a)| < 1 for exp, a ratio below 1/2 for log
+_NEAR = {"exp": ((0.25, 1.75), (0.3, 0.30000000000000004)), "log": ((0.3, 0.30000000000000004),)}
+
+
 @pytest.mark.parametrize("term", _EVERY_KIND, ids=lambda t: t.kind + str(len(t.params)))
 def test_separable_change_has_the_bits_of_the_value_difference(term):
+    """poly and powlaw everywhere, exp and log where they are far apart or equal."""
     for a, b in ((0.25, 1.75), (3.0, 0.1), (1.0, 1.0), (0.3, 0.30000000000000004)):
-        assert term.change(a, b).hex() == (term.value(b) - term.value(a)).hex()
+        if (a, b) not in _NEAR.get(term.kind, ()):
+            assert term.change(a, b).hex() == (term.value(b) - term.value(a)).hex()
+
+
+@pytest.mark.parametrize(
+    "term, a, b, exact",
+    [
+        # exact values of the terms at the given doubles, from mpmath at 50 digits, each rounded once
+        (_EVERY_KIND[3], *_NEAR["exp"][0], 1.396904648718261),
+        (_EVERY_KIND[3], *_NEAR["exp"][1], 3.558944238885531e-17),  # the plain difference is 0.0
+        (_EVERY_KIND[2], *_NEAR["log"][0], 1.0408340855860843e-16),  # the plain difference is 0.0
+        (_EVERY_KIND[2], 0.3, 0.35, 0.09093693272465224),
+        (SeparableTerm(1, "exp", (0.5, 0.0, 2.0)), 100.0, 100.0000000001, 518479805657.24133),  # 518480986112.0 plain
+    ],
+)
+def test_separable_change_near_a_is_taken_from_the_difference(term, a, b, exact):
+    assert abs(term.change(a, b) - exact) <= math.ulp(exact)
+
+
+_MAGNITUDES = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-3, 0.6))
+
+
+@given(
+    kind=st.sampled_from(["exp", "log"]),
+    alpha=_MAGNITUDES,
+    beta=st.floats(-5, 5),
+    scale=_MAGNITUDES,
+    a=st.floats(-50, 50),
+    step=st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-14, 1))),
+)
+def test_exp_and_log_changes_against_mpmath(kind, alpha, beta, scale, a, step):
+    """Within a few ulps of the exact change, in units of how far rounding the exponent or argument moves it.
+
+    The bound holds near a, where the change comes from b - a, and far from
+    it, where the plain difference of two values does not cancel much; the
+    plain difference near a misses it by about |value| / |change| ulps.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    b = a + step
+    term = SeparableTerm(1, kind, (alpha, beta, scale))
+    mpf = mpmath.mpf
+    with mpmath.workdps(60):
+        alpha_, beta_ = mpf(alpha), mpf(beta)
+        if kind == "exp":
+            exact = mpf(scale) * (mpmath.exp(alpha_ * mpf(b) + beta_) - mpmath.exp(alpha_ * mpf(a) + beta_))
+            spread = 2 + abs(alpha * a) + abs(alpha * b) + abs(beta)
+        else:
+            lo, hi = alpha * a + beta, alpha * b + beta
+            assume(lo > 0.0 and hi > 0.0)
+            exact = mpf(scale) * (mpmath.log(alpha_ * mpf(b) + beta_) - mpmath.log(alpha_ * mpf(a) + beta_))
+            spread = 2 + (abs(alpha * a) + abs(beta)) / lo + (abs(alpha * b) + abs(beta)) / hi + abs(math.log(lo)) + abs(math.log(hi))
+        assert abs(mpf(term.change(a, b)) - exact) <= 8 * mpf(2) ** -53 * spread * abs(exact)
 
 
 @pytest.mark.parametrize(

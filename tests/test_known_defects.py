@@ -1,10 +1,11 @@
 """Known wrong results, each run through the command line as a strict expected failure.
 
 Each case states the right outcome: the true value with exit 0, or exit 3
-where the item's fix is to flag the row.  Today each run exits 0 with a
-wrong value, so each case fails.  The reason names the ROADMAP item whose
-fix makes it pass; that fix then fails the strict mark, and the mark comes
-off in the same change.
+where the item's fix is to flag the row.  A case still marked exits 0 with
+a wrong value, so it fails.  The reason names the ROADMAP item whose fix
+makes it pass; that fix then fails the strict mark, and the mark comes off
+in the same change.  The separable cancellation cases are mended (item 2)
+and stay as regression tests.
 """
 import json
 import math
@@ -63,14 +64,12 @@ def _close(x: float, true: float, scale: float) -> bool:
     return math.isclose(x, true, rel_tol=0.0, abs_tol=1e-15 * scale)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 @pytest.mark.parametrize("method", ["ass", "ss-brute"])
 def test_separable_cancellation_is_right_or_flagged(tmp_path, capsys, method):
     code, z = _run(tmp_path, capsys, EXP_MODEL, EXP_VALUES, method)
     assert code == 3 or (code == 0 and _close(z["x"], EXP_TRUE, EXP_TRUE))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_separable_cancellation_is_trusted_under_quadrature(tmp_path, capsys):
     # the quadrature's z is right; its residual is taken against the cancelled change, so the row is flagged
     code, z = _run(tmp_path, capsys, EXP_MODEL, EXP_VALUES, "as-numeric")
