@@ -15,9 +15,9 @@ its nodes' partials from one numpy pass, which multiplies and adds in the
 order of the pure-Python loop that smaller ones take, so the two give the
 same bits.  Separable terms add f_i(s_i) - f_i(r_i), `SeparableTerm.change`.
 
-Every method reads f through three calls: ``f(x)``, ``f.gradients(X)`` and
-``f.changes(R, S)``, which takes the change f(s) - f(r) from differences
-(`attrib.core.CharacteristicFunction.changes`,
+Every method reads f through four calls: ``f(x)``, ``f.values(X)``,
+``f.gradients(X)`` and ``f.changes(R, S)``, which takes the change
+f(s) - f(r) from differences (`attrib.core.CharacteristicFunction.changes`,
 `attrib.models.DagModel.changes`), so it does not cancel when s is near r.
 The `ass` kernels take the same rule inside their own passes: the loop that
 gathers each monomial's endpoints also runs its telescoped pair, and each

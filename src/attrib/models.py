@@ -27,9 +27,9 @@ Graph file grammar::
 A graph's model is the expected arrivals at its sink.  A `DagModel` answers
 the four calls every method makes of a compiled model, ``d(x)``,
 ``d.values(X)``, ``d.gradients(X)`` and ``d.changes(R, S)``, from passes
-forward and backward over the graph, with no routes.  `compile_dag` expands a graph
-into one term per (start, route) pair; no method needs it, and it stays as
-the route expansion that tests check the passes against.
+forward and backward over the graph, with no routes.  `compile_dag`
+expands a graph into one term per (start, route) pair; no method needs it,
+and it stays as the route expansion that tests check the passes against.
 
 Snapshots are CSV rows ``entity,variable,initial,final`` (header optional),
 read in one pass that checks each row as it comes, into one columnar

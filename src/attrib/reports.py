@@ -3,9 +3,10 @@
 `run_report` takes a model and a `SnapshotTable`, maps the table onto the
 model's columns as E x n initial and final arrays, and attributes every
 entity in one call of the method's handle.  A model is compiled once.  A
-flow graph goes to every method as it is: it answers the same three calls
-as a compiled model, values, gradients and changes at points, from forward
-and backward passes, so no method expands its routes.  `resolve_method`
+flow graph goes to every method as it is: it answers the same four calls
+as a compiled model, the value at a point, and values, gradients and
+changes at many points, from forward and backward passes, so no method
+expands its routes.  `resolve_method`
 maps a method id to its handle, and imports `attrib.oracles` and
 `attrib.paths` only for a method other than ass and naive; a
 ``random-order:`` id reads its weights file through `attrib.models`,
