@@ -375,16 +375,18 @@ def test_separable_change_near_a_is_taken_from_the_difference(term, a, b, exact)
     assert abs(term.change(a, b) - exact) <= math.ulp(exact)
 
 
-_MAGNITUDES = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-3, 0.6))
+def _signed_powers(lo, hi):
+    """±10^e for e in [lo, hi]: nothing subnormal, so rounding stays relative."""
+    return st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(lo, hi))
 
 
 @given(
     kind=st.sampled_from(["exp", "log"]),
-    alpha=_MAGNITUDES,
+    alpha=_signed_powers(-3, 0.6),
     beta=st.floats(-5, 5),
-    scale=_MAGNITUDES,
+    scale=_signed_powers(-3, 0.6),
     a=st.floats(-50, 50),
-    step=st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-14, 1))),
+    step=st.one_of(st.just(0.0), _signed_powers(-14, 1)),
 )
 def test_exp_and_log_changes_against_mpmath(kind, alpha, beta, scale, a, step):
     """Within a few ulps of the exact change, in units of how far rounding the exponent or argument moves it.
@@ -624,10 +626,10 @@ def _every_kind(draw, n):
 
 
 @st.composite
-def _functions_and_points(draw):
+def _functions_and_points(draw, cells=st.one_of(_GRID, st.floats(-3, 3))):
     n = draw(st.integers(1, 4))
     f = from_terms(n, draw(multilinear_terms(n)), draw(st.lists(_every_kind(n), max_size=5)))
-    X = draw(st.lists(st.lists(st.one_of(_GRID, st.floats(-3, 3)), min_size=n, max_size=n), min_size=1, max_size=30))
+    X = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=30))
     return f, X
 
 
@@ -684,14 +686,6 @@ def test_gradients_take_each_derivative_a_column_at_a_time(monkeypatch):
 _VALUE_CELLS = st.one_of(_GRID, st.sampled_from([-0.0, 1e200, -1e200, math.inf, -math.inf, math.nan]), st.floats(-3, 3))
 
 
-@st.composite
-def _functions_and_rows(draw):
-    n = draw(st.integers(1, 4))
-    f = from_terms(n, draw(multilinear_terms(n)), draw(st.lists(_every_kind(n), max_size=5)))
-    X = draw(st.lists(st.lists(_VALUE_CELLS, min_size=n, max_size=n), min_size=1, max_size=30))
-    return f, X
-
-
 class TestValuesHaveTheBitsOfOnePoint:
     """``f.values(X)`` has, row by row, the bits of ``f(x)``, or raises the first failing row's error.
 
@@ -702,7 +696,7 @@ class TestValuesHaveTheBitsOfOnePoint:
     @example((from_terms(1, {(): 1.0, (1,): 2.0**-53}, [SeparableTerm(1, "poly", (-1.0,))]), [[1.0]]))
     @example((from_terms(2, {(1, 2): 2.0, (1,): -1.0}, [SeparableTerm(2, "powlaw", (1.0, 0.0, 1.0, -1.0))]), [[1e200, 1e200], [1.0, 0.0]]))
     @example((from_terms(2, {}, [SeparableTerm(1, "exp", (1000.0, 0.0, 1.0)), SeparableTerm(2, "log", (1.0, 0.0, 1.0))]), [[0.5, 1.0], [0.5, 0.0], [3.0, 1.0]]))
-    @given(_functions_and_rows())
+    @given(_functions_and_points(_VALUE_CELLS))
     def test_on_drawn_models(self, case):
         f, X = case
         try:
