@@ -23,7 +23,6 @@ from .core import (
     _change,
     affine_reparameterize,
     combine,
-    evaluate,
     from_terms,
     partial_derivative,
     permute_variables,
@@ -151,7 +150,7 @@ def _certified_monotone(f: CharacteristicFunction, vp: ValuePair, i: int, floor:
     the sign on the whole box.
     """
     fi = partial_derivative(CharacteristicFunction(f.multilinear), i)
-    return all(evaluate(fi, v) >= floor for v in _box_vertices(vp, i))
+    return bool((fi.values(_box_vertices(vp, i)) >= floor).all())
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def _check_dummy_on_box(method: Method, gen: InstanceGenerator, trial: int):
     r[j - 1] = s[j - 1] = 0.0
     vp2 = ValuePair(tuple(r), tuple(s))
     fi = partial_derivative(CharacteristicFunction(f2.multilinear), i)
-    worst_dep = max(abs(evaluate(fi, v)) for v in _box_vertices(vp2, i))
+    worst_dep = abs(fi.values(_box_vertices(vp2, i))).max()
     if worst_dep > 1e-12:
         raise AssertionError("construction should not depend on the tested variable inside the box")
     res = method(f2, vp2)

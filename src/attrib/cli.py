@@ -42,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              " finite and greater than 0 (ass, ss-brute, naive and random-order ignore it;"
                              " the 1e-9 relative completeness check of every result does not change with it)")
     parser.add_argument("--max-refine", metavar="N", type=int, default=None,
-                        help="panel doublings allowed before as-numeric gives up; 0 or more")
+                        help="panel doublings allowed before as-numeric gives up (default: 12); 0 or more;"
+                             " refining also stops before a pass of more than 2^20 Gauss nodes")
     parser.add_argument("--seed", metavar="N", type=int, help="seed for --axiom-suite instances (default: 0)")
     parser.add_argument("--trials", metavar="N", type=int, help="trials per axiom for --axiom-suite (default: 200)")
     parser.add_argument("--report", choices=("text", "machine"), default="text")

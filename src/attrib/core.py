@@ -103,15 +103,6 @@ class MultilinearPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, x: Sequence[float]) -> float:
-        total = 0.0
-        for I, c in self.terms.items():
-            p = c
-            for j in I:
-                p *= x[j - 1]
-            total += p
-        return total
-
     def partial(self, i: int) -> "MultilinearPoly":
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} outside 1..{self.n}")
@@ -323,18 +314,19 @@ class CharacteristicFunction:
         return self.multilinear.n
 
     def __call__(self, x: Sequence[float]) -> float:
-        return evaluate(self, x)
+        return float(self.values([x])[0])
 
     def values(self, X) -> np.ndarray:
-        """f at every row of the N x n array X, as N values, each with the bits of ``f(x)``.
+        """f at every row of the N x n array X, as N values; ``f(x)`` is the one row of ``f.values([x])``.
 
-        `evaluate`'s order of operations, a column at a time: each monomial
-        in key order starts from its coefficient and multiplies in its
-        columns, into a total that starts at 0.0; then each separable
-        term's `SeparableTerm.values`, in term order.  Where a point lies
-        outside a term's domain, the point loop reruns to raise the
-        `DomainError` of the first failing point.  Products that overflow
-        give inf or nan, as in plain float arithmetic.
+        Each monomial in key order starts from its coefficient and
+        multiplies in its columns, into a total that starts at 0.0; then
+        each separable term's `SeparableTerm.values`, in term order.  So
+        every row has the bits of that loop run at its point alone.  Where a
+        point lies outside a term's domain, the point-major loop over the
+        separable terms reruns to raise the `DomainError` of the first
+        failing point.  Products that overflow give inf or nan, as in plain
+        float arithmetic.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
@@ -351,7 +343,8 @@ class CharacteristicFunction:
                     total += t.values(X[:, t.index - 1])
             except DomainError:
                 for x in X.tolist():
-                    evaluate(self, x)
+                    for t in self.separable:
+                        t.value(x[t.index - 1])
                 raise
         return total
 
@@ -531,18 +524,9 @@ def _change(f, vp: ValuePair, ends: tuple[float, float] | None = None) -> float:
     return float(f(list(vp.s))) - float(f(list(vp.r)))
 
 
-def _check_dims(f: CharacteristicFunction, x: Sequence[float]):
-    if len(x) != f.n:
-        raise ValueError(f"dimension mismatch: function has {f.n} variables, vector has {len(x)}")
-
-
 def evaluate(f: CharacteristicFunction, x: Sequence[float]) -> float:
-    """Evaluate f at the point x (length must equal f.n)."""
-    _check_dims(f, x)
-    total = f.multilinear.evaluate(x)
-    for t in f.separable:
-        total += t.value(x[t.index - 1])
-    return total
+    """f at the point x (length must equal f.n): the one row of ``f.values([x])``."""
+    return f(x)
 
 
 def _monomial_partials(vals: Sequence[float], scale: float) -> list[float]:

@@ -41,6 +41,9 @@ __all__ = [
 # Gauss-Legendre nodes per panel, and panels per smooth stretch of the path in the first pass.
 _ORDER = 16
 _PANELS = 8
+# Most nodes a pass after the first may have: refining stops, unconverged, before a pass that would have more.
+# Each doubling doubles a pass and its node arrays; the default 12 doublings of a straight line reach 2^19 nodes.
+_MAX_PASS_NODES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -216,8 +219,9 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
     Path breakpoints (edge-walk corners, tabulation nodes) bound the panels so
     each panel sees a smooth integrand.  Panels double until two successive
     passes agree componentwise within q.tol (relative, with an absolute floor
-    of q.tol); out of max_refine doublings, or at a pass that is not finite,
-    the estimate is returned with converged=False.  A pass takes its
+    of q.tol); out of max_refine doublings, before a pass of more than
+    _MAX_PASS_NODES nodes, or at a pass that is not finite, the estimate is
+    returned with converged=False.  A pass takes its
     gradients in one ``f.gradients`` call (one per block of _CHUNK_ELEMENTS
     values on very fine passes); f is a model, a flow graph or a
     `BlackBoxFunction`, and a plain callable is wrapped in a black box.
@@ -243,6 +247,8 @@ def _integrate(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None, met
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan, and a result flagged unconverged
         d = np.asarray(vp.s) - r  # -1e308 to 1e308 moves by inf
         for k in range(q.max_refine + 1):
+            if k and (len(base.breaks) - 1) * _ORDER * _PANELS * 2**k > _MAX_PASS_NODES:
+                break
             nodes, weights = _nodes(base.breaks, _ORDER, _PANELS * 2**k)
             blocks = [(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)]
             z, prev = sum(w @ (f.gradients(r + d * base.g(t)) * (d * base.dg(t))) for t, w in blocks), z

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,9 @@ a p c : 1
 
 VALUES = "entity,variable,initial,final\nq2,a,4,5\nq2,p,1,12\nq2,c,1,1.5\n"
 
+
+# the source checkout these tests lie in, which holds pyproject.toml and scripts/
+_ROOT = Path(__file__).resolve().parent.parent
 
 # two more entities for MODEL, each with its own values
 MORE_VALUES = "q3,a,2,3\nq3,p,5,4\nq3,c,2,1\nq4,a,1,1\nq4,p,2,3\nq4,c,0.5,2\n"
@@ -716,11 +720,12 @@ class TestCli:
             (["--demo", "mix-effects", "--trials", "5"], "--trials goes with --axiom-suite; --demo does not read it"),
             (["--demo", "mix-effects", "--tol", "0.5", "--max-refine", "3"],
              "--tol goes with --model, --dag or --axiom-suite; --demo does not read it"),
+            (["--demo", "mix-effects", "--tol", "0.5"], "--tol goes with --model, --dag or --axiom-suite; --demo does not read it"),
             (["--demo", "mix-effects", "--max-refine", "3"],
              "--max-refine goes with --model, --dag or --axiom-suite; --demo does not read it"),
         ],
         ids=["axiom-suite", "demo", "demo-method", "demo-default-method", "model-trials", "model-seed-and-trials",
-             "dag-seed", "demo-trials", "demo-tol", "demo-max-refine"],
+             "dag-seed", "demo-trials", "demo-tol", "demo-tol-alone", "demo-max-refine"],
     )
     def test_values_outside_a_report_run(self, model_files, tmp_path, capsys, argv, message):
         # a flag the mode does not read, even at its default value, is refused: the mode does not run, and no file is opened
@@ -1071,8 +1076,98 @@ class TestCli:
         assert "total change: 86" in capsys.readouterr().out
 
 
+# A model with no segments, for the runs below
+_APC = "[variables]\na p c\n[multilinear]\na p c : 1\n"
+# README's three-node graph, two entities of values for it, and one order, weight 1, of its five variables
+_GRAPH = "[nodes]\na b t\n[sink]\nt\n[starts]\na : s_a\nb : s_b\n[edges]\na b : p_ab\nb t : p_bt\na t : p_at\n"
+_GRAPH_VALUES = ("e1,s_a,10,20\ne1,s_b,5,4\ne1,p_ab,0.5,0.25\ne1,p_bt,0.5,0.75\ne1,p_at,0.25,0.5\n"
+                 "e2,s_a,1,2\ne2,s_b,3,3\ne2,p_ab,0.1,0.2\ne2,p_bt,0.9,0.8\ne2,p_at,0.4,0.4\n")
+_GRAPH_ORDER = "s_a s_b p_ab p_bt p_at : 1\n"
+_NINE = [f"x{i}" for i in range(1, 10)]
+_PRODUCT9 = f"[variables]\n{' '.join(_NINE)}\n[multilinear]\n{' '.join(_NINE)} : 1\n"
+_PRODUCT9_VALUES = "e,x1,1,2\ne,x2,2,1\ne,x3,1,3\ne,x4,0.5,1.5\ne,x5,1,1.25\ne,x6,2,0.5\ne,x7,1,2\ne,x8,3,1\ne,x9,1,1.5\n"
+# two log terms on one variable, each of scale 1e308: never added into one term of scale inf
+_TWO_LOGS = "[variables]\nc\n[separable]\nc : log 1 2 1e308\nc : log 1 2 1e308\n"
+_SUMMARY = '{"record": "summary"'
+_ATTRIBUTION = '{"record": "attribution"'
+_CONVERGED = '"converged": true'
+_WARNING = "warning: "
+_UNCONVERGED = "warning: quadrature did not converge; attributions are best estimates"
+_RESIDUAL = "warning: the residual exceeds 1e-09 of |total change| + sum |attribution|; attributions are best estimates"
+_METHODS = ["ass", "naive", "as-numeric", "ss-brute", "random-order:{orders}"]
+
+# Whole runs of the command: the files they read (each written to a temporary path that argv and the expected
+# stderr name as {key}), argv, the exit code, and stdout and stderr.  A string is the whole expected text; a dict
+# maps each text to the number of stdout lines that hold it.
+_RUNS = [
+    pytest.param({}, ["--axiom-suite", "--method", "ss-brute", "--trials", "50"], 0, {"PASS  ": 9}, "",
+                 id="axiom-suite-ss-brute"),
+    # the cached n = 8 order table, walked prefix by prefix
+    pytest.param({"model": _PRODUCT9, "values": _PRODUCT9_VALUES},
+                 ["--model", "{model}", "--values", "{values}", "--method", "ss-brute", "--report", "machine"], 0,
+                 {_ATTRIBUTION: 9, _SUMMARY: 1, _CONVERGED: 1}, "", id="nine-variable-product-ss-brute"),
+    *[pytest.param({"graph": _GRAPH, "values": _GRAPH_VALUES, "orders": _GRAPH_ORDER},
+                   ["--dag", "{graph}", "--values", "{values}", "--report", "machine", "--method", method], 0,
+                   {_SUMMARY: 2}, "", id=f"readme-graph-{method.split(':')[0]}") for method in _METHODS],
+    pytest.param({"model": _APC, "values": "q,a,4,5\nq,p,1,12\nq,c,1,oops\n"}, ["--model", "{model}", "--values", "{values}"],
+                 2, "", "error: {values}:3: expected a number, got 'oops'\n", id="values-not-a-number"),
+    pytest.param({"model": _APC, "values": ",a,1,2\n"}, ["--model", "{model}", "--values", "{values}"],
+                 2, "", "error: {values}:1: empty entity name\n", id="values-empty-entity-name"),
+    # a header, blank rows and rows of empty cells read as nothing
+    pytest.param({"model": _APC, "values": "\n  \nentity,variable,initial,final\nq,a,4,5\n,,,\nq,p,1,12\nq,c,1,1.5\n\n"
+                                           "r,a,1,2\n , , , \nr,p,3,4\nr,c,5,6\n"},
+                 ["--model", "{model}", "--values", "{values}", "--report", "machine"], 0, {_SUMMARY: 2}, "",
+                 id="values-blank-rows-and-header"),
+    # quadrature given no doublings converges on no entity: one warning in each entity's report
+    pytest.param({"model": _APC, "values": "q,a,4,5\nq,p,1,12\nq,c,1,1.5\nr,a,1,2\nr,p,3,4\nr,c,5,6\n"},
+                 ["--model", "{model}", "--values", "{values}", "--method", "as-numeric", "--max-refine", "0"], 3,
+                 {_WARNING: 2, _UNCONVERGED: 2}, "", id="max-refine-0-two-entities"),
+    # entity q3 leaves the log term's domain: every method stops the run naming it, before printing anything
+    *[pytest.param({"model": _APC + "[separable]\np : log 1 0 1\n",
+                    "values": "q2,a,4,5\nq2,p,1,12\nq2,c,1,1.5\nq3,a,4,5\nq3,p,-1,12\nq3,c,1,1.5\n", "orders": "c p a : 1\n"},
+                   ["--model", "{model}", "--values", "{values}", "--method", method], 2, "",
+                   "error: entity 'q3': log term on variable 2 got nonpositive argument -1.0 (variable 'p')\n",
+                   id=f"log-domain-{method.split(':')[0]}") for method in _METHODS],
+    pytest.param({"model": _TWO_LOGS, "values": "e,c,0.1,0.2\n"}, ["--model", "{model}", "--values", "{values}", "--report", "machine"],
+                 0, {_SUMMARY: 1, _CONVERGED: 1}, "", id="two-log-terms"),
+    # from 1 to 2 the model's value itself overflows, but each term's change is finite, and so is their sum: trusted
+    pytest.param({"model": _TWO_LOGS, "values": "e,c,1,2\n"}, ["--model", "{model}", "--values", "{values}", "--report", "machine"],
+                 0, {_SUMMARY: 1, _CONVERGED: 1}, "", id="two-log-terms-overflowing-value"),
+    # 40 doublings would build 2^47 nodes; refining stops at the cap of a pass, after 13 doublings.  Near 1e-12 the
+    # steep log term leaves a residual that flags the row first; the product's row is flagged only as unconverged.
+    pytest.param({"model": "[variables]\na\n[separable]\na : log 1 1e-12 1\n", "values": "e,a,0,1\n"},
+                 ["--model", "{model}", "--values", "{values}", "--method", "as-numeric", "--tol", "1e-300", "--max-refine", "40"],
+                 3, {_WARNING: 1, _RESIDUAL: 1}, "", id="max-refine-40-steep-log"),
+    pytest.param({"model": _APC, "values": "q,a,4,5\nq,p,1,12\nq,c,1,1.5\n"},
+                 ["--model", "{model}", "--values", "{values}", "--method", "as-numeric", "--tol", "1e-300", "--max-refine", "40"],
+                 3, {_WARNING: 1, _UNCONVERGED: 1}, "", id="max-refine-40-product"),
+]
+
+
+@pytest.mark.parametrize("files, argv, code, out, err", _RUNS)
+def test_command_run(tmp_path, capsys, files, argv, code, out, err):
+    paths = {key: str(tmp_path / key) for key in files}
+    for key, text in files.items():
+        (tmp_path / key).write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err.format(**paths)
+    if isinstance(out, str):
+        assert captured.out == out
+    else:
+        lines = captured.out.splitlines()
+        assert {text: sum(text in line for line in lines) for text in out} == out
+        if "machine" in argv:
+            assert lines[-1].startswith(_SUMMARY)  # a machine report ends with its last entity's summary
+
+
 class TestEntryPoint:
     """`python -m attrib.cli` goes through `run()`, which freezes the import-time objects out of the collector."""
+
+    def test_console_script_calls_run(self):
+        # the installed `attrib` script calls run() too, so one call of it checks what these tests do not
+        assert '\n[project.scripts]\nattrib = "attrib.cli:run"\n' in (_ROOT / "pyproject.toml").read_text()
 
     @pytest.mark.parametrize("case", ["ok", "flagged", "bad-entity"])
     @pytest.mark.parametrize("report", ["machine", "text"])
@@ -1092,11 +1187,15 @@ class TestEntryPoint:
         assert (child.returncode, child.stdout, child.stderr.decode()) == (code, captured.out.encode(), captured.err)
         assert code == {"ok": 0, "flagged": 3, "bad-entity": 2}[case]
 
-    @pytest.mark.parametrize("report", ["machine", "text"])
-    def test_closed_stdout_is_one_error_line(self, tmp_path, report):
+    @pytest.mark.parametrize(
+        "report, read", [("machine", 0), ("text", 0), ("machine", 1), ("text", 1)],
+        ids=["machine", "text", "machine-after-one-byte", "text-after-one-byte"],
+    )
+    def test_closed_stdout_is_one_error_line(self, tmp_path, report, read):
         # 600 entities, more output than a pipe holds.  Entity e1's 8,000-character name makes its report one large
         # write after e0's small one, so e0's records still sit in stdout's buffer when the write fails, and the
         # interpreter's flush at exit would fail on them again.  PYTHONUNBUFFERED would leave nothing buffered.
+        # The reader closes its end at once, or after one byte, as `| head -c 1` does.
         model = tmp_path / "model.txt"
         model.write_text(MODEL)
         values = tmp_path / "values.csv"
@@ -1106,7 +1205,16 @@ class TestEntryPoint:
         env.pop("PYTHONUNBUFFERED", None)
         argv = [sys.executable, "-m", "attrib.cli", "--model", str(model), "--values", str(values), "--report", report]
         child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        child.stdout.close()  # before the child writes anything
+        child.stdout.read(read)
+        child.stdout.close()
         _, err = child.communicate(timeout=120)
         assert err.decode() == "error: [Errno 32] Broken pipe\n"  # one line: no traceback, no "Exception ignored"
         assert child.returncode == 2
+
+
+def test_walk_convergence_script():
+    # the script README documents: it fails here if the public API it imports changes
+    argv = [sys.executable, str(_ROOT / "scripts" / "walk_convergence.py"), "--grids", "1", "2", "4", "--walks", "200"]
+    child = subprocess.run(argv, capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.splitlines()[:2] == ["straight-line attribution: [0.666667, 0.333333]", "order-walk average:        [0.5, 0.5]"]

@@ -682,12 +682,27 @@ def test_gradients_take_each_derivative_a_column_at_a_time(monkeypatch):
     assert calls == [(d, x[d.index - 1]) for d in derivs if d.kind != "poly" for x in X]
 
 
+def _point_value(f, x):
+    """f at the one point x by a scalar loop, the reference for f.values: monomials in key order, then separable terms."""
+    total = 0.0
+    for I, c in f.multilinear.terms.items():
+        p = c
+        for j in I:
+            p *= x[j - 1]
+        total += p
+    for t in f.separable:
+        total += t.value(x[t.index - 1])
+    return total
+
+
 # points that overflow a monomial to inf, then to nan against another; signed zeros and non-finite cells
 _VALUE_CELLS = st.one_of(_GRID, st.sampled_from([-0.0, 1e200, -1e200, math.inf, -math.inf, math.nan]), st.floats(-3, 3))
 
 
 class TestValuesHaveTheBitsOfOnePoint:
-    """``f.values(X)`` has, row by row, the bits of ``f(x)``, or raises the first failing row's error.
+    """``f.values(X)`` has, row by row, the bits of a scalar loop at that point, or raises the first failing row's error.
+
+    ``f(x)`` is itself the one row of ``f.values([x])``, so the models' reference is `_point_value`.
 
     CI runs this class with the exit-contract profile (2,000 examples).
     """
@@ -700,7 +715,7 @@ class TestValuesHaveTheBitsOfOnePoint:
     def test_on_drawn_models(self, case):
         f, X = case
         try:
-            want = [f(x) for x in X]
+            want = [_point_value(f, x) for x in X]
         except DomainError as first:
             with pytest.raises(DomainError) as info:
                 f.values(X)
@@ -717,7 +732,7 @@ class TestValuesHaveTheBitsOfOnePoint:
         f = from_terms(2, {(1, 2): 1e300, (2,): 1e300}, [SeparableTerm(2, "poly", (0.0, -1.0))])
         X = [[1e10, 1.0], [-1e10, 1e10], [-0.0, 0.0], [0.0, -0.0]]
         got = f.values(X).tolist()
-        assert _bits([got]) == _bits([[f(x) for x in X]])
+        assert _bits([got]) == _bits([[_point_value(f, x) for x in X]])
         assert math.isinf(got[0]) and math.isnan(got[1])
 
     def test_refuses_a_row_of_the_wrong_length(self):

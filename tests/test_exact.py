@@ -539,8 +539,8 @@ class TestAttributeAssBatch:
         assert [repr(res) for res in got] == [repr(res) for res in want]
 
     def test_change_comes_from_the_columns_not_evaluate(self, monkeypatch):
-        """A model's rows take their change from the telescoped pair over the columns, a constant included, not from `evaluate`."""
-        from attrib.core import MultilinearPoly
+        """A model's rows take their change from the telescoped pair over the columns, a constant included, not from its values."""
+        from attrib.core import CharacteristicFunction
         from attrib.exact import attribute_ass_batch
 
         f = from_terms(3, {(): 2.5, (1, 2): 1e300, (2, 3): -1e300, (1, 2, 3): 1.5}, [SeparableTerm(3, "poly", (0.0, 0.0, 1.0))])
@@ -550,10 +550,10 @@ class TestAttributeAssBatch:
         # in row 1, c * (s_1 - r_1) overflows to inf, which times the 0 difference of x_2 gives nan; row 2 overflows too
         assert math.isnan(want[1].change) and math.isnan(want[2].change)
 
-        def refuse(self, x):
-            raise AssertionError("attribute_ass_batch called MultilinearPoly.evaluate")
+        def refuse(self, X):
+            raise AssertionError("attribute_ass_batch called CharacteristicFunction.values")
 
-        monkeypatch.setattr(MultilinearPoly, "evaluate", refuse)
+        monkeypatch.setattr(CharacteristicFunction, "values", refuse)  # f(x) and evaluate read it too
         assert [repr(res) for res in attribute_ass_batch(f, R, S)] == [repr(res) for res in want]
 
     @pytest.mark.parametrize(

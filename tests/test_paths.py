@@ -309,6 +309,31 @@ class TestQuadrature:
         if breaks == (0.0, 1.0) and panels == 1:
             assert t.tolist() == [0.5 * (v + 1.0) for v in x]  # the rule on [0, 1] the exact kernel has always used
 
+    @pytest.mark.parametrize(
+        "base, cap, passes", [(straight_line(), 512, [128, 256, 512]), (straight_line(), 1, [128]), (edge_walk((1, 2, 3)), 512, [384])],
+        ids=["straight-line", "first-pass-over-the-cap", "edge-walk"],
+    )
+    def test_refining_stops_before_a_pass_over_the_node_cap(self, monkeypatch, base, cap, passes):
+        # a steep log term never converges at tol 1e-300: without the cap, 40 doublings would build 2^47 nodes
+        from attrib import paths
+
+        sizes = []
+
+        def counted(breaks, order, panels):
+            sizes.append((len(breaks) - 1) * order * panels)
+            assert sizes[-1] <= 1 << 16, sizes  # a missing cap fails here, before the passes outgrow memory
+            return _nodes(breaks, order, panels)
+
+        f = from_terms(3, {(1, 2, 3): 1.0}, [SeparableTerm(1, "log", (1.0, 1e-12, 1.0))])
+        vp = ValuePair((0.0, 1.0, 2.0), (1.0, 2.0, 0.5))
+        monkeypatch.setattr(paths, "_MAX_PASS_NODES", cap)
+        monkeypatch.setattr(paths, "_nodes", counted)
+        res = attribute_path(f, vp, base, QuadratureConfig(tol=1e-300, max_refine=40))
+        assert sizes == passes
+        # the estimate of the last pass, unconverged, as when the doublings run out there
+        assert repr(res) == repr(attribute_path(f, vp, base, QuadratureConfig(tol=1e-300, max_refine=len(passes) - 1)))
+        assert not res.converged
+
     def test_composite_panels(self):
         got = composite_gauss_legendre(math.sin, 0.0, math.pi, order=8, panels=4)
         assert got == pytest.approx(2.0, rel=1e-12)
