@@ -128,7 +128,7 @@ def _run_reports(args) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise
-    return EXIT_NUMERIC if any(report.fault for report in reports) else EXIT_OK
+    return EXIT_NUMERIC if any(report.result.fault for report in reports) else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -66,17 +66,22 @@ class ReadOnlyDict(dict):
 # multilinear part
 
 
+def _monomial_indices(n: int, key: Iterable[int]) -> Subset:
+    """The variables of a monomial as a sorted tuple; ValueError for a repeated index or one outside 1..n."""
+    idx = tuple(int(i) for i in key)
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"repeated index in monomial {idx}; degree above 1 per variable is not representable")
+    for i in idx:
+        if not 1 <= i <= n:
+            raise ValueError(f"variable index {i} outside 1..{n}")
+    return tuple(sorted(idx))
+
+
 def _canonical_terms(n: int, terms) -> dict[Subset, float]:
     items = terms.items() if isinstance(terms, Mapping) else terms
     acc: dict[Subset, float] = {}
     for key, coeff in items:
-        idx = tuple(int(i) for i in key)
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"repeated index in monomial {idx}; degree above 1 per variable is not representable")
-        for i in idx:
-            if not 1 <= i <= n:
-                raise ValueError(f"variable index {i} outside 1..{n}")
-        k = tuple(sorted(idx))
+        k = _monomial_indices(n, key)
         acc[k] = acc.get(k, 0.0) + float(coeff)
     for k, c in acc.items():
         if not math.isfinite(c):
@@ -261,6 +266,22 @@ class SeparableTerm:
         return SeparableTerm(new_index, self.kind, self.params)
 
 
+def _separable_columns(X: np.ndarray, terms: Sequence[SeparableTerm]) -> Iterable[tuple[int, np.ndarray]]:
+    """(i, t.values(X[:, i])) for each term t in turn, i its column of X.
+
+    On a `DomainError` the point-major loop over the terms reruns, so the
+    first failing point's error is raised, as a single-point call would.
+    """
+    try:
+        for t in terms:
+            yield t.index - 1, t.values(X[:, t.index - 1])
+    except DomainError:
+        for x in X.tolist():
+            for t in terms:
+                t.value(x[t.index - 1])
+        raise
+
+
 def _poly_compose_affine(coeffs: tuple[float, ...], c: float, d: float) -> tuple[float, ...]:
     # expand sum_j coeffs[j] * ((x - d)/c)^j in powers of x
     out = [0.0]
@@ -316,21 +337,24 @@ class CharacteristicFunction:
     def __call__(self, x: Sequence[float]) -> float:
         return float(self.values([x])[0])
 
+    def _points(self, X) -> np.ndarray:
+        """X as an N x n float array; ValueError if its rows are not points of f."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"dimension mismatch: function has {self.n} variables, got points of shape {X.shape}")
+        return X
+
     def values(self, X) -> np.ndarray:
         """f at every row of the N x n array X, as N values; ``f(x)`` is the one row of ``f.values([x])``.
 
         Each monomial in key order starts from its coefficient and
         multiplies in its columns, into a total that starts at 0.0; then
-        each separable term's `SeparableTerm.values`, in term order.  So
-        every row has the bits of that loop run at its point alone.  Where a
-        point lies outside a term's domain, the point-major loop over the
-        separable terms reruns to raise the `DomainError` of the first
-        failing point.  Products that overflow give inf or nan, as in plain
-        float arithmetic.
+        each separable term's `_separable_columns` column, in term order, so
+        every row has the bits of that loop run at its point alone, or the
+        first failing point's `DomainError`.  Products that overflow give
+        inf or nan, as in plain float arithmetic.
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"dimension mismatch: function has {self.n} variables, got points of shape {X.shape}")
+        X = self._points(X)
         total = np.zeros(len(X))
         with np.errstate(over="ignore", invalid="ignore"):
             for I, c in self.multilinear.terms.items():
@@ -338,45 +362,28 @@ class CharacteristicFunction:
                 for j in I:
                     p *= X[:, j - 1]
                 total += p
-            try:
-                for t in self.separable:
-                    total += t.values(X[:, t.index - 1])
-            except DomainError:
-                for x in X.tolist():
-                    for t in self.separable:
-                        t.value(x[t.index - 1])
-                raise
+            for _, v in _separable_columns(X, self.separable):
+                total += v
         return total
 
     def gradients(self, X) -> np.ndarray:
         """All partial derivatives of f at every row of the N x n array X, as an N x n array.
 
         Monomials are added in ascending key order, then the separable
-        derivatives, each built once and evaluated over its whole column by
-        `SeparableTerm.values`, in term order, so every row has the bits of a
-        single-point call.  Where a point lies outside a term's domain, the
-        point-major loop reruns to raise the `DomainError` a single-point
-        call would: the first failing point wins over the first failing
-        term.  Products that overflow give inf, as in plain float arithmetic.
+        derivatives, each built once, their `_separable_columns` columns in
+        term order, so every row has the bits of a single-point call, or the
+        first failing point's `DomainError`.  Products that overflow give
+        inf, as in plain float arithmetic.
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"dimension mismatch: function has {self.n} variables, got points of shape {X.shape}")
+        X = self._points(X)
         G = np.zeros_like(X)
-        derivs = [(t.index - 1, t.derivative()) for t in self.separable]
         with np.errstate(over="ignore", invalid="ignore"):
             for I, c in self.multilinear.terms.items():
                 if I:
                     cols = [j - 1 for j in I]
                     G[:, cols] += _batch_partials(X[:, cols], c)
-            try:
-                for i, d in derivs:
-                    G[:, i] += d.values(X[:, i])
-            except DomainError:
-                for x in X.tolist():
-                    for i, d in derivs:
-                        d.value(x[i])
-                raise
+            for i, v in _separable_columns(X, [t.derivative() for t in self.separable]):
+                G[:, i] += v
         return G
 
     def changes(self, R, S) -> np.ndarray:
@@ -637,14 +644,17 @@ def permute_vector(sigma: Sequence[int], x: Sequence[float]) -> tuple[float, ...
 def affine_reparameterize(f: CharacteristicFunction, j: int, c: float, d: float) -> CharacteristicFunction:
     """Return g with variable j replaced by (x_j - d)/c, so g(..., c*y + d, ...) = f(..., y, ...).
 
-    Requires c > 0.  The multilinear part stays multilinear because the
-    substitution has degree 1; the separable term on j is composed with the
-    inner affine map, which every registered kind supports.
+    Requires c finite and greater than 0, and d finite.  The multilinear
+    part stays multilinear because the substitution has degree 1; the
+    separable term on j is composed with the inner affine map, which every
+    registered kind supports.
     """
     if not 1 <= j <= f.n:
         raise ValueError(f"variable index {j} outside 1..{f.n}")
-    if c <= 0:
-        raise ValueError(f"scale must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"scale must be finite and greater than 0, got {c}")
+    if not math.isfinite(d):
+        raise ValueError(f"shift must be finite, got {d}")
     terms: list[tuple[Subset, float]] = []
     for I, coeff in f.multilinear.terms.items():
         if j in I:

@@ -68,6 +68,7 @@ from .core import (
     ValuePair,
     _batch_partials,
     _change,
+    _monomial_indices,
     _monomial_partials,
     _nodes,
     _sub_error,
@@ -162,9 +163,10 @@ def attribute_monomial(
 
     O(m^2) time and O(m) memory for m = |I|.  The remaining variables are
     absorbed in ascending index order; the recursion is commutative so the
-    order only fixes reproducibility.
+    order only fixes reproducibility.  A repeated index, or one outside
+    1..n for the n variables of vp, raises ValueError.
     """
-    I = tuple(sorted(set(indices)))
+    I = _monomial_indices(vp.n, indices)
     if i not in I:
         raise ValueError(f"variable {i} is not in the monomial {I}")
     others = [j for j in I if j != i]

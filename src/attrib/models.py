@@ -398,14 +398,14 @@ class DagModel:
         carries each node's change of inflow: the sum over its edges of the
         tail's change times the edge's probability at r plus the tail's
         inflow at s times the edge's change, in edge order, plus the change
-        of its start count.  Along one route this is the telescoped pair of
-        `CharacteristicFunction.changes` over the route's variables in route
-        order, with its second pair over what the rounding of each
-        difference drops, so a graph whose routes list their edges in file
-        order gets the bits of its route expansion.  Every term carries one
-        difference, so nothing cancels when S is near R, as the sink's
-        inflow at S less that at R would.  Products that overflow give inf
-        or nan.
+        of its start count; stacked with it in one (2, nodes, N) array, the
+        same sums over what the rounding of each difference drops.  Along
+        one route this is the telescoped pair of `CharacteristicFunction.changes`
+        over the route's variables in route order, so a graph whose routes
+        list their edges in file order gets the bits of its route expansion.
+        Every term carries one difference, so nothing cancels when S is near
+        R, as the sink's inflow at S less that at R would.  Products that
+        overflow give inf or nan.
         """
         R = np.asarray(R, dtype=float)
         S = np.asarray(S, dtype=float)
@@ -413,23 +413,18 @@ class DagModel:
             raise ValueError(f"dimension mismatch: graph has {self.n} variables, got points of shapes {R.shape} and {S.shape}")
         ST, inflow = self._forward(S)
         RT = np.ascontiguousarray(R.T)
-        delta = np.zeros_like(inflow)
-        delta_err = np.zeros_like(inflow)
+        pair = np.zeros((2, *inflow.shape))  # the change of each node's inflow, and its rounding pair
         with np.errstate(over="ignore", invalid="ignore"):
             DT = ST - RT
-            ET = _sub_error(RT, ST, DT)
+            DE = np.stack((DT, _sub_error(RT, ST, DT)))
             for k, tails, cols, start in self._plan.forward:
                 if len(tails):
-                    terms = delta[tails] * RT[cols]
-                    terms += inflow[tails] * DT[cols]
-                    delta[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
-                    terms = delta_err[tails] * RT[cols]
-                    terms += inflow[tails] * ET[cols]
-                    delta_err[k] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+                    terms = pair[:, tails] * RT[cols]
+                    terms += inflow[tails] * DE[:, cols]
+                    pair[:, k] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
                 if start is not None:
-                    delta[k] += DT[start]
-                    delta_err[k] += ET[start]
-            sink, sink_err = delta[self._plan.sink], delta_err[self._plan.sink]
+                    pair[:, k] += DE[:, start]
+            sink, sink_err = pair[:, self._plan.sink]
             return np.add(sink, sink_err, out=sink, where=np.isfinite(sink_err))
 
     def _build_plan(self) -> _FlowPlan:

@@ -208,7 +208,10 @@ def tabulated_path(ts: Sequence[float], components: Sequence[Sequence[float]]) -
 
 
 def composite_gauss_legendre(fn: Callable[[float], float], a: float, b: float, order: int = 16, panels: int = 1) -> float:
-    """Integral of fn over [a, b] with `panels` equal Gauss-Legendre panels; fn takes one float."""
+    """Integral of fn over [a, b] with `panels` equal Gauss-Legendre panels, each of `order` nodes; fn takes one float."""
+    for name, count in (("order", order), ("panels", panels)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     t, w = _nodes((a, b), order, panels)
     return float(w @ [fn(v) for v in t.tolist()])
 

@@ -10,9 +10,9 @@ expands its routes.  `resolve_method`
 maps a method id to its handle, and imports `attrib.oracles` and
 `attrib.paths` only for a method other than ass and naive; a
 ``random-order:`` id reads its weights file through `attrib.models`,
-which holds every file grammar.  A report carries its result's
-``fault``, and both renderers read it.  `render_machine` writes a
-report's JSON Lines records, one f-string each, byte for byte what
+which holds every file grammar.  A `Report` holds its `AttributionResult`,
+which both renderers and the CLI's exit code read.  `render_machine` writes
+a report's JSON Lines records, one f-string each, byte for byte what
 ``json.dumps`` writes for each record.
 """
 from __future__ import annotations
@@ -47,15 +47,13 @@ METHOD_IDS = ("ass", "ss-brute", "as-numeric", "naive", "random-order:<weights-f
 
 @dataclass
 class Report:
+    """One entity's values, its `AttributionResult` (method, z, change, residual, fault) and its segment totals, if any."""
+
     entity: str
-    method: str
     variables: tuple[str, ...]
     initial: tuple[float, ...]
     final: tuple[float, ...]
-    z: tuple[float, ...]
-    total_change: float
-    residual: float
-    fault: str | None  # the `AttributionResult`'s trust verdict; None for a trusted report
+    result: AttributionResult
     segments: dict[str, float] | None = None
 
 
@@ -130,9 +128,9 @@ def run_report(
     of the method's handle attributes every entity; a `DagModel` goes to it
     as it is, with the columns of ``DagModel.variables``.  An error that the
     handle numbers with a row is re-raised naming the row's entity and, if
-    known, the variable; any other is raised as it is.  A report's
-    ``fault`` is its `AttributionResult`'s.  Segment totals are plain
-    sums of member attributions.
+    known, the variable; any other is raised as it is.  A report holds its
+    entity's `AttributionResult`; segment totals are plain sums of member
+    attributions.
     """
     if isinstance(model, DagModel):
         f, variables, segments = model, model.variables, {}
@@ -149,31 +147,20 @@ def run_report(
         where = f" (variable {variables[idx - 1]!r})" if idx else ""
         raise ModelError(f"entity {snaps.entities[exc.row]!r}: {exc}{where}") from exc
     rows = zip(snaps.entities, R.tolist(), S.tolist())
-    return [_report(variables, segments, *row, res) for row, res in zip(rows, results)]
+    return [Report(entity, variables, tuple(r), tuple(s), res, _segment_totals(variables, segments, res.z))
+            for (entity, r, s), res in zip(rows, results)]
 
 
-def _report(
-    variables: tuple[str, ...], segments: dict[str, str], entity: str, r: list[float], s: list[float], res: AttributionResult
-) -> Report:
-    totals = None
-    if segments:
-        totals = {}
-        for name, zv in zip(variables, res.z):
-            label = segments.get(name)
-            if label is not None:
-                totals[label] = totals.get(label, 0.0) + zv
-    return Report(
-        entity=entity,
-        method=res.method,
-        variables=variables,
-        initial=tuple(r),
-        final=tuple(s),
-        z=res.z,
-        total_change=res.change,
-        residual=res.residual,
-        fault=res.fault,
-        segments=totals,
-    )
+def _segment_totals(variables: tuple[str, ...], segments: dict[str, str], z: tuple[float, ...]) -> dict[str, float] | None:
+    """The sum of the attributions of each segment's members, or None for a model without segments."""
+    if not segments:
+        return None
+    totals: dict[str, float] = {}
+    for name, zv in zip(variables, z):
+        label = segments.get(name)
+        if label is not None:
+            totals[label] = totals.get(label, 0.0) + zv
+    return totals
 
 
 # The warning for each fault a result can carry.
@@ -186,14 +173,15 @@ _WARNINGS = {
 
 
 def render_text(report: Report) -> str:
-    lines = [f"entity: {report.entity}    method: {report.method}"]
+    res = report.result
+    lines = [f"entity: {report.entity}    method: {res.method}"]
     name_w = max(len("variable"), max((len(v) for v in report.variables), default=0))
     lines.append(f"{'variable':<{name_w}}  {'initial':>16}  {'final':>16}  {'attribution':>20}")
-    for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z):
+    for name, ini, fin, zv in zip(report.variables, report.initial, report.final, res.z):
         lines.append(f"{name:<{name_w}}  {ini:>16.10g}  {fin:>16.10g}  {zv:>20.12g}")
-    lines.append(f"total change: {report.total_change:.12g}    residual: {report.residual:.12g}")
-    if report.fault:
-        lines.append(_WARNINGS[report.fault])
+    lines.append(f"total change: {res.change:.12g}    residual: {res.residual:.12g}")
+    if res.fault:
+        lines.append(_WARNINGS[res.fault])
     if report.segments:
         lines.append("segment totals:")
         for label in sorted(report.segments):
@@ -207,23 +195,24 @@ def render_machine(report: Report) -> str:
     Each line is what ``json.dumps`` writes for the record, non-finite
     numbers as NaN, Infinity or -Infinity included.
     """
+    res = report.result
     segments = sorted(report.segments.items()) if report.segments else []
-    numbers = (*report.initial, *report.final, *report.z, *(v for _, v in segments), report.total_change, report.residual)
+    numbers = (*report.initial, *report.final, *res.z, *(v for _, v in segments), res.change, res.residual)
     # str of a finite float is float.__repr__, as json.dumps writes it; str, not repr, keeps a numpy float's digits bare
     num = str if math.isfinite(sum(numbers)) else json.dumps  # else some number is nan or infinite, or the sum overflows
-    entity, method = encode_basestring_ascii(report.entity), encode_basestring_ascii(report.method)
+    entity, method = encode_basestring_ascii(report.entity), encode_basestring_ascii(res.method)
     lines = [
         f'{{"record": "attribution", "entity": {entity}, "method": {method}, "variable": {encode_basestring_ascii(name)},'
         f' "initial": {num(ini)}, "final": {num(fin)}, "attribution": {num(zv)}}}'
-        for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z)
+        for name, ini, fin, zv in zip(report.variables, report.initial, report.final, res.z)
     ]
     lines += [
         f'{{"record": "segment", "entity": {entity}, "segment": {encode_basestring_ascii(label)}, "attribution": {num(v)}}}'
         for label, v in segments
     ]
     lines.append(
-        f'{{"record": "summary", "entity": {entity}, "method": {method}, "total_change": {num(report.total_change)},'
-        f' "residual": {num(report.residual)}, "converged": {"false" if report.fault else "true"}}}'
+        f'{{"record": "summary", "entity": {entity}, "method": {method}, "total_change": {num(res.change)},'
+        f' "residual": {num(res.residual)}, "converged": {"false" if res.fault else "true"}}}'
     )
     return "\n".join(lines)
 
@@ -296,11 +285,11 @@ def mix_effects_demo() -> MixEffectsReport:
     [aggregate] = run_report(_MIX_AGGREGATE, _one_entity("advertiser", agg_values))
 
     cpc_by_segment = {
-        "search": segmented.z[_MIX_SEGMENTED.variables.index("cpc_search")],
-        "content": segmented.z[_MIX_SEGMENTED.variables.index("cpc_content")],
+        "search": segmented.result.z[_MIX_SEGMENTED.variables.index("cpc_search")],
+        "content": segmented.result.z[_MIX_SEGMENTED.variables.index("cpc_content")],
     }
     cpc_segmented_total = segmented.segments["cpc"]
-    cpc_aggregate = aggregate.z[0]
+    cpc_aggregate = aggregate.result.z[0]
     return MixEffectsReport(
         segmented=segmented,
         aggregate=aggregate,

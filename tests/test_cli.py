@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import attrib
+from attrib import AttributionResult
 from attrib.cli import main
 from attrib.models import parse_model, parse_snapshots
 from attrib.reports import Report, mix_effects_demo, parse_order_weights, render_machine, render_text, run_report
@@ -54,9 +55,9 @@ class TestRunReport:
     def test_exact_method(self):
         ms = parse_model(MODEL)
         [report] = run_report(ms, parse_snapshots(VALUES))
-        assert report.z == pytest.approx((51.5 / 6, 374 / 6, 90.5 / 6), rel=1e-12)
-        assert report.total_change == pytest.approx(86.0, abs=1e-12)
-        assert abs(report.residual) <= 1e-12
+        assert report.result.z == pytest.approx((51.5 / 6, 374 / 6, 90.5 / 6), rel=1e-12)
+        assert report.result.change == pytest.approx(86.0, abs=1e-12)
+        assert abs(report.result.residual) <= 1e-12
         assert report.segments == pytest.approx(
             {"manufacturing": 51.5 / 6, "procurement": 374 / 6, "currency": 90.5 / 6}
         )
@@ -64,8 +65,8 @@ class TestRunReport:
     def test_naive_reports_residual(self):
         ms = parse_model(MODEL)
         [report] = run_report(ms, parse_snapshots(VALUES), "naive")
-        assert report.z == (18.0, 82.5, 30.0)
-        assert report.residual == pytest.approx(44.5, abs=1e-12)
+        assert report.result.z == (18.0, 82.5, 30.0)
+        assert report.result.residual == pytest.approx(44.5, abs=1e-12)
 
     def test_all_complete_methods_agree(self):
         ms = parse_model(MODEL)
@@ -73,16 +74,16 @@ class TestRunReport:
         [base] = run_report(ms, snaps, "ass")
         for method, tol in (("ss-brute", 1e-12), ("as-numeric", 1e-8)):
             [other] = run_report(ms, snaps, method)
-            assert other.z == pytest.approx(base.z, rel=tol)
-            assert abs(other.residual) <= 1e-9
+            assert other.result.z == pytest.approx(base.result.z, rel=tol)
+            assert abs(other.result.residual) <= 1e-9
 
     def test_random_order_method(self, tmp_path):
         ms = parse_model(MODEL)
         orders = tmp_path / "orders.txt"
         orders.write_text("a p c : 0.5\nc p a : 0.5\n")
         [report] = run_report(ms, parse_snapshots(VALUES), f"random-order:{orders}")
-        assert report.total_change == pytest.approx(86.0, abs=1e-9)
-        assert abs(report.residual) <= 1e-10
+        assert report.result.change == pytest.approx(86.0, abs=1e-9)
+        assert abs(report.result.residual) <= 1e-10
 
     def test_domain_error_carries_entity_and_variable(self):
         text = MODEL + "[separable]\np : log 1 0 1\n"
@@ -157,8 +158,8 @@ class TestRunReport:
         monkeypatch.setattr(reports, "compile_model", refuse)
         [report] = run_report(d, snaps, "ass")
         assert report.variables == d.variables and report.segments is None
-        assert report.z == pytest.approx(expected[0].z, rel=1e-12, abs=1e-12)
-        assert abs(report.residual) <= 1e-12 * (1.0 + abs(report.total_change))
+        assert report.result.z == pytest.approx(expected[0].result.z, rel=1e-12, abs=1e-12)
+        assert abs(report.result.residual) <= 1e-12 * (1.0 + abs(report.result.change))
 
     @pytest.mark.parametrize("method", ["naive", "as-numeric", "ss-brute", "random-order"])
     def test_other_methods_attribute_a_graph_without_expanding_it(self, monkeypatch, tmp_path, method):
@@ -182,14 +183,15 @@ class TestRunReport:
         got = run_report(d, snaps, method)
         assert [r.entity for r in got] == ["e0", "e1"]
         for a, b in zip(got, expected):
-            assert a.variables == b.variables and a.segments is None and a.fault == b.fault
-            for x, y in zip(a.z + (a.total_change, a.residual), b.z + (b.total_change, b.residual)):
+            ra, rb = a.result, b.result
+            assert a.variables == b.variables and a.segments is None and ra.fault == rb.fault
+            for x, y in zip(ra.z + (ra.change, ra.residual), rb.z + (rb.change, rb.residual)):
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
 
     def test_non_finite_result_is_flagged(self):
         ms = parse_model("[variables]\na b\n[multilinear]\na b : 1e300\n")
         [report] = run_report(ms, parse_snapshots("e,a,1e10,2e10\ne,b,1e10,3e10\n"))
-        assert report.fault == "non-finite"
+        assert report.result.fault == "non-finite"
         assert "warning: non-finite result" in render_text(report)
         assert "did not converge" not in render_text(report)
 
@@ -296,13 +298,13 @@ class TestMethodHandles:
 
 def _machine_records(report: Report) -> list[dict]:
     """render_machine's records built as dicts, the reference its output must match byte for byte."""
-    records = []
-    for name, ini, fin, zv in zip(report.variables, report.initial, report.final, report.z):
+    records, res = [], report.result
+    for name, ini, fin, zv in zip(report.variables, report.initial, report.final, res.z):
         records.append(
             {
                 "record": "attribution",
                 "entity": report.entity,
-                "method": report.method,
+                "method": res.method,
                 "variable": name,
                 "initial": ini,
                 "final": fin,
@@ -318,10 +320,10 @@ def _machine_records(report: Report) -> list[dict]:
         {
             "record": "summary",
             "entity": report.entity,
-            "method": report.method,
-            "total_change": report.total_change,
-            "residual": report.residual,
-            "converged": report.fault is None,
+            "method": res.method,
+            "total_change": res.change,
+            "residual": res.residual,
+            "converged": res.fault is None,
         }
     )
     return records
@@ -335,16 +337,18 @@ _numbers = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf
 def _reports(draw):
     variables = tuple(draw(st.lists(_names, min_size=1, max_size=4, unique=True)))
     n = len(variables)
+    result = AttributionResult(
+        method=draw(st.one_of(st.sampled_from(["ass", "naive", "random-order"]), _names)),
+        z=tuple(draw(st.lists(_numbers, min_size=n, max_size=n))),
+        change=draw(_numbers),
+        converged=draw(st.booleans()),
+    )
     return Report(
         entity=draw(_names),
-        method=draw(st.one_of(st.sampled_from(["ass", "naive", "random-order"]), _names)),
         variables=variables,
         initial=tuple(draw(st.lists(_numbers, min_size=n, max_size=n))),
         final=tuple(draw(st.lists(_numbers, min_size=n, max_size=n))),
-        z=tuple(draw(st.lists(_numbers, min_size=n, max_size=n))),
-        total_change=draw(_numbers),
-        residual=draw(_numbers),
-        fault=draw(st.sampled_from([None, "non-finite", "residual", "unconverged"])),
+        result=result,
         segments=draw(st.one_of(st.none(), st.dictionaries(_names, _numbers, max_size=3))),
     )
 
@@ -355,8 +359,9 @@ class TestRenderMachine:
         assert render_machine(report) == "\n".join(json.dumps(rec) for rec in _machine_records(report))
 
     def test_names_with_format_characters_render_verbatim(self):
-        report = Report("e{0}%s", "ass", ("a{1}", "%d", "}{"), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (0.5, -0.0, math.nan),
-                        math.nan, 0.0, "non-finite", {"{}": 0.5, "%%": 1e300})
+        result = AttributionResult("ass", (0.5, -0.0, math.nan), math.nan)
+        report = Report("e{0}%s", ("a{1}", "%d", "}{"), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0), result, {"{}": 0.5, "%%": 1e300})
+        assert result.fault == "non-finite"
         assert render_machine(report) == "\n".join(json.dumps(rec) for rec in _machine_records(report))
 
 
@@ -424,8 +429,8 @@ class TestMixEffects:
         # segment totals are plain sums of member attributions, nothing more
         assert demo.segmented.segments["cpc"] == demo.cpc_by_segment["search"] + demo.cpc_by_segment["content"]
         # both routes still account for the same total change
-        assert demo.segmented.total_change == pytest.approx(299.0, abs=1e-9)
-        assert demo.aggregate.total_change == pytest.approx(299.0, abs=1e-9)
+        assert demo.segmented.result.change == pytest.approx(299.0, abs=1e-9)
+        assert demo.aggregate.result.change == pytest.approx(299.0, abs=1e-9)
 
 
 class TestCli:

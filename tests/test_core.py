@@ -179,6 +179,24 @@ def test_affine_reparameterize_rejects_nonpositive_scale():
         affine_reparameterize(product_function(2), 1, -2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "c, d, message",
+    [
+        (math.inf, 0.0, "scale must be finite and greater than 0, got inf"),
+        (math.nan, 0.0, "scale must be finite and greater than 0, got nan"),
+        (1.0, math.inf, "shift must be finite, got inf"),
+        (1.0, math.nan, "shift must be finite, got nan"),
+    ],
+    ids=["scale-inf", "scale-nan", "shift-inf", "shift-nan"],
+)
+def test_affine_reparameterize_rejects_non_finite_arguments(c, d, message):
+    # an infinite scale gave the zero function, and an infinite shift an error about a monomial the caller never wrote
+    f = from_terms(2, {(1, 2): 1.0}, [SeparableTerm(1, "poly", (0.0, 0.0, 1.0))])
+    with pytest.raises(ValueError) as info:
+        affine_reparameterize(f, 1, c, d)
+    assert str(info.value) == message
+
+
 def test_value_pair_validation():
     with pytest.raises(ValueError):
         ValuePair((1.0,), (1.0, 2.0))

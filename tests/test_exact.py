@@ -139,6 +139,22 @@ class TestAttributeMonomial:
         with pytest.raises(ValueError):
             attribute_monomial(1.0, (1, 2), vp, 3)
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ((0, 1), "variable index 0 outside 1..3"),
+            ((1, 1, 2), "repeated index in monomial (1, 1, 2); degree above 1 per variable is not representable"),
+            ((1, 4), "variable index 4 outside 1..3"),
+        ],
+        ids=["index-0", "repeated-index", "index-above-n"],
+    )
+    def test_refuses_indices_no_monomial_has(self, indices, message):
+        # index 0 would wrap to the last variable, and set() would drop the repeat
+        vp = ValuePair((1.0, 2.0, 3.0), (2.0, 3.0, 5.0))
+        with pytest.raises(ValueError) as info:
+            attribute_monomial(1.0, indices, vp, 1)
+        assert str(info.value) == message
+
     def test_three_variable_closed_form_random(self):
         import random
 

@@ -28,15 +28,26 @@ from conftest import charfn_pairs, exact_product_attribution
 
 
 def literal_walk(f, vp: ValuePair) -> list[float]:
-    """Shapley-Shubik by the book: walk every order corner to corner, add each variable's n! differences with fsum."""
+    """Shapley-Shubik by the book: walk every order corner to corner, add each variable's n! differences with fsum.
+
+    f is called once per corner: the n! (n + 1) steps visit only 2^n of them.
+    """
     n = vp.n
+    corners = {}
+
+    def at(x):
+        key = tuple(x)
+        if key not in corners:
+            corners[key] = f(x)
+        return corners[key]
+
     contributions = [[] for _ in range(n)]
     for order in itertools.permutations(range(n)):
         x = list(vp.r)
-        before = f(x)
+        before = at(x)
         for v in order:
             x[v] = vp.s[v]
-            after = f(x)
+            after = at(x)
             contributions[v].append(after - before)
             before = after
     return [math.fsum(c) / math.factorial(n) for c in contributions]

@@ -338,6 +338,18 @@ class TestQuadrature:
         got = composite_gauss_legendre(math.sin, 0.0, math.pi, order=8, panels=4)
         assert got == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "order, panels, message",
+        [(16, -1, "panels must be at least 1, got -1"), (16, 0, "panels must be at least 1, got 0"),
+         (0, 1, "order must be at least 1, got 0")],
+        ids=["panels-negative", "panels-0", "order-0"],
+    )
+    def test_composite_rule_refuses_an_empty_rule(self, order, panels, message):
+        # panels=-1 returned 0.0, panels=0 divided by zero, and order=0 raised numpy's error
+        with pytest.raises(ValueError) as info:
+            composite_gauss_legendre(math.sin, 0.0, math.pi, order=order, panels=panels)
+        assert str(info.value) == message
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             QuadratureConfig(max_refine=-1)
