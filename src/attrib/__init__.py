@@ -38,8 +38,8 @@ _LAZY = {
         "oracles",
     ),
     **dict.fromkeys(
-        ("BlackBoxFunction", "QuadratureConfig", "attribute_aumann_shapley", "attribute_path", "composite_gauss_legendre",
-         "edge_walk", "straight_line", "tabulated_path"),
+        ("BlackBoxFunction", "QuadratureConfig", "attribute_aumann_shapley", "attribute_path", "edge_walk",
+         "straight_line"),
         "paths",
     ),
     **dict.fromkeys(

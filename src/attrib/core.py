@@ -15,6 +15,7 @@ kernel modules share live here too, so `attrib.exact` loads without
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -135,6 +136,7 @@ class MultilinearPoly:
 _PARAM_COUNT = {"affine": 2, "log": 3, "exp": 3, "powlaw": 4}
 
 _EXP_SAFE = 709.0  # e^709 is about 8.2e307, so math.exp of an exponent at most this never overflows
+_NORMAL, _MAX = 2.0**-1022, sys.float_info.max  # the smallest normal double (a product below it keeps fewer bits), the largest
 
 
 @dataclass(frozen=True)
@@ -172,12 +174,11 @@ class SeparableTerm:
             for c in reversed(p):
                 acc = acc * x + c
             return acc
+        arg = p[0] * x + p[1]
         if k == "log":
-            arg = p[0] * x + p[1]
             if arg <= 0.0:
                 raise DomainError(f"log term on variable {self.index} got nonpositive argument {arg}", self.index)
             return p[2] * math.log(arg)
-        arg = p[0] * x + p[1]
         try:
             if k == "exp":
                 return p[2] * math.exp(arg)
@@ -191,16 +192,44 @@ class SeparableTerm:
     def values(self, x: np.ndarray) -> np.ndarray:
         """`value` at every entry of the 1-d array x, with its bits.
 
-        A poly runs the same Horner steps on the whole array; every other
+        A poly runs `value`'s Horner steps on the whole array; every other
         kind calls `value` entry by entry, so the scalar rule, and the
-        `DomainError` it raises, is the only one.
+        `DomainError` it raises, is the only one.  `slopes` takes `slope` so.
         """
-        if self.kind == "poly":
-            acc = np.zeros_like(x)
-            for c in reversed(self.params):
-                acc = acc * x + c
-            return acc
-        return np.fromiter(map(self.value, x.tolist()), float, len(x))
+        return self.value(x) if self.kind == "poly" else np.fromiter(map(self.value, x.tolist()), float, len(x))
+
+    def slope(self, x: float) -> float:
+        """The derivative at x from this term's own parameters, overflowing or underflowing only where it does.
+
+        A poly runs Horner for p and p' at once, on an array x too.  Any
+        other kind is (scale a m) w, w = e^arg or arg^power: in plain floats,
+        with the derivative term's bits, where scale a and w are normal and
+        the result finite, else by `_exact_product`.  As in `value`, w's
+        overflow raises.
+        """
+        k, p = self.kind, self.params
+        if k == "poly":
+            acc = d = 0.0
+            for c in reversed(p):
+                d, acc = d * x + acc, acc * x + c
+            return d
+        arg = p[0] * x + p[1]
+        m, power = (p[3], int(p[3]) - 1) if k == "powlaw" else (1.0, -1 if k == "log" else 1)
+        if arg == 0.0 and power < 0:
+            raise DomainError(f"{k} term on variable {self.index} has no derivative at x = {x!r}", self.index)
+        try:
+            w = math.exp(arg) if k == "exp" else arg**power
+            c = p[2] * p[0]
+            r = c * m * w
+            if (c >= _NORMAL or c <= -_NORMAL) and (w >= _NORMAL or w <= -_NORMAL) and -_MAX <= r <= _MAX:
+                return r
+            return _exact_product((p[2], p[0], m), w if k == "exp" else arg, power)
+        except OverflowError:
+            raise DomainError(f"{k} term on variable {self.index} overflows at x = {x!r}", self.index) from None
+
+    def slopes(self, x: np.ndarray) -> np.ndarray:
+        """`slope` at every entry of the 1-d array x, with its bits, as `values` takes `value`."""
+        return self.slope(x) if self.kind == "poly" else np.fromiter(map(self.slope, x.tolist()), float, len(x))
 
     def change(self, a: float, b: float) -> float:
         """value(b) - value(a), for an exp or a log term near a taken from b - a, so it does not cancel.
@@ -237,17 +266,18 @@ class SeparableTerm:
 
     def derivative(self) -> "SeparableTerm":
         k, p = self.kind, self.params
-        if k == "poly":
-            d = tuple(j * c for j, c in enumerate(p))[1:]
-            return SeparableTerm(self.index, "poly", d or (0.0,))
-        if k == "log":
-            return SeparableTerm(self.index, "powlaw", (p[0], p[1], p[2] * p[0], -1.0))
-        if k == "exp":
-            return SeparableTerm(self.index, "exp", (p[0], p[1], p[2] * p[0]))
-        e = int(p[3])
-        if e == 1:
-            return SeparableTerm(self.index, "poly", (p[2] * p[0],))
-        return SeparableTerm(self.index, "powlaw", (p[0], p[1], p[2] * p[0] * e, float(e - 1)))
+        try:
+            if k == "poly":
+                return SeparableTerm(self.index, "poly", tuple(j * c for j, c in enumerate(p))[1:] or (0.0,))
+            if k == "log":
+                return SeparableTerm(self.index, "powlaw", (p[0], p[1], p[2] * p[0], -1.0))
+            if k == "exp":
+                return SeparableTerm(self.index, "exp", (p[0], p[1], p[2] * p[0]))
+            if p[3] == 1.0:
+                return SeparableTerm(self.index, "poly", (p[2] * p[0],))
+            return SeparableTerm(self.index, "powlaw", (p[0], p[1], p[2] * p[0] * p[3], p[3] - 1.0))
+        except ValueError:  # the only fault a derived term can have: a product of parameters overflowed
+            raise ValueError(f"the derivative of the {k} term on variable {self.index} has a non-finite parameter") from None
 
     def scaled(self, a: float) -> "SeparableTerm":
         k, p = self.kind, self.params
@@ -266,19 +296,32 @@ class SeparableTerm:
         return SeparableTerm(new_index, self.kind, self.params)
 
 
-def _separable_columns(X: np.ndarray, terms: Sequence[SeparableTerm]) -> Iterable[tuple[int, np.ndarray]]:
-    """(i, t.values(X[:, i])) for each term t in turn, i its column of X.
+def _exact_product(factors: tuple[float, ...], base: float, power: int) -> float:
+    """prod(factors) base^power, from mantissas and exponents (math.frexp): only the result overflows, to inf, or underflows."""
+    m, k = math.frexp(base)
+    m, k = m**power, k * power
+    for vm, vk in map(math.frexp, factors):
+        m, k = m * vm, k + vk
+    try:
+        return math.ldexp(m, k)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
-    On a `DomainError` the point-major loop over the terms reruns, so the
-    first failing point's error is raised, as a single-point call would.
+
+def _separable_columns(X: np.ndarray, terms: Sequence[SeparableTerm], column, rule) -> Iterable[tuple[int, np.ndarray]]:
+    """(i, column(t, X[:, i])) for each term t in turn, i its column of X; column is `values` or `slopes`.
+
+    On a `DomainError` the point-major loop of rule, `value` or `slope`,
+    reruns, so the first failing point's error is raised, as one point's
+    call would.
     """
     try:
         for t in terms:
-            yield t.index - 1, t.values(X[:, t.index - 1])
+            yield t.index - 1, column(t, X[:, t.index - 1])
     except DomainError:
         for x in X.tolist():
             for t in terms:
-                t.value(x[t.index - 1])
+                rule(t, x[t.index - 1])
         raise
 
 
@@ -362,18 +405,17 @@ class CharacteristicFunction:
                 for j in I:
                     p *= X[:, j - 1]
                 total += p
-            for _, v in _separable_columns(X, self.separable):
+            for _, v in _separable_columns(X, self.separable, SeparableTerm.values, SeparableTerm.value):
                 total += v
         return total
 
     def gradients(self, X) -> np.ndarray:
         """All partial derivatives of f at every row of the N x n array X, as an N x n array.
 
-        Monomials are added in ascending key order, then the separable
-        derivatives, each built once, their `_separable_columns` columns in
-        term order, so every row has the bits of a single-point call, or the
-        first failing point's `DomainError`.  Products that overflow give
-        inf, as in plain float arithmetic.
+        Monomials are added in ascending key order, then each separable
+        term's slopes, its `_separable_columns` column, in term order, so
+        every row has the bits of one point's call, or the first failing
+        point's `DomainError`; products that overflow give inf.
         """
         X = self._points(X)
         G = np.zeros_like(X)
@@ -382,7 +424,7 @@ class CharacteristicFunction:
                 if I:
                     cols = [j - 1 for j in I]
                     G[:, cols] += _batch_partials(X[:, cols], c)
-            for i, v in _separable_columns(X, [t.derivative() for t in self.separable]):
+            for i, v in _separable_columns(X, self.separable, SeparableTerm.slopes, SeparableTerm.slope):
                 G[:, i] += v
         return G
 

@@ -31,10 +31,8 @@ __all__ = [
     "BasePath",
     "straight_line",
     "edge_walk",
-    "tabulated_path",
     "attribute_path",
     "attribute_aumann_shapley",
-    "composite_gauss_legendre",
 ]
 
 
@@ -132,102 +130,22 @@ def edge_walk(order: Sequence[int]) -> BasePath:
     return BasePath("edge-walk", g, dg, tuple(k / n for k in range(n + 1)), n)
 
 
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point end slope, cut to 0 where it is not positive, so the end segment stays monotone.
-
-    The secants m0 and m1 are never negative, so the rule's other cut, to
-    3 m0 where the secants differ in sign, never applies: d <= 2 m0 there.
-    """
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    return d if d > 0.0 else 0.0
-
-
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cubic coefficients (4, intervals), highest power first, of the monotone PCHIP through (x, y).
-
-    Interior slopes are the weighted harmonic means of Fritsch and Butland
-    (SIAM J. Sci. Stat. Comput. 5(2), 1984), zero where a neighbouring
-    secant vanishes (the samples never decrease, so no secant is negative
-    and none differ in sign); end slopes use the one-sided rule above; two
-    samples give the straight line.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    d = np.empty_like(y)
-    if len(x) == 2:
-        d[:] = m[0]
-    else:
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        flat = (m[1:] == 0.0) | (m[:-1] == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
-
-
-def tabulated_path(ts: Sequence[float], components: Sequence[Sequence[float]]) -> BasePath:
-    """Componentwise monotone path given by samples, filled in with monotone cubics."""
-    ts = tuple(float(t) for t in ts)
-    if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("sample grid must increase strictly from 0 to 1")
-    comps = []
-    for ys in components:
-        ys = [float(y) for y in ys]
-        if len(ys) != len(ts):
-            raise ValueError("each component needs one sample per grid point")
-        if ys[0] != 0.0 or ys[-1] != 1.0 or any(b < a for a, b in zip(ys, ys[1:])):
-            raise ValueError("component samples must be nondecreasing from 0 to 1")
-        comps.append(ys)
-    # pchip interpolation preserves the monotonicity of the samples;
-    # one (4, components, intervals) table serves every component
-    grid = np.asarray(ts)
-    tables = [_pchip_coefficients(grid, np.asarray(ys)) for ys in comps]
-    coeffs = np.stack(tables, axis=1) if tables else np.empty((4, 0, len(ts) - 1))
-
-    def locate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients (4, N, components) of the interval holding each t, and t's offset (N, 1) into it."""
-        k = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
-        return coeffs[:, :, k].transpose(0, 2, 1), (t - grid[k])[:, None]
-
-    def g(t: np.ndarray) -> np.ndarray:
-        (c3, c2, c1, c0), u = locate(t)
-        return ((c3 * u + c2) * u + c1) * u + c0
-
-    def dg(t: np.ndarray) -> np.ndarray:
-        (c3, c2, c1, _), u = locate(t)
-        return (3.0 * c3 * u + 2.0 * c2) * u + c1
-
-    return BasePath("user", g, dg, ts, len(comps))
-
-
 # ---------------------------------------------------------------------------
 # quadrature
-
-
-def composite_gauss_legendre(fn: Callable[[float], float], a: float, b: float, order: int = 16, panels: int = 1) -> float:
-    """Integral of fn over [a, b] with `panels` equal Gauss-Legendre panels, each of `order` nodes; fn takes one float."""
-    for name, count in (("order", order), ("panels", panels)):
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count}")
-    t, w = _nodes((a, b), order, panels)
-    return float(w @ [fn(v) for v in t.tolist()])
 
 
 def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None = None) -> AttributionResult:
     """Attribution along base path: z_i = integral of d_i f(path(t)) * velocity_i(t) dt.
 
-    Path breakpoints (edge-walk corners, tabulation nodes) bound the panels so
-    each panel sees a smooth integrand.  Panels double until two successive
-    passes agree componentwise within q.tol (relative, with an absolute floor
-    of q.tol); out of max_refine doublings, before a pass of more than
+    Path breakpoints (the edge-walk corners) bound the panels so each panel
+    sees a smooth integrand.  Panels double until two successive passes
+    agree componentwise within q.tol (relative, with an absolute floor of
+    q.tol); out of max_refine doublings, before a pass of more than
     _MAX_PASS_NODES nodes, or at a pass that is not finite, the estimate is
-    returned with converged=False.  A pass takes its
-    gradients in one ``f.gradients`` call (one per block of _CHUNK_ELEMENTS
-    values on very fine passes); f is a model, a flow graph or a
-    `BlackBoxFunction`, and a plain callable is wrapped in a black box.
+    returned with converged=False.  A pass takes its gradients in one
+    ``f.gradients`` call (one per block of _CHUNK_ELEMENTS values on very
+    fine passes); f is a model, a flow graph or a `BlackBoxFunction`, and a
+    plain callable is wrapped in a black box.
     """
     return _integrate(f, vp, base, q, f"path:{base.kind}")
 

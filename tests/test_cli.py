@@ -803,7 +803,8 @@ class TestCli:
         assert "entity: e" in capsys.readouterr().out
 
     def test_import_does_not_load_scipy(self):
-        # scipy serves one optional test; hashlib (OpenSSL, a few MB) only the value-variant weight rule
+        # scipy is no dependency, and no module or test uses it; hashlib (OpenSSL, a few MB) serves only the
+        # value-variant weight rule
         code = (
             "import sys, attrib.cli;"
             " print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')))"
@@ -852,8 +853,8 @@ class TestCli:
         "exact": ("attribute_ass", "attribute_monomial", "attribute_naive", "shapley_weight", "shapley_weights"),
         "oracles": ("PermutationWeights", "hash_order_weights", "random_order_attribution", "shapley_shubik_bruteforce",
                     "value_variant_attribution"),
-        "paths": ("BlackBoxFunction", "QuadratureConfig", "attribute_aumann_shapley", "attribute_path",
-                  "composite_gauss_legendre", "edge_walk", "straight_line", "tabulated_path"),
+        "paths": ("BlackBoxFunction", "QuadratureConfig", "attribute_aumann_shapley", "attribute_path", "edge_walk",
+                  "straight_line"),
         "axioms": ("AXIOM_IDS", "AxiomVerdict", "InstanceGenerator", "check_axiom", "divergence_witness", "run_axiom_suite"),
     }
 

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -545,13 +547,13 @@ def test_gradient_matches_partial_derivatives():
 
 
 def _loop_gradient(f, x):
-    """Reference: one point at a time, monomials in key order, then the separable terms."""
+    """Reference: one point at a time, monomials in key order, then each separable term's scalar slope."""
     g = [0.0] * f.n
     for I, c in f.multilinear.terms.items():
         for j, p in zip(I, _monomial_partials([x[j - 1] for j in I], c)):
             g[j - 1] += p
     for t in f.separable:
-        g[t.index - 1] += t.derivative().value(x[t.index - 1])
+        g[t.index - 1] += t.slope(x[t.index - 1])
     return g
 
 
@@ -614,7 +616,7 @@ def test_gradients_raise_the_first_points_domain_error():
     assert info.value.index == 2
     # the first failing point wins over the first failing term: x1's term fails only at the third point
     f = from_terms(2, {}, [SeparableTerm(1, "exp", (1000.0, 0.0, 1.0)), SeparableTerm(2, "log", (1.0, 0.0, 1.0))])
-    with pytest.raises(DomainError, match="powlaw term on variable 2 got zero base with negative exponent") as info:
+    with pytest.raises(DomainError, match=r"log term on variable 2 has no derivative at x = 0\.0") as info:
         f.gradients([(0.5, 1.0), (0.5, 0.0), (3.0, 1.0)])
     assert info.value.index == 2
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -673,31 +675,105 @@ def test_gradients_of_drawn_terms_equal_the_point_loop_or_raise_its_first_error(
 
 
 def test_gradients_take_each_derivative_a_column_at_a_time(monkeypatch):
-    """One call over N rows: a poly derivative's `value` is never called, every other derivative's N times, down its column."""
+    """One call over N rows builds no term: a poly's `slope` runs once, on its whole column, every other term's N times, down it."""
     f = from_terms(
         3,
         {(1, 2): 1.5},
         [
-            SeparableTerm(1, "log", (1.0, 4.0, 1.0)),  # derivative powlaw, exponent -1
+            SeparableTerm(1, "log", (1.0, 4.0, 1.0)),
             SeparableTerm(2, "exp", (0.5, 0.0, 1.0)),
             SeparableTerm(2, "poly", (1.0, 2.0, 3.0)),
-            SeparableTerm(3, "powlaw", (1.0, 4.0, 2.0, 1.0)),  # derivative poly
+            SeparableTerm(3, "powlaw", (1.0, 4.0, 2.0, 1.0)),
             SeparableTerm(3, "powlaw", (1.0, 4.0, 2.0, 3.0)),
         ],
     )
     X = [[0.5, -1.0, 2.0], [1.0, 0.0, -0.5], [2.5, 3.0, 1.0], [-1.5, 0.25, 0.0]]
     calls = []
-    value = SeparableTerm.value
+    slope = SeparableTerm.slope
 
     def counted(term, x):
-        calls.append((term, x))
-        return value(term, x)
+        calls.append((term, np.asarray(x).tolist()))  # a float, or a column as a list
+        return slope(term, x)
 
-    monkeypatch.setattr(SeparableTerm, "value", counted)
+    def built(term):
+        raise AssertionError(f"gradients built the term {term}")
+
+    monkeypatch.setattr(SeparableTerm, "slope", counted)
+    monkeypatch.setattr(SeparableTerm, "__post_init__", built)
     f.gradients(X)
-    derivs = [t.derivative() for t in f.separable]
-    assert [d.kind for d in derivs] == ["powlaw", "exp", "poly", "poly", "powlaw"]
-    assert calls == [(d, x[d.index - 1]) for d in derivs if d.kind != "poly" for x in X]
+    columns = np.array(X).T.tolist()
+    assert calls == [
+        call
+        for t in f.separable
+        for call in ([(t, columns[t.index - 1])] if t.kind == "poly" else [(t, x[t.index - 1]) for x in X])
+    ]
+
+
+_U = Fraction(1, 2**53)  # the unit roundoff of a double
+_SLOPE_FLOOR = Fraction(1, 2**1064)  # roundings below the normal range lose a step of 2^-1074 each, carried up by |x|^3 at most
+
+
+def _exact_slope(term, x):
+    """The term's derivative at x in exact rationals, taken at the argument a x + b as the term rounds it, and slope's error bound.
+
+    A poly of m coefficients runs m steps of simultaneous Horner, each
+    rounding p and p' once per product and once per sum, so its error is
+    within gamma_2m = 2mu / (1 - 2mu) of sum j |c_j| |x|^(j-1).  Any other
+    kind is scale a m w, w a power of arg or e^arg: about four roundings,
+    of the power and of each product, in plain floats or in mantissas, so
+    within 8u of the derivative, with exp's e^arg as math.exp gives it.
+    """
+    p = [Fraction(v) for v in term.params]
+    if term.kind == "poly":
+        gamma = 2 * len(p) * _U / (1 - 2 * len(p) * _U)
+        size = sum(j * abs(c) * abs(Fraction(x)) ** (j - 1) for j, c in enumerate(p) if j)
+        return sum(j * c * Fraction(x) ** (j - 1) for j, c in enumerate(p) if j), gamma * size + _SLOPE_FLOOR
+    arg = Fraction(term.params[0] * x + term.params[1])
+    if term.kind == "log":
+        want = p[2] * p[0] / arg
+    elif term.kind == "exp":
+        want = p[2] * p[0] * Fraction(math.exp(arg))
+    else:
+        want = p[3] * p[2] * p[0] * arg ** (int(p[3]) - 1)
+    return want, 8 * _U * abs(want) + _SLOPE_FLOOR
+
+
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1.0, 2.0)), 7.593493105513043e-308)  # e (scale x^2) (1 / x) underflows to 0
+@example(SeparableTerm(1, "log", (1e-300, 1e-300, 1e-300)), 0.0)  # the derivative term's scale, 1e-600, underflows to 0
+@example(SeparableTerm(1, "log", (1e200, 0.0, 1e200)), 1.0)  # the derivative term's scale, 1e400, overflows
+@example(SeparableTerm(1, "powlaw", (1e200, 0.0, 1e200, -1.0)), 1.5)  # a (scale e arg^-2) underflows to 0
+@given(_every_kind(1), st.one_of(_GRID, st.floats(-3, 3)))
+def test_slope_is_the_exact_derivative_within_its_error_bound(term, x):
+    """Every kind's slope against its exact derivative: an infinity only past the largest double, a DomainError only
+    where the derivative is undefined or, as in `value`, e^arg or arg^(e-1) overflows."""
+    try:
+        got = term.slope(x)
+    except DomainError as error:
+        assert error.index == 1 and term.kind != "poly"
+        arg = term.params[0] * x + term.params[1]
+        if term.kind == "exp":
+            assert arg > 709.0  # past math.exp's range
+        elif arg == 0.0:
+            assert term.kind == "log" or term.params[3] < 0  # a zero argument of a log or a negative power
+        else:
+            power = -1 if term.kind == "log" else int(term.params[3]) - 1
+            assert abs(Fraction(arg)) ** power >= Fraction(sys.float_info.max)
+        return
+    want, bound = _exact_slope(term, x)
+    if math.isinf(got):
+        assert (got > 0) == (want > 0) and abs(want) >= Fraction(sys.float_info.max) * (1 - 8 * _U)
+    else:
+        assert abs(Fraction(got) - want) <= bound
+
+
+def test_a_derivative_that_overflows_names_the_users_term():
+    # d/da of 1e200 ln(1e200 a) is 1e200 / a, but the derivative term's scale, 1e200 * 1e200, overflows
+    f = from_terms(2, {(1, 2): 1.0}, [SeparableTerm(1, "log", (1e200, 0.0, 1e200))])
+    with pytest.raises(ValueError) as info:
+        partial_derivative(f, 1)
+    assert str(info.value) == "the derivative of the log term on variable 1 has a non-finite parameter"
+    [[da, db]] = f.gradients([[1.0, 2.0]]).tolist()
+    assert da == pytest.approx(1e200, rel=1e-15) and db == 1.0
 
 
 def _point_value(f, x):

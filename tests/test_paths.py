@@ -11,7 +11,6 @@ from attrib import (
     attribute_ass,
     attribute_aumann_shapley,
     attribute_path,
-    composite_gauss_legendre,
     edge_walk,
     evaluate,
     from_terms,
@@ -19,7 +18,6 @@ from attrib import (
     product_function,
     shapley_shubik_bruteforce,
     straight_line,
-    tabulated_path,
 )
 from attrib.paths import _nodes
 from attrib.axioms import InstanceGenerator
@@ -72,70 +70,10 @@ class TestAffinePath:
 
     def test_any_path_ends_at_final(self):
         vp = ValuePair((1.0, -1.0, 2.0), (4.0, 5.0, -3.0))
-        for base in (straight_line(), edge_walk((2, 3, 1)), tabulated_path((0.0, 0.5, 1.0), [(0.0, 0.2, 1.0)] * 3)):
+        for base in (straight_line(), edge_walk((2, 3, 1))):
             (start, end), _ = _affine(base, vp, [0.0, 1.0])
             assert start.tolist() == pytest.approx(list(vp.r), abs=1e-12)
             assert end.tolist() == pytest.approx(list(vp.s), abs=1e-12)
-
-
-class TestTabulatedPath:
-    def test_rejects_decreasing_samples(self):
-        with pytest.raises(ValueError):
-            tabulated_path((0.0, 0.5, 1.0), [(0.0, 0.7, 0.4)])
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            tabulated_path((0.0, 0.5, 0.5, 1.0), [(0.0, 0.1, 0.2, 1.0)])
-        with pytest.raises(ValueError):
-            tabulated_path((0.1, 1.0), [(0.0, 1.0)])
-        with pytest.raises(ValueError, match="each component needs one sample per grid point"):
-            tabulated_path((0.0, 0.5, 1.0), [(0.0, 0.5, 1.0), (0.0, 1.0)])
-
-    def test_interpolant_stays_monotone(self):
-        path = tabulated_path((0.0, 0.25, 0.5, 1.0), [(0.0, 0.1, 0.8, 1.0)])
-        g, dg = path.g, path.dg
-        ts = np.linspace(0.0, 1.0, 201)
-        vals = g(ts)[:, 0].tolist()
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert all(v >= -1e-12 for v in dg(ts)[:, 0])
-
-    def test_interpolant_matches_scipy_pchip(self):
-        interpolate = pytest.importorskip("scipy.interpolate")
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            size = int(rng.integers(2, 9))
-            ts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, size - 2)), [1.0]))
-            comps = []
-            for _ in range(2):
-                steps = rng.uniform(0.0, 1.0, size - 1) * (rng.uniform(0.0, 1.0, size - 1) < 0.7)  # flat stretches
-                steps[-1] += 1e-3
-                ys = np.concatenate(([0.0], np.cumsum(steps) / steps.sum()))
-                ys[-1] = 1.0
-                comps.append(ys)
-            path = tabulated_path(ts, comps)
-            g, dg = path.g, path.dg
-            at = np.concatenate((ts, rng.uniform(0.0, 1.0, 20)))
-            got, dgot = g(at), dg(at)
-            for k, ys in enumerate(comps):
-                ref = interpolate.PchipInterpolator(ts, ys)
-                dref = ref.derivative()
-                for j, t in enumerate(at):
-                    assert abs(got[j, k] - ref(t)) <= 1e-12
-                    assert abs(dgot[j, k] - dref(t)) <= 1e-12 * max(1.0, abs(dref(t)))
-
-    def test_two_samples_give_the_straight_line(self):
-        path = tabulated_path((0.0, 1.0), [(0.0, 1.0)])
-        g, dg = path.g, path.dg
-        assert g(np.array([0.25])).tolist() == [[0.25]] and dg(np.array([0.25])).tolist() == [[1.0]]
-
-    def test_attribution_along_user_path_is_complete(self):
-        f = product_function(2)
-        vp = ValuePair((0.5, 1.0), (2.0, 3.0))
-        base = tabulated_path((0.0, 0.3, 1.0), [(0.0, 0.6, 1.0), (0.0, 0.1, 1.0)])
-        res = attribute_path(f, vp, base)
-        total = evaluate(f, vp.s) - evaluate(f, vp.r)
-        assert res.converged
-        assert abs(math.fsum(res.z) - total) <= 1e-9 * (1.0 + abs(total))
 
 
 class TestAttributePath:
@@ -146,9 +84,8 @@ class TestAttributePath:
 
     def test_path_over_another_variable_count_is_refused(self):
         vp = ValuePair((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        for base in (edge_walk((1, 2)), tabulated_path((0.0, 1.0), [(0.0, 1.0)] * 2)):
-            with pytest.raises(ValueError, match="over 2 variables, values have 3"):
-                attribute_path(product_function(3), vp, base)
+        with pytest.raises(ValueError, match="over 2 variables, values have 3"):
+            attribute_path(product_function(3), vp, edge_walk((1, 2)))
 
     def test_black_box_square_straight_line(self):
         res = attribute_path(lambda x: x[0] * x[0] * x[1], ValuePair((0.0, 0.0), (1.0, 1.0)), straight_line())
@@ -335,20 +272,8 @@ class TestQuadrature:
         assert not res.converged
 
     def test_composite_panels(self):
-        got = composite_gauss_legendre(math.sin, 0.0, math.pi, order=8, panels=4)
-        assert got == pytest.approx(2.0, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "order, panels, message",
-        [(16, -1, "panels must be at least 1, got -1"), (16, 0, "panels must be at least 1, got 0"),
-         (0, 1, "order must be at least 1, got 0")],
-        ids=["panels-negative", "panels-0", "order-0"],
-    )
-    def test_composite_rule_refuses_an_empty_rule(self, order, panels, message):
-        # panels=-1 returned 0.0, panels=0 divided by zero, and order=0 raised numpy's error
-        with pytest.raises(ValueError) as info:
-            composite_gauss_legendre(math.sin, 0.0, math.pi, order=order, panels=panels)
-        assert str(info.value) == message
+        t, w = _nodes((0.0, math.pi), 8, 4)
+        assert w @ np.sin(t) == pytest.approx(2.0, rel=1e-12)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
