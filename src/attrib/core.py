@@ -204,8 +204,8 @@ class SeparableTerm:
         A poly runs Horner for p and p' at once, on an array x too.  Any
         other kind is (scale a m) w, w = e^arg or arg^power: in plain floats,
         with the derivative term's bits, where scale a and w are normal and
-        the result finite, else by `_exact_product`.  As in `value`, w's
-        overflow raises.
+        the result finite, else by `_exact_product`, also where arg^power
+        overflows.  As in `value`, e^arg's overflow raises.
         """
         k, p = self.kind, self.params
         if k == "poly":
@@ -219,13 +219,15 @@ class SeparableTerm:
             raise DomainError(f"{k} term on variable {self.index} has no derivative at x = {x!r}", self.index)
         try:
             w = math.exp(arg) if k == "exp" else arg**power
-            c = p[2] * p[0]
-            r = c * m * w
-            if (c >= _NORMAL or c <= -_NORMAL) and (w >= _NORMAL or w <= -_NORMAL) and -_MAX <= r <= _MAX:
-                return r
-            return _exact_product((p[2], p[0], m), w if k == "exp" else arg, power)
         except OverflowError:
-            raise DomainError(f"{k} term on variable {self.index} overflows at x = {x!r}", self.index) from None
+            if k == "exp":
+                raise DomainError(f"{k} term on variable {self.index} overflows at x = {x!r}", self.index) from None
+            return _exact_product((p[2], p[0], m), arg, power)  # arg^power is past the doubles; the slope may not be
+        c = p[2] * p[0]
+        r = c * m * w
+        if (c >= _NORMAL or c <= -_NORMAL) and (w >= _NORMAL or w <= -_NORMAL) and -_MAX <= r <= _MAX:
+            return r
+        return _exact_product((p[2], p[0], m), w if k == "exp" else arg, power)
 
     def slopes(self, x: np.ndarray) -> np.ndarray:
         """`slope` at every entry of the 1-d array x, with its bits, as `values` takes `value`."""
@@ -297,15 +299,18 @@ class SeparableTerm:
 
 
 def _exact_product(factors: tuple[float, ...], base: float, power: int) -> float:
-    """prod(factors) base^power, from mantissas and exponents (math.frexp): only the result overflows, to inf, or underflows."""
-    m, k = math.frexp(base)
-    m, k = m**power, k * power
-    for vm, vk in map(math.frexp, factors):
-        m, k = m * vm, k + vk
-    try:
-        return math.ldexp(m, k)
-    except OverflowError:
-        return math.copysign(math.inf, m)
+    """prod(factors) base^power, carried in 40 significant digits and rounded once: only the result overflows, to inf, or underflows.
+
+    The decimal exponent range reaches 10^(10^18), so no power of a double
+    leaves it before the result would leave the doubles.
+    """
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal  # only rows past the double range come here
+
+    ctx = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
+    product = ctx.power(Decimal(base), power)
+    for factor in factors:
+        product = ctx.multiply(product, Decimal(factor))
+    return float(product)
 
 
 def _separable_columns(X: np.ndarray, terms: Sequence[SeparableTerm], column, rule) -> Iterable[tuple[int, np.ndarray]]:

@@ -1,27 +1,26 @@
-"""Combinatorial reference methods: full n!-order enumeration and friends.
+"""Combinatorial reference methods: Shapley-Shubik over all n! orders and friends.
 
-These exist to cross-check the fast kernels, so they stay deliberately
-literal: every order contributes each of its n marginal differences.  The
-one engine, `_walk`, takes a *before-mask table*: row v holds, for every
-order walked, the bitmask of the variables that move before v.  Variable
-v's total is then the sum of f(before_v | v) - f(before_v) over the orders,
-read from the values of f at the box corners.  Such a difference depends
-only on its before-set, so it is computed once per before-set (at most 2^n
-of them), gathered per order and summed over the orders in table order.
+These exist to cross-check the fast kernels, so they stay literal about
+what they sum: each variable's marginal differences f(S | v) - f(S), read
+from the values of f at the box corners, weighted by the share of orders
+in which exactly the set S moves before v.  Averaging over orders gives the
+same number as that weighted sum over before-sets, since a difference
+depends only on its before-set.  The one engine, `_subset_sum`, takes a
+*plan*: for every variable v, the before-sets S of positive weight W_v[S]
+and those weights.  It returns sum_S W_v[S] (f(S | v) - f(S)) for each v.
 
-One builder, `_befores`, makes every table from an array of orders.
-Shapley-Shubik enumeration walks all n! orders in lexicographic order.
-Their table depends only on n, so it is built once per n (`_before_masks`,
-n <= 8, 8 * 8! bytes at most, about 0.36 MB for every n together) and
-shared read-only by every call; for n = 9 and 10 the walk goes prefix by
-prefix over the n = 8 table, so no larger table is ever built.  A
-`PermutationWeights` builds its own table, weight vector and corner list
-once, on first use.  Orders are represented as tuples listing variables
-(1-based) in the sequence they move, e.g. (2, 1) moves variable 2 first.
-A model or a flow graph gives the values at all the corners a walk needs
-in one ``f.values`` call, and its change from ``f.changes``.  A black box
-is called once per corner, and its change is its corner value at s less
-that at r.
+Shapley-Shubik enumeration weighs every set S without v by the order
+weight w_|S|(n) = |S|! (n-1-|S|)! / n! (Shapley 1953), so its plan depends
+only on n and is built once per n (`_shapley_plan`).  A call costs 2^n
+corner values and n 2^(n-1) weighted differences.  A `PermutationWeights`
+sums the weights of its orders into W_v once, on first use, from the
+before-mask table of `_befores` (row v holds, for every order, the bitmask
+of the variables that move before v); the table itself is not kept.
+Orders are represented as tuples listing variables (1-based) in the
+sequence they move, e.g. (2, 1) moves variable 2 first.  A model or a flow
+graph gives the values at all the corners a walk needs in one ``f.values``
+call, and its change from ``f.changes``.  A black box is called once per
+corner, and its change is its corner value at s less that at r.
 """
 from __future__ import annotations
 
@@ -34,6 +33,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import AttributionResult, ReadOnlyDict, ValuePair, _change, _check_permutation
+from .exact import shapley_weights
 
 __all__ = [
     "ORDER_CAP",
@@ -45,8 +45,6 @@ __all__ = [
 ]
 
 ORDER_CAP = 10  # 10! = 3,628,800 orders; enumeration is for verification, not production
-
-_TABLE_N = 8  # largest cached before-mask table; its masks fit uint8
 
 
 def _check_cap(n: int):
@@ -91,17 +89,18 @@ class PermutationWeights:
         return cls({p: w for p in itertools.permutations(range(1, n + 1))})
 
     @cached_property
-    def _walk_plan(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """The before-mask table and weight vector of the orders of positive weight, and the corners they visit.
+    def _walk_plan(self) -> tuple[tuple[np.ndarray, ...], list[int]]:
+        """The plan of the orders of positive weight, and the corners they visit, in increasing order of mask.
 
-        Orders go in lexicographic order, so uniform weights walk them as
-        `shapley_shubik_bruteforce` does.
+        W_v[S] sums the weights of the orders in which exactly S moves
+        before v.  Every before-set is a corner an order visits, and so is
+        the set of all variables.
         """
-        orders = sorted(order for order, w in self.weights.items() if w > 0.0)
+        orders = [order for order, w in self.weights.items() if w > 0.0]
+        weights = np.array([self.weights[order] for order in orders])
         befores = _befores(np.array(orders, dtype=np.int8) - 1)
-        # an order's before-masks are the corners it visits, bar the last: all variables moved
-        corners = np.unique(befores).tolist() + [(1 << self.n) - 1]
-        return befores, np.array([self.weights[order] for order in orders]), corners
+        plan = _plan(np.stack([np.bincount(before, weights, minlength=1 << self.n) for before in befores]))
+        return plan, np.union1d(plan[1], (1 << self.n) - 1).tolist()
 
 
 def _corner_values(f, vp: ValuePair, masks) -> np.ndarray:
@@ -118,16 +117,8 @@ def _corner_values(f, vp: ValuePair, masks) -> np.ndarray:
     return np.array([f(x) for x in X.tolist()], dtype=np.float64)
 
 
-def _spread(others: Sequence[int]) -> np.ndarray:
-    """Map a mask over positions 0..k-1 of others to the mask of those variables: bit j goes to bit others[j]."""
-    lut = np.zeros(1 << len(others), np.uint16)
-    for j, v in enumerate(others):
-        lut[1 << j : 2 << j] = lut[: 1 << j] | (1 << v)
-    return lut
-
-
 def _befores(orders: np.ndarray) -> np.ndarray:
-    """The read-only (n, E) before-mask table of an E x n array of 0-based orders: uint8 up to 8 variables, uint16 above."""
+    """The (n, E) before-mask table of an E x n array of 0-based orders: uint8 up to 8 variables, uint16 above."""
     n = orders.shape[1]
     bits = np.left_shift(1, np.arange(n)).astype(np.uint8 if n <= 8 else np.uint16)
     befores = np.empty((n, len(orders)), bits.dtype)
@@ -136,73 +127,57 @@ def _befores(orders: np.ndarray) -> np.ndarray:
     for step in orders.T:
         befores[step, cols] = mask
         mask |= bits[step]
-    befores.flags.writeable = False
     return befores
 
 
-@lru_cache(maxsize=None)
-def _before_masks(n: int) -> np.ndarray:
-    """The cached (n, n!) before-mask table of all orders over 0..n-1, n <= 8, in lexicographic order."""
-    flat = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.int8, n * math.factorial(n))
-    return _befores(flat.reshape(-1, n))
+def _plan(W: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The read-only plan of the (n, 2^n) before-set weights W: every v and S with W_v[S] > 0, S | v, and W_v[S].
 
-
-def _walk(befores: np.ndarray, vals: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-variable sums of the marginal contributions f(before_v | v) - f(before_v) over the orders of befores.
-
-    vals holds, indexed by mask, f at each box corner an order visits and
-    any number elsewhere.  A difference depends only on its before-set, so
-    for each v it is taken once per mask, then gathered per order: the same
-    subtraction of the same two corner values as gathering both corners per
-    order, and a difference at a mask no order visits is never gathered.
-    Each difference is multiplied by its order's weight when weights are
-    given; numpy's pairwise sum then adds them over the orders, in table
-    order.
+    Entries go by variable, then by mask.
     """
-    totals = np.zeros(len(befores))
-    masks = np.arange(len(vals))
+    owner, before = np.nonzero(W > 0.0)
+    plan = owner, before, before | 1 << owner, W[owner, before]
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+@lru_cache(maxsize=None)
+def _shapley_plan(n: int) -> tuple[np.ndarray, ...]:
+    """The cached plan of Shapley-Shubik over n variables: every set S without v, at weight w_|S|(n)."""
+    sizes = np.zeros(1 << n, np.intp)
+    for j in range(n):  # |S| by halves: the masks from 2^j to 2^(j+1) - 1 are those below 2^j, with j added
+        sizes[1 << j : 2 << j] = sizes[: 1 << j] + 1
+    by_size = np.array(shapley_weights(n) + (0.0,))  # the set of all n variables is no before-set
+    holds = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+    return _plan(np.where(holds, 0.0, by_size[sizes]))
+
+
+def _subset_sum(plan: tuple[np.ndarray, ...], vals: np.ndarray) -> np.ndarray:
+    """Each variable v's sum of W_v[S] (vals[S | v] - vals[S]) over its before-sets S of the plan.
+
+    vals holds, indexed by mask, f at each box corner the plan reads and
+    any number elsewhere.  Every variable has a before-set of positive
+    weight, so the result has one entry per variable.
+    """
+    owner, before, after, weights = plan
     with np.errstate(over="ignore", invalid="ignore"):  # corners that overflow give inf or nan, flagged by the result
-        for v, before in enumerate(befores):
-            marg = vals[masks | (1 << v)] - vals
-            diffs = marg[before]
-            if weights is not None:
-                diffs *= weights
-            totals[v] += diffs.sum()
-    return totals
+        return np.bincount(owner, weights * (vals[after] - vals[before]))
 
 
 def shapley_shubik_bruteforce(f, vp: ValuePair) -> AttributionResult:
     """Average marginal contribution over all n! variable orders.
 
-    Evaluates f on all 2^n box corners up front (one ``f.values`` call
-    for a model or a flow graph), takes each variable's difference once per
-    before-set, then walks the orders in lexicographic order: n * n!
-    differences, gathered through the cached before-mask table.  Refuses
-    n > ORDER_CAP.
-
-    For n > _TABLE_N the walk goes one prefix of n - _TABLE_N variables at a
-    time (for smaller n the one prefix is empty).  The orders that start
-    with a prefix are the prefix followed by the lexicographic orders of the
-    other _TABLE_N variables: a prefix variable's difference is the same in
-    each of them, and the others walk the cached table over f's values
-    re-indexed onto their own masks.
+    Evaluates f on all 2^n box corners (one ``f.values`` call for a model
+    or a flow graph) and weighs each of the n 2^(n-1) differences
+    f(S | v) - f(S) by the share w_|S|(n) of the orders in which S moves
+    before v.  Refuses n > ORDER_CAP.
     """
     n = vp.n
     _check_cap(n)
     vals = _corner_values(f, vp, np.arange(1 << n))
-    table = _before_masks(min(n, _TABLE_N))
-    suffixes = table.shape[1]
-    z = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for prefix in itertools.permutations(range(n), n - len(table)):
-            mask = 0
-            for v in prefix:
-                z[v] += suffixes * (vals[mask | 1 << v] - vals[mask])
-                mask |= 1 << v
-            others = [v for v in range(n) if v not in prefix]
-            z[others] += _walk(table, vals[_spread(others) | mask])
-        z /= math.factorial(n)
-    return AttributionResult("ss-brute", tuple(float(v) for v in z), _change(f, vp, (vals[0], vals[-1])))
+    z = _subset_sum(_shapley_plan(n), vals)
+    return AttributionResult("ss-brute", tuple(z.tolist()), _change(f, vp, (vals[0], vals[-1])))
 
 
 def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> AttributionResult:
@@ -215,10 +190,10 @@ def random_order_attribution(f, vp: ValuePair, pw: PermutationWeights) -> Attrib
     _check_cap(n)
     if pw.n != n:
         raise ValueError(f"weights are over {pw.n} variables, values have {n}")
-    befores, weights, corners = pw._walk_plan
-    vals = np.zeros(1 << n)  # every mask is subtracted; those no order visits read 0, and are never gathered
+    plan, corners = pw._walk_plan
+    vals = np.zeros(1 << n)  # the plan reads only the corners its orders visit
     vals[corners] = _corner_values(f, vp, corners)
-    z = _walk(befores, vals, weights)
+    z = _subset_sum(plan, vals)
     return AttributionResult("random-order", tuple(z.tolist()), _change(f, vp, (vals[0], vals[-1])))
 
 

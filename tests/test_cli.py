@@ -1094,6 +1094,8 @@ _PRODUCT9 = f"[variables]\n{' '.join(_NINE)}\n[multilinear]\n{' '.join(_NINE)} :
 _PRODUCT9_VALUES = "e,x1,1,2\ne,x2,2,1\ne,x3,1,3\ne,x4,0.5,1.5\ne,x5,1,1.25\ne,x6,2,0.5\ne,x7,1,2\ne,x8,3,1\ne,x9,1,1.5\n"
 # two log terms on one variable, each of scale 1e308: never added into one term of scale inf
 _TWO_LOGS = "[variables]\nc\n[separable]\nc : log 1 2 1e308\nc : log 1 2 1e308\n"
+# x's slope, -1e-300 x^-2, is finite from 1e-160 to 2e-160, though x^-2 itself leaves the doubles
+_POWLAW_TINY = "[variables]\nx y\n[multilinear]\nx y : 1\n[separable]\nx : powlaw 1 0 1e-300 -1\n"
 _SUMMARY = '{"record": "summary"'
 _ATTRIBUTION = '{"record": "attribution"'
 _CONVERGED = '"converged": true'
@@ -1108,7 +1110,7 @@ _METHODS = ["ass", "naive", "as-numeric", "ss-brute", "random-order:{orders}"]
 _RUNS = [
     pytest.param({}, ["--axiom-suite", "--method", "ss-brute", "--trials", "50"], 0, {"PASS  ": 9}, "",
                  id="axiom-suite-ss-brute"),
-    # the cached n = 8 order table, walked prefix by prefix
+    # the largest plan a row of the tier-1 runs reaches: 256 before-sets per variable
     pytest.param({"model": _PRODUCT9, "values": _PRODUCT9_VALUES},
                  ["--model", "{model}", "--values", "{values}", "--method", "ss-brute", "--report", "machine"], 0,
                  {_ATTRIBUTION: 9, _SUMMARY: 1, _CONVERGED: 1}, "", id="nine-variable-product-ss-brute"),
@@ -1134,6 +1136,10 @@ _RUNS = [
                    ["--model", "{model}", "--values", "{values}", "--method", method], 2, "",
                    "error: entity 'q3': log term on variable 2 got nonpositive argument -1.0 (variable 'p')\n",
                    id=f"log-domain-{method.split(':')[0]}") for method in _METHODS],
+    *[pytest.param({"model": _POWLAW_TINY, "values": "e,x,1e-160,2e-160\ne,y,1,2\n"},
+                   ["--model", "{model}", "--values", "{values}", "--method", method, "--report", "machine"], 0,
+                   {_ATTRIBUTION: 2, _SUMMARY: 1, _CONVERGED: 1}, "", id=f"powlaw-slope-past-the-doubles-{method}")
+      for method in ["naive", "as-numeric"]],
     pytest.param({"model": _TWO_LOGS, "values": "e,c,0.1,0.2\n"}, ["--model", "{model}", "--values", "{values}", "--report", "machine"],
                  0, {_SUMMARY: 1, _CONVERGED: 1}, "", id="two-log-terms"),
     # from 1 to 2 the model's value itself overflows, but each term's change is finite, and so is their sum: trusted

@@ -641,7 +641,7 @@ def _every_kind(draw, n):
         return SeparableTerm(i, kind, (draw(st.floats(-2, 2)), draw(_OFFSETS)))
     params = (draw(_SLOPES), draw(_OFFSETS), draw(_SCALES))
     if kind == "powlaw":
-        params += (draw(st.sampled_from([-3, -2, -1, 1, 2, 3, 150])),)
+        params += (draw(st.sampled_from([-3, -2, -1, 1, 2, 3, 150, -1100, 1100])),)
     return SeparableTerm(i, kind, params)
 
 
@@ -745,7 +745,7 @@ def _exact_slope(term, x):
 @given(_every_kind(1), st.one_of(_GRID, st.floats(-3, 3)))
 def test_slope_is_the_exact_derivative_within_its_error_bound(term, x):
     """Every kind's slope against its exact derivative: an infinity only past the largest double, a DomainError only
-    where the derivative is undefined or, as in `value`, e^arg or arg^(e-1) overflows."""
+    where the derivative is undefined or, as in `value`, e^arg overflows."""
     try:
         got = term.slope(x)
     except DomainError as error:
@@ -753,11 +753,8 @@ def test_slope_is_the_exact_derivative_within_its_error_bound(term, x):
         arg = term.params[0] * x + term.params[1]
         if term.kind == "exp":
             assert arg > 709.0  # past math.exp's range
-        elif arg == 0.0:
-            assert term.kind == "log" or term.params[3] < 0  # a zero argument of a log or a negative power
         else:
-            power = -1 if term.kind == "log" else int(term.params[3]) - 1
-            assert abs(Fraction(arg)) ** power >= Fraction(sys.float_info.max)
+            assert arg == 0.0 and (term.kind == "log" or term.params[3] < 0)  # a zero argument of a log or a negative power
         return
     want, bound = _exact_slope(term, x)
     if math.isinf(got):
@@ -774,6 +771,25 @@ def test_a_derivative_that_overflows_names_the_users_term():
     assert str(info.value) == "the derivative of the log term on variable 1 has a non-finite parameter"
     [[da, db]] = f.gradients([[1.0, 2.0]]).tolist()
     assert da == pytest.approx(1e200, rel=1e-15) and db == 1.0
+
+
+@pytest.mark.parametrize(
+    "kind, params, x",
+    [
+        ("powlaw", (1.0, 0.0, 1e-300, -1.0), 1e-160),  # x^-2 = 1e320; the slope is -1e20
+        ("powlaw", (1.0, 0.0, 1e-300, -3.0), 1e-100),  # x^-4 = 1e400; the slope is -3e100
+        ("powlaw", (1.0, 0.0, 1e-300, 1100.0), 2.0),  # 2^1099: the power of a mantissa in [1/2, 1) leaves the doubles too
+        ("powlaw", (1.0, 0.0, 1e-300, -1100.0), 0.5),  # 2^1101
+        ("log", (1.0, 0.0, 1e-300), 1e-310),  # 1 / x of a subnormal x
+    ],
+)
+def test_slope_where_the_power_of_its_argument_overflows(kind, params, x):
+    """Where arg^(e-1) leaves the doubles but the derivative does not, slope gives the derivative within 8u."""
+    term = SeparableTerm(1, kind, params)
+    p = [Fraction(v) for v in term.params]
+    want = p[2] * p[0] / Fraction(x) if kind == "log" else p[3] * p[2] * p[0] * Fraction(x) ** (int(p[3]) - 1)
+    got = term.slope(x)
+    assert math.isfinite(got) and abs(Fraction(got) - want) <= 8 * _U * abs(want)
 
 
 def _point_value(f, x):

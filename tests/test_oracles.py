@@ -2,10 +2,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from attrib import (
@@ -20,9 +21,8 @@ from attrib import (
     shapley_shubik_bruteforce,
     value_variant_attribution,
 )
-from attrib import oracles
 from attrib.axioms import InstanceGenerator
-from attrib.oracles import _before_masks, _befores
+from attrib.oracles import _befores, _shapley_plan, _subset_sum
 
 from conftest import charfn_pairs, exact_product_attribution
 
@@ -106,8 +106,8 @@ class TestOrderWalk:
             assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, want))
 
     @pytest.mark.parametrize("n", [9, 10])
-    def test_prefix_walk_matches_exact_rationals(self, n):
-        # n > 8 walks the lexicographic prefixes over the cached n = 8 table
+    def test_nine_and_ten_variables_match_exact_rationals(self, n):
+        # the largest plans: 2^(n-1) before-sets per variable, n! orders
         rng = random.Random(n)
         r = tuple(rng.uniform(-3, 3) for _ in range(n))
         s = tuple(rng.uniform(-3, 3) for _ in range(n))
@@ -140,18 +140,19 @@ class TestOrderWalk:
         assert [walk(g, pair).z for g, pair in cases for walk in walks] == want
         assert calls == [1 << 6, 1 << 6, 1 << d.n, 1 << d.n]
 
-    def test_cached_table_is_read_only(self):
-        table = _before_masks(4)
-        assert table.shape == (4, 24) and table.dtype == "uint8"
-        with pytest.raises(ValueError):
-            table[0, 0] = 1
-        assert _before_masks(4) is table
+    def test_shapley_plan_is_cached_and_read_only(self):
+        plan = _shapley_plan(4)
+        assert _shapley_plan(4) is plan
+        assert plan[0].tolist() == [v for v in range(4) for _ in range(8)]  # each variable, at its 8 sets of the others
+        for a in plan:
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cached_table_holds_each_orders_before_masks(self, n):
         # column k holds, for each variable, the mask of the variables that move before it in the k-th lexicographic order
-        table = _before_masks(n)
-        assert table.shape == (n, math.factorial(n))
+        table = lexicographic_befores(n)
+        assert table.shape == (n, math.factorial(n)) and table.dtype == "uint8"
         for k, order in enumerate(itertools.permutations(range(n))):
             want = [0] * n
             mask = 0
@@ -161,16 +162,38 @@ class TestOrderWalk:
             assert table[:, k].tolist() == want, f"order {order}"
 
 
+@lru_cache(maxsize=None)
+def lexicographic_befores(n):
+    """The before-mask table of all n! orders over 0..n-1, in lexicographic order (72 MB at n = 10), 2^16 orders at a time."""
+    table = np.empty((n, math.factorial(n)), np.uint8 if n <= 8 else np.uint16)
+    orders = itertools.permutations(range(n))
+    for k in range(0, table.shape[1], 1 << 16):
+        block = np.array(list(itertools.islice(orders, 1 << 16)), np.int8)
+        table[:, k : k + len(block)] = _befores(block)
+    return table
+
+
 def reference_walk(befores, vals, weights=None):
-    """The walk by the book: per order, gather both corners and subtract, at the length of the table."""
-    totals = np.zeros(len(befores))
+    """The walk by the book: per order, gather both corners and subtract, at the length of the table.
+
+    Returns each variable's sum, the sum of its terms' sizes, and whether
+    every difference it reads is finite.  The orders go in blocks of 2^16,
+    each summed by numpy's pairwise sum, so a table of all 10! orders needs
+    no more than a few MB at a time.
+    """
+    n, count = befores.shape
+    totals, sizes, finite = np.zeros(n), np.zeros(n), np.ones(n, bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for v, before in enumerate(befores):
-            diffs = vals[before | (1 << v)] - vals[before]
-            if weights is not None:
-                diffs *= weights
-            totals[v] += diffs.sum()
-    return totals
+        for v, row in enumerate(befores):
+            for k in range(0, count, 1 << 16):
+                before = row[k : k + (1 << 16)]
+                diffs = vals[before | (1 << v)] - vals[before]
+                finite[v] &= np.isfinite(diffs).all()
+                if weights is not None:
+                    diffs *= weights[k : k + (1 << 16)]
+                totals[v] += diffs.sum()
+                sizes[v] += np.abs(diffs).sum()
+    return totals, sizes, finite
 
 
 # finite values of every size, both infinities, nan, both zeros, the largest floats and subnormals
@@ -188,37 +211,52 @@ def corner_vectors(draw, n):
     return vals
 
 
-class TestWalkKeepsItsBits:
-    """`oracles._walk` takes each difference once per before-set; its sums keep the bits of the walk by the book.
+class TestSubsetSumMatchesTheWalk:
+    """`oracles._subset_sum` weighs each before-set once; it agrees with the walk by the book over every order.
 
-    Compared by ``repr``, so every nan counts as one value.  CI runs this
-    class with the exit-contract profile (2,000 examples).
+    Both take the same differences of the same corner values.  The subset
+    sum rounds each W_v[S] (a sequential sum of at most E order weights, or
+    the 2n steps of `shapley_weights`), each product, and a sequential sum
+    of at most 2^(n-1) terms; the reference rounds a product, or its
+    division by n!, and a pairwise sum in at most 56 blocks.  So where
+    both are finite they agree within (2^n + E + 4n + 64) 2^-52 of the
+    sum of the weighted differences' sizes, plus 2^-1074 for each product
+    that underflows.  A difference that is not finite makes both sums not
+    finite.  CI runs this class with the exit-contract profile (2,000
+    examples).
     """
 
-    @given(n=st.integers(1, 8), data=st.data())
-    def test_on_every_cached_table(self, n, data):
+    @staticmethod
+    def check(got, want, size, finite, slack):
+        bound = slack * 2.0**-52 * size + slack * 2.0**-1074
+        for v in range(len(got)):
+            if not finite[v]:
+                assert not (math.isfinite(got[v]) or math.isfinite(want[v])), v
+            elif math.isfinite(got[v]) and math.isfinite(want[v]):
+                assert abs(got[v] - want[v]) <= bound[v], v
+
+    @given(n=st.integers(1, 10), data=st.data())
+    def test_on_uniform_plans(self, n, data):
         vals = data.draw(corner_vectors(n))
-        table = _before_masks(n)
-        assert repr(oracles._walk(table, vals).tolist()) == repr(reference_walk(table, vals).tolist())
+        got = _subset_sum(_shapley_plan(n), vals)
+        totals, sizes, finite = reference_walk(lexicographic_befores(n), vals)
+        orders = math.factorial(n)
+        self.check(got, totals / orders, sizes / orders, finite, 2**n + 4 * n + 64)
 
     @given(n=st.integers(1, 10), data=st.data())
     def test_on_random_weight_plans(self, n, data):
-        orders = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=40))
-        befores = _befores(np.array(orders, dtype=np.int8))
+        orders = data.draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=40, unique_by=tuple))
+        raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(orders), max_size=len(orders)))
+        total = math.fsum(raw)
+        assume(total > 0.0)
+        pw = PermutationWeights({tuple(o): w / total for o, w in zip(orders, raw)})
+        kept = [o for o, w in pw.weights.items() if w > 0.0]  # the plan keeps the orders of positive weight
+        befores = _befores(np.array(kept, dtype=np.int8) - 1)
         assert befores.dtype == (np.uint8 if n <= 8 else np.uint16)
-        weights = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(orders), max_size=len(orders))))
         vals = data.draw(corner_vectors(n))
-        got = oracles._walk(befores, vals, weights)
-        assert repr(got.tolist()) == repr(reference_walk(befores, vals, weights).tolist())
-
-    @pytest.mark.parametrize("n", [9, 10])
-    def test_prefix_walk_keeps_its_bits(self, n, monkeypatch):
-        gen = InstanceGenerator(seed=2, n_range=(n, n), terms_range=(12, 12))
-        f, vp, _ = gen.instance(0)
-        got = shapley_shubik_bruteforce(f, vp)
-        monkeypatch.setattr(oracles, "_walk", reference_walk)
-        want = shapley_shubik_bruteforce(f, vp)
-        assert repr(got) == repr(want)
+        got = _subset_sum(pw._walk_plan[0], vals)
+        totals, sizes, finite = reference_walk(befores, vals, np.array([pw.weights[o] for o in kept]))
+        self.check(got, totals, sizes, finite, 2**n + len(kept) + 4 * n + 64)
 
 
 class TestRandomOrder:
