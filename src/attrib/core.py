@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -168,6 +169,11 @@ class SeparableTerm:
             object.__setattr__(self, "params", self.params[::-1])
 
     def value(self, x: float) -> float:
+        """The term at x; `DomainError` outside its domain or where the value overflows.
+
+        Where a powlaw's arg^power overflows but its value does not, the
+        value is `_exact_product`'s, as in `slope`.
+        """
         k, p = self.kind, self.params
         if k == "poly":
             acc = 0.0
@@ -187,16 +193,28 @@ class SeparableTerm:
                 raise DomainError(f"powlaw term on variable {self.index} got zero base with negative exponent", self.index)
             return p[2] * arg ** e
         except OverflowError:
+            if k == "powlaw" and math.isfinite(v := _exact_product((p[2],), arg, e)):
+                return v
             raise DomainError(f"{k} term on variable {self.index} overflows at x = {x!r}", self.index) from None
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """`value` at every entry of the 1-d array x, with its bits.
 
-        A poly runs `value`'s Horner steps on the whole array; every other
-        kind calls `value` entry by entry, so the scalar rule, and the
-        `DomainError` it raises, is the only one.  `slopes` takes `slope` so.
+        A poly runs `value`'s Horner steps on the whole array.  Any other
+        kind takes its argument and its product with the scale in numpy,
+        and the transcendental, e^arg, ln arg or arg^power, through the
+        same ``math.exp``, ``math.log`` or ``pow`` calls as `value`, one
+        per entry: numpy's own exp, log and power need not round as they
+        do.  Where any of those calls raises, the whole column calls
+        `value` entry by entry, so the scalar rule, and the `DomainError`
+        it raises, is the only one.  As in plain floats, an overflow gives
+        inf; `CharacteristicFunction.values` silences numpy's warning.
         """
-        return self.value(x) if self.kind == "poly" else np.fromiter(map(self.value, x.tolist()), float, len(x))
+        k, p = self.kind, self.params
+        if k == "poly":
+            return self.value(x)
+        w = self._powers(p[0] * x + p[1], math.log if k == "log" else math.exp if k == "exp" else int(p[3]))
+        return np.fromiter(map(self.value, x.tolist()), float, len(x)) if w is None else p[2] * w
 
     def slope(self, x: float) -> float:
         """The derivative at x from this term's own parameters, overflowing or underflowing only where it does.
@@ -214,7 +232,7 @@ class SeparableTerm:
                 d, acc = d * x + acc, acc * x + c
             return d
         arg = p[0] * x + p[1]
-        m, power = (p[3], int(p[3]) - 1) if k == "powlaw" else (1.0, -1 if k == "log" else 1)
+        m, power = self._slope_power()
         if arg == 0.0 and power < 0:
             raise DomainError(f"{k} term on variable {self.index} has no derivative at x = {x!r}", self.index)
         try:
@@ -230,22 +248,62 @@ class SeparableTerm:
         return _exact_product((p[2], p[0], m), w if k == "exp" else arg, power)
 
     def slopes(self, x: np.ndarray) -> np.ndarray:
-        """`slope` at every entry of the 1-d array x, with its bits, as `values` takes `value`."""
-        return self.slope(x) if self.kind == "poly" else np.fromiter(map(self.slope, x.tolist()), float, len(x))
+        """`slope` at every entry of the 1-d array x, with its bits.
+
+        As `values` takes `value`: the argument and (scale a m) w in numpy,
+        w through ``math.exp`` or ``pow`` entry by entry.  An entry the
+        plain product refuses, where scale a or w is not normal or the
+        result not finite, calls `slope`; where any ``math.exp`` or ``pow``
+        call raises, the whole column does.
+        """
+        k, p = self.kind, self.params
+        if k == "poly":
+            return self.slope(x)
+        m, power = self._slope_power()
+        c = p[2] * p[0]
+        w = self._powers(p[0] * x + p[1], math.exp if k == "exp" else power)
+        if w is None or not (c >= _NORMAL or c <= -_NORMAL):
+            return np.fromiter(map(self.slope, x.tolist()), float, len(x))
+        r = c * m * w
+        for i in np.flatnonzero(~((np.abs(w) >= _NORMAL) & (np.abs(r) <= _MAX))).tolist():
+            r[i] = self.slope(float(x[i]))
+        return r
+
+    def _slope_power(self) -> tuple[float, int]:
+        """(m, power) of the derivative scale a m arg^power of a log or powlaw term; power 1 for exp, where w is e^arg."""
+        k, p = self.kind, self.params
+        return (p[3], int(p[3]) - 1) if k == "powlaw" else (1.0, -1 if k == "log" else 1)
+
+    @staticmethod
+    def _powers(arg: np.ndarray, fn) -> np.ndarray | None:
+        """fn (``math.exp`` or ``math.log``), or the integer power fn, at every entry of arg; None where any call raises."""
+        args = arg.tolist()
+        calls = map(pow, args, repeat(fn)) if isinstance(fn, int) else map(fn, args)
+        try:
+            return np.fromiter(calls, float, len(args))
+        except (ArithmeticError, ValueError):  # an overflow, a zero base with a negative power, a log of a nonpositive argument
+            return None
 
     def change(self, a: float, b: float) -> float:
-        """value(b) - value(a), for an exp or a log term near a taken from b - a, so it does not cancel.
+        """value(b) - value(a), taken where it would cancel from b - a.
 
         With slope alpha, offset beta and scale, an exp term changes by
         scale e^(alpha a + beta) expm1(alpha (b - a)) where |alpha (b - a)|
         < 1, and a log term by scale log1p(alpha (b - a) / (alpha a + beta))
         where that ratio is below 1/2 in size (Goldberg, "What every
         computer scientist should know about floating-point arithmetic",
-        1991).  Elsewhere, and wherever a form is 0 or not finite, the
-        change is the plain difference, tried at b first, so a term outside
-        its domain at both raises b's `DomainError`.  A form is only taken
-        where neither value raises: an exp's exponents are at most
-        _EXP_SAFE and a log's arguments positive at both ends.
+        1991).  A poly, and a powlaw in its argument u = alpha x + beta,
+        changes by (v - u) times the divided difference of the polynomial
+        at u and v (`_divided_difference`), for a negative power -k the
+        change of u^k over -(u v)^k.  It is taken where the argument moves
+        by less than half its size, or where the two values are within a
+        factor 2 of each other, so their plain difference is exact and
+        keeps only the values' own rounding.  Elsewhere, and wherever a
+        form is 0 or not finite, the change is the plain difference, tried
+        at b first, so a term outside its domain at both raises b's
+        `DomainError`.  A form is only taken where neither value raises: an
+        exp's exponents are at most _EXP_SAFE, a log's arguments positive
+        at both ends, and a poly's or powlaw's values are taken first.
         """
         k, p = self.kind, self.params
         if k == "exp":
@@ -264,7 +322,29 @@ class SeparableTerm:
                     form = p[2] * math.log1p(q)
                     if 0.0 < abs(form) < math.inf:
                         return form
+        else:
+            vb, va = self.value(b), self.value(a)
+            u, v = (a, b) if k == "poly" else (p[0] * a + p[1], p[0] * b + p[1])
+            if abs(v - u) < 0.5 * abs(u) or abs(vb - va) <= 0.5 * max(abs(va), abs(vb)):
+                form = self._power_change(u, v)
+                if 0.0 < abs(form) < math.inf:
+                    return form
+            return vb - va
         return self.value(b) - self.value(a)
+
+    def _power_change(self, u: float, v: float) -> float:
+        """A poly's or powlaw's change between the arguments u and v by divided differences; nan where a power over- or underflows."""
+        p = self.params
+        if self.kind == "poly":
+            return (v - u) * _divided_difference(p, u, v)
+        e = int(p[3])
+        form = (v - u) * _divided_difference((0.0,) * abs(e) + (1.0,), u, v)
+        if e > 0:
+            return p[2] * form
+        try:
+            return -p[2] * form / (u * v) ** -e
+        except (OverflowError, ZeroDivisionError):
+            return math.nan
 
     def derivative(self) -> "SeparableTerm":
         k, p = self.kind, self.params
@@ -307,10 +387,23 @@ def _exact_product(factors: tuple[float, ...], base: float, power: int) -> float
     from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal  # only rows past the double range come here
 
     ctx = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
-    product = ctx.power(Decimal(base), power)
+    product = ctx.power(Decimal(base), power) if power else Decimal(1)  # decimal's 0^0 is NaN; a power of 0 is 1
     for factor in factors:
         product = ctx.multiply(product, Decimal(factor))
     return float(product)
+
+
+def _divided_difference(coeffs: Sequence[float], u: float, v: float) -> float:
+    """(P(v) - P(u)) / (v - u) for P(x) = sum_j coeffs[j] x^j, by Horner from the top coefficient: D <- P_v + u D, then P_v <- P_v v + c.
+
+    For u = v it is P'(u).  Nothing is subtracted, so a change taken as
+    (v - u) times it does not cancel when v is near u.
+    """
+    d = pv = 0.0
+    for c in reversed(coeffs):
+        d = pv + u * d
+        pv = pv * v + c
+    return d
 
 
 def _separable_columns(X: np.ndarray, terms: Sequence[SeparableTerm], column, rule) -> Iterable[tuple[int, np.ndarray]]:
@@ -619,18 +712,35 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)  # looked up on first use: numpy loads np.polynomial lazily
 
 
-def _nodes(breaks: Sequence[float], order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+def _nodes(breaks: tuple[float, ...], order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t and weights w of the `order`-point Gauss-Legendre rule on `panels` equal panels between successive breaks.
 
     ``w @ fn(t)`` is then the composite rule for the integral of fn from
-    breaks[0] to breaks[-1]; nodes come in ascending order.
+    breaks[0] to breaks[-1]; nodes come in ascending order, in read-only
+    arrays.  The 16 rules of at most _KEPT_RULE_NODES nodes last asked for
+    are kept, so the first passes of a quadrature build none; they hold at
+    most 16 MB.
     """
+    if (len(breaks) - 1) * order * panels > _KEPT_RULE_NODES:
+        return _gauss_rule(breaks, order, panels)
+    return _kept_gauss_rule(breaks, order, panels)
+
+
+_KEPT_RULE_NODES = 1 << 16
+
+
+def _gauss_rule(breaks: tuple[float, ...], order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _leggauss(order)
     a = np.asarray(breaks[:-1], dtype=float)[:, None]
     h = (np.asarray(breaks[1:], dtype=float)[:, None] - a) / panels
     mid = (a + (np.arange(panels) + 0.5) * h)[..., None]  # (segments, panels, 1)
     half = 0.5 * h[..., None]
-    return (mid + half * x).ravel(), np.broadcast_to(w * half, mid.shape[:2] + w.shape).ravel()
+    t, w = (mid + half * x).ravel(), np.broadcast_to(w * half, mid.shape[:2] + w.shape).ravel()
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+_kept_gauss_rule = lru_cache(maxsize=16)(_gauss_rule)
 
 
 def partial_derivative(f: CharacteristicFunction, i: int) -> CharacteristicFunction:

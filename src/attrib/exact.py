@@ -179,8 +179,7 @@ def attribute_monomial(
 @lru_cache(maxsize=None)
 def _unit_gauss(count: int) -> tuple[tuple[tuple[float, float], ...], np.ndarray, np.ndarray]:
     """The count-node Gauss-Legendre rule mapped to [0, 1]: (node, weight) float pairs, a read-only column of nodes and row of weights."""
-    t, w = _nodes((0.0, 1.0), count, 1)
-    t.flags.writeable = w.flags.writeable = False
+    t, w = _nodes((0.0, 1.0), count, 1)  # read-only, as `_nodes` returns them
     return tuple(zip(t.tolist(), w.tolist())), t[:, None], w
 
 

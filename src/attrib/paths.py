@@ -4,16 +4,17 @@ A base path gamma lives on the unit cube with gamma(0) = 0 and gamma(1) = 1
 componentwise; pairing it with a value pair gives the path
 r + (s - r) * gamma(t), and the attribution to variable i is the integral of
 d_i f along that path times the i-th velocity, taken at all the nodes of a
-pass at once by one ``f.gradients`` call.  A model, a flow graph and a
+pass at once by one ``f.gradients`` call; the first two passes share one
+call while they fit in one block.  A model, a flow graph and a
 `BlackBoxFunction` all answer that call; a plain callable is wrapped in a
 black box.  The change comes from ``f.changes`` for a model or a flow
 graph, and from a black box's values at s and r.  Integrals use composite
 Gauss-Legendre panels that double until two successive estimates agree to
 the requested tolerance; failure to converge is flagged on the result
 rather than raised, so verification harnesses can report it.  The rule's
-nodes and weights (`attrib.core._nodes`) and the largest block a pass
-builds (`attrib.core._CHUNK_ELEMENTS`) live in `attrib.core`, which
-`attrib.exact` shares.
+nodes and weights (`attrib.core._nodes`, which keeps the small rules last
+used) and the largest block a pass builds (`attrib.core._CHUNK_ELEMENTS`)
+live in `attrib.core`, which `attrib.exact` shares.
 """
 from __future__ import annotations
 
@@ -144,8 +145,13 @@ def attribute_path(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None 
     _MAX_PASS_NODES nodes, or at a pass that is not finite, the estimate is
     returned with converged=False.  A pass takes its gradients in one
     ``f.gradients`` call (one per block of _CHUNK_ELEMENTS values on very
-    fine passes); f is a model, a flow graph or a `BlackBoxFunction`, and a
-    plain callable is wrapped in a black box.
+    fine passes).  The first pass never converges alone, so while it and
+    the second fit in one block, one call takes the gradients at both
+    passes' nodes, and each pass's sum is formed from its own rows, with
+    the bits of a call per pass; if that call raises, the first pass is
+    taken alone, so every error and every unconverged result is the one
+    the passes in turn give.  f is a model, a flow graph or a
+    `BlackBoxFunction`, and a plain callable is wrapped in a black box.
     """
     return _integrate(f, vp, base, q, f"path:{base.kind}")
 
@@ -164,15 +170,25 @@ def _integrate(f, vp: ValuePair, base: BasePath, q: QuadratureConfig | None, met
     if not hasattr(f, "gradients"):
         f = BlackBoxFunction(vp.n, f)
     step = max(1, _CHUNK_ELEMENTS // max(vp.n, 1))
-    z = None
+    capped = lambda k: k and (len(base.breaks) - 1) * _ORDER * _PANELS * 2**k > _MAX_PASS_NODES
+    z = second = joint = None
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan, and a result flagged unconverged
         d = np.asarray(vp.s) - r  # -1e308 to 1e308 moves by inf
         for k in range(q.max_refine + 1):
-            if k and (len(base.breaks) - 1) * _ORDER * _PANELS * 2**k > _MAX_PASS_NODES:
+            if capped(k):
                 break
-            nodes, weights = _nodes(base.breaks, _ORDER, _PANELS * 2**k)
+            nodes, weights = second if k == 1 and second is not None else _nodes(base.breaks, _ORDER, _PANELS * 2**k)
+            # pass 0 never converges alone, so while pass 1 fits in its block too, one call takes both passes' gradients
+            if not k and q.max_refine and not capped(1) and 3 * len(nodes) <= step:
+                second = _nodes(base.breaks, _ORDER, _PANELS * 2)
+                try:
+                    joint = f.gradients(r + d * base.g(np.concatenate((nodes, second[0]))))
+                except Exception:  # pass 0 alone then, so the passes raise, or stop unconverged, as with a call each
+                    pass
+            # pass 0's rows of the joint call come first and pass 1's last; each such pass is one block
+            rows = None if joint is None or k > 1 else joint[: len(nodes)] if not k else joint[-len(nodes) :]
             blocks = [(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)]
-            z, prev = sum(w @ (f.gradients(r + d * base.g(t)) * (d * base.dg(t))) for t, w in blocks), z
+            z, prev = sum(w @ ((f.gradients(r + d * base.g(t)) if rows is None else rows) * (d * base.dg(t))) for t, w in blocks), z
             converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
             if converged or not np.isfinite(z).all():
                 break

@@ -1096,6 +1096,8 @@ _PRODUCT9_VALUES = "e,x1,1,2\ne,x2,2,1\ne,x3,1,3\ne,x4,0.5,1.5\ne,x5,1,1.25\ne,x
 _TWO_LOGS = "[variables]\nc\n[separable]\nc : log 1 2 1e308\nc : log 1 2 1e308\n"
 # x's slope, -1e-300 x^-2, is finite from 1e-160 to 2e-160, though x^-2 itself leaves the doubles
 _POWLAW_TINY = "[variables]\nx y\n[multilinear]\nx y : 1\n[separable]\nx : powlaw 1 0 1e-300 -1\n"
+# x's value, 1e-300 x^-2, is finite from 1e-160 to 2e-160, though x^-2 itself leaves the doubles; it changes by -7.5e19
+_POWLAW_TINY_VALUE = "[variables]\nx y\n[multilinear]\nx y : 1\n[separable]\nx : powlaw 1 0 1e-300 -2\n"
 _SUMMARY = '{"record": "summary"'
 _ATTRIBUTION = '{"record": "attribution"'
 _CONVERGED = '"converged": true'
@@ -1140,6 +1142,12 @@ _RUNS = [
                    ["--model", "{model}", "--values", "{values}", "--method", method, "--report", "machine"], 0,
                    {_ATTRIBUTION: 2, _SUMMARY: 1, _CONVERGED: 1}, "", id=f"powlaw-slope-past-the-doubles-{method}")
       for method in ["naive", "as-numeric"]],
+    # naive takes x's slope at the end, -2.5e179, times the move; quadrature's z rounds a little below the exact one
+    *[pytest.param({"model": _POWLAW_TINY_VALUE, "values": "e,x,1e-160,2e-160\ne,y,1,2\n"},
+                   ["--model", "{model}", "--values", "{values}", "--method", method, "--report", "machine"], 0,
+                   {f'"variable": "x", "initial": 1e-160, "final": 2e-160, "attribution": {z}}}': 1,
+                    '"total_change": -7.5e+19': 1, _ATTRIBUTION: 2, _SUMMARY: 1, _CONVERGED: 1}, "", id=f"powlaw-value-past-the-doubles-{method}")
+      for method, z in [("ass", "-7.5e+19"), ("naive", "-2.5e+19"), ("as-numeric", "-7.499999999999998e+19"), ("ss-brute", "-7.5e+19")]],
     pytest.param({"model": _TWO_LOGS, "values": "e,c,0.1,0.2\n"}, ["--model", "{model}", "--values", "{values}", "--report", "machine"],
                  0, {_SUMMARY: 1, _CONVERGED: 1}, "", id="two-log-terms"),
     # from 1 to 2 the model's value itself overflows, but each term's change is finite, and so is their sum: trusted

@@ -368,13 +368,14 @@ _EVERY_KIND = [
 ]
 
 
-# pairs where an exp or a log term's change is taken from b - a: |alpha (b - a)| < 1 for exp, a ratio below 1/2 for log
-_NEAR = {"exp": ((0.25, 1.75), (0.3, 0.30000000000000004)), "log": ((0.3, 0.30000000000000004),)}
+# pairs where a term's change is taken from b - a: |alpha (b - a)| < 1 for exp, a ratio below 1/2 for log, and for poly
+# a move by less than half of a; the powlaw's argument, 0.3 + 2, does not move between 0.3 and the next double up
+_NEAR = {"exp": ((0.25, 1.75), (0.3, 0.30000000000000004)), "log": ((0.3, 0.30000000000000004),), "poly": ((0.3, 0.30000000000000004),)}
 
 
 @pytest.mark.parametrize("term", _EVERY_KIND, ids=lambda t: t.kind + str(len(t.params)))
 def test_separable_change_has_the_bits_of_the_value_difference(term):
-    """poly and powlaw everywhere, exp and log where they are far apart or equal."""
+    """Every kind where a and b are far apart or equal, and powlaw at the near pair too, where its argument does not move."""
     for a, b in ((0.25, 1.75), (3.0, 0.1), (1.0, 1.0), (0.3, 0.30000000000000004)):
         if (a, b) not in _NEAR.get(term.kind, ()):
             assert term.change(a, b).hex() == (term.value(b) - term.value(a)).hex()
@@ -393,6 +394,24 @@ def test_separable_change_has_the_bits_of_the_value_difference(term):
 )
 def test_separable_change_near_a_is_taken_from_the_difference(term, a, b, exact):
     assert abs(term.change(a, b) - exact) <= math.ulp(exact)
+
+
+@pytest.mark.parametrize(
+    "term, a, b, exact, ulps",
+    [
+        # exact values of the terms at the given doubles, from fractions.Fraction, each rounded once
+        # 3 (a + b) - 2 cancels to -0.2 inside the divided difference, so its roundings count 2 ulps; the plain difference is 0.0
+        (_EVERY_KIND[0], *_NEAR["poly"][0], -1.110223024625156e-17, 2),
+        (_EVERY_KIND[1], *_NEAR["poly"][0], 2.220446049250313e-16, 1),  # the plain difference is 0.0
+        (SeparableTerm(1, "powlaw", (1.0, 0.0, 0.5, -3.0)), 0.3, 0.30000000000000004, -1.0279842820603298e-14, 1),  # -7.1e-15 plain
+        (SeparableTerm(1, "poly", (0.0, 0.0, 1.0)), 1e8, 100000000.00000001, 2.9802322387695312, 1),  # 2.0 plain
+        (SeparableTerm(1, "powlaw", (1.0, 0.0, 1.0, 2.0)), 1e8, 100000000.00000001, 2.9802322387695312, 1),  # 2.0 plain
+        (SeparableTerm(1, "poly", (1e16, 1.0)), 0.0, 1.0, 1.0, 1),  # the values 1e16 and 1e16 + 1 round to one double: 0.0 plain
+        (SeparableTerm(1, "poly", (1.0, -2.0, 1.0)), 1.0000001, 1.0000001000000002, 4.440892106023898e-23, 1),  # (x - 1)^2: 0.0 plain
+    ],
+)
+def test_poly_and_powlaw_change_near_a_is_taken_from_the_difference(term, a, b, exact, ulps):
+    assert abs(term.change(a, b) - exact) <= ulps * math.ulp(exact)
 
 
 def _signed_powers(lo, hi):
@@ -430,6 +449,72 @@ def test_exp_and_log_changes_against_mpmath(kind, alpha, beta, scale, a, step):
             exact = mpf(scale) * (mpmath.log(alpha_ * mpf(b) + beta_) - mpmath.log(alpha_ * mpf(a) + beta_))
             spread = 2 + (abs(alpha * a) + abs(beta)) / lo + (abs(alpha * b) + abs(beta)) / hi + abs(math.log(lo)) + abs(math.log(hi))
         assert abs(mpf(term.change(a, b)) - exact) <= 8 * mpf(2) ** -53 * spread * abs(exact)
+
+
+_CHANGE_FLOOR = Fraction(1, 2**1020)
+
+
+def _divided_sum(coeffs, u, v):
+    """sum_j |c_j| sum_{i<j} |u|^i |v|^(j-1-i) in exact rationals: the size of the divided difference's terms."""
+    u, v = abs(Fraction(u)), abs(Fraction(v))
+    return sum(abs(Fraction(c)) * sum(u**i * v ** (j - 1 - i) for i in range(j)) for j, c in enumerate(coeffs))
+
+
+@st.composite
+def _poly_or_powlaw(draw):
+    """A poly (or affine) term of small coefficients, or a powlaw whose slope, offset and scale are ±10^e."""
+    kind = draw(st.sampled_from(["poly", "affine", "powlaw"]))
+    if kind == "powlaw":
+        params = (draw(_signed_powers(-3, 0.6)), draw(st.floats(-5, 5, allow_subnormal=False)), draw(_signed_powers(-3, 0.6)),
+                  draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        return SeparableTerm(1, kind, params)
+    return SeparableTerm(1, kind, draw(st.lists(st.floats(-2, 2), min_size=2 if kind == "affine" else 1, max_size=2 if kind == "affine" else 5)))
+
+
+@example(SeparableTerm(1, "poly", (0.0, 0.0, 1.0)), 1e8, 1.4901161193847656e-08)  # the x^2 row: 2.0 plain, 2.98 exact
+@example(SeparableTerm(1, "poly", (1.0, -2.0, 1.0)), 1.0000001, 2.220446049250313e-16)  # (x - 1)^2 near 1
+@example(SeparableTerm(1, "poly", (1e16, 1.0)), 0.0, 1.0)  # the two values round to one double
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 0.5, -3.0)), 0.3, 5.551115123125783e-17)
+@given(_poly_or_powlaw(), st.floats(-50, 50), st.one_of(st.just(0.0), _signed_powers(-16, 1)))
+def test_poly_and_powlaw_changes_against_exact_rationals(term, a, step):
+    """Within a few roundings of the size of the divided difference's terms, near a and far from it.
+
+    A poly's change is (b - a) sum_j c_j sum_{i<j} a^i b^(j-1-i); a
+    powlaw's is that of u^k between its arguments u and v, as the term
+    rounds them, times its scale, over -(u v)^k for a power -k.  Horner's
+    divided difference rounds each of its steps once, so the form is
+    within a few roundings of the size of those terms.  Far from a the
+    plain difference is taken, within a few times that size too.  Where
+    the exact change is within that bound of 0, the form may round to 0
+    and give way to the plain difference, so the bound adds its error: a
+    few roundings of each value.  A rounding below the normal range is a
+    step of 2^-1074 instead, which b - a and powers of x up to 51^4 carry
+    up to at most _CHANGE_FLOOR.  The plain difference near a misses the
+    bound by about |value| / |change| ulps.
+    """
+    b = a + step
+    try:
+        term.value(b), term.value(a)
+    except DomainError as error:  # a zero base of a negative power, or a value past the doubles: the change raises it too
+        with pytest.raises(DomainError, match=str(error)):
+            term.change(a, b)
+        return
+    p = [Fraction(c) for c in term.params]
+    if term.kind == "poly":
+        u, v, k, coeffs, scale = a, b, len(p), term.params, Fraction(1)
+        exact = sum(c * (Fraction(b) ** j - Fraction(a) ** j) for j, c in enumerate(p))
+        values = sum(abs(c) * (abs(Fraction(a)) ** j + abs(Fraction(b)) ** j) for j, c in enumerate(p))
+    else:
+        u, v, e = term.params[0] * a + term.params[1], term.params[0] * b + term.params[1], int(term.params[3])
+        k, coeffs = abs(e), (0.0,) * abs(e) + (1.0,)
+        scale = abs(p[2]) / (abs(Fraction(u) * Fraction(v)) ** k if e < 0 else 1)
+        exact = p[2] * (Fraction(v) ** e - Fraction(u) ** e)
+        values = abs(p[2]) * (abs(Fraction(u) ** e) + abs(Fraction(v) ** e))
+    bound = 16 * (k + 2) * _U * abs(Fraction(v) - Fraction(u)) * _divided_sum(coeffs, u, v) * scale
+    if abs(exact) <= bound:
+        bound += 16 * (k + 2) * _U * values
+    bound += _CHANGE_FLOOR
+    assert abs(Fraction(term.change(a, b)) - exact) <= bound
 
 
 @pytest.mark.parametrize(
@@ -675,9 +760,10 @@ def test_gradients_of_drawn_terms_equal_the_point_loop_or_raise_its_first_error(
 
 
 def test_gradients_take_each_derivative_a_column_at_a_time(monkeypatch):
-    """One call over N rows builds no term: a poly's `slope` runs once, on its whole column, every other term's N times, down it."""
+    """One call over N rows builds no term: a poly's `slope` runs once, on its whole column; any other term's runs only at
+    the entries its plain product refuses, here none but the subnormal slope 2e-310 of the added column."""
     f = from_terms(
-        3,
+        4,
         {(1, 2): 1.5},
         [
             SeparableTerm(1, "log", (1.0, 4.0, 1.0)),
@@ -685,9 +771,10 @@ def test_gradients_take_each_derivative_a_column_at_a_time(monkeypatch):
             SeparableTerm(2, "poly", (1.0, 2.0, 3.0)),
             SeparableTerm(3, "powlaw", (1.0, 4.0, 2.0, 1.0)),
             SeparableTerm(3, "powlaw", (1.0, 4.0, 2.0, 3.0)),
+            SeparableTerm(4, "powlaw", (1.0, 0.0, 1.0, 2.0)),
         ],
     )
-    X = [[0.5, -1.0, 2.0], [1.0, 0.0, -0.5], [2.5, 3.0, 1.0], [-1.5, 0.25, 0.0]]
+    X = [[0.5, -1.0, 2.0, 1.0], [1.0, 0.0, -0.5, 1e-310], [2.5, 3.0, 1.0, -2.0], [-1.5, 0.25, 0.0, 0.5]]
     calls = []
     slope = SeparableTerm.slope
 
@@ -700,13 +787,55 @@ def test_gradients_take_each_derivative_a_column_at_a_time(monkeypatch):
 
     monkeypatch.setattr(SeparableTerm, "slope", counted)
     monkeypatch.setattr(SeparableTerm, "__post_init__", built)
-    f.gradients(X)
+    G = f.gradients(X)
     columns = np.array(X).T.tolist()
-    assert calls == [
-        call
-        for t in f.separable
-        for call in ([(t, columns[t.index - 1])] if t.kind == "poly" else [(t, x[t.index - 1]) for x in X])
-    ]
+    poly = next(t for t in f.separable if t.kind == "poly")
+    assert calls == [(poly, columns[1]), (f.separable[-1], 1e-310)]
+    assert G[1, 3] == 2e-310
+    monkeypatch.undo()
+    assert G.tolist() == [_loop_gradient(f, x) for x in X]
+
+
+# entries at which a term's argument is subnormal, zero, or past what e^arg or a power keeps in the doubles
+_COLUMN_CELLS = st.one_of(_GRID, st.floats(-3, 3), st.sampled_from([1e-310, -5e-324, 1e-160, 1e200, -1e200, 800.0, -740.0]))
+
+
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e-300, -2.0)), [1.0, 1e-160])  # x^-2 overflows, the value 1e20 does not
+@example(SeparableTerm(1, "log", (1.0, 0.0, 1.0)), [1.0, 0.0, -1.0])  # a zero argument, then a negative one
+@example(SeparableTerm(1, "exp", (1.0, 0.0, 1.0)), [-740.0, 1.0, 800.0])  # a subnormal e^arg, then one that overflows
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1.0, 2.0)), [1e-310, 2.0])  # a subnormal slope
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e200, 3.0)), [1e-160, 1.0])  # x^2 = 1e-320 keeps few bits, the slope 3e-120 all
+@example(SeparableTerm(1, "powlaw", (1e-200, 0.0, 1e-200, 2.0)), [1e300])  # scale a = 1e-400 is no double, the slope 2e-300 is
+@example(SeparableTerm(1, "powlaw", (1e10, 0.0, 1e300, 2.0)), [1e-20])  # scale a = 1e310 is no double, the slope 2e300 is
+@given(_every_kind(1), st.lists(_COLUMN_CELLS, min_size=1, max_size=30))
+def test_columns_have_the_bits_of_the_scalar_rule(term, xs):
+    """`values` and `slopes` against `value` and `slope` entry by entry, bit for bit, or the first entry's DomainError."""
+    for column, rule in ((term.values, term.value), (term.slopes, term.slope)):
+        try:
+            want = [rule(x) for x in xs]
+        except DomainError as first:
+            with pytest.raises(DomainError) as info, np.errstate(over="ignore", invalid="ignore"):
+                column(np.array(xs))
+            assert (str(info.value), info.value.index) == (str(first), first.index)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # as f.values and f.gradients call them
+                got = column(np.array(xs))
+            assert _bits([got.tolist()]) == _bits([want])
+
+
+def test_a_slope_whose_power_is_zero_is_exact_at_a_zero_argument():
+    # scale a = 1e-400 is not normal, so the slope is carried exactly; there arg^0 is 1, not decimal's NaN for 0^0
+    assert SeparableTerm(1, "powlaw", (1e-200, 0.0, 1e-200, 1.0)).slope(0.0) == 0.0
+    assert SeparableTerm(1, "powlaw", (1e-200, 0.0, 1e-100, 1.0)).slope(0.0) == 1e-300
+
+
+def test_a_powlaw_value_past_its_power_is_exact():
+    # x^-2 = 1e320 leaves the doubles, but 1e-300 x^-2 is 1e20
+    term = SeparableTerm(1, "powlaw", (1.0, 0.0, 1e-300, -2.0))
+    assert term.value(1e-160) == 1e20
+    assert term.values(np.array([1e-160, 1.0])).tolist() == [1e20, 1e-300]
+    with pytest.raises(DomainError, match=r"powlaw term on variable 1 overflows at x = 1e-200"):  # the value itself, 1e700, leaves them too
+        SeparableTerm(1, "powlaw", (1.0, 0.0, 1e300, -2.0)).value(1e-200)
 
 
 _U = Fraction(1, 2**53)  # the unit roundoff of a double

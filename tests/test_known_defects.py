@@ -4,8 +4,8 @@ Each case states the right outcome: the true value with exit 0, or exit 3
 where the item's fix is to flag the row.  A case still marked exits 0 with
 a wrong value, so it fails.  The reason names the ROADMAP item whose fix
 makes it pass; that fix then fails the strict mark, and the mark comes off
-in the same change.  The exp term's separable cancellation cases are
-mended (item 2) and stay as regression tests; the poly term's are open.
+in the same change.  The separable cancellation cases of an exp and a
+poly term are mended (item 2) and stay as regression tests.
 """
 import json
 import math
@@ -23,7 +23,6 @@ EXP_TRUE = 518479805657.24135  # 2 e^50 expm1(5e-11), to 50 digits with mpmath
 SQUARE_MODEL = "[variables]\nx\n[separable]\nx : poly 0 0 1\n"
 SQUARE_VALUES = "e,x,1e8,100000000.00000001\n"
 SQUARE_TRUE = 2.9802322387695312  # s^2 - r^2 of those floats, from fractions.Fraction, rounded once
-SQUARE_OPEN = pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 
 # f = (a - e)(b - c) g, with b crossing 2^57, where the float spacing doubles; true z_a = 48, z_e = -48
 BINADE_MODEL = "[variables]\na b c e g\n[multilinear]\na b g : 1\na c g : -1\ne b g : -1\ne c g : 1\n"
@@ -75,8 +74,8 @@ def _close(x: float, true: float, scale: float) -> bool:
     [
         pytest.param(EXP_MODEL, EXP_VALUES, EXP_TRUE, "ass", id="ass"),
         pytest.param(EXP_MODEL, EXP_VALUES, EXP_TRUE, "ss-brute", id="ss-brute"),
-        pytest.param(SQUARE_MODEL, SQUARE_VALUES, SQUARE_TRUE, "ass", id="square-ass", marks=SQUARE_OPEN),
-        pytest.param(SQUARE_MODEL, SQUARE_VALUES, SQUARE_TRUE, "ss-brute", id="square-ss-brute", marks=SQUARE_OPEN),
+        pytest.param(SQUARE_MODEL, SQUARE_VALUES, SQUARE_TRUE, "ass", id="square-ass"),
+        pytest.param(SQUARE_MODEL, SQUARE_VALUES, SQUARE_TRUE, "ss-brute", id="square-ss-brute"),
     ],
 )
 def test_separable_cancellation_is_right_or_flagged(tmp_path, capsys, model, values, true, method):
@@ -88,8 +87,7 @@ def test_separable_cancellation_is_right_or_flagged(tmp_path, capsys, model, val
     "model, values, true",
     [
         pytest.param(EXP_MODEL, EXP_VALUES, EXP_TRUE, id="exp"),
-        # the quadrature's z is right, but its residual is taken against the cancelled change, so the row is flagged
-        pytest.param(SQUARE_MODEL, SQUARE_VALUES, SQUARE_TRUE, id="square", marks=SQUARE_OPEN),
+        pytest.param(SQUARE_MODEL, SQUARE_VALUES, SQUARE_TRUE, id="square"),
     ],
 )
 def test_separable_cancellation_is_trusted_under_quadrature(tmp_path, capsys, model, values, true):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from attrib import (
     BlackBoxFunction,
@@ -19,8 +21,10 @@ from attrib import (
     shapley_shubik_bruteforce,
     straight_line,
 )
-from attrib.paths import _nodes
+from attrib.core import _CHUNK_ELEMENTS, AttributionResult, _change
+from attrib.paths import _MAX_PASS_NODES, _ORDER, _PANELS, _nodes
 from attrib.axioms import InstanceGenerator
+from conftest import charfn_pairs, flow_graphs, values
 
 
 def _edge_walk_mix(f, vp: ValuePair, weight: float) -> tuple[float, ...]:
@@ -115,9 +119,9 @@ class TestAttributePath:
     def test_characteristic_function_takes_one_gradient_call_per_pass(self):
         f = _CountedGradients(product_function(2))
         res = attribute_path(f, ValuePair((0.0, 0.0), (1.0, 1.0)), straight_line())
-        # polynomial integrand: the 8-panel pass and the 16-panel pass agree
+        # polynomial integrand: the 8-panel pass and the 16-panel pass agree; one call takes both passes' nodes
         assert res.converged
-        assert f.shapes == [(8 * 16, 2), (16 * 16, 2)]
+        assert f.shapes == [(8 * 16 + 16 * 16, 2)]
 
     def test_fine_passes_take_gradients_in_blocks(self, monkeypatch):
         import attrib.paths
@@ -143,11 +147,11 @@ class TestAttributePath:
         assert res.z[0] == pytest.approx(rough((1.0,)) - rough((0.0,)), rel=0.1)
 
     def test_a_non_finite_pass_ends_the_refinement(self):
-        # every node's gradient overflows, so no finer pass could agree with the first
+        # every node's gradient overflows, so no finer pass could agree with the first; pass 1's nodes share its call
         f = _CountedGradients(product_function(6))
         res = attribute_aumann_shapley(f, ValuePair((1e150,) * 6, (2e150,) + (-1e150,) * 5))
         assert not res.converged and not all(map(math.isfinite, res.z))
-        assert f.shapes == [(8 * 16, 6)]
+        assert f.shapes == [(8 * 16 + 16 * 16, 6)]
 
 
 class TestAumannShapley:
@@ -294,3 +298,81 @@ def test_path_completeness_property():
             res = attribute_path(f, vp, base, q)
             total = evaluate(f, vp.s) - evaluate(f, vp.r)
             assert abs(math.fsum(res.z) - total) <= 10 * q.tol * (1.0 + abs(total))
+
+
+def _one_call_per_pass(f, vp: ValuePair, base, q: QuadratureConfig) -> AttributionResult:
+    """The quadrature loop as it took one ``f.gradients`` call per pass (or per block of a fine pass): the reference."""
+    r = np.asarray(vp.r)
+    if not hasattr(f, "gradients"):
+        f = BlackBoxFunction(vp.n, f)
+    step = max(1, _CHUNK_ELEMENTS // max(vp.n, 1))
+    z = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.asarray(vp.s) - r
+        for k in range(q.max_refine + 1):
+            if k and (len(base.breaks) - 1) * _ORDER * _PANELS * 2**k > _MAX_PASS_NODES:
+                break
+            nodes, weights = _nodes(base.breaks, _ORDER, _PANELS * 2**k)
+            blocks = [(nodes[i : i + step], weights[i : i + step]) for i in range(0, len(nodes), step)]
+            z, prev = sum(w @ (f.gradients(r + d * base.g(t)) * (d * base.dg(t))) for t, w in blocks), z
+            converged = prev is not None and bool(np.all(np.abs(z - prev) <= q.tol * (1.0 + np.abs(z))))
+            if converged or not np.isfinite(z).all():
+                break
+    return AttributionResult("path:" + base.kind, tuple(z.tolist()), _change(f, vp), converged)
+
+
+def _outcome(run):
+    """repr of what run() returns, or the type and message of what it raises."""
+    try:
+        return repr(run())
+    except Exception as error:
+        return type(error).__name__, str(error)
+
+
+def _pass_one_points(vp: ValuePair, base) -> set:
+    """The points of pass 1 that pass 0 does not visit, as tuples."""
+    r, d = np.asarray(vp.r), np.asarray(vp.s) - np.asarray(vp.r)
+    first, second = ({tuple(x) for x in (r + d * base.g(_nodes(base.breaks, _ORDER, _PANELS * m)[0])).tolist()} for m in (1, 2))
+    return second - first
+
+
+class _RaisesAtPassOne:
+    """A black box's gradient that raises at the nodes only pass 1 visits; at pass 0's it is g."""
+
+    def __init__(self, g, points):
+        self.g, self.points = g, points
+
+    def __call__(self, x):
+        if tuple(x) in self.points:
+            raise ValueError(f"no gradient at {list(x)}")
+        return self.g(x)
+
+
+@st.composite
+def _integrands(draw):
+    """(f, vp, base): a model, a flow graph or a black box, with a straight line or an edge walk over its variables."""
+    kind = draw(st.sampled_from(["model", "graph", "box", "box-grad", "box-raises"]))
+    if kind == "graph":
+        f = draw(flow_graphs(max_nodes=4))
+        vp = ValuePair(*(tuple(draw(values) for _ in range(f.n)) for _ in range(2)))
+    else:
+        f, vp = draw(charfn_pairs(max_n=3))
+    base = straight_line() if draw(st.booleans()) or not vp.n else edge_walk(draw(st.permutations(range(1, vp.n + 1))))
+    if kind == "box":
+        f = BlackBoxFunction(f.n, f)
+    elif kind != "model" and kind != "graph":
+        g = lambda x, f=f: f.gradients([x])[0].tolist()
+        f = BlackBoxFunction(f.n, f, g if kind == "box-grad" else _RaisesAtPassOne(g, _pass_one_points(vp, base)))
+    return f, vp, base
+
+
+# pass 0's gradients overflow, so refining stops there, unconverged, before pass 1's nodes raise
+@example((BlackBoxFunction(2, lambda x: 0.0, _RaisesAtPassOne(lambda x: [math.inf, 1.0], _pass_one_points(ValuePair((0.0, 0.0), (1.0, 1.0)),
+          straight_line()))), ValuePair((0.0, 0.0), (1.0, 1.0)), straight_line()), 3)
+@given(_integrands(), st.sampled_from([0, 1, 3]))
+def test_integrate_has_the_bits_of_one_call_per_pass(case, max_refine):
+    """`attribute_path` against the loop that took each pass's gradients on their own, repr for repr, or the same error."""
+    f, vp, base = case
+    q = QuadratureConfig(max_refine=max_refine)
+    got = _outcome(lambda: attribute_path(f, vp, base, q))
+    assert got == _outcome(lambda: _one_call_per_pass(f, vp, base, q))
