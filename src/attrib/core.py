@@ -298,8 +298,9 @@ class SeparableTerm:
         change of u^k over -(u v)^k.  It is taken where the argument moves
         by less than half its size, or where the two values are within a
         factor 2 of each other, so their plain difference is exact and
-        keeps only the values' own rounding.  Elsewhere, and wherever a
-        form is 0 or not finite, the change is the plain difference, tried
+        keeps only the values' own rounding.  Elsewhere, wherever a form is
+        0 or not finite, and where a powlaw's power in it is below the
+        normal range, the change is the plain difference, tried
         at b first, so a term outside its domain at both raises b's
         `DomainError`.  A form is only taken where neither value raises: an
         exp's exponents are at most _EXP_SAFE, a log's arguments positive
@@ -333,18 +334,30 @@ class SeparableTerm:
         return self.value(b) - self.value(a)
 
     def _power_change(self, u: float, v: float) -> float:
-        """A poly's or powlaw's change between the arguments u and v by divided differences; nan where a power over- or underflows."""
+        """A poly's or powlaw's change between the arguments u and v by divided differences.
+
+        For a powlaw of power -k < 0, the change of u^k is divided by u^k
+        and then by v^k, so the quotient between stays near the relative
+        change and neither over- nor underflows where (u v)^k would.  nan
+        where the change of u^k, u^k or v^k overflows or falls below the
+        normal range, where it keeps fewer bits.
+        """
         p = self.params
         if self.kind == "poly":
             return (v - u) * _divided_difference(p, u, v)
         e = int(p[3])
         form = (v - u) * _divided_difference((0.0,) * abs(e) + (1.0,), u, v)
+        if not _NORMAL <= abs(form) < math.inf:
+            return math.nan
         if e > 0:
             return p[2] * form
         try:
-            return -p[2] * form / (u * v) ** -e
-        except (OverflowError, ZeroDivisionError):
+            pu, pv = u**-e, v**-e
+        except OverflowError:
             return math.nan
+        if abs(pu) < _NORMAL or abs(pv) < _NORMAL:
+            return math.nan
+        return -p[2] * (form / pu / pv)
 
     def derivative(self) -> "SeparableTerm":
         k, p = self.kind, self.params
@@ -396,8 +409,12 @@ def _exact_product(factors: tuple[float, ...], base: float, power: int) -> float
 def _divided_difference(coeffs: Sequence[float], u: float, v: float) -> float:
     """(P(v) - P(u)) / (v - u) for P(x) = sum_j coeffs[j] x^j, by Horner from the top coefficient: D <- P_v + u D, then P_v <- P_v v + c.
 
-    For u = v it is P'(u).  Nothing is subtracted, so a change taken as
-    (v - u) times it does not cancel when v is near u.
+    For u = v it is P'(u).  Its error is a few roundings of the size of
+    its terms, sum_j |c_j| sum_{i<j} |u|^i |v|^(j-1-i), so a change taken
+    as (v - u) times it is within a few roundings of |v - u| times that
+    size: it does not lose the bits the two values share when v is near
+    u, as their difference does.  Coefficients of mixed signs can still
+    cancel inside the sum, to within that bound.
     """
     d = pv = 0.0
     for c in reversed(coeffs):

@@ -475,6 +475,9 @@ def _poly_or_powlaw(draw):
 @example(SeparableTerm(1, "poly", (1.0, -2.0, 1.0)), 1.0000001, 2.220446049250313e-16)  # (x - 1)^2 near 1
 @example(SeparableTerm(1, "poly", (1e16, 1.0)), 0.0, 1.0)  # the two values round to one double
 @example(SeparableTerm(1, "powlaw", (1.0, 0.0, 0.5, -3.0)), 0.3, 5.551115123125783e-17)
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1.0, -1.0)), 1e-160, 2e-161)  # u v is below the normal range
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1.0, -2.0)), 1e-80, 1e-81)  # so is (u v)^2
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1.0, -1.0)), 1.4723717547227848e224, -2.0e208)  # u v overflows
 @given(_poly_or_powlaw(), st.floats(-50, 50), st.one_of(st.just(0.0), _signed_powers(-16, 1)))
 def test_poly_and_powlaw_changes_against_exact_rationals(term, a, step):
     """Within a few roundings of the size of the divided difference's terms, near a and far from it.
