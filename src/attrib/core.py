@@ -169,110 +169,106 @@ class SeparableTerm:
             object.__setattr__(self, "params", self.params[::-1])
 
     def value(self, x: float) -> float:
-        """The term at x; `DomainError` outside its domain or where the value overflows.
-
-        Where a powlaw's arg^power overflows but its value does not, the
-        value is `_exact_product`'s, as in `slope`.
-        """
+        """The term at x: Horner for a poly, scale ln arg for a log, `_product`'s rule for an exp or powlaw."""
         k, p = self.kind, self.params
         if k == "poly":
             acc = 0.0
             for c in reversed(p):
                 acc = acc * x + c
             return acc
+        if k != "log":
+            return self._product(x, False)
         arg = p[0] * x + p[1]
-        if k == "log":
-            if arg <= 0.0:
-                raise DomainError(f"log term on variable {self.index} got nonpositive argument {arg}", self.index)
-            return p[2] * math.log(arg)
-        try:
-            if k == "exp":
-                return p[2] * math.exp(arg)
-            e = int(p[3])
-            if arg == 0.0 and e < 0:
-                raise DomainError(f"powlaw term on variable {self.index} got zero base with negative exponent", self.index)
-            return p[2] * arg ** e
-        except OverflowError:
-            if k == "powlaw" and math.isfinite(v := _exact_product((p[2],), arg, e)):
-                return v
-            raise DomainError(f"{k} term on variable {self.index} overflows at x = {x!r}", self.index) from None
+        if arg <= 0.0:
+            raise DomainError(f"log term on variable {self.index} got nonpositive argument {arg}", self.index)
+        return p[2] * math.log(arg)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """`value` at every entry of the 1-d array x, with its bits.
-
-        A poly runs `value`'s Horner steps on the whole array.  Any other
-        kind takes its argument and its product with the scale in numpy,
-        and the transcendental, e^arg, ln arg or arg^power, through the
-        same ``math.exp``, ``math.log`` or ``pow`` calls as `value`, one
-        per entry: numpy's own exp, log and power need not round as they
-        do.  Where any of those calls raises, the whole column calls
-        `value` entry by entry, so the scalar rule, and the `DomainError`
-        it raises, is the only one.  As in plain floats, an overflow gives
-        inf; `CharacteristicFunction.values` silences numpy's warning.
-        """
+        """`value` at every entry of the 1-d array x, with its bits: Horner on the whole array for a poly, else by `_column`."""
         k, p = self.kind, self.params
-        if k == "poly":
-            return self.value(x)
-        w = self._powers(p[0] * x + p[1], math.log if k == "log" else math.exp if k == "exp" else int(p[3]))
+        if k != "log":
+            return self.value(x) if k == "poly" else self._column(x, False)
+        w = self._powers(p[0] * x + p[1], math.log)
         return np.fromiter(map(self.value, x.tolist()), float, len(x)) if w is None else p[2] * w
 
     def slope(self, x: float) -> float:
-        """The derivative at x from this term's own parameters, overflowing or underflowing only where it does.
+        """The derivative at x: Horner for p and p' at once for a poly, on an array x too, else `_product`'s rule."""
+        if self.kind != "poly":
+            return self._product(x, True)
+        acc = d = 0.0
+        for c in reversed(self.params):
+            d, acc = d * x + acc, acc * x + c
+        return d
 
-        A poly runs Horner for p and p' at once, on an array x too.  Any
-        other kind is (scale a m) w, w = e^arg or arg^power: in plain floats,
-        with the derivative term's bits, where scale a and w are normal and
-        the result finite, else by `_exact_product`, also where arg^power
-        overflows.  As in `value`, e^arg's overflow raises.
+    def slopes(self, x: np.ndarray) -> np.ndarray:
+        """`slope` at every entry of the 1-d array x, with its bits: Horner on the whole array for a poly, else by `_column`."""
+        return self.slope(x) if self.kind == "poly" else self._column(x, True)
+
+    def _rule(self, slope: bool) -> tuple[tuple[float, ...], int, float]:
+        """(factors, power, scale) of prod(factors) w, w = e^arg or arg^power, the value of an exp or powlaw or a non-poly slope.
+
+        scale is prod(factors) in plain floats, nan once a product along the
+        way is no normal double, so has lost bits or overflowed.
         """
         k, p = self.kind, self.params
-        if k == "poly":
-            acc = d = 0.0
-            for c in reversed(p):
-                d, acc = d * x + acc, acc * x + c
-            return d
+        if k == "powlaw":
+            factors, power = ((p[2], p[0], p[3]), int(p[3]) - 1) if slope else ((p[2],), int(p[3]))
+        else:
+            factors, power = ((p[2], p[0]) if slope else (p[2],)), -1 if k == "log" else 1
+        scale = factors[0]
+        for f in factors[1:]:
+            scale = scale * f if _NORMAL <= abs(scale * f) <= _MAX else math.nan
+        return factors, power, scale
+
+    def _product(self, x: float, slope: bool) -> float:
+        """`_rule`'s product at x, the value (slope False) or the slope: the one rule `values` and `slopes` take by columns.
+
+        It is plain where each product along the way of the factors and w
+        are normal doubles and the result is finite, so each rounding keeps 53
+        bits and a slope has its derivative term's bits without building
+        it.  Elsewhere `_exact_product` carries it and rounds once, so it is
+        inf only where the exact product is.  Where arg^power overflows, the
+        slope is that exact product, and so is a finite value; else, as
+        where e^arg overflows or a zero argument has a negative power, it is
+        a `DomainError`.  e^arg is ``math.exp``'s, also below the normal
+        range, where an exact product would need decimal's exp.
+        """
+        k, p = self.kind, self.params
+        factors, power, scale = self._rule(slope)
         arg = p[0] * x + p[1]
-        m, power = self._slope_power()
         if arg == 0.0 and power < 0:
-            raise DomainError(f"{k} term on variable {self.index} has no derivative at x = {x!r}", self.index)
+            fault = f"has no derivative at x = {x!r}" if slope else "got zero base with negative exponent"
+            raise DomainError(f"{k} term on variable {self.index} {fault}", self.index)
         try:
             w = math.exp(arg) if k == "exp" else arg**power
         except OverflowError:
-            if k == "exp":
-                raise DomainError(f"{k} term on variable {self.index} overflows at x = {x!r}", self.index) from None
-            return _exact_product((p[2], p[0], m), arg, power)  # arg^power is past the doubles; the slope may not be
-        c = p[2] * p[0]
-        r = c * m * w
-        if (c >= _NORMAL or c <= -_NORMAL) and (w >= _NORMAL or w <= -_NORMAL) and -_MAX <= r <= _MAX:
+            if k != "exp":
+                v = _exact_product(factors, arg, power)
+                if slope or math.isfinite(v):
+                    return v
+            raise DomainError(f"{k} term on variable {self.index} overflows at x = {x!r}", self.index) from None
+        if (w >= _NORMAL or w <= -_NORMAL) and -_MAX <= (r := scale * w) <= _MAX:
             return r
-        return _exact_product((p[2], p[0], m), w if k == "exp" else arg, power)
+        return _exact_product(factors, w if k == "exp" else arg, power)
 
-    def slopes(self, x: np.ndarray) -> np.ndarray:
-        """`slope` at every entry of the 1-d array x, with its bits.
+    def _column(self, x: np.ndarray, slope: bool) -> np.ndarray:
+        """`_product` at every entry of the 1-d array x, with its bits.
 
-        As `values` takes `value`: the argument and (scale a m) w in numpy,
-        w through ``math.exp`` or ``pow`` entry by entry.  An entry the
-        plain product refuses, where scale a or w is not normal or the
-        result not finite, calls `slope`; where any ``math.exp`` or ``pow``
-        call raises, the whole column does.
+        The argument and the product are taken in numpy, w by the scalar
+        rule's ``math.exp`` or ``pow`` call per entry (numpy's own need not
+        round alike).  Entries the plain product refuses call the scalar
+        rule, as does the whole column where any call raises, so it alone
+        defines every edge case and every `DomainError`.
         """
-        k, p = self.kind, self.params
-        if k == "poly":
-            return self.slope(x)
-        m, power = self._slope_power()
-        c = p[2] * p[0]
-        w = self._powers(p[0] * x + p[1], math.exp if k == "exp" else power)
-        if w is None or not (c >= _NORMAL or c <= -_NORMAL):
-            return np.fromiter(map(self.slope, x.tolist()), float, len(x))
-        r = c * m * w
+        _, power, scale = self._rule(slope)
+        rule, p = self.slope if slope else self.value, self.params
+        w = self._powers(p[0] * x + p[1], math.exp if self.kind == "exp" else power)
+        if w is None:
+            return np.fromiter(map(rule, x.tolist()), float, len(x))
+        r = scale * w
         for i in np.flatnonzero(~((np.abs(w) >= _NORMAL) & (np.abs(r) <= _MAX))).tolist():
-            r[i] = self.slope(float(x[i]))
+            r[i] = rule(float(x[i]))
         return r
-
-    def _slope_power(self) -> tuple[float, int]:
-        """(m, power) of the derivative scale a m arg^power of a log or powlaw term; power 1 for exp, where w is e^arg."""
-        k, p = self.kind, self.params
-        return (p[3], int(p[3]) - 1) if k == "powlaw" else (1.0, -1 if k == "log" else 1)
 
     @staticmethod
     def _powers(arg: np.ndarray, fn) -> np.ndarray | None:
@@ -364,13 +360,13 @@ class SeparableTerm:
         try:
             if k == "poly":
                 return SeparableTerm(self.index, "poly", tuple(j * c for j, c in enumerate(p))[1:] or (0.0,))
-            if k == "log":
-                return SeparableTerm(self.index, "powlaw", (p[0], p[1], p[2] * p[0], -1.0))
+            factors, power, _ = self._rule(True)
+            scale = math.prod(factors)
             if k == "exp":
-                return SeparableTerm(self.index, "exp", (p[0], p[1], p[2] * p[0]))
-            if p[3] == 1.0:
-                return SeparableTerm(self.index, "poly", (p[2] * p[0],))
-            return SeparableTerm(self.index, "powlaw", (p[0], p[1], p[2] * p[0] * p[3], p[3] - 1.0))
+                return SeparableTerm(self.index, "exp", (p[0], p[1], scale))
+            if power == 0:
+                return SeparableTerm(self.index, "poly", (scale,))
+            return SeparableTerm(self.index, "powlaw", (p[0], p[1], scale, float(power)))
         except ValueError:  # the only fault a derived term can have: a product of parameters overflowed
             raise ValueError(f"the derivative of the {k} term on variable {self.index} has a non-finite parameter") from None
 

@@ -103,6 +103,23 @@ def exact_product_attribution(r, s, i) -> Fraction:
     return (sF[i - 1] - rF[i - 1]) * total
 
 
+def exact_dp_attribution(r, s, i) -> Fraction:
+    """z_i of x_1 * ... * x_n from r to s, by the paper's subset-mean DP in exact rationals.
+
+    Absorbing the j-th of the other variables updates each mean Y_k of the
+    k-subsets to r_j Y_k + (k / j) (s_j Y_{k-1} - r_j Y_k), as
+    `attrib.exact.dp_subset_means` does in floats, here with weight
+    Fraction(k, j); then z_i = (s_i - r_i) (Y_0 + ... + Y_{n-1}) / n.  It
+    takes O(n^2) steps, so it checks degrees the subset sum cannot reach.
+    """
+    n = len(r)
+    others = [(Fraction(r[j]), Fraction(s[j])) for j in range(n) if j != i - 1]
+    Y = [Fraction(1)]
+    for j, (rj, sj) in enumerate(others, 1):
+        Y = [rj * Y[0]] + [rj * Y[k] + Fraction(k, j) * (sj * Y[k - 1] - rj * Y[k]) for k in range(1, j)] + [sj * Y[j - 1]]
+    return (Fraction(s[i - 1]) - Fraction(r[i - 1])) * sum(Y) / n
+
+
 @pytest.fixture
 def procurement():
     """Expenditure model a*p*c with the quarter-over-quarter values."""

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -1098,6 +1099,11 @@ _TWO_LOGS = "[variables]\nc\n[separable]\nc : log 1 2 1e308\nc : log 1 2 1e308\n
 _POWLAW_TINY = "[variables]\nx y\n[multilinear]\nx y : 1\n[separable]\nx : powlaw 1 0 1e-300 -1\n"
 # x's value, 1e-300 x^-2, is finite from 1e-160 to 2e-160, though x^-2 itself leaves the doubles; it changes by -7.5e19
 _POWLAW_TINY_VALUE = "[variables]\nx y\n[multilinear]\nx y : 1\n[separable]\nx : powlaw 1 0 1e-300 -2\n"
+# x's value, 1e300 x^3, takes x^3 below the normal range from 1.0110141566510862e-104 to 2e-104; exactly, z_x is
+# 1e300 (s^3 - r^3) + (s - r) (1 + 2) / 2
+_POWLAW_SUBNORMAL_POWER = "[variables]\nx y\n[multilinear]\nx y : 1\n[separable]\nx : powlaw 1 0 1e300 3\n"
+_R, _S = Fraction(1.0110141566510862e-104), Fraction(2e-104)
+_POWLAW_SUBNORMAL_POWER_Z = Fraction(1e300) * (_S**3 - _R**3) + (_S - _R) * Fraction(3, 2)
 _SUMMARY = '{"record": "summary"'
 _ATTRIBUTION = '{"record": "attribution"'
 _CONVERGED = '"converged": true'
@@ -1106,9 +1112,16 @@ _UNCONVERGED = "warning: quadrature did not converge; attributions are best esti
 _RESIDUAL = "warning: the residual exceeds 1e-09 of |total change| + sum |attribution|; attributions are best estimates"
 _METHODS = ["ass", "naive", "as-numeric", "ss-brute", "random-order:{orders}"]
 
+
+def _z_near(variable, exact, rel, lines):
+    """The machine report's one attribution to variable is within rel of exact, relative to it."""
+    [z] = [record["attribution"] for record in map(json.loads, lines) if record.get("variable") == variable]
+    assert abs(Fraction(z) - exact) <= rel * abs(exact)
+
+
 # Whole runs of the command: the files they read (each written to a temporary path that argv and the expected
 # stderr name as {key}), argv, the exit code, and stdout and stderr.  A string is the whole expected text; a dict
-# maps each text to the number of stdout lines that hold it.
+# maps each text to the number of stdout lines that hold it; a callable is called with the stdout lines.
 _RUNS = [
     pytest.param({}, ["--axiom-suite", "--method", "ss-brute", "--trials", "50"], 0, {"PASS  ": 9}, "",
                  id="axiom-suite-ss-brute"),
@@ -1148,6 +1161,10 @@ _RUNS = [
                    {f'"variable": "x", "initial": 1e-160, "final": 2e-160, "attribution": {z}}}': 1,
                     '"total_change": -7.5e+19': 1, _ATTRIBUTION: 2, _SUMMARY: 1, _CONVERGED: 1}, "", id=f"powlaw-value-past-the-doubles-{method}")
       for method, z in [("ass", "-7.5e+19"), ("naive", "-2.5e+19"), ("as-numeric", "-7.499999999999998e+19"), ("ss-brute", "-7.5e+19")]],
+    *[pytest.param({"model": _POWLAW_SUBNORMAL_POWER, "values": "e,x,1.0110141566510862e-104,2e-104\ne,y,1,2\n"},
+                   ["--model", "{model}", "--values", "{values}", "--method", method, "--report", "machine"], 0,
+                   lambda lines: _z_near("x", _POWLAW_SUBNORMAL_POWER_Z, 1e-15, lines), "", id=f"powlaw-subnormal-power-{method}")
+      for method in ["ass", "ss-brute"]],
     pytest.param({"model": _TWO_LOGS, "values": "e,c,0.1,0.2\n"}, ["--model", "{model}", "--values", "{values}", "--report", "machine"],
                  0, {_SUMMARY: 1, _CONVERGED: 1}, "", id="two-log-terms"),
     # from 1 to 2 the model's value itself overflows, but each term's change is finite, and so is their sum: trusted
@@ -1177,7 +1194,10 @@ def test_command_run(tmp_path, capsys, files, argv, code, out, err):
         assert captured.out == out
     else:
         lines = captured.out.splitlines()
-        assert {text: sum(text in line for line in lines) for text in out} == out
+        if callable(out):
+            out(lines)
+        else:
+            assert {text: sum(text in line for line in lines) for text in out} == out
         if "machine" in argv:
             assert lines[-1].startswith(_SUMMARY)  # a machine report ends with its last entity's summary
 

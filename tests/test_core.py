@@ -799,8 +799,11 @@ def test_gradients_take_each_derivative_a_column_at_a_time(monkeypatch):
     assert G.tolist() == [_loop_gradient(f, x) for x in X]
 
 
-# entries at which a term's argument is subnormal, zero, or past what e^arg or a power keeps in the doubles
-_COLUMN_CELLS = st.one_of(_GRID, st.floats(-3, 3), st.sampled_from([1e-310, -5e-324, 1e-160, 1e200, -1e200, 800.0, -740.0]))
+# entries at which a term's argument is subnormal, zero, or past what e^arg or a power keeps in the doubles;
+# at 1.0110141566510862e-104 a cube is subnormal
+_COLUMN_CELLS = st.one_of(
+    _GRID, st.floats(-3, 3), st.sampled_from([1e-310, -5e-324, 1e-160, 1.0110141566510862e-104, 1e200, -1e200, 800.0, -740.0])
+)
 
 
 @example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e-300, -2.0)), [1.0, 1e-160])  # x^-2 overflows, the value 1e20 does not
@@ -810,6 +813,7 @@ _COLUMN_CELLS = st.one_of(_GRID, st.floats(-3, 3), st.sampled_from([1e-310, -5e-
 @example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e200, 3.0)), [1e-160, 1.0])  # x^2 = 1e-320 keeps few bits, the slope 3e-120 all
 @example(SeparableTerm(1, "powlaw", (1e-200, 0.0, 1e-200, 2.0)), [1e300])  # scale a = 1e-400 is no double, the slope 2e-300 is
 @example(SeparableTerm(1, "powlaw", (1e10, 0.0, 1e300, 2.0)), [1e-20])  # scale a = 1e310 is no double, the slope 2e300 is
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e300, 3.0)), [1.0110141566510862e-104, 1.0])  # x^3 = 1e-312 keeps few bits, the value all
 @given(_every_kind(1), st.lists(_COLUMN_CELLS, min_size=1, max_size=30))
 def test_columns_have_the_bits_of_the_scalar_rule(term, xs):
     """`values` and `slopes` against `value` and `slope` entry by entry, bit for bit, or the first entry's DomainError."""
@@ -879,6 +883,7 @@ def _exact_slope(term, x):
 @example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e-300, 1100.0)), 2.0)  # 2^1099: past the power of a mantissa in [1/2, 1) too
 @example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e-300, -1100.0)), 0.5)  # 2^1101
 @example(SeparableTerm(1, "log", (1.0, 0.0, 1e-300)), 1e-310)  # 1 / x of a subnormal x
+@example(SeparableTerm(1, "powlaw", (1e-200, 0.0, 1e-110, 1100.0)), 1.5e200)  # scale a = 1e-310 keeps few bits, scale a m all
 @given(_every_kind(1), st.one_of(_GRID, st.floats(-3, 3)))
 def test_slope_is_the_exact_derivative_within_its_error_bound(term, x):
     """Every kind's slope against its exact derivative: an infinity only past the largest double, a DomainError only
@@ -894,6 +899,57 @@ def test_slope_is_the_exact_derivative_within_its_error_bound(term, x):
             assert arg == 0.0 and (term.kind == "log" or term.params[3] < 0)  # a zero argument of a log or a negative power
         return
     want, bound = _exact_slope(term, x)
+    if math.isinf(got):
+        assert (got > 0) == (want > 0) and abs(want) >= Fraction(sys.float_info.max) * (1 - 8 * _U)
+    else:
+        assert abs(Fraction(got) - want) <= bound
+
+
+def _exact_value(term, x):
+    """The term's value at x in exact rationals, taken at the argument a x + b as the term rounds it, and value's error bound.
+
+    A poly of m coefficients runs m Horner steps, each rounding once per
+    product and once per sum, so its error is within gamma_2m of sum |c_j|
+    |x|^j.  Any other kind is scale w, w = arg^power, e^arg or ln arg, the
+    last two as math.exp and math.log give them: a rounding of the power and
+    one of the product, in plain floats or in mantissas, so within 8u, as
+    for the slope.
+    """
+    p = [Fraction(v) for v in term.params]
+    if term.kind == "poly":
+        gamma = 2 * len(p) * _U / (1 - 2 * len(p) * _U)
+        size = sum(abs(c) * abs(Fraction(x)) ** j for j, c in enumerate(p))
+        return sum(c * Fraction(x) ** j for j, c in enumerate(p)), gamma * size + _SLOPE_FLOOR
+    arg = term.params[0] * x + term.params[1]
+    if term.kind == "powlaw":
+        want = p[2] * Fraction(arg) ** int(p[3])
+    else:
+        want = p[2] * Fraction((math.log if term.kind == "log" else math.exp)(arg))
+    return want, 8 * _U * abs(want) + _SLOPE_FLOOR
+
+
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e300, 3.0)), 1.0110141566510862e-104)  # x^3 = 1e-312 keeps few bits, the value all
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e-310, 3.0)), 1e100)  # a subnormal scale: 1e-310 x^3 is 1e-10
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 4.713883852262904e307, 3.0)), 1.5623520231577168)  # the plain product rounds to inf
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e300, 1100.0)), 0.5)  # x^1100 underflows to 0; the value is 7.4e-32
+@example(SeparableTerm(1, "powlaw", (1.0, 0.0, 1e-300, 1100.0)), 2.0)  # x^1100 overflows; the value is 1.4e31
+@given(_every_kind(1), st.one_of(_GRID, st.floats(-3, 3)))
+def test_value_is_exact_within_its_error_bound(term, x):
+    """Every kind's value against its exact value: an infinity only past the largest double, a DomainError only outside
+    the term's domain, where e^arg overflows, or where a powlaw's exact value leaves the doubles."""
+    arg = term.params[0] * x + term.params[1] if term.kind != "poly" else None
+    try:
+        got = term.value(x)
+    except DomainError as error:
+        assert error.index == 1 and term.kind != "poly"
+        if term.kind == "log":
+            assert arg <= 0.0
+        elif term.kind == "exp":
+            assert arg > 709.0  # past math.exp's range
+        else:
+            assert (arg == 0.0 and term.params[3] < 0) or abs(_exact_value(term, x)[0]) > Fraction(sys.float_info.max)
+        return
+    want, bound = _exact_value(term, x)
     if math.isinf(got):
         assert (got > 0) == (want > 0) and abs(want) >= Fraction(sys.float_info.max) * (1 - 8 * _U)
     else:

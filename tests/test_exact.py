@@ -30,7 +30,7 @@ from attrib.core import _batch_partials
 from attrib.exact import attribute_ass_batch, dp_subset_means
 from attrib.reports import resolve_method
 
-from conftest import charfn_pairs, coeffs, exact_product_attribution, flow_graphs
+from conftest import charfn_pairs, coeffs, exact_dp_attribution, exact_product_attribution, flow_graphs
 
 
 def subset_mean_oracle(r_vals, s_vals, k):
@@ -336,7 +336,7 @@ def test_monomial_attribution_matches_exact_rationals():
     import random
     from fractions import Fraction
 
-    from attrib.exact import attribute_ass_batch
+    from attrib.exact import _ARRAY_DEGREE, attribute_ass_batch
 
     rng = random.Random(59)
     for _ in range(10):
@@ -346,12 +346,25 @@ def test_monomial_attribution_matches_exact_rationals():
         i = rng.randint(1, n)
         vp = ValuePair(r, s)
         want = exact_product_attribution(r, s, i)
+        assert exact_dp_attribution(r, s, i) == want
         for got in (
             attribute_monomial(1.0, range(1, n + 1), vp, i),
             attribute_ass(product_function(n), vp).z[i - 1],
             attribute_ass_batch(product_function(n), [r], [s])[0].z[i - 1],
         ):
             assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * max(Fraction(1), abs(want))
+    # at and above the degree where attribute_ass takes its array pass, against the DP in exact rationals;
+    # positive values, so no cancellation sets the error
+    assert _ARRAY_DEGREE <= 16
+    for n in (16, 17, 24):
+        r = tuple(rng.uniform(0.5, 1.5) for _ in range(n))
+        s = tuple(rng.uniform(0.5, 1.5) for _ in range(n))
+        vp = ValuePair(r, s)
+        z, [batch] = attribute_ass(product_function(n), vp).z, attribute_ass_batch(product_function(n), [r], [s])
+        for i in rng.sample(range(1, n + 1), 3):
+            want = exact_dp_attribution(r, s, i)
+            for got in (z[i - 1], batch.z[i - 1]):
+                assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * max(Fraction(1), abs(want))
 
 
 @pytest.mark.parametrize("m", [30, 300, 1100])
